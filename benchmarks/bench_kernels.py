@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled simplex kernels against the pure numpy fallback.
+"""Time the simplex kernel backends.
 
 Times raw kernel operations, full LP solves and a branch-and-bound solve on
-each backend and checks that the two produce bit-identical results.
+the numpy backend and, when the extension is built, on the compiled one.
+Bit-identity of the backends is checked by tests/test_kernels.py; the series
+benchmark (seriesbench/) gives end-to-end numbers.
 """
 from __future__ import annotations
 
@@ -38,34 +40,26 @@ def bench_eliminate(kernels, reps=200, m=60, ncol=200, seed=0):
     rhs0 = rng.standard_normal(m)
     start = time.perf_counter()
     for rep in range(reps):
-        tab = np.ascontiguousarray(tab0)
-        rhs = rhs0.copy()
-        kernels.eliminate(tab, rhs, rep % m, rep % ncol)
-    return time.perf_counter() - start, tab, rhs
+        kernels.eliminate(tab0.copy(), rhs0.copy(), rep % m, rep % ncol)
+    return time.perf_counter() - start
 
 
 def bench_lp(kernels, reps=60, seed=1):
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
-    results = []
     for rep in range(reps):
-        inst = _random_instance(rng, n=40, m=25, integer=False)
-        res = solve_lp(LpProblem(inst), kernels=kernels)
-        results.append((res.status.name, res.objective, res.iterations))
-    return time.perf_counter() - start, results
+        solve_lp(LpProblem(_random_instance(rng, n=40, m=25, integer=False)),
+                 kernels=kernels)
+    return time.perf_counter() - start
 
 
 def bench_bb(kernels_name, reps=8, seed=2):
     rng = np.random.default_rng(seed)
     cfg = SolverConfig(det_work_per_second=1e9, kernels=kernels_name)
     start = time.perf_counter()
-    results = []
     for rep in range(reps):
-        inst = _random_instance(rng, n=12, m=8)
-        out = solve(inst, cfg, 1e6)
-        results.append((out.status.name, out.primal_bound, out.stats.nodes,
-                        out.stats.lp_iterations))
-    return time.perf_counter() - start, results
+        solve(_random_instance(rng, n=12, m=8), cfg, 1e6)
+    return time.perf_counter() - start
 
 
 def main():
@@ -73,27 +67,19 @@ def main():
     parser.add_argument("--quick", action="store_true", help="fewer repetitions")
     args = parser.parse_args()
 
-    if not HAVE_COMPILED:
-        print("compiled kernels are not built; run 'pip install -e .' first")
-        return
-
     scale = 0.25 if args.quick else 1.0
-    compiled = get_kernels("compiled")
-    python = get_kernels("python")
+    names = ["compiled", "python"] if HAVE_COMPILED else ["python"]
+    if not HAVE_COMPILED:
+        print("compiled kernels are not built; timing the numpy backend only")
 
-    print(f"{'benchmark':<22}{'compiled':>12}{'python':>12}{'speedup':>10}  identical")
-    te_c, tab_c, rhs_c = bench_eliminate(compiled, reps=int(200 * scale))
-    te_p, tab_p, rhs_p = bench_eliminate(python, reps=int(200 * scale))
-    same = np.array_equal(tab_c, tab_p) and np.array_equal(rhs_c, rhs_p)
-    print(f"{'pivot elimination':<22}{te_c:>11.4f}s{te_p:>11.4f}s{te_p / te_c:>9.1f}x  {same}")
-
-    tl_c, res_c = bench_lp(compiled, reps=int(60 * scale) or 1)
-    tl_p, res_p = bench_lp(python, reps=int(60 * scale) or 1)
-    print(f"{'lp solves':<22}{tl_c:>11.4f}s{tl_p:>11.4f}s{tl_p / tl_c:>9.1f}x  {res_c == res_p}")
-
-    tb_c, out_c = bench_bb("compiled", reps=int(8 * scale) or 1)
-    tb_p, out_p = bench_bb("python", reps=int(8 * scale) or 1)
-    print(f"{'branch and bound':<22}{tb_c:>11.4f}s{tb_p:>11.4f}s{tb_p / tb_c:>9.1f}x  {out_c == out_p}")
+    rows = [
+        ("pivot elimination", lambda k: bench_eliminate(get_kernels(k), reps=int(200 * scale))),
+        ("lp solves", lambda k: bench_lp(get_kernels(k), reps=int(60 * scale) or 1)),
+        ("branch and bound", lambda k: bench_bb(k, reps=int(8 * scale) or 1)),
+    ]
+    print(f"{'benchmark':<22}" + "".join(f"{name:>12}" for name in names))
+    for label, run in rows:
+        print(f"{label:<22}" + "".join(f"{run(name):>11.4f}s" for name in names))
 
 
 if __name__ == "__main__":

@@ -1,7 +1,10 @@
 """Pure numpy fallback for the simplex tableau kernels.
 
-Loop order and zero-skipping mirror the compiled kernels exactly so both
-backends produce bit-identical tableaus.
+Each kernel is a few whole-array operations, vectorized over rows or columns
+but with the compiled kernels' operation order: the same products, the same
+zero-skipping, and sums folded left to right with `np.subtract.reduce` (a
+BLAS product would sum in another order).  Both backends therefore produce
+bit-identical tableaus.
 """
 from __future__ import annotations
 
@@ -13,27 +16,31 @@ def eliminate(tab: np.ndarray, rhs: np.ndarray, r: int, j: int) -> None:
     piv = tab[r, j]
     tab[r, :] /= piv
     rhs[r] /= piv
-    prow = tab[r]
-    pr = rhs[r]
-    for i in range(tab.shape[0]):
-        if i == r:
-            continue
-        f = tab[i, j]
-        if f != 0.0:
-            tab[i, :] -= f * prow
-            rhs[i] -= f * pr
+    f = tab[:, j].copy()
+    f[r] = 0.0
+    rows = f.nonzero()[0]
+    f = f[rows]
+    tab[rows] -= f[:, None] * tab[r]
+    rhs[rows] -= f * rhs[r]
 
 
 def accumulate_rowsum(out: np.ndarray, weights: np.ndarray, tab: np.ndarray) -> None:
     """out -= sum_i weights[i] * tab[i], skipping exact-zero weights."""
-    for i in range(tab.shape[0]):
-        w = weights[i]
-        if w != 0.0:
-            out -= w * tab[i]
+    rows = weights.nonzero()[0]
+    if len(rows) == 0:
+        return
+    terms = np.empty((len(rows) + 1, tab.shape[1]))
+    terms[0] = out
+    np.multiply(weights[rows, None], tab[rows], out=terms[1:])
+    np.subtract.reduce(terms, axis=0, out=out)
 
 
 def subtract_scaled_columns(beta: np.ndarray, tab: np.ndarray,
                             cols: np.ndarray, vals: np.ndarray) -> None:
     """beta -= sum_k vals[k] * tab[:, cols[k]] in column order."""
-    for k in range(len(cols)):
-        beta -= vals[k] * tab[:, cols[k]]
+    if len(cols) == 0:
+        return
+    terms = np.empty((len(cols) + 1, tab.shape[0]))
+    terms[0] = beta
+    np.multiply(vals[:, None], tab[:, cols].T, out=terms[1:])
+    np.subtract.reduce(terms, axis=0, out=beta)

@@ -267,7 +267,6 @@ def _solve_one(state: _SeriesState, manifest: SeriesManifest,
         enabled_separators=frozenset(ALL_SEPARATORS - disabled),
         completesol_node_limit=cs_node_limit,
         completesol_max_improving=cs_max_improving,
-        seed=run_cfg.seed,
         det_work_per_second=run_cfg.det_work_per_second,
         kernels=run_cfg.kernels)
 

@@ -121,14 +121,19 @@ def _slack_bounds(senses) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _nonbasic_status(lo: float, hi: float) -> int:
-    if lo == hi:
-        return FIXED
-    if lo > -INF:
-        return AT_LOWER
-    if hi < INF:
-        return AT_UPPER
-    return FREE
+def _nonbasic_status(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Resting status of each column were it nonbasic: FIXED, else the finite
+    lower bound, else the finite upper bound, else FREE."""
+    stat = np.full(len(lo), FREE, dtype=np.int8)
+    stat[hi < INF] = AT_UPPER
+    stat[lo > -INF] = AT_LOWER
+    stat[lo == hi] = FIXED
+    return stat
+
+
+# statuses (indexed by status code) whose column may increase / decrease
+_CAN_INCR = np.array([True, False, False, True, False])   # AT_LOWER, FREE
+_CAN_DECR = np.array([False, True, False, True, False])   # AT_UPPER, FREE
 
 
 class _Simplex:
@@ -152,9 +157,7 @@ class _Simplex:
         self.tab = np.ascontiguousarray(self.all_cols)
         self.rhs = self.b.copy()
         self.basis = np.arange(self.n, self.ncols, dtype=np.int64)
-        self.stat = np.empty(self.ncols, dtype=np.int8)
-        for j in range(self.ncols):
-            self.stat[j] = _nonbasic_status(self.lo[j], self.hi[j])
+        self.stat = _nonbasic_status(self.lo, self.hi)
         self.stat[self.basis] = BASIC
 
     def warm_start(self, token: SimplexBasis) -> bool:
@@ -173,24 +176,16 @@ class _Simplex:
             stat = np.concatenate([stat, np.full(extra, BASIC, dtype=np.int8)])
         if len(np.unique(basis)) != self.m or basis.min() < 0 or basis.max() >= self.ncols:
             return False
+        # Columns the token calls basic but that left the basis, and nonbasic
+        # sides that became invalid under the new bounds, go back to rest.
+        lo, hi = self.lo, self.hi
+        nonbasic = np.ones(self.ncols, dtype=bool)
+        nonbasic[basis] = False
+        reset = nonbasic & ((stat == BASIC) | (stat == FIXED) | (lo == hi)
+                            | ((stat == AT_LOWER) & (lo == -INF))
+                            | ((stat == AT_UPPER) & (hi == INF)))
+        stat[reset] = _nonbasic_status(lo, hi)[reset]
         stat[basis] = BASIC
-        in_basis = set(basis.tolist())
-        for j in range(self.ncols):
-            if stat[j] == BASIC and j not in in_basis:
-                stat[j] = _nonbasic_status(self.lo[j], self.hi[j])
-        # Re-derive nonbasic sides that became invalid under the new bounds.
-        for j in range(self.ncols):
-            s = stat[j]
-            if s == BASIC:
-                continue
-            if self.lo[j] == self.hi[j]:
-                stat[j] = FIXED
-            elif s == FIXED:
-                stat[j] = _nonbasic_status(self.lo[j], self.hi[j])
-            elif s == AT_LOWER and self.lo[j] == -INF:
-                stat[j] = AT_UPPER if self.hi[j] < INF else FREE
-            elif s == AT_UPPER and self.hi[j] == INF:
-                stat[j] = AT_LOWER if self.lo[j] > -INF else FREE
         try:
             B = self.all_cols[:, basis]
             self.tab = np.ascontiguousarray(np.linalg.solve(B, self.all_cols))
@@ -215,7 +210,7 @@ class _Simplex:
 
     def compute_beta(self, vals: np.ndarray) -> np.ndarray:
         beta = self.rhs.copy()
-        nz = np.nonzero((self.stat != BASIC) & (vals != 0.0))[0].astype(np.int64)
+        nz = vals.nonzero()[0]   # basic and free columns have value 0
         if len(nz):
             self.k.subtract_scaled_columns(beta, self.tab, nz, vals[nz])
         return beta
@@ -226,33 +221,38 @@ class _Simplex:
         return x
 
     def run(self, iter_limit: int):
-        """Returns (status, beta) with beta valid for OPTIMAL/ITER_LIMIT."""
+        """Returns (status, beta) with beta valid for OPTIMAL/ITER_LIMIT.
+
+        The nonbasic values and the bounds of the basic variables are kept
+        current across pivots; each pivot and bound flip updates only the
+        entries it changes.
+        """
         bland = self.bland_after <= 0
         degen_streak = 0
+        lo, hi, stat, basis = self.lo, self.hi, self.stat, self.basis
+        vals = self.nonbasic_values()
+        lB = lo[basis]
+        uB = hi[basis]
+        t = np.empty(self.m)
         while True:
-            vals = self.nonbasic_values()
             beta = self.compute_beta(vals)
-            lB = self.lo[self.basis]
-            uB = self.hi[self.basis]
             below = beta < lB - FEAS_TOL
             above = beta > uB + FEAS_TOL
-            phase1 = bool(below.any() or above.any())
+            infeas = below | above
+            phase1 = bool(infeas.any())
 
             if phase1:
                 w = np.zeros(self.m)
                 w[above] = 1.0
                 w[below] = -1.0
                 d = np.zeros(self.ncols)
-                self.k.accumulate_rowsum(d, w, self.tab)
             else:
                 d = self.cost.copy()
-                w = self.cost[self.basis].copy()
-                self.k.accumulate_rowsum(d, w, self.tab)
+                w = self.cost[basis]
+            self.k.accumulate_rowsum(d, w, self.tab)
 
-            can_incr = (self.stat == AT_LOWER) | (self.stat == FREE)
-            can_decr = (self.stat == AT_UPPER) | (self.stat == FREE)
-            elig_incr = can_incr & (d < -DCOST_TOL)
-            elig_decr = can_decr & (d > DCOST_TOL)
+            elig_incr = _CAN_INCR[stat] & (d < -DCOST_TOL)
+            elig_decr = _CAN_DECR[stat] & (d > DCOST_TOL)
             elig = elig_incr | elig_decr
 
             if not elig.any():
@@ -263,30 +263,29 @@ class _Simplex:
                 return LpStatus.ITER_LIMIT, beta
 
             if bland:
-                j = int(np.nonzero(elig)[0][0])
+                j = int(np.argmax(elig))
             else:
-                score = np.where(elig, np.abs(d), -1.0)
-                j = int(np.argmax(score))
+                j = int(np.argmax(np.where(elig, np.abs(d), -1.0)))
             delta = 1.0 if elig_incr[j] else -1.0
 
-            # Ratio test: first breakpoint along the entering direction.
+            # Ratio test: first breakpoint along the entering direction.  A
+            # violated row stops at the bound it violates once g has moved it
+            # back there; a feasible row stops at the finite bound g moves it
+            # towards.  Either way that is uB exactly where up ^ infeas.
             g = -delta * self.tab[:, j]
-            t = np.full(self.m, INF)
-            feas = ~(below | above)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                mask = below & (g > PIVOT_TOL)
-                t[mask] = (lB[mask] - beta[mask]) / g[mask]
-                mask = above & (g < -PIVOT_TOL)
-                t[mask] = (uB[mask] - beta[mask]) / g[mask]
-                mask = feas & (g > PIVOT_TOL) & (uB < INF)
-                t[mask] = (uB[mask] - beta[mask]) / g[mask]
-                mask = feas & (g < -PIVOT_TOL) & (lB > -INF)
-                t[mask] = (lB[mask] - beta[mask]) / g[mask]
+            up = g > PIVOT_TOL
+            down = g < -PIVOT_TOL
+            feas = ~infeas
+            ok = (up & (below | (feas & (uB < INF)))) \
+                | (down & (above | (feas & (lB > -INF))))
+            bound = np.where(up ^ infeas, uB, lB)
+            t.fill(INF)
+            np.subtract(bound, beta, out=t, where=ok)
+            np.divide(t, g, out=t, where=ok)
             np.maximum(t, 0.0, out=t)
 
             t_rows = float(t.min()) if self.m else INF
-            t_flip = self.hi[j] - self.lo[j] \
-                if (self.lo[j] > -INF and self.hi[j] < INF) else INF
+            t_flip = hi[j] - lo[j] if (lo[j] > -INF and hi[j] < INF) else INF
 
             if t_rows == INF and t_flip == INF:
                 if phase1:
@@ -294,13 +293,16 @@ class _Simplex:
                 return LpStatus.UNBOUNDED, beta
 
             if t_flip <= t_rows:
-                self.stat[j] = AT_UPPER if self.stat[j] == AT_LOWER else AT_LOWER
+                if stat[j] == AT_LOWER:
+                    stat[j], vals[j] = AT_UPPER, hi[j]
+                else:
+                    stat[j], vals[j] = AT_LOWER, lo[j]
                 step = t_flip
             else:
                 cand = np.nonzero(t == t_rows)[0]
-                r = int(cand[np.argmin(self.basis[cand])])
-                leaving = int(self.basis[r])
-                if self.lo[leaving] == self.hi[leaving]:
+                r = int(cand[np.argmin(basis[cand])])
+                leaving = int(basis[r])
+                if lo[leaving] == hi[leaving]:
                     leave_stat = FIXED
                 elif below[r]:
                     leave_stat = AT_LOWER
@@ -309,9 +311,13 @@ class _Simplex:
                 else:
                     leave_stat = AT_UPPER if g[r] > 0 else AT_LOWER
                 self.k.eliminate(self.tab, self.rhs, r, j)
-                self.basis[r] = j
-                self.stat[j] = BASIC
-                self.stat[leaving] = leave_stat
+                basis[r] = j
+                stat[j] = BASIC
+                stat[leaving] = leave_stat
+                vals[j] = 0.0
+                vals[leaving] = hi[leaving] if leave_stat == AT_UPPER else lo[leaving]
+                lB[r] = lo[j]
+                uB[r] = hi[j]
                 step = t_rows
 
             self.iterations += 1

@@ -4,7 +4,7 @@ Best-bound node selection with short depth-first plunges, pluggable branching
 rules, Gomory cut separation at the root and in the tree, a rounding
 heuristic at every node and hint completion (sub-MIP based) once at the root
 before branching.  One solve owns all mutable state; deterministic for fixed
-seed, inputs and deterministic-clock mode.
+inputs and deterministic-clock mode.
 """
 from __future__ import annotations
 

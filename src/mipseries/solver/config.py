@@ -47,7 +47,6 @@ class SolverConfig:
     strong_branch_candidate_limit: int | None = None
     strong_branch_iter_limit: int = 500
     node_limit: int | None = None
-    seed: int = 0
     feas_tol: float = 1e-6
     int_tol: float = 1e-6
     gap_tol: float = 1e-6

@@ -1,5 +1,10 @@
 """Backend parity: the compiled kernels and the numpy fallback must produce
-bit-identical results."""
+bit-identical results.
+
+The compiled extension is optional, so the numpy kernels are also checked
+against row- and column-loop reference kernels kept here.  The loops do the
+compiled kernels' arithmetic in the compiled kernels' order, so these checks
+run on every machine."""
 from __future__ import annotations
 
 import numpy as np
@@ -13,6 +18,134 @@ from conftest import DET_WPS, hard_knapsack, make_instance, random_feasible_mip
 
 needs_compiled = pytest.mark.skipif(not K.HAVE_COMPILED,
                                     reason="compiled extension not built")
+
+
+def loop_eliminate(tab, rhs, r, j):
+    piv = tab[r, j]
+    tab[r, :] /= piv
+    rhs[r] /= piv
+    prow = tab[r]
+    pr = rhs[r]
+    for i in range(tab.shape[0]):
+        if i == r:
+            continue
+        f = tab[i, j]
+        if f != 0.0:
+            tab[i, :] -= f * prow
+            rhs[i] -= f * pr
+
+
+def loop_accumulate_rowsum(out, weights, tab):
+    for i in range(tab.shape[0]):
+        w = weights[i]
+        if w != 0.0:
+            out -= w * tab[i]
+
+
+def loop_subtract_scaled_columns(beta, tab, cols, vals):
+    for k in range(len(cols)):
+        beta -= vals[k] * tab[:, cols[k]]
+
+
+def assert_bits_equal(a, b):
+    """Equal values, and equal signs on the zeros (0.0 == -0.0 otherwise)."""
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def sprinkle_zeros(rng, a, p_zero=0.25, p_negzero=0.1):
+    u = rng.random(a.shape)
+    a[u < p_zero] = 0.0
+    a[u > 1.0 - p_negzero] = -0.0
+    return a
+
+
+def random_tableau(rng, m, ncol):
+    """Entries over 16 orders of magnitude with exact +0.0 and -0.0."""
+    tab = rng.standard_normal((m, ncol)) * 10.0 ** rng.integers(-8, 9, (m, ncol))
+    return sprinkle_zeros(rng, tab)
+
+
+def test_numpy_eliminate_matches_row_loop():
+    rng = np.random.default_rng(10)
+    py = K.get_kernels("python")
+    for trial in range(400):
+        m = 1 if trial % 10 == 0 else int(rng.integers(2, 40))
+        ncol = int(rng.integers(1, 80))
+        tab = random_tableau(rng, m, ncol)
+        r, j = int(rng.integers(m)), int(rng.integers(ncol))
+        tab[r, j] = rng.standard_normal() + 3.0
+        if trial % 7 == 0:
+            tab[:, j] = np.where(np.arange(m) == r, tab[r, j], -0.0)
+        rhs = sprinkle_zeros(rng, rng.standard_normal(m))
+        tab_l, rhs_l = tab.copy(), rhs.copy()
+        loop_eliminate(tab_l, rhs_l, r, j)
+        py.eliminate(tab, rhs, r, j)
+        assert_bits_equal(tab, tab_l)
+        assert_bits_equal(rhs, rhs_l)
+
+
+def test_numpy_rowsum_matches_row_loop():
+    rng = np.random.default_rng(11)
+    py = K.get_kernels("python")
+    for trial in range(400):
+        m = 1 if trial % 10 == 0 else int(rng.integers(2, 40))
+        ncol = int(rng.integers(1, 80))
+        tab = random_tableau(rng, m, ncol)
+        w = sprinkle_zeros(rng, rng.standard_normal(m), p_zero=0.4)
+        if trial % 9 == 0:
+            w[:] = 0.0
+            w[::2] = -0.0
+        out = sprinkle_zeros(rng, rng.standard_normal(ncol))
+        out_l = out.copy()
+        loop_accumulate_rowsum(out_l, w, tab)
+        py.accumulate_rowsum(out, w, tab)
+        assert_bits_equal(out, out_l)
+
+
+def test_numpy_columns_match_column_loop():
+    rng = np.random.default_rng(12)
+    py = K.get_kernels("python")
+    for trial in range(400):
+        m = 1 if trial % 10 == 0 else int(rng.integers(2, 40))
+        ncol = int(rng.integers(1, 80))
+        tab = random_tableau(rng, m, ncol)
+        k = 0 if trial % 8 == 0 else int(rng.integers(1, ncol + 1))
+        cols = rng.choice(ncol, size=k, replace=False).astype(np.int64)
+        vals = sprinkle_zeros(rng, rng.standard_normal(k), p_zero=0.2)
+        if trial % 9 == 0:
+            vals[:] = 0.0
+        beta = sprinkle_zeros(rng, rng.standard_normal(m))
+        beta_l = beta.copy()
+        loop_subtract_scaled_columns(beta_l, tab, cols, vals)
+        py.subtract_scaled_columns(beta, tab, cols, vals)
+        assert_bits_equal(beta, beta_l)
+
+
+def test_numpy_kernels_signed_zero_cases():
+    py = K.get_kernels("python")
+    # -0.0 pivot-column entries and weights are skipped like exact zeros
+    tab = np.array([[2.0, 4.0, -0.0], [-0.0, 1.0, 0.0], [0.0, -0.0, 3.0]])
+    rhs = np.array([2.0, -0.0, 0.0])
+    tab_l, rhs_l = tab.copy(), rhs.copy()
+    loop_eliminate(tab_l, rhs_l, 0, 0)
+    py.eliminate(tab, rhs, 0, 0)
+    assert_bits_equal(tab, tab_l)
+    assert_bits_equal(rhs, rhs_l)
+
+    out = np.array([-0.0, 0.0, 1.0])
+    py.accumulate_rowsum(out, np.array([-0.0, 0.0, 0.0]), tab)
+    assert_bits_equal(out, np.array([-0.0, 0.0, 1.0]))
+
+    # zero weights are not skipped here: -0.0 - (+0.0 * x) stays -0.0 but
+    # -0.0 - (-0.0) is +0.0, as in the loop
+    beta = np.array([-0.0, -0.0, 5.0])
+    beta_l = beta.copy()
+    cols = np.array([1, 2], dtype=np.int64)
+    vals = np.array([0.0, -0.0])
+    loop_subtract_scaled_columns(beta_l, tab, cols, vals)
+    py.subtract_scaled_columns(beta, tab, cols, vals)
+    assert_bits_equal(beta, beta_l)
 
 
 def test_backend_selection():
