@@ -33,8 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--checkpoint", default=None, help="checkpoint file (resume if present)")
     run.add_argument("--alpha", type=float, default=90.0,
                      help="common-hint membership threshold in percent")
-    run.add_argument("--kernels", choices=["python", "compiled"], default=None,
-                     help="force a kernel backend")
 
     gen = sub.add_parser("generate", help="generate a perturbed series from a base instance")
     gen.add_argument("--base", required=True, help="base instance file")
@@ -62,8 +60,7 @@ def _cmd_run(args) -> int:
         det_work_per_second=args.det_clock,
         disable=frozenset(args.disable),
         alpha_pct=args.alpha,
-        checkpoint_path=args.checkpoint,
-        kernels=args.kernels)
+        checkpoint_path=args.checkpoint)
     report = run_series(manifest, run_cfg)
     csv_path = out_dir / "report.csv"
     summary_path = out_dir / "summary.json"

@@ -27,6 +27,7 @@ from .tuner import OFF, ON, Param, TunerState
 from .turnoff import ComponentLedger
 
 GEOMEAN_SHIFT = 10.0
+CHECKPOINT_VERSION = 1
 BATCH_SIZE = 10
 
 TECHNIQUES = ("hints", "history", "sb", "tuning", "turnoff")
@@ -126,7 +127,6 @@ class RunConfig:
     alpha_pct: float = 90.0
     checkpoint_path: str | Path | None = None
     stop_after: int | None = None
-    kernels: str | None = None
 
     def __post_init__(self):
         bad = set(self.disable) - set(TECHNIQUES)
@@ -180,7 +180,7 @@ class _SeriesState:
 
     def to_json_dict(self, manifest: SeriesManifest) -> dict:
         return {
-            "version": 1,
+            "version": CHECKPOINT_VERSION,
             "series_name": manifest.series_name,
             "num_instances": len(manifest),
             "next_index": self.next_index,
@@ -218,10 +218,18 @@ def _load_checkpoint(path, manifest: SeriesManifest, run_cfg: RunConfig) -> _Ser
     if not path.exists():
         return None
     data = json.loads(path.read_text(encoding="utf-8"))
+    version = data.get("version") if isinstance(data, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"checkpoint {path} has version {version!r}, "
+                         f"expected {CHECKPOINT_VERSION}")
     if data.get("series_name") != manifest.series_name \
             or data.get("num_instances") != len(manifest):
         raise ValueError(f"checkpoint {path} does not match the manifest")
-    return _SeriesState.from_json_dict(data, run_cfg)
+    try:
+        return _SeriesState.from_json_dict(data, run_cfg)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"checkpoint {path} is malformed: "
+                         f"{type(exc).__name__}: {exc}") from exc
 
 
 def _error_record(index: int, message: str) -> ScoreRecord:
@@ -267,8 +275,7 @@ def _solve_one(state: _SeriesState, manifest: SeriesManifest,
         enabled_separators=frozenset(ALL_SEPARATORS - disabled),
         completesol_node_limit=cs_node_limit,
         completesol_max_improving=cs_max_improving,
-        det_work_per_second=run_cfg.det_work_per_second,
-        kernels=run_cfg.kernels)
+        det_work_per_second=run_cfg.det_work_per_second)
 
     try:
         outcome = solve(inst, cfg, limit, hints=hints, warm_histories=warm)

@@ -1,22 +1,55 @@
-"""Kernel backend selection: compiled extension when available, numpy fallback.
+"""Simplex tableau kernels in numpy.
 
-Set MIPSERIES_KERNELS=python (or =compiled) to force a backend; the default
-is the compiled extension when the build produced one.
+Each kernel is a few whole-array operations, vectorized over rows or columns
+but in a row-by-row loop's operation order: the same products, the same
+zero-skipping, and sums folded left to right with `np.subtract.reduce` (a
+BLAS product would sum in another order).  The tableaus are therefore
+bit-identical to the plain loops' (see tests/test_kernels.py).
+
+The simplex calls the kernels through a `Kernels` record, so a profiler can
+wrap them in one place.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable
 
-from . import _kernels_py
+import numpy as np
 
-try:
-    from . import _speedups
-except ImportError:
-    _speedups = None
 
-HAVE_COMPILED = _speedups is not None
+def eliminate(tab: np.ndarray, rhs: np.ndarray, r: int, j: int) -> None:
+    """Gaussian pivot at (r, j) applied to the tableau and the rhs column."""
+    piv = tab[r, j]
+    tab[r, :] /= piv
+    rhs[r] /= piv
+    f = tab[:, j].copy()
+    f[r] = 0.0
+    rows = f.nonzero()[0]
+    f = f[rows]
+    tab[rows] -= f[:, None] * tab[r]
+    rhs[rows] -= f * rhs[r]
+
+
+def accumulate_rowsum(out: np.ndarray, weights: np.ndarray, tab: np.ndarray) -> None:
+    """out -= sum_i weights[i] * tab[i], skipping exact-zero weights."""
+    rows = weights.nonzero()[0]
+    if len(rows) == 0:
+        return
+    terms = np.empty((len(rows) + 1, tab.shape[1]))
+    terms[0] = out
+    np.multiply(weights[rows, None], tab[rows], out=terms[1:])
+    np.subtract.reduce(terms, axis=0, out=out)
+
+
+def subtract_scaled_columns(beta: np.ndarray, tab: np.ndarray,
+                            cols: np.ndarray, vals: np.ndarray) -> None:
+    """beta -= sum_k vals[k] * tab[:, cols[k]] in column order."""
+    if len(cols) == 0:
+        return
+    terms = np.empty((len(cols) + 1, tab.shape[0]))
+    terms[0] = beta
+    np.multiply(vals[:, None], tab[:, cols].T, out=terms[1:])
+    np.subtract.reduce(terms, axis=0, out=beta)
 
 
 @dataclass(frozen=True)
@@ -27,31 +60,11 @@ class Kernels:
     subtract_scaled_columns: Callable
 
 
-PYTHON_KERNELS = Kernels(
-    "python",
-    _kernels_py.eliminate,
-    _kernels_py.accumulate_rowsum,
-    _kernels_py.subtract_scaled_columns,
-)
-
-COMPILED_KERNELS = Kernels(
-    "compiled",
-    _speedups.eliminate,
-    _speedups.accumulate_rowsum,
-    _speedups.subtract_scaled_columns,
-) if HAVE_COMPILED else None
+PYTHON_KERNELS = Kernels("python", eliminate, accumulate_rowsum, subtract_scaled_columns)
 
 
 def get_kernels(name: str | None = None) -> Kernels:
-    """Resolve a backend by name ('python', 'compiled', 'auto' or None)."""
-    if name is None:
-        name = os.environ.get("MIPSERIES_KERNELS", "auto")
-    if name == "auto":
-        return COMPILED_KERNELS if HAVE_COMPILED else PYTHON_KERNELS
-    if name == "python":
-        return PYTHON_KERNELS
-    if name == "compiled":
-        if not HAVE_COMPILED:
-            raise RuntimeError("compiled kernels requested but the extension is not built")
-        return COMPILED_KERNELS
-    raise ValueError(f"unknown kernel backend {name!r}")
+    """The numpy kernels; `name` may be None or 'python'."""
+    if name not in (None, "python"):
+        raise ValueError(f"unknown kernel backend {name!r}")
+    return PYTHON_KERNELS

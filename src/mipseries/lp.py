@@ -85,26 +85,25 @@ class LpProblem:
     rhs_override: np.ndarray | None = None
 
     def build_arrays(self):
-        n = self.inst.num_vars
-        base = self.inst.dense_matrix()
-        if self.extra_rows:
-            extra = np.zeros((len(self.extra_rows), n))
-            for i, row in enumerate(self.extra_rows):
-                for j, c in row.coefs:
-                    extra[i, j] = c
-            mat = np.vstack([base, extra])
-        else:
-            mat = np.array(base)
-        rhs = np.array(self.rhs_override) if self.rhs_override is not None \
-            else np.array(self.inst.rhs_array())
-        if self.extra_rows:
-            rhs = np.concatenate([rhs, [row.rhs for row in self.extra_rows]])
-        senses = list(self.inst.senses()) + [row.sense for row in self.extra_rows]
+        rhs = self.rhs_override if self.rhs_override is not None \
+            else self.inst.rhs_array()
+        mat, senses, rhs = append_rows(self.inst.dense_matrix(), self.inst.senses(),
+                                       rhs, self.extra_rows)
         lo = np.array(self.local_lower) if self.local_lower is not None \
             else np.array(self.inst.lower)
         hi = np.array(self.local_upper) if self.local_upper is not None \
             else np.array(self.inst.upper)
         return mat, senses, rhs, lo, hi, np.array(self.inst.objective)
+
+
+def append_rows(mat, senses, rhs, rows):
+    """New (mat, senses, rhs) with the linear rows `rows` below the given ones."""
+    extra = np.zeros((len(rows), mat.shape[1]))
+    for i, row in enumerate(rows):
+        for j, c in row.coefs:
+            extra[i, j] = c
+    return (np.vstack([mat, extra]), list(senses) + [row.sense for row in rows],
+            np.concatenate([rhs, [row.rhs for row in rows]]))
 
 
 def _slack_bounds(senses) -> tuple[np.ndarray, np.ndarray]:
@@ -154,7 +153,7 @@ class _Simplex:
     # -- basis management ---------------------------------------------------
 
     def cold_start(self):
-        self.tab = np.ascontiguousarray(self.all_cols)
+        self.tab = self.all_cols.copy()   # pivots must not overwrite [A | I]
         self.rhs = self.b.copy()
         self.basis = np.arange(self.n, self.ncols, dtype=np.int64)
         self.stat = _nonbasic_status(self.lo, self.hi)
@@ -371,14 +370,11 @@ def solve_arrays(mat, senses, rhs, lo, hi, cost, warm, iter_limit,
 
 def solve_lp(problem: LpProblem, warm: SimplexBasis | None = None,
              iter_limit: int = DEFAULT_ITER_LIMIT, want_snapshot: bool = False,
-             kernels: Kernels | str | None = None,
              bland_after: int = DEFAULT_BLAND_AFTER) -> LpResult:
     """Solve the LP relaxation; deterministic for fixed inputs.
 
     ITER_LIMIT is returned (never raised) when the pivot budget runs out.
     """
-    if not isinstance(kernels, Kernels):
-        kernels = get_kernels(kernels)
     mat, senses, rhs, lo, hi, cost = problem.build_arrays()
     return solve_arrays(mat, senses, rhs, lo, hi, cost, warm, iter_limit,
-                         want_snapshot, kernels, bland_after)
+                         want_snapshot, get_kernels(), bland_after)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..kernels import get_kernels
-from ..lp import LpStatus, SimplexBasis, solve_arrays
+from ..lp import LpStatus, SimplexBasis, append_rows, solve_arrays
 from ..model import (INF, LinearRow, MipInstance, Solution, SolutionStatus,
                      check_feasibility, objective_value)
 from .branching import Candidate, select_branch_variable
@@ -58,7 +58,7 @@ class _TreeSolver:
                  preset_bounds=None, preset_rhs=None):
         self.inst = inst
         self.cfg = cfg
-        self.kernels = get_kernels(cfg.kernels)
+        self.kernels = get_kernels()
         self.clock = clock if clock is not None else SolveClock(cfg.det_work_per_second)
         self.deadline = time_limit
         self.stats = fresh_stats()
@@ -167,17 +167,18 @@ class _TreeSolver:
             self.stats.time_to_first_incumbent = self.clock.elapsed()
         return True
 
+    def _set_base_rows(self, rhs0):
+        """The model rows, with right-hand sides rhs0, under every node LP."""
+        self.rhs0 = rhs0
+        self.base_mat = self.inst.dense_matrix()
+        self.base_senses = list(self.inst.senses())
+        self.base_slack_int = slack_integrality(
+            self.base_mat, self.rhs0, self.base_senses, self.is_int)
+
     def _node_rows(self, cuts):
         if not cuts:
             return self.base_mat, self.base_senses, self.rhs0, self.base_slack_int
-        n = self.inst.num_vars
-        extra = np.zeros((len(cuts), n))
-        for i, row in enumerate(cuts):
-            for j, c in row.coefs:
-                extra[i, j] = c
-        mat = np.vstack([self.base_mat, extra])
-        senses = self.base_senses + [row.sense for row in cuts]
-        rhs = np.concatenate([self.rhs0, np.array([row.rhs for row in cuts])])
+        mat, senses, rhs = append_rows(self.base_mat, self.base_senses, self.rhs0, cuts)
         slack_int = np.concatenate(
             [self.base_slack_int, np.zeros(len(cuts), dtype=bool)])
         return mat, senses, rhs, slack_int
@@ -390,7 +391,7 @@ class _TreeSolver:
 
         if self.preset_bounds is not None:
             lower, upper = self.preset_bounds
-            self.rhs0 = np.array(self.preset_rhs)
+            rhs0 = np.array(self.preset_rhs)
         else:
             pres = run_presolve(self.inst, cfg)
             for name, count in pres.changes.items():
@@ -399,12 +400,8 @@ class _TreeSolver:
             if pres.infeasible:
                 self.pb = INF
                 return self._outcome(SolveStatus.INFEASIBLE)
-            lower, upper, self.rhs0 = pres.lower, pres.upper, pres.rhs
-
-        self.base_mat = self.inst.dense_matrix()
-        self.base_senses = list(self.inst.senses())
-        self.base_slack_int = slack_integrality(
-            self.base_mat, self.rhs0, self.base_senses, self.is_int)
+            lower, upper, rhs0 = pres.lower, pres.upper, pres.rhs
+        self._set_base_rows(rhs0)
 
         root = _Node(0, -INF, 0, np.array(lower), np.array(upper), None, ())
         self.next_id = 0
@@ -469,14 +466,10 @@ def complete_hint(inst: MipInstance, hint, cfg: SolverConfig,
     pres = run_presolve(inst, cfg)
     if pres.infeasible:
         return None
-    solver.rhs0 = pres.rhs
-    solver.base_mat = inst.dense_matrix()
-    solver.base_senses = list(inst.senses())
-    solver.base_slack_int = slack_integrality(
-        solver.base_mat, solver.rhs0, solver.base_senses, solver.is_int)
+    solver._set_base_rows(pres.rhs)
     node = _Node(0, -INF, 0, pres.lower, pres.upper, None, ())
-    mat, senses, rhs, _ = solver._node_rows(())
-    point = solver._complete_one_hint(_hint_assignment(hint), node, mat, senses, rhs)
+    point = solver._complete_one_hint(_hint_assignment(hint), node, solver.base_mat,
+                                      solver.base_senses, solver.rhs0)
     if point is None:
         return None
     return Solution(point, objective_value(inst, point), SolutionStatus.FEASIBLE)

@@ -57,7 +57,6 @@ class SolverConfig:
     bland_after: int = 50
     plunge_limit: int = 3
     det_work_per_second: float | None = None   # None -> wall clock
-    kernels: str | None = None
 
     def __post_init__(self):
         if self.reliability_threshold < 1:

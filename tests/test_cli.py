@@ -94,6 +94,21 @@ def test_checkpoint_resume_via_cli(tmp_path, base_instance_path):
     assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
 
 
+def test_checkpoint_missing_field_is_config_error(tmp_path, base_instance_path, capsys):
+    manifest = _generate(tmp_path, base_instance_path, count=2)
+    ckpt = tmp_path / "ck.json"
+    args = ["run", "--manifest", str(manifest), "--out", str(tmp_path / "r"),
+            "--det-clock", "1000000", "--checkpoint", str(ckpt)]
+    assert main(args) == 0
+    data = json.loads(ckpt.read_text())
+    del data["next_index"]
+    ckpt.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "next_index" in err
+
+
 def test_cross_process_byte_identical_reports(tmp_path, base_instance_path):
     manifest = _generate(tmp_path, base_instance_path)
     outs = []

@@ -100,6 +100,19 @@ def test_checkpoint_mismatch_rejected(tmp_path):
                                     checkpoint_path=ckpt))
 
 
+def test_checkpoint_of_unknown_version_rejected(tmp_path):
+    manifest = _identical_series(tmp_path, n=3)
+    ckpt = tmp_path / "ckpt.json"
+    run_series(manifest, RunConfig(det_work_per_second=DET_WPS,
+                                   checkpoint_path=ckpt, stop_after=1))
+    data = json.loads(ckpt.read_text())
+    data["version"] = 2
+    ckpt.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="version 2"):
+        run_series(manifest, RunConfig(det_work_per_second=DET_WPS,
+                                       checkpoint_path=ckpt))
+
+
 def test_reports_and_improvement_table(tmp_path):
     manifest = _identical_series(tmp_path, n=4)
     full = run_series(manifest, RunConfig(seed=0, det_work_per_second=DET_WPS))

@@ -71,6 +71,22 @@ def test_complete_hint_node_limit_zero_partial_empty():
     assert complete_hint(inst, {"x0": 0}, cfg, 10.0) is None
 
 
+def test_complete_hint_presolve_infeasible_returns_none(monkeypatch):
+    # 2 x0 + 4 x1 == 3 has no integer solution: presolve proves it, and no
+    # completion is tried
+    from mipseries.solver import bb
+    inst = make_instance("gcd", [1.0, 1.0], [([2.0, 4.0], Sense.EQ, 3.0)],
+                         [0, 0], [5, 5], ints=(0, 1))
+    cfg = SolverConfig(det_work_per_second=DET_WPS)
+    assert bb.run_presolve(inst, cfg).infeasible
+
+    def no_completion(*args):
+        raise AssertionError("completion tried on a presolve-infeasible instance")
+
+    monkeypatch.setattr(bb._TreeSolver, "_complete_one_hint", no_completion)
+    assert complete_hint(inst, {"x0": 1}, cfg, 10.0) is None
+
+
 def test_hint_with_continuous_entry_ignored():
     inst = make_instance("mix", [-1.0, 1.0],
                          [([1.0, 1.0], Sense.LE, 3.0)], [0, 0], [2, 5], ints=(0,))

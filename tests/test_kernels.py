@@ -1,23 +1,19 @@
-"""Backend parity: the compiled kernels and the numpy fallback must produce
-bit-identical results.
-
-The compiled extension is optional, so the numpy kernels are also checked
-against row- and column-loop reference kernels kept here.  The loops do the
-compiled kernels' arithmetic in the compiled kernels' order, so these checks
-run on every machine."""
+"""The numpy kernels against row- and column-loop reference kernels kept
+here: the loops do the plain arithmetic in the plain order, and the numpy
+kernels must match them bit for bit.  Also checks that `solve_lp` and the
+tree build the same tableau rows for the same cuts."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
 from mipseries import kernels as K
-from mipseries.lp import LpProblem, solve_lp
-from mipseries.solver import SolverConfig, solve
+from mipseries.lp import LpProblem
+from mipseries.model import LinearRow, Sense
+from mipseries.solver import SolverConfig
+from mipseries.solver.bb import _TreeSolver
 
-from conftest import DET_WPS, hard_knapsack, make_instance, random_feasible_mip
-
-needs_compiled = pytest.mark.skipif(not K.HAVE_COMPILED,
-                                    reason="compiled extension not built")
+from conftest import hard_knapsack
 
 
 def loop_eliminate(tab, rhs, r, j):
@@ -149,87 +145,24 @@ def test_numpy_kernels_signed_zero_cases():
 
 
 def test_backend_selection():
-    assert K.get_kernels("python").name == "python"
-    if K.HAVE_COMPILED:
-        assert K.get_kernels("compiled").name == "compiled"
-        assert K.get_kernels("auto").name == "compiled"
+    assert K.get_kernels().name == "python"
+    assert K.get_kernels("python") is K.get_kernels(None)
     with pytest.raises(ValueError):
-        K.get_kernels("nope")
+        K.get_kernels("compiled")
 
 
-@needs_compiled
-def test_eliminate_bitwise_identical():
-    rng = np.random.default_rng(0)
-    for _ in range(25):
-        m, ncol = int(rng.integers(2, 30)), int(rng.integers(3, 60))
-        tab = rng.standard_normal((m, ncol))
-        tab[rng.random((m, ncol)) < 0.3] = 0.0
-        r = int(rng.integers(m))
-        j = int(rng.integers(ncol))
-        tab[r, j] = rng.standard_normal() + 2.0
-        rhs = rng.standard_normal(m)
-        tab_c, rhs_c = tab.copy(), rhs.copy()
-        tab_p, rhs_p = tab.copy(), rhs.copy()
-        K.get_kernels("compiled").eliminate(tab_c, rhs_c, r, j)
-        K.get_kernels("python").eliminate(tab_p, rhs_p, r, j)
-        assert np.array_equal(tab_c, tab_p)
-        assert np.array_equal(rhs_c, rhs_p)
-
-
-@needs_compiled
-def test_rowsum_and_columns_bitwise_identical():
-    rng = np.random.default_rng(1)
-    for _ in range(25):
-        m, ncol = int(rng.integers(2, 30)), int(rng.integers(3, 60))
-        tab = np.ascontiguousarray(rng.standard_normal((m, ncol)))
-        w = rng.standard_normal(m)
-        w[rng.random(m) < 0.4] = 0.0
-        out_c = rng.standard_normal(ncol)
-        out_p = out_c.copy()
-        K.get_kernels("compiled").accumulate_rowsum(out_c, w, tab)
-        K.get_kernels("python").accumulate_rowsum(out_p, w, tab)
-        assert np.array_equal(out_c, out_p)
-
-        k = int(rng.integers(1, ncol))
-        cols = rng.choice(ncol, size=k, replace=False).astype(np.int64)
-        vals = rng.standard_normal(k)
-        beta_c = rng.standard_normal(m)
-        beta_p = beta_c.copy()
-        K.get_kernels("compiled").subtract_scaled_columns(beta_c, tab, cols, vals)
-        K.get_kernels("python").subtract_scaled_columns(beta_p, tab, cols, vals)
-        assert np.array_equal(beta_c, beta_p)
-
-
-@needs_compiled
-def test_full_lp_solves_identical_across_backends():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        n, m = int(rng.integers(3, 8)), int(rng.integers(1, 5))
-        c = rng.integers(-5, 6, n).astype(float)
-        A = rng.integers(-4, 5, (m, n)).astype(float)
-        b = rng.integers(-4, 9, m).astype(float)
-        from mipseries.model import Sense
-        rows = [(A[i], Sense.LE if rng.random() < 0.7 else Sense.GE, b[i]) for i in range(m)]
-        inst = make_instance("k", c, rows, np.zeros(n), np.full(n, 5.0))
-        rc = solve_lp(LpProblem(inst), kernels="compiled")
-        rp = solve_lp(LpProblem(inst), kernels="python")
-        assert rc.status == rp.status
-        assert rc.iterations == rp.iterations
-        assert np.array_equal(rc.primal, rp.primal)
-        assert rc.objective == rp.objective
-
-
-@needs_compiled
-def test_full_bb_solve_identical_across_backends():
-    rng = np.random.default_rng(3)
-    insts = [random_feasible_mip(rng, max_vars=8, max_rows=6) for _ in range(4)]
-    insts.append(hard_knapsack())
-    for inst in insts:
-        oc = solve(inst, SolverConfig(det_work_per_second=DET_WPS, kernels="compiled"), 1e6)
-        op = solve(inst, SolverConfig(det_work_per_second=DET_WPS, kernels="python"), 1e6)
-        assert oc.status == op.status
-        assert oc.primal_bound == op.primal_bound
-        assert oc.dual_bound == op.dual_bound
-        assert oc.stats.nodes == op.stats.nodes
-        assert oc.stats.lp_iterations == op.stats.lp_iterations
-        assert oc.solve_time == op.solve_time
+def test_lp_problem_and_tree_build_the_same_node_rows():
+    inst = hard_knapsack()
+    cuts = (LinearRow("c0", ((0, 1.5), (3, -2.25)), Sense.LE, 4.0),
+            LinearRow("c1", ((2, 1.0), (5, 1.0), (13, 0.5)), Sense.GE, 1.0),
+            LinearRow("c2", (), Sense.LE, 0.0),
+            LinearRow("c3", ((1, -1.0),), Sense.EQ, -0.0))
+    tree = _TreeSolver(inst, SolverConfig(), 1e6)
+    tree._set_base_rows(inst.rhs_array())
+    for rows in ((), cuts[:1], cuts):
+        mat, senses, rhs, _, _, _ = LpProblem(inst, extra_rows=rows).build_arrays()
+        tmat, tsenses, trhs, slack_int = tree._node_rows(rows)
+        assert_bits_equal(mat, tmat)
+        assert senses == list(tsenses)
+        assert_bits_equal(rhs, trhs)
+        assert len(slack_int) == len(rhs)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from mipseries.lp import LpProblem, LpStatus, solve_lp
+from mipseries.kernels import get_kernels
+from mipseries.lp import LpProblem, LpStatus, SimplexBasis, _Simplex, solve_lp
 from mipseries.model import LinearRow, Sense
 
 from conftest import lp_vertex_oracle, make_instance
@@ -184,3 +185,26 @@ def test_deterministic_repeat():
     r2 = solve_lp(LpProblem(inst))
     assert r1.status == r2.status and r1.iterations == r2.iterations
     assert np.array_equal(r1.primal, r2.primal)
+
+
+def test_cold_start_run_leaves_constraint_columns_intact():
+    # pivots after a cold start must not overwrite [A | I], which a later
+    # warm start on the same object factorizes
+    rng = np.random.default_rng(5)
+    pivoted = 0
+    for _ in range(10):
+        inst = _random_lp(rng)
+        arrays = LpProblem(inst).build_arrays()
+        mat = arrays[0]
+        sx = _Simplex(*arrays, get_kernels(), bland_after=50)
+        sx.cold_start()
+        sx.run(1000)
+        assert np.array_equal(sx.all_cols, np.hstack([mat, np.eye(len(mat))]))
+        token = SimplexBasis(sx.basis.copy(), sx.stat.copy())
+        fresh = _Simplex(*arrays, get_kernels(), bland_after=50)
+        assert fresh.warm_start(token)
+        assert sx.warm_start(token)
+        assert np.array_equal(sx.tab, fresh.tab)
+        assert np.array_equal(sx.rhs, fresh.rhs)
+        pivoted += sx.iterations > 0
+    assert pivoted >= 5
