@@ -226,10 +226,17 @@ def _load_checkpoint(path, manifest: SeriesManifest, run_cfg: RunConfig) -> _Ser
             or data.get("num_instances") != len(manifest):
         raise ValueError(f"checkpoint {path} does not match the manifest")
     try:
-        return _SeriesState.from_json_dict(data, run_cfg)
+        state = _SeriesState.from_json_dict(data, run_cfg)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"checkpoint {path} is malformed: "
                          f"{type(exc).__name__}: {exc}") from exc
+    nxt = state.next_index
+    if not isinstance(nxt, int) or isinstance(nxt, bool) \
+            or not 0 <= nxt <= len(manifest) or nxt != len(state.records):
+        raise ValueError(f"checkpoint {path} is malformed: next_index {nxt!r} is not "
+                         f"the number of records ({len(state.records)}) or is outside "
+                         f"0..{len(manifest)}")
+    return state
 
 
 def _error_record(index: int, message: str) -> ScoreRecord:

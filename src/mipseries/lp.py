@@ -84,26 +84,22 @@ class LpProblem:
     local_upper: np.ndarray | None = None
     rhs_override: np.ndarray | None = None
 
-    def build_arrays(self):
+    def build(self):
+        """(rows, lo, hi, cost): the row carrier and the column data."""
         rhs = self.rhs_override if self.rhs_override is not None \
             else self.inst.rhs_array()
-        mat, senses, rhs = append_rows(self.inst.dense_matrix(), self.inst.senses(),
-                                       rhs, self.extra_rows)
+        rows = NodeRows(self.inst.dense_matrix(), self.inst.senses(), rhs).extend(
+            self.extra_rows)
         lo = np.array(self.local_lower) if self.local_lower is not None \
             else np.array(self.inst.lower)
         hi = np.array(self.local_upper) if self.local_upper is not None \
             else np.array(self.inst.upper)
-        return mat, senses, rhs, lo, hi, np.array(self.inst.objective)
+        return rows, lo, hi, np.array(self.inst.objective)
 
 
-def append_rows(mat, senses, rhs, rows):
-    """New (mat, senses, rhs) with the linear rows `rows` below the given ones."""
-    extra = np.zeros((len(rows), mat.shape[1]))
-    for i, row in enumerate(rows):
-        for j, c in row.coefs:
-            extra[i, j] = c
-    return (np.vstack([mat, extra]), list(senses) + [row.sense for row in rows],
-            np.concatenate([rhs, [row.rhs for row in rows]]))
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _slack_bounds(senses) -> tuple[np.ndarray, np.ndarray]:
@@ -120,6 +116,68 @@ def _slack_bounds(senses) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+class NodeRows:
+    """The rows of an LP, built once per row set and shared read-only.
+
+    Holds the dense matrix, the senses and right-hand sides, `[A | I]`, the
+    slack bounds and the slack integrality (True where the slack is integral
+    at every integer-feasible point; False, the default, is always valid).
+    Branch and bound hands a node's rows to its children and extends them
+    with each cut round's new rows only.
+
+    It also keeps the last basis factorization (see `factorization`): LPs on
+    the same rows that warm-start from the same basis, such as the
+    strong-branching probes and both children of a node, solve the basis
+    system once.
+    """
+
+    def __init__(self, mat, senses, rhs, slack_int=None):
+        self.mat = _frozen(np.array(mat, dtype=float))
+        self.m, self.n = self.mat.shape
+        self.senses = tuple(senses)
+        self.rhs = _frozen(np.array(rhs, dtype=float))
+        self.slack_int = _frozen(np.zeros(self.m, dtype=bool) if slack_int is None
+                                 else np.array(slack_int, dtype=bool))
+        slo, shi = _slack_bounds(self.senses)
+        self.slack_lo = _frozen(slo)
+        self.slack_hi = _frozen(shi)
+        self.all_cols = _frozen(np.hstack([self.mat, np.eye(self.m)]))
+        self._factor = None   # (basis bytes, tableau, rhs) of the last success
+
+    def extend(self, rows) -> "NodeRows":
+        """These rows with the linear rows `rows` below them; their slacks
+        are not marked integral."""
+        if not rows:
+            return self
+        block = np.zeros((len(rows), self.n))
+        for i, row in enumerate(rows):
+            for j, c in row.coefs:
+                block[i, j] = c
+        return NodeRows(np.vstack([self.mat, block]),
+                        self.senses + tuple(row.sense for row in rows),
+                        np.concatenate([self.rhs, [row.rhs for row in rows]]),
+                        np.concatenate([self.slack_int, np.zeros(len(rows), dtype=bool)]))
+
+    def factorization(self, basis: np.ndarray):
+        """(B^-1 [A | I], B^-1 b) for the basis columns `basis`, as fresh
+        arrays the caller may pivot in place; None when B is singular or the
+        tableau is not finite.  The last success is kept, keyed by the basis,
+        and handed out again as bit-identical copies."""
+        key = basis.tobytes()
+        memo = self._factor
+        if memo is None or memo[0] != key:
+            try:
+                B = self.all_cols[:, basis]
+                tab = np.ascontiguousarray(np.linalg.solve(B, self.all_cols))
+                rhs = np.linalg.solve(B, self.rhs)
+            except np.linalg.LinAlgError:
+                return None
+            if not np.all(np.isfinite(tab)):
+                return None
+            memo = self._factor = (key, tab, rhs)
+        return memo[1].copy(), memo[2].copy()
+
+
 def _nonbasic_status(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Resting status of each column were it nonbasic: FIXED, else the finite
     lower bound, else the finite upper bound, else FREE."""
@@ -130,22 +188,35 @@ def _nonbasic_status(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return stat
 
 
-# statuses (indexed by status code) whose column may increase / decrease
-_CAN_INCR = np.array([True, False, False, True, False])   # AT_LOWER, FREE
-_CAN_DECR = np.array([False, True, False, True, False])   # AT_UPPER, FREE
+# Per status code: 0.0 where a nonbasic column in that status may increase
+# (AT_LOWER, FREE) / decrease (AT_UPPER, FREE), -INF where it may not.
+_INCR_PEN = np.array([0.0, -INF, -INF, 0.0, -INF])
+_DECR_PEN = np.array([-INF, 0.0, -INF, 0.0, -INF])
 
 
 class _Simplex:
     def __init__(self, mat, senses, rhs, lo, hi, cost, kernels: Kernels,
                  bland_after: int):
-        self.m, self.n = mat.shape
-        slo, shi = _slack_bounds(senses)
-        self.lo = np.concatenate([lo, slo])
-        self.hi = np.concatenate([hi, shi])
+        """A simplex over plain row arrays, through a row carrier of its own."""
+        self._load(NodeRows(mat, senses, rhs), lo, hi, cost, kernels, bland_after)
+
+    @classmethod
+    def on_rows(cls, rows: NodeRows, lo, hi, cost, kernels: Kernels,
+                bland_after: int) -> "_Simplex":
+        """A simplex over a shared row carrier (and its factorization)."""
+        sx = cls.__new__(cls)
+        sx._load(rows, lo, hi, cost, kernels, bland_after)
+        return sx
+
+    def _load(self, rows: NodeRows, lo, hi, cost, kernels, bland_after):
+        self.rows = rows
+        self.m, self.n = rows.m, rows.n
+        self.lo = np.concatenate([lo, rows.slack_lo])
+        self.hi = np.concatenate([hi, rows.slack_hi])
         self.cost = np.concatenate([cost, np.zeros(self.m)])
         self.ncols = self.n + self.m
-        self.all_cols = np.hstack([mat, np.eye(self.m)])
-        self.b = np.asarray(rhs, dtype=float)
+        self.all_cols = rows.all_cols
+        self.b = rows.rhs
         self.k = kernels
         self.bland_after = bland_after
         self.iterations = 0
@@ -185,14 +256,10 @@ class _Simplex:
                             | ((stat == AT_UPPER) & (hi == INF)))
         stat[reset] = _nonbasic_status(lo, hi)[reset]
         stat[basis] = BASIC
-        try:
-            B = self.all_cols[:, basis]
-            self.tab = np.ascontiguousarray(np.linalg.solve(B, self.all_cols))
-            self.rhs = np.linalg.solve(B, self.b)
-        except np.linalg.LinAlgError:
+        factored = self.rows.factorization(basis)
+        if factored is None:
             return False
-        if not np.all(np.isfinite(self.tab)):
-            return False
+        self.tab, self.rhs = factored
         self.basis = basis
         self.stat = stat
         return True
@@ -222,69 +289,70 @@ class _Simplex:
     def run(self, iter_limit: int):
         """Returns (status, beta) with beta valid for OPTIMAL/ITER_LIMIT.
 
-        The nonbasic values and the bounds of the basic variables are kept
-        current across pivots; each pivot and bound flip updates only the
-        entries it changes.
+        Everything that changes only where a pivot or bound flip changes a
+        column is kept current across pivots, one entry at a time: the
+        nonbasic values, the basic bounds (plain and FEAS_TOL-shifted), the
+        basic costs and the penalties that mark the columns that may not
+        increase or decrease.
         """
         bland = self.bland_after <= 0
         degen_streak = 0
-        lo, hi, stat, basis = self.lo, self.hi, self.stat, self.basis
+        lo, hi, stat, basis, cost = self.lo, self.hi, self.stat, self.basis, self.cost
         vals = self.nonbasic_values()
         lB = lo[basis]
         uB = hi[basis]
+        lB_tol = lB - FEAS_TOL
+        uB_tol = uB + FEAS_TOL
+        cB = cost[basis]
+        incr_pen = _INCR_PEN[stat]
+        decr_pen = _DECR_PEN[stat]
         t = np.empty(self.m)
         while True:
             beta = self.compute_beta(vals)
-            below = beta < lB - FEAS_TOL
-            above = beta > uB + FEAS_TOL
+            below = beta < lB_tol
+            above = beta > uB_tol
             infeas = below | above
-            phase1 = bool(infeas.any())
+            phase1 = np.count_nonzero(infeas) > 0
 
             if phase1:
-                w = np.zeros(self.m)
-                w[above] = 1.0
-                w[below] = -1.0
+                w = np.subtract(above, below, dtype=float)   # +1 above, -1 below
                 d = np.zeros(self.ncols)
             else:
-                d = self.cost.copy()
-                w = self.cost[basis]
+                d = cost.copy()
+                w = cB
             self.k.accumulate_rowsum(d, w, self.tab)
 
-            elig_incr = _CAN_INCR[stat] & (d < -DCOST_TOL)
-            elig_decr = _CAN_DECR[stat] & (d > DCOST_TOL)
-            elig = elig_incr | elig_decr
-
-            if not elig.any():
+            # score is |d| where moving the column along d improves and
+            # -INF or at most DCOST_TOL elsewhere; the columns with
+            # score > DCOST_TOL are eligible to enter.
+            score = np.maximum(incr_pen - d, d + decr_pen)
+            if bland:
+                j = int((score > DCOST_TOL).argmax())
+            else:
+                j = int(score.argmax())
+            if not score[j] > DCOST_TOL:
                 if phase1:
                     return LpStatus.INFEASIBLE, beta
                 return LpStatus.OPTIMAL, beta
             if self.iterations >= iter_limit:
                 return LpStatus.ITER_LIMIT, beta
-
-            if bland:
-                j = int(np.argmax(elig))
-            else:
-                j = int(np.argmax(np.where(elig, np.abs(d), -1.0)))
-            delta = 1.0 if elig_incr[j] else -1.0
+            delta = 1.0 if d[j] < 0.0 else -1.0
 
             # Ratio test: first breakpoint along the entering direction.  A
             # violated row stops at the bound it violates once g has moved it
-            # back there; a feasible row stops at the finite bound g moves it
-            # towards.  Either way that is uB exactly where up ^ infeas.
+            # back there; a feasible row stops at the bound g moves it
+            # towards (an infinite one gives a step of INF).  Either way that
+            # is uB exactly where up ^ infeas.
             g = -delta * self.tab[:, j]
             up = g > PIVOT_TOL
             down = g < -PIVOT_TOL
-            feas = ~infeas
-            ok = (up & (below | (feas & (uB < INF)))) \
-                | (down & (above | (feas & (lB > -INF))))
-            bound = np.where(up ^ infeas, uB, lB)
+            ok = (up > above) | (down > below)   # a > b is a & ~b
             t.fill(INF)
-            np.subtract(bound, beta, out=t, where=ok)
-            np.divide(t, g, out=t, where=ok)
+            np.divide(np.where(up ^ infeas, uB, lB) - beta, g, out=t, where=ok)
             np.maximum(t, 0.0, out=t)
 
-            t_rows = float(t.min()) if self.m else INF
-            t_flip = hi[j] - lo[j] if (lo[j] > -INF and hi[j] < INF) else INF
+            t_rows = float(t[t.argmin()]) if self.m else INF
+            t_flip = hi[j] - lo[j]   # INF unless both bounds are finite
 
             if t_rows == INF and t_flip == INF:
                 if phase1:
@@ -296,10 +364,12 @@ class _Simplex:
                     stat[j], vals[j] = AT_UPPER, hi[j]
                 else:
                     stat[j], vals[j] = AT_LOWER, lo[j]
+                incr_pen[j] = _INCR_PEN[stat[j]]
+                decr_pen[j] = _DECR_PEN[stat[j]]
                 step = t_flip
             else:
-                cand = np.nonzero(t == t_rows)[0]
-                r = int(cand[np.argmin(basis[cand])])
+                cand = (t == t_rows).nonzero()[0]
+                r = int(cand[0]) if len(cand) == 1 else int(cand[basis[cand].argmin()])
                 leaving = int(basis[r])
                 if lo[leaving] == hi[leaving]:
                     leave_stat = FIXED
@@ -313,10 +383,16 @@ class _Simplex:
                 basis[r] = j
                 stat[j] = BASIC
                 stat[leaving] = leave_stat
+                incr_pen[j] = decr_pen[j] = -INF
+                incr_pen[leaving] = _INCR_PEN[leave_stat]
+                decr_pen[leaving] = _DECR_PEN[leave_stat]
                 vals[j] = 0.0
                 vals[leaving] = hi[leaving] if leave_stat == AT_UPPER else lo[leaving]
                 lB[r] = lo[j]
                 uB[r] = hi[j]
+                lB_tol[r] = lo[j] - FEAS_TOL
+                uB_tol[r] = hi[j] + FEAS_TOL
+                cB[r] = cost[j]
                 step = t_rows
 
             self.iterations += 1
@@ -329,9 +405,10 @@ class _Simplex:
                 bland = self.bland_after <= 0
 
 
-def solve_arrays(mat, senses, rhs, lo, hi, cost, warm, iter_limit,
-                  want_snapshot, kernels, bland_after) -> LpResult:
-    sx = _Simplex(mat, senses, rhs, lo, hi, cost, kernels, bland_after)
+def solve_arrays(rows: NodeRows, lo, hi, cost, warm, iter_limit,
+                 want_snapshot, kernels, bland_after) -> LpResult:
+    """Solve min cost.x over `rows` within the column bounds lo, hi."""
+    sx = _Simplex.on_rows(rows, lo, hi, cost, kernels, bland_after)
     if warm is None or not sx.warm_start(warm):
         sx.cold_start()
     try:
@@ -339,7 +416,7 @@ def solve_arrays(mat, senses, rhs, lo, hi, cost, warm, iter_limit,
     except SimplexTrouble:
         # Refactorize from scratch with Bland from the first pivot; if the
         # breakdown persists, report the pivot budget as exhausted.
-        sx = _Simplex(mat, senses, rhs, lo, hi, cost, kernels, bland_after=0)
+        sx = _Simplex.on_rows(rows, lo, hi, cost, kernels, bland_after=0)
         sx.cold_start()
         try:
             status, beta = sx.run(iter_limit)
@@ -375,6 +452,6 @@ def solve_lp(problem: LpProblem, warm: SimplexBasis | None = None,
 
     ITER_LIMIT is returned (never raised) when the pivot budget runs out.
     """
-    mat, senses, rhs, lo, hi, cost = problem.build_arrays()
-    return solve_arrays(mat, senses, rhs, lo, hi, cost, warm, iter_limit,
-                         want_snapshot, get_kernels(), bland_after)
+    rows, lo, hi, cost = problem.build()
+    return solve_arrays(rows, lo, hi, cost, warm, iter_limit,
+                        want_snapshot, get_kernels(), bland_after)

@@ -58,9 +58,6 @@ class LinearRow:
     sense: Sense
     rhs: float
 
-    def activity(self, point: np.ndarray) -> float:
-        return float(sum(c * point[j] for j, c in self.coefs))
-
 
 @dataclass(eq=False)
 class MipInstance:
@@ -200,30 +197,75 @@ def objective_value(inst: MipInstance, point: np.ndarray) -> float:
     return float(inst.objective @ point)
 
 
+def _feasibility_data(inst: MipInstance):
+    """Cached arrays for check_feasibility: the integer indices, the rows as
+    coefficient slots (slot k of row i holds its k-th coefficient, negated,
+    and its variable index; `filled` marks real slots), the sense masks and
+    the right-hand sides."""
+    data = inst._cache.get("feasibility")
+    if data is None:
+        m = inst.num_rows
+        width = max((len(row.coefs) for row in inst.rows), default=0)
+        idx = np.zeros((width, m), dtype=np.int64)
+        neg = np.zeros((width, m))
+        filled = np.zeros((width, m), dtype=bool)
+        for i, row in enumerate(inst.rows):
+            for k, (j, c) in enumerate(row.coefs):
+                idx[k, i], neg[k, i], filled[k, i] = j, -c, True
+        senses = inst.senses()
+        data = (np.flatnonzero(inst.is_integer()), idx, neg, filled,
+                np.array([s is Sense.LE for s in senses], dtype=bool),
+                np.array([s is Sense.GE for s in senses], dtype=bool),
+                np.array([s is Sense.EQ for s in senses], dtype=bool),
+                inst.rhs_array())
+        inst._cache["feasibility"] = data
+    return data
+
+
 def check_feasibility(inst: MipInstance, point: np.ndarray,
                       feas_tol: float = DEFAULT_FEAS_TOL,
                       int_tol: float = DEFAULT_INT_TOL) -> FeasibilityResult:
-    """Check bounds, integrality and rows in that order; report first violation."""
+    """Check bounds, integrality and rows in that order; report first violation.
+
+    A row's activity is the sum of its terms c * x_j folded left to right in
+    the row's coefficient order, starting from 0, so the amounts equal those
+    of a plain loop over the rows bit for bit.
+    """
     point = np.asarray(point, dtype=float)
     if point.shape != (inst.num_vars,):
         raise ValueError(f"point length {point.shape} != {inst.num_vars} variables")
-    for j in range(inst.num_vars):
-        if point[j] < inst.lower[j] - feas_tol:
-            return FeasibilityResult(False, Violation("bound", j, float(inst.lower[j] - point[j])))
-        if point[j] > inst.upper[j] + feas_tol:
-            return FeasibilityResult(False, Violation("bound", j, float(point[j] - inst.upper[j])))
-    for j in sorted(inst.integer_mask):
+    ints, idx, neg, filled, le, ge, eq, rhs = _feasibility_data(inst)
+
+    below = point < inst.lower - feas_tol
+    bad = below | (point > inst.upper + feas_tol)
+    if bad.any():
+        j = int(np.argmax(bad))
+        amount = inst.lower[j] - point[j] if below[j] else point[j] - inst.upper[j]
+        return FeasibilityResult(False, Violation("bound", j, float(amount)))
+
+    vals = point[ints]
+    with np.errstate(invalid="ignore"):   # inf - inf: flagged, then raised below
+        bad = ~(np.abs(vals - np.round(vals)) <= int_tol)
+    if bad.any():
+        j = int(ints[np.argmax(bad)])
+        # round() raises on NaN and inf, as it did for the first such entry
         frac = abs(point[j] - round(point[j]))
-        if frac > int_tol:
-            return FeasibilityResult(False, Violation("integrality", j, float(frac)))
-    for i, row in enumerate(inst.rows):
-        act = row.activity(point)
-        if row.sense is Sense.LE and act > row.rhs + feas_tol:
-            return FeasibilityResult(False, Violation("row", i, float(act - row.rhs)))
-        if row.sense is Sense.GE and act < row.rhs - feas_tol:
-            return FeasibilityResult(False, Violation("row", i, float(row.rhs - act)))
-        if row.sense is Sense.EQ and abs(act - row.rhs) > feas_tol:
-            return FeasibilityResult(False, Violation("row", i, float(abs(act - row.rhs))))
+        return FeasibilityResult(False, Violation("integrality", j, float(frac)))
+
+    if not len(rhs):
+        return FeasibilityResult(True)
+    # 0 - (-t1) - (-t2) ... is 0 + t1 + t2 ... exactly; subtract.reduce
+    # folds in order (add.reduce may sum pairwise)
+    terms = np.zeros((len(idx) + 1, len(rhs)))
+    np.multiply(neg, point[idx], out=terms[1:], where=filled)
+    act = np.subtract.reduce(terms, axis=0)
+    bad = ((le & (act > rhs + feas_tol)) | (ge & (act < rhs - feas_tol))
+           | (eq & (np.abs(act - rhs) > feas_tol)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        a, b = float(act[i]), inst.rows[i].rhs
+        amount = a - b if le[i] else b - a if ge[i] else abs(a - b)
+        return FeasibilityResult(False, Violation("row", i, float(amount)))
     return FeasibilityResult(True)
 
 

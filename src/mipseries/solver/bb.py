@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..kernels import get_kernels
-from ..lp import LpStatus, SimplexBasis, append_rows, solve_arrays
-from ..model import (INF, LinearRow, MipInstance, Solution, SolutionStatus,
+from ..lp import LpStatus, NodeRows, SimplexBasis, solve_arrays
+from ..model import (INF, MipInstance, Solution, SolutionStatus,
                      check_feasibility, objective_value)
 from .branching import Candidate, select_branch_variable
 from .clock import SolveClock
@@ -45,7 +45,7 @@ class _Node:
     lower: np.ndarray
     upper: np.ndarray
     basis: SimplexBasis | None
-    cuts: tuple[LinearRow, ...]
+    rows: NodeRows   # the model rows and the cuts inherited or added here
 
 
 def _hint_assignment(hint) -> dict:
@@ -55,7 +55,7 @@ def _hint_assignment(hint) -> dict:
 class _TreeSolver:
     def __init__(self, inst: MipInstance, cfg: SolverConfig, time_limit: float,
                  hints=None, warm_histories=None, clock: SolveClock | None = None,
-                 preset_bounds=None, preset_rhs=None):
+                 preset_bounds=None, preset_rows: NodeRows | None = None):
         self.inst = inst
         self.cfg = cfg
         self.kernels = get_kernels()
@@ -66,7 +66,7 @@ class _TreeSolver:
         self.int_indices = [int(j) for j in np.nonzero(self.is_int)[0]]
         self.hints = list(hints) if hints else []
         self.preset_bounds = preset_bounds
-        self.preset_rhs = preset_rhs
+        self.preset_rows = preset_rows
 
         self.histories: dict[int, VariableHistory] = {
             j: VariableHistory() for j in self.int_indices}
@@ -94,10 +94,10 @@ class _TreeSolver:
     def _timed_out(self) -> bool:
         return self.clock.elapsed() >= self.deadline
 
-    def _lp(self, mat, senses, rhs, lo, hi, warm=None, iter_limit=None,
+    def _lp(self, rows, lo, hi, warm=None, iter_limit=None,
             want_snapshot=False, bland_after=None):
         res = solve_arrays(
-            mat, senses, rhs, lo, hi, np.asarray(self.inst.objective),
+            rows, lo, hi, np.asarray(self.inst.objective),
             warm, iter_limit if iter_limit is not None else self.cfg.lp_iter_limit,
             want_snapshot, self.kernels,
             self.cfg.bland_after if bland_after is None else bland_after)
@@ -105,11 +105,11 @@ class _TreeSolver:
         self.stats.lp_iterations += res.iterations
         return res
 
-    def _node_lp(self, mat, senses, rhs, lo, hi, warm, want_snapshot):
-        res = self._lp(mat, senses, rhs, lo, hi, warm, want_snapshot=want_snapshot)
+    def _node_lp(self, rows, lo, hi, warm, want_snapshot):
+        res = self._lp(rows, lo, hi, warm, want_snapshot=want_snapshot)
         if res.status is LpStatus.ITER_LIMIT:
             # One cold retry with Bland from the first pivot.
-            res = self._lp(mat, senses, rhs, lo, hi, None,
+            res = self._lp(rows, lo, hi, None,
                            iter_limit=10 * self.cfg.lp_iter_limit,
                            want_snapshot=want_snapshot, bland_after=0)
             if res.status is LpStatus.ITER_LIMIT:
@@ -169,19 +169,10 @@ class _TreeSolver:
 
     def _set_base_rows(self, rhs0):
         """The model rows, with right-hand sides rhs0, under every node LP."""
-        self.rhs0 = rhs0
-        self.base_mat = self.inst.dense_matrix()
-        self.base_senses = list(self.inst.senses())
-        self.base_slack_int = slack_integrality(
-            self.base_mat, self.rhs0, self.base_senses, self.is_int)
-
-    def _node_rows(self, cuts):
-        if not cuts:
-            return self.base_mat, self.base_senses, self.rhs0, self.base_slack_int
-        mat, senses, rhs = append_rows(self.base_mat, self.base_senses, self.rhs0, cuts)
-        slack_int = np.concatenate(
-            [self.base_slack_int, np.zeros(len(cuts), dtype=bool)])
-        return mat, senses, rhs, slack_int
+        mat = self.inst.dense_matrix()
+        senses = self.inst.senses()
+        self.base_rows = NodeRows(mat, senses, rhs0,
+                                  slack_integrality(mat, rhs0, senses, self.is_int))
 
     # -- heuristics -----------------------------------------------------------
 
@@ -200,7 +191,7 @@ class _TreeSolver:
                 hstats.best_solutions_found += 1
         hstats.time += self.clock.elapsed() - start
 
-    def _complete_one_hint(self, assignment, node, mat, senses, rhs):
+    def _complete_one_hint(self, assignment, node):
         """Fix the hinted integers and complete with one LP or a sub-MIP.
         Infeasible fixings are dropped, never repaired."""
         lo = np.array(node.lower)
@@ -218,7 +209,7 @@ class _TreeSolver:
             lo[j] = hi[j] = v
         unfixed = [j for j in self.int_indices if lo[j] != hi[j]]
         if not unfixed:
-            res = self._lp(mat, senses, rhs, lo, hi)
+            res = self._lp(self.base_rows, lo, hi)
             if res.status is not LpStatus.OPTIMAL:
                 return None
             point = np.array(res.primal)
@@ -236,13 +227,13 @@ class _TreeSolver:
             use_cuts_root=False, use_cuts_tree=False,
             node_limit=self.cfg.completesol_node_limit)
         sub = _TreeSolver(self.inst, sub_cfg, self.deadline, clock=self.clock,
-                          preset_bounds=(lo, hi), preset_rhs=self.rhs0)
+                          preset_bounds=(lo, hi), preset_rows=self.base_rows)
         outcome = sub.solve()
         if outcome.best_solution is None:
             return None
         return outcome.best_solution.values
 
-    def _run_completesol(self, node, mat, senses, rhs):
+    def _run_completesol(self, node):
         if HEUR_COMPLETESOL not in self.cfg.enabled_heuristics or not self.hints:
             return
         hstats = self.stats.heuristics[HEUR_COMPLETESOL]
@@ -256,7 +247,7 @@ class _TreeSolver:
                 break
             hstats.calls += 1
             self.clock.charge(1)
-            point = self._complete_one_hint(_hint_assignment(hint), node, mat, senses, rhs)
+            point = self._complete_one_hint(_hint_assignment(hint), node)
             if point is None:
                 continue
             hstats.solutions_found += 1
@@ -268,9 +259,9 @@ class _TreeSolver:
 
     # -- cut separation -------------------------------------------------------
 
-    def _cut_loop(self, node, at_root, mat, senses, rhs, slack_int, res, obj):
-        """Rounds of separation + re-solve; returns updated state or None when
-        the node got cut off."""
+    def _cut_loop(self, node, at_root, res, obj):
+        """Rounds of separation + re-solve, extending node.rows; returns the
+        last (LP result, bound) or None when the node got cut off."""
         rounds = self.cfg.cut_rounds_root if at_root else self.cfg.cut_rounds_tree
         sstats = self.stats.separators[SEP_GOMORY]
         for rnd in range(rounds):
@@ -278,17 +269,17 @@ class _TreeSolver:
                 break
             start = self.clock.elapsed()
             self.clock.charge(1)
+            rows = node.rows
             new_cuts = generate_cuts(
-                res, at_root, self.cfg, self.is_int, mat, rhs, slack_int,
+                res, at_root, self.cfg, self.is_int, rows.mat, rows.rhs, rows.slack_int,
                 self.inst.var_names,
                 name_prefix=f"gomory_n{node.nid}_{rnd}")
             sstats.time += self.clock.elapsed() - start
             if not new_cuts:
                 break
             sstats.cuts_generated += len(new_cuts)
-            node.cuts = node.cuts + tuple(new_cuts)
-            mat, senses, rhs, slack_int = self._node_rows(node.cuts)
-            res = self._node_lp(mat, senses, rhs, node.lower, node.upper,
+            node.rows = rows.extend(new_cuts)
+            res = self._node_lp(node.rows, node.lower, node.upper,
                                 res.basis, want_snapshot=True)
             if res.status is LpStatus.INFEASIBLE:
                 return None
@@ -297,18 +288,17 @@ class _TreeSolver:
             obj = max(obj, res.objective)
             if obj >= self._prune_cutoff():
                 return None
-        return mat, senses, rhs, slack_int, res, obj
+        return res, obj
 
     # -- node processing ------------------------------------------------------
 
     def _process_node(self, node: _Node) -> list[int]:
         self.stats.nodes += 1
         at_root = node.nid == 0
-        mat, senses, rhs, slack_int = self._node_rows(node.cuts)
         want_snap = ((at_root and self.cfg.use_cuts_root)
                      or (not at_root and self.cfg.use_cuts_tree)) \
             and SEP_GOMORY in self.cfg.enabled_separators
-        res = self._node_lp(mat, senses, rhs, node.lower, node.upper,
+        res = self._node_lp(node.rows, node.lower, node.upper,
                             node.basis, want_snapshot=want_snap)
         if res.status is LpStatus.INFEASIBLE:
             return []
@@ -320,15 +310,15 @@ class _TreeSolver:
             return []
 
         if at_root:
-            self._run_completesol(node, mat, senses, rhs)
+            self._run_completesol(node)
             if obj >= self._prune_cutoff():
                 return []
 
         if want_snap:
-            cut_state = self._cut_loop(node, at_root, mat, senses, rhs, slack_int, res, obj)
+            cut_state = self._cut_loop(node, at_root, res, obj)
             if cut_state is None:
                 return []
-            mat, senses, rhs, slack_int, res, obj = cut_state
+            res, obj = cut_state
             node.bound = obj
 
         candidates = self._fractional(res.primal)
@@ -347,7 +337,7 @@ class _TreeSolver:
                 hi[j] = new_bound
             else:
                 lo[j] = new_bound
-            return self._lp(mat, senses, rhs, lo, hi, res.basis,
+            return self._lp(node.rows, lo, hi, res.basis,
                             iter_limit=self.cfg.strong_branch_iter_limit)
 
         j, xj = select_branch_variable(
@@ -356,11 +346,11 @@ class _TreeSolver:
 
         down = _Node(self.next_id + 1, obj, node.depth + 1,
                      np.array(node.lower), np.array(node.upper),
-                     res.basis, node.cuts)
+                     res.basis, node.rows)
         down.upper[j] = math.floor(xj)
         up = _Node(self.next_id + 2, obj, node.depth + 1,
                    np.array(node.lower), np.array(node.upper),
-                   res.basis, node.cuts)
+                   res.basis, node.rows)
         up.lower[j] = math.ceil(xj)
         self.next_id += 2
         self._push(down)
@@ -391,7 +381,7 @@ class _TreeSolver:
 
         if self.preset_bounds is not None:
             lower, upper = self.preset_bounds
-            rhs0 = np.array(self.preset_rhs)
+            self.base_rows = self.preset_rows
         else:
             pres = run_presolve(self.inst, cfg)
             for name, count in pres.changes.items():
@@ -400,10 +390,10 @@ class _TreeSolver:
             if pres.infeasible:
                 self.pb = INF
                 return self._outcome(SolveStatus.INFEASIBLE)
-            lower, upper, rhs0 = pres.lower, pres.upper, pres.rhs
-        self._set_base_rows(rhs0)
+            lower, upper = pres.lower, pres.upper
+            self._set_base_rows(pres.rhs)
 
-        root = _Node(0, -INF, 0, np.array(lower), np.array(upper), None, ())
+        root = _Node(0, -INF, 0, np.array(lower), np.array(upper), None, self.base_rows)
         self.next_id = 0
         self._push(root)
 
@@ -467,9 +457,8 @@ def complete_hint(inst: MipInstance, hint, cfg: SolverConfig,
     if pres.infeasible:
         return None
     solver._set_base_rows(pres.rhs)
-    node = _Node(0, -INF, 0, pres.lower, pres.upper, None, ())
-    point = solver._complete_one_hint(_hint_assignment(hint), node, solver.base_mat,
-                                      solver.base_senses, solver.rhs0)
+    node = _Node(0, -INF, 0, pres.lower, pres.upper, None, solver.base_rows)
+    point = solver._complete_one_hint(_hint_assignment(hint), node)
     if point is None:
         return None
     return Solution(point, objective_value(inst, point), SolutionStatus.FEASIBLE)

@@ -109,6 +109,23 @@ def test_checkpoint_missing_field_is_config_error(tmp_path, base_instance_path, 
     assert "error:" in err and "next_index" in err
 
 
+@pytest.mark.parametrize("next_index", ["3", -1])
+def test_checkpoint_bad_next_index_is_config_error(tmp_path, base_instance_path, capsys,
+                                                   next_index):
+    manifest = _generate(tmp_path, base_instance_path, count=2)
+    ckpt = tmp_path / "ck.json"
+    args = ["run", "--manifest", str(manifest), "--out", str(tmp_path / "r"),
+            "--det-clock", "1000000", "--checkpoint", str(ckpt)]
+    assert main(args) == 0
+    data = json.loads(ckpt.read_text())
+    data["next_index"] = next_index
+    ckpt.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "next_index" in err
+
+
 def test_cross_process_byte_identical_reports(tmp_path, base_instance_path):
     manifest = _generate(tmp_path, base_instance_path)
     outs = []

@@ -113,6 +113,22 @@ def test_checkpoint_of_unknown_version_rejected(tmp_path):
                                        checkpoint_path=ckpt))
 
 
+@pytest.mark.parametrize("next_index", ["3", -1, 2, True, None])
+def test_checkpoint_with_bad_next_index_rejected(tmp_path, next_index):
+    # one record stored: next_index must be the int 1
+    manifest = _identical_series(tmp_path, n=3)
+    ckpt = tmp_path / "ckpt.json"
+    run_series(manifest, RunConfig(det_work_per_second=DET_WPS,
+                                   checkpoint_path=ckpt, stop_after=1))
+    data = json.loads(ckpt.read_text())
+    assert data["next_index"] == 1
+    data["next_index"] = next_index
+    ckpt.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="next_index"):
+        run_series(manifest, RunConfig(det_work_per_second=DET_WPS,
+                                       checkpoint_path=ckpt))
+
+
 def test_reports_and_improvement_table(tmp_path):
     manifest = _identical_series(tmp_path, n=4)
     full = run_series(manifest, RunConfig(seed=0, det_work_per_second=DET_WPS))

@@ -160,9 +160,19 @@ def test_lp_problem_and_tree_build_the_same_node_rows():
     tree = _TreeSolver(inst, SolverConfig(), 1e6)
     tree._set_base_rows(inst.rhs_array())
     for rows in ((), cuts[:1], cuts):
-        mat, senses, rhs, _, _, _ = LpProblem(inst, extra_rows=rows).build_arrays()
-        tmat, tsenses, trhs, slack_int = tree._node_rows(rows)
-        assert_bits_equal(mat, tmat)
-        assert senses == list(tsenses)
-        assert_bits_equal(rhs, trhs)
-        assert len(slack_int) == len(rhs)
+        lp_rows, _, _, _ = LpProblem(inst, extra_rows=rows).build()
+        node_rows = tree.base_rows.extend(rows)
+        assert_bits_equal(lp_rows.mat, node_rows.mat)
+        assert list(lp_rows.senses) == list(node_rows.senses)
+        assert_bits_equal(lp_rows.rhs, node_rows.rhs)
+        assert len(node_rows.slack_int) == len(node_rows.rhs)
+    # cut rounds extend a node's rows one round at a time
+    stepwise = tree.base_rows.extend(cuts[:1]).extend(cuts[1:3]).extend(cuts[3:])
+    at_once = tree.base_rows.extend(cuts)
+    for field in ("mat", "rhs", "slack_lo", "slack_hi", "all_cols"):
+        assert_bits_equal(getattr(stepwise, field), getattr(at_once, field))
+    assert stepwise.senses == at_once.senses
+    assert np.array_equal(stepwise.slack_int, at_once.slack_int)
+    m = len(at_once.rhs)
+    assert_bits_equal(at_once.all_cols, np.hstack([at_once.mat, np.eye(m)]))
+    assert not at_once.slack_int[inst.num_rows:].any()

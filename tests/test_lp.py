@@ -6,7 +6,8 @@ import pytest
 from scipy.optimize import linprog
 
 from mipseries.kernels import get_kernels
-from mipseries.lp import LpProblem, LpStatus, SimplexBasis, _Simplex, solve_lp
+from mipseries.lp import (LpProblem, LpStatus, NodeRows, SimplexBasis, _Simplex,
+                          solve_lp)
 from mipseries.model import LinearRow, Sense
 
 from conftest import lp_vertex_oracle, make_instance
@@ -194,8 +195,9 @@ def test_cold_start_run_leaves_constraint_columns_intact():
     pivoted = 0
     for _ in range(10):
         inst = _random_lp(rng)
-        arrays = LpProblem(inst).build_arrays()
-        mat = arrays[0]
+        rows, lo, hi, cost = LpProblem(inst).build()
+        arrays = (rows.mat, rows.senses, rows.rhs, lo, hi, cost)
+        mat = rows.mat
         sx = _Simplex(*arrays, get_kernels(), bland_after=50)
         sx.cold_start()
         sx.run(1000)
@@ -208,3 +210,62 @@ def test_cold_start_run_leaves_constraint_columns_intact():
         assert np.array_equal(sx.rhs, fresh.rhs)
         pivoted += sx.iterations > 0
     assert pivoted >= 5
+
+
+def _assert_bits_equal(a, b):
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_factorization_memo_is_bit_identical_to_a_fresh_one():
+    # warm starts on shared rows reuse the last factorization; it must be
+    # the very arrays a fresh factorization of the same basis gives
+    rng = np.random.default_rng(8)
+    hits = 0
+    for _ in range(20):
+        inst = _random_lp(rng)
+        res = solve_lp(LpProblem(inst))
+        if res.basis is None:
+            continue
+        rows, lo, hi, cost = LpProblem(inst).build()
+        tight_hi = np.maximum(lo, hi - 1.0)
+        shared = [_Simplex.on_rows(rows, lo, b, cost, get_kernels(), 50)
+                  for b in (hi, tight_hi, hi)]
+        if not all(sx.warm_start(res.basis) for sx in shared):
+            continue
+        hits += 1
+        assert rows._factor[0] == shared[0].basis.tobytes()
+        fresh = _Simplex(rows.mat, rows.senses, rows.rhs, lo, hi, cost, get_kernels(), 50)
+        assert fresh.warm_start(res.basis)
+        for sx in shared:
+            _assert_bits_equal(sx.tab, fresh.tab)
+            _assert_bits_equal(sx.rhs, fresh.rhs)
+        # each simplex pivots its own copy, never the kept factorization
+        assert shared[0].tab is not shared[2].tab
+        shared[0].run(1000)
+        shared[0].tab[:] = 7.0
+        again = rows.factorization(res.basis.basis)
+        _assert_bits_equal(again[0], fresh.tab)
+        _assert_bits_equal(again[1], fresh.rhs)
+    assert hits >= 10
+
+
+def test_failed_factorization_is_never_kept():
+    # columns 0 and 1 are equal, so a basis holding both is singular; with
+    # column 2, B^-1 has an entry of about -1e10 / 1e-300, which overflows
+    rows = NodeRows(np.array([[1.0, 1.0, 1e-300, 1e10], [3.0, 3.0, 0.0, 1.0]]),
+                    (Sense.LE, Sense.LE), np.array([4.0, 5.0]))
+    assert rows.factorization(np.array([0, 1], dtype=np.int64)) is None
+    assert rows.factorization(np.array([2, 3], dtype=np.int64)) is None
+    assert rows._factor is None
+    good = np.array([0, 3], dtype=np.int64)
+    assert rows.factorization(good) is not None
+    kept = rows._factor
+    assert kept[0] == good.tobytes()
+    for bad in ([1, 0], [2, 3]):
+        assert rows.factorization(np.array(bad, dtype=np.int64)) is None
+        assert rows._factor is kept
+    sx = _Simplex.on_rows(rows, np.zeros(4), np.full(4, 5.0), np.zeros(4),
+                          get_kernels(), 50)
+    assert not sx.warm_start(SimplexBasis(np.array([0, 1]), np.zeros(6, dtype=np.int8)))
+    assert rows._factor is kept

@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from mipseries.model import (Component, InstanceError, Sense, SeriesError,
+from mipseries.model import (INF, Component, FeasibilityResult, InstanceError,
+                             LinearRow, MipInstance, Sense, SeriesError, Violation,
                              check_feasibility, generate_series_files,
                              instance_from_dict, load_instance, load_series,
                              objective_value, perturb_series, save_instance)
@@ -94,6 +95,89 @@ def test_check_feasibility_cases():
     assert check_feasibility(inst2, [1.0 + 1e-9], feas_tol=1e-6).feasible
     res = check_feasibility(inst2, [1.1])
     assert not res.feasible and res.violation.kind == "row"
+
+
+def loop_check_feasibility(inst, point, feas_tol=1e-6, int_tol=1e-6):
+    """check_feasibility as a plain loop over columns and rows."""
+    point = np.asarray(point, dtype=float)
+    for j in range(inst.num_vars):
+        if point[j] < inst.lower[j] - feas_tol:
+            return FeasibilityResult(False, Violation("bound", j, float(inst.lower[j] - point[j])))
+        if point[j] > inst.upper[j] + feas_tol:
+            return FeasibilityResult(False, Violation("bound", j, float(point[j] - inst.upper[j])))
+    for j in sorted(inst.integer_mask):
+        frac = abs(point[j] - round(point[j]))
+        if frac > int_tol:
+            return FeasibilityResult(False, Violation("integrality", j, float(frac)))
+    for i, row in enumerate(inst.rows):
+        act = float(sum(c * point[j] for j, c in row.coefs))
+        if row.sense is Sense.LE and act > row.rhs + feas_tol:
+            return FeasibilityResult(False, Violation("row", i, float(act - row.rhs)))
+        if row.sense is Sense.GE and act < row.rhs - feas_tol:
+            return FeasibilityResult(False, Violation("row", i, float(row.rhs - act)))
+        if row.sense is Sense.EQ and abs(act - row.rhs) > feas_tol:
+            return FeasibilityResult(False, Violation("row", i, float(abs(act - row.rhs))))
+    return FeasibilityResult(True)
+
+
+def _random_rows_instance(rng, k):
+    """Rows with unsorted and repeated indices, empty rows, all three senses;
+    some columns free or half-bounded, about half of them integer."""
+    n, m = int(rng.integers(1, 9)), int(rng.integers(0, 7))
+    lo = rng.choice([0.0, -2.0, -INF], n)
+    hi = np.maximum(lo, rng.choice([1.0, 3.0, 0.0, INF], n))
+    rows = []
+    for i in range(m):
+        size = int(rng.integers(0, 2 * n + 1))
+        coefs = tuple((int(j), float(c)) for j, c in
+                      zip(rng.integers(0, n, size), rng.normal(0.0, 1e3 ** rng.random(), size)))
+        sense = (Sense.LE, Sense.GE, Sense.EQ)[int(rng.integers(0, 3))]
+        rows.append(LinearRow(f"r{i}", coefs, sense, float(rng.normal(0.0, 5.0))))
+    ints = frozenset(int(j) for j in np.nonzero(rng.random(n) < 0.5)[0])
+    return MipInstance(f"f{k}", tuple(f"x{j}" for j in range(n)), rng.normal(size=n),
+                       lo, hi, ints, tuple(rows))
+
+
+def _random_point(rng, inst):
+    x = np.clip(rng.normal(0.0, 2.0, inst.num_vars), inst.lower, inst.upper)
+    ints = sorted(inst.integer_mask)
+    x[ints] = np.round(x[ints])
+    for j in ints:
+        if rng.random() < 0.2:
+            x[j] += rng.choice([0.5, 1e-7, -3e-6])       # fractional or nearly integral
+    if rng.random() < 0.2:
+        j = int(rng.integers(0, inst.num_vars))
+        x[j] = rng.choice([inst.lower[j] - 1e-3, inst.upper[j] + 2e-7, -0.0, np.nan])
+    return x
+
+
+# points with infinite entries give inf - inf in both versions' row sums
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_check_feasibility_matches_loop_on_random_points():
+    rng = np.random.default_rng(19)
+    kinds = set()
+    for k in range(400):
+        inst = _random_rows_instance(rng, k)
+        for _ in range(5):
+            x = _random_point(rng, inst)
+            for tol in (1e-6, 1e-2):
+                try:
+                    want = loop_check_feasibility(inst, x, feas_tol=tol, int_tol=tol)
+                except (ValueError, OverflowError) as exc:   # round() of inf or NaN
+                    with pytest.raises(type(exc)):
+                        check_feasibility(inst, x, feas_tol=tol, int_tol=tol)
+                    kinds.add("raises")
+                    continue
+                got = check_feasibility(inst, x, feas_tol=tol, int_tol=tol)
+                assert got.feasible == want.feasible
+                if want.feasible:
+                    kinds.add("feasible")
+                    continue
+                g, w = got.violation, want.violation
+                assert (g.kind, g.index) == (w.kind, w.index)
+                assert np.array_equal(np.float64(g.amount), np.float64(w.amount))
+                kinds.add(w.kind)
+    assert kinds == {"bound", "integrality", "row", "feasible", "raises"}
 
 
 def test_feasibility_dimension_mismatch():

@@ -179,8 +179,7 @@ def test_child_node_lp_objective_monotone(monkeypatch):
 
     def wrapper(self, node):
         if np.isfinite(node.bound):   # node.bound carries the parent objective
-            mat, senses, rhs, _ = self._node_rows(node.cuts)
-            res = self._lp(mat, senses, rhs, node.lower, node.upper, node.basis)
+            res = self._lp(node.rows, node.lower, node.upper, node.basis)
             if res.status is LpStatus.OPTIMAL and res.objective < node.bound - 1e-8:
                 violations.append((node.bound, res.objective))
         return orig(self, node)
