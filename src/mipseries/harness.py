@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from .model import MipInstance, SeriesManifest
@@ -184,7 +184,7 @@ class _SeriesState:
             "series_name": manifest.series_name,
             "num_instances": len(manifest),
             "next_index": self.next_index,
-            "records": [asdict(r) for r in self.records],
+            "records": [dict(vars(r)) for r in self.records],   # flat: no deep copy
             "errors": self.errors,
             "pool": self.pool.to_json_dict(),
             "history_store": self.history_store.to_json_dict(),

@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .kernels import Kernels, get_kernels
-from .model import INF, LinearRow, MipInstance, Sense
+from .model import INF, LinearRow, MipInstance, Sense, dense_block
 
 PIVOT_TOL = 1e-9
 DCOST_TOL = 1e-9
@@ -88,8 +88,10 @@ class LpProblem:
         """(rows, lo, hi, cost): the row carrier and the column data."""
         rhs = self.rhs_override if self.rhs_override is not None \
             else self.inst.rhs_array()
+        extra = self.extra_rows
         rows = NodeRows(self.inst.dense_matrix(), self.inst.senses(), rhs).extend(
-            self.extra_rows)
+            dense_block(extra, self.inst.num_vars), tuple(row.sense for row in extra),
+            [row.rhs for row in extra])
         lo = np.array(self.local_lower) if self.local_lower is not None \
             else np.array(self.inst.lower)
         hi = np.array(self.local_upper) if self.local_upper is not None \
@@ -144,19 +146,14 @@ class NodeRows:
         self.all_cols = _frozen(np.hstack([self.mat, np.eye(self.m)]))
         self._factor = None   # (basis bytes, tableau, rhs) of the last success
 
-    def extend(self, rows) -> "NodeRows":
-        """These rows with the linear rows `rows` below them; their slacks
-        are not marked integral."""
-        if not rows:
+    def extend(self, mat, senses, rhs) -> "NodeRows":
+        """These rows with the dense rows (mat, senses, rhs) below them;
+        their slacks are not marked integral."""
+        if not len(rhs):
             return self
-        block = np.zeros((len(rows), self.n))
-        for i, row in enumerate(rows):
-            for j, c in row.coefs:
-                block[i, j] = c
-        return NodeRows(np.vstack([self.mat, block]),
-                        self.senses + tuple(row.sense for row in rows),
-                        np.concatenate([self.rhs, [row.rhs for row in rows]]),
-                        np.concatenate([self.slack_int, np.zeros(len(rows), dtype=bool)]))
+        return NodeRows(np.vstack([self.mat, mat]), self.senses + tuple(senses),
+                        np.concatenate([self.rhs, rhs]),
+                        np.concatenate([self.slack_int, np.zeros(len(rhs), dtype=bool)]))
 
     def factorization(self, basis: np.ndarray):
         """(B^-1 [A | I], B^-1 b) for the basis columns `basis`, as fresh
@@ -244,13 +241,16 @@ class _Simplex:
             new_slacks = np.arange(token.ncols, self.ncols, dtype=np.int64)
             basis = np.concatenate([basis, new_slacks])
             stat = np.concatenate([stat, np.full(extra, BASIC, dtype=np.int8)])
-        if len(np.unique(basis)) != self.m or basis.min() < 0 or basis.max() >= self.ncols:
+        if len(basis) != self.m or (self.m and (basis.min() < 0
+                                                or basis.max() >= self.ncols)):
+            return False
+        nonbasic = np.ones(self.ncols, dtype=bool)
+        nonbasic[basis] = False
+        if np.count_nonzero(nonbasic) != self.ncols - self.m:   # a repeated column
             return False
         # Columns the token calls basic but that left the basis, and nonbasic
         # sides that became invalid under the new bounds, go back to rest.
         lo, hi = self.lo, self.hi
-        nonbasic = np.ones(self.ncols, dtype=bool)
-        nonbasic[basis] = False
         reset = nonbasic & ((stat == BASIC) | (stat == FIXED) | (lo == hi)
                             | ((stat == AT_LOWER) & (lo == -INF))
                             | ((stat == AT_UPPER) & (hi == INF)))
@@ -293,12 +293,12 @@ class _Simplex:
         column is kept current across pivots, one entry at a time: the
         nonbasic values, the basic bounds (plain and FEAS_TOL-shifted), the
         basic costs and the penalties that mark the columns that may not
-        increase or decrease.
+        increase or decrease.  The nonbasic values stay in `self.vals`.
         """
         bland = self.bland_after <= 0
         degen_streak = 0
         lo, hi, stat, basis, cost = self.lo, self.hi, self.stat, self.basis, self.cost
-        vals = self.nonbasic_values()
+        vals = self.vals = self.nonbasic_values()
         lB = lo[basis]
         uB = hi[basis]
         lB_tol = lB - FEAS_TOL
@@ -421,10 +421,9 @@ def solve_arrays(rows: NodeRows, lo, hi, cost, warm, iter_limit,
         try:
             status, beta = sx.run(iter_limit)
         except SimplexTrouble:
-            status, beta = LpStatus.ITER_LIMIT, sx.compute_beta(sx.nonbasic_values())
+            status, beta = LpStatus.ITER_LIMIT, sx.compute_beta(sx.vals)
 
-    vals = sx.nonbasic_values()
-    x = sx.primal_point(beta, vals)
+    x = sx.primal_point(beta, sx.vals)
     n = sx.n
     primal = x[:n]
     if status is LpStatus.OPTIMAL:

@@ -59,6 +59,16 @@ class LinearRow:
     rhs: float
 
 
+def dense_block(rows, n: int) -> np.ndarray:
+    """The coefficients of `rows` as a dense (len(rows), n) matrix; a
+    repeated variable index keeps its last coefficient."""
+    mat = np.zeros((len(rows), n))
+    for i, row in enumerate(rows):
+        for j, c in row.coefs:
+            mat[i, j] = c
+    return mat
+
+
 @dataclass(eq=False)
 class MipInstance:
     """Full problem data: minimize obj subject to rows, bounds and integrality."""
@@ -127,14 +137,20 @@ class MipInstance:
             self._cache["is_int"] = mask
         return mask
 
+    def integer_indices(self) -> np.ndarray:
+        """Indices of the integer variables, ascending (read-only, cached)."""
+        idx = self._cache.get("int_idx")
+        if idx is None:
+            idx = np.flatnonzero(self.is_integer())
+            idx.setflags(write=False)
+            self._cache["int_idx"] = idx
+        return idx
+
     def dense_matrix(self) -> np.ndarray:
         """Row-major dense constraint matrix (m x n), built lazily."""
         mat = self._cache.get("dense")
         if mat is None:
-            mat = np.zeros((self.num_rows, self.num_vars))
-            for i, row in enumerate(self.rows):
-                for j, c in row.coefs:
-                    mat[i, j] = c
+            mat = dense_block(self.rows, self.num_vars)
             mat.setflags(write=False)
             self._cache["dense"] = mat
         return mat
@@ -213,7 +229,7 @@ def _feasibility_data(inst: MipInstance):
             for k, (j, c) in enumerate(row.coefs):
                 idx[k, i], neg[k, i], filled[k, i] = j, -c, True
         senses = inst.senses()
-        data = (np.flatnonzero(inst.is_integer()), idx, neg, filled,
+        data = (inst.integer_indices(), idx, neg, filled,
                 np.array([s is Sense.LE for s in senses], dtype=bool),
                 np.array([s is Sense.GE for s in senses], dtype=bool),
                 np.array([s is Sense.EQ for s in senses], dtype=bool),

@@ -8,7 +8,7 @@ when neither objective nor bounds change).
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from .model import Component, MipInstance, Solution
 from .solver import BranchingRule, GlobalHistory, SolveOutcome, VariableHistory
@@ -93,8 +93,8 @@ class HistoryStore:
     def to_json_dict(self) -> dict:
         return {
             "source_index": self.source_index,
-            "histories": {name: asdict(h) for name, h in self.histories.items()},
-            "global_history": asdict(self.global_history),
+            "histories": {name: h.to_dict() for name, h in self.histories.items()},
+            "global_history": self.global_history.to_dict(),
         }
 
     @classmethod
@@ -202,8 +202,7 @@ def transfer_histories(prev: SolveOutcome | HistoryStore,
     for name, hist in histories.items():
         target.var_index(name)   # KeyError on variable-name mismatch
         out[name] = _capped(hist)
-    g = _capped(global_hist)
-    return out, GlobalHistory(**asdict(g))
+    return out, _capped(global_hist)
 
 
 def branching_policy(instance_index: int, changing) -> BranchingRule:

@@ -24,7 +24,7 @@ from .config import (HEUR_COMPLETESOL, HEUR_ROUNDING, SEP_GOMORY,
                      BranchingRule, SolveOutcome, SolverConfig, SolveStatus,
                      fresh_stats)
 from .cuts import generate_cuts, slack_integrality
-from .heuristics import round_to_feasible
+from .heuristics import raise_on_nonfinite, round_to_feasible
 from .history import GlobalHistory, VariableHistory
 from .presolve import run_presolve
 
@@ -63,7 +63,8 @@ class _TreeSolver:
         self.deadline = time_limit
         self.stats = fresh_stats()
         self.is_int = inst.is_integer()
-        self.int_indices = [int(j) for j in np.nonzero(self.is_int)[0]]
+        self.int_idx = inst.integer_indices()
+        self.int_indices = self.int_idx.tolist()
         self.hints = list(hints) if hints else []
         self.preset_bounds = preset_bounds
         self.preset_rows = preset_rows
@@ -77,8 +78,7 @@ class _TreeSolver:
                 j = inst.var_index(name)
                 if j in self.histories:
                     self.histories[j] = hist.copy()
-            self.global_hist = GlobalHistory(
-                **{k: getattr(global_hist, k) for k in vars(global_hist)})
+            self.global_hist = global_hist.copy()
 
         self.pb = INF
         self.incumbent: Solution | None = None
@@ -142,19 +142,28 @@ class _TreeSolver:
         return self.pb - 1e-9 * max(1.0, abs(self.pb) if math.isfinite(self.pb) else 1.0)
 
     def _fractional(self, x) -> list[Candidate]:
-        out = []
-        for j in self.int_indices:
-            f = x[j] - math.floor(x[j])
-            if self.cfg.int_tol < f < 1.0 - self.cfg.int_tol:
-                out.append(Candidate(j, float(x[j])))
-        return out
+        """The integer variables with a fractional value, in index order."""
+        vals = x[self.int_idx]
+        raise_on_nonfinite(vals, math.floor)
+        f = vals - np.floor(vals)
+        tol = self.cfg.int_tol
+        pick = (tol < f) & (f < 1.0 - tol)
+        return [Candidate(j, v) for j, v in zip(self.int_idx[pick].tolist(),
+                                                vals[pick].tolist())]
+
+    def _rounded(self, point) -> np.ndarray:
+        """A float copy of `point` with its integer entries rounded half to
+        even, as Python's round(): NaN and inf raise, -0.0 becomes +0.0."""
+        point = np.array(point, dtype=float)
+        vals = point[self.int_idx]
+        raise_on_nonfinite(vals, round)
+        point[self.int_idx] = np.round(vals) + 0.0
+        return point
 
     def _try_incumbent(self, point: np.ndarray) -> bool:
         """Validate and accept an improving feasible point; returns True if
         it became the new incumbent."""
-        point = np.array(point, dtype=float)
-        for j in self.int_indices:
-            point[j] = round(point[j])
+        point = self._rounded(point)
         feas = check_feasibility(self.inst, point, self.cfg.feas_tol, self.cfg.int_tol)
         if not feas.feasible:
             return False
@@ -212,9 +221,7 @@ class _TreeSolver:
             res = self._lp(self.base_rows, lo, hi)
             if res.status is not LpStatus.OPTIMAL:
                 return None
-            point = np.array(res.primal)
-            for j in self.int_indices:
-                point[j] = round(point[j])
+            point = self._rounded(res.primal)
             feas = check_feasibility(self.inst, point, self.cfg.feas_tol, self.cfg.int_tol)
             if not feas.feasible:
                 return None
@@ -271,14 +278,12 @@ class _TreeSolver:
             self.clock.charge(1)
             rows = node.rows
             new_cuts = generate_cuts(
-                res, at_root, self.cfg, self.is_int, rows.mat, rows.rhs, rows.slack_int,
-                self.inst.var_names,
-                name_prefix=f"gomory_n{node.nid}_{rnd}")
+                res, at_root, self.cfg, self.is_int, rows.mat, rows.rhs, rows.slack_int)
             sstats.time += self.clock.elapsed() - start
             if not new_cuts:
                 break
             sstats.cuts_generated += len(new_cuts)
-            node.rows = rows.extend(new_cuts)
+            node.rows = rows.extend(new_cuts.mat, new_cuts.senses, new_cuts.rhs)
             res = self._node_lp(node.rows, node.lower, node.upper,
                                 res.basis, want_snapshot=True)
             if res.status is LpStatus.INFEASIBLE:

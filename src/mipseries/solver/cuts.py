@@ -8,11 +8,12 @@ substituted out, yielding cut rows over the structural variables only.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..lp import AT_LOWER, BASIC, FIXED, FREE, LpResult, SimplexSnapshot
-from ..model import LinearRow, Sense
+from ..model import Sense
 from .config import SEP_GOMORY, SolverConfig
 
 MIN_FRACTIONALITY = 1e-4
@@ -44,62 +45,72 @@ def slack_integrality(row_matrix: np.ndarray, row_rhs: np.ndarray,
 def _gmi_from_row(snap: SimplexSnapshot, r: int, is_int: np.ndarray,
                   row_matrix: np.ndarray, row_rhs: np.ndarray,
                   slack_int: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """Derive one cut (w, rhs) meaning w . x >= rhs, or None."""
+    """Derive one cut (w, rhs) meaning w . x >= rhs, or None.
+
+    Whole-row numpy in column order, with the arithmetic of a loop over the
+    columns: each term is the same product, and `const` and the slack rows
+    of w are folded left to right with `np.subtract.reduce` (`add.reduce`
+    may sum pairwise), so w and rhs are the loop's bit for bit.  The loop
+    stops at the first FREE column or infinite shift (None) or raises at
+    the first non-finite integral coefficient (`math.floor`), whichever
+    column comes first; so does this.
+    """
     n = snap.n_struct
     b0 = snap.beta[r]
     f0 = b0 - math.floor(b0)
     if f0 < MIN_FRACTIONALITY or f0 > 1.0 - MIN_FRACTIONALITY:
         return None
 
+    stat = snap.stat
+    a = snap.tab[r]
+    cols = np.flatnonzero((stat != BASIC) & (stat != FIXED)
+                          & ~(np.abs(a) <= ZERO_COEF))
+    st = stat[cols]
+    at_lower = st == AT_LOWER
+    shift = np.where(at_lower, snap.lo[cols], snap.hi[cols])
+    stop = (st == FREE) | ~np.isfinite(shift)
+    stopped = bool(stop.any())
+    if stopped:
+        k = int(stop.argmax())
+        cols, at_lower, shift = cols[:k], at_lower[:k], shift[:k]
+    coef = np.where(at_lower, a[cols], -a[cols])
+
+    struct = cols < n
+    integral = np.empty(len(cols), dtype=bool)
+    s_shift = shift[struct]
+    integral[struct] = is_int[cols[struct]] & (np.abs(s_shift - np.round(s_shift)) <= 1e-9)
+    integral[~struct] = slack_int[cols[~struct] - n]
+    bad = integral & ~np.isfinite(coef)
+    if bad.any():
+        math.floor(coef[bad.argmax()])   # raises, as the loop did here
+    if stopped:
+        return None
+
+    gamma = np.empty(len(cols))
+    c = coef[~integral]
+    gamma[~integral] = np.where(c > 0, c / f0, -c / (1.0 - f0))
+    fj = coef[integral] - np.floor(coef[integral])
+    gamma[integral] = np.where(fj <= f0, fj / f0, (1.0 - fj) / (1.0 - f0))
+    keep = gamma != 0.0
+    # gamma * z_j in structural space: z_j = x_j - shift at lower, shift - x_j
+    # at upper; a slack's z is s_k = b_k - A_k x at lower, -s_k at upper.
+    # sg is gamma with the sign of z's x_j (or -A_k x) term.
+    sg = np.where(at_lower[keep], gamma[keep], -gamma[keep])
+    cols, shift, struct = cols[keep], shift[keep], struct[keep]
+
     w = np.zeros(n)
-    const = 0.0
-    for j in range(snap.tab.shape[1]):
-        st = snap.stat[j]
-        if st == BASIC or st == FIXED:
-            continue
-        a = snap.tab[r, j]
-        if abs(a) <= ZERO_COEF:
-            continue
-        if st == FREE:
-            return None
-        if st == AT_LOWER:
-            shift = snap.lo[j]
-            coef = a
-        else:  # AT_UPPER
-            shift = snap.hi[j]
-            coef = -a
-        if not math.isfinite(shift):
-            return None
-
-        if j < n:
-            integral = bool(is_int[j]) and abs(shift - round(shift)) <= 1e-9
-        else:
-            integral = bool(slack_int[j - n])
-
-        if integral:
-            fj = coef - math.floor(coef)
-            gamma = fj / f0 if fj <= f0 else (1.0 - fj) / (1.0 - f0)
-        else:
-            gamma = coef / f0 if coef > 0 else -coef / (1.0 - f0)
-        if gamma == 0.0:
-            continue
-
-        # translate gamma * z_j back to structural space
-        if j < n:
-            if st == AT_LOWER:
-                w[j] += gamma
-                const -= gamma * shift
-            else:
-                w[j] -= gamma
-                const += gamma * shift
-        else:
-            k = j - n
-            if st == AT_LOWER:     # z = s_k = b_k - A_k x
-                w -= gamma * row_matrix[k]
-                const += gamma * row_rhs[k]
-            else:                  # z = -s_k = A_k x - b_k
-                w += gamma * row_matrix[k]
-                const -= gamma * row_rhs[k]
+    w[cols[struct]] = sg[struct]
+    terms = np.empty(len(cols) + 1)
+    terms[0] = 0.0
+    slack = cols[~struct] - n
+    terms[1:][struct] = sg[struct] * shift[struct]
+    terms[1:][~struct] = -sg[~struct] * row_rhs[slack]
+    const = np.subtract.reduce(terms)
+    if len(slack):
+        block = np.empty((len(slack) + 1, n))
+        block[0] = w
+        np.multiply(sg[~struct, None], row_matrix[slack], out=block[1:])
+        np.subtract.reduce(block, axis=0, out=w)
 
     rhs = 1.0 - const
     w[np.abs(w) <= ZERO_COEF] = 0.0
@@ -111,30 +122,42 @@ def _gmi_from_row(snap: SimplexSnapshot, r: int, is_int: np.ndarray,
     return w, rhs
 
 
+@dataclass(frozen=True)
+class CutBlock:
+    """Cut rows w . x >= rhs: row i of `mat` (one column per structural
+    variable) with right-hand side rhs[i].  Its length is the cut count."""
+
+    mat: np.ndarray
+    rhs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rhs)
+
+    @property
+    def senses(self) -> tuple[Sense, ...]:
+        return (Sense.GE,) * len(self)
+
+
 def generate_cuts(result: LpResult, at_root: bool, cfg: SolverConfig,
                   is_int: np.ndarray, row_matrix: np.ndarray,
                   row_rhs: np.ndarray, slack_int: np.ndarray,
-                  var_names, name_prefix: str,
-                  min_violation: float = 1e-6) -> list[LinearRow]:
+                  min_violation: float = 1e-6) -> CutBlock:
     """Cuts from tableau rows of fractional basic integer variables.
 
-    Returns [] when the root/tree toggle for this location is off.  Every
-    returned cut is violated by the LP point by more than `min_violation`.
+    Returns an empty block when the root/tree toggle for this location is
+    off.  Every returned cut is violated by the LP point by more than
+    `min_violation`.
     """
-    if at_root and not cfg.use_cuts_root:
-        return []
-    if not at_root and not cfg.use_cuts_tree:
-        return []
-    if SEP_GOMORY not in cfg.enabled_separators:
-        return []
+    n = row_matrix.shape[1]
     snap = result.snapshot
-    if snap is None:
-        return []
+    if not (cfg.use_cuts_root if at_root else cfg.use_cuts_tree) \
+            or SEP_GOMORY not in cfg.enabled_separators or snap is None:
+        return CutBlock(np.zeros((0, n)), np.zeros(0))
 
     x = result.primal
-    cuts = []
+    ws, rhss = [], []
     for r in range(snap.tab.shape[0]):
-        if len(cuts) >= cfg.max_cuts_per_round:
+        if len(ws) >= cfg.max_cuts_per_round:
             break
         j0 = int(snap.basis[r])
         if j0 >= snap.n_struct or not is_int[j0]:
@@ -148,6 +171,6 @@ def generate_cuts(result: LpResult, at_root: bool, cfg: SolverConfig,
         w, rhs = derived
         if float(w @ x) >= rhs - min_violation:
             continue
-        coefs = tuple((int(j), float(w[j])) for j in np.nonzero(w)[0])
-        cuts.append(LinearRow(f"{name_prefix}_r{r}", coefs, Sense.GE, float(rhs)))
-    return cuts
+        ws.append(w)
+        rhss.append(rhs)
+    return CutBlock(np.array(ws) if ws else np.zeros((0, n)), np.array(rhss, dtype=float))

@@ -8,16 +8,33 @@ import numpy as np
 from ..model import MipInstance, Solution, SolutionStatus, check_feasibility, objective_value
 
 
+def raise_on_nonfinite(values: np.ndarray, scalar_op) -> None:
+    """Raise what `scalar_op` (math.floor, round) raises on the first NaN or
+    inf in `values`, as a loop applying it entry by entry would."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        scalar_op(float(values[bad.argmax()]))
+
+
 def round_to_feasible(inst: MipInstance, point: np.ndarray,
                       lower: np.ndarray, upper: np.ndarray,
                       feas_tol: float = 1e-6, int_tol: float = 1e-6) -> np.ndarray | None:
     """Round fractional integers to the nearest in-bounds integer; returns the
-    point only when it passes the feasibility check, else None."""
+    point only when it passes the feasibility check, else None.
+
+    Each integer entry becomes floor(x + 0.5), then max(., lower), then
+    min(., upper) with Python's max/min semantics (a bound replaces the value
+    only when strictly beyond it); NaN and inf raise as math.floor does.
+    """
     x = np.array(point, dtype=float)
-    for j in sorted(inst.integer_mask):
-        v = math.floor(x[j] + 0.5)
-        v = min(max(v, lower[j]), upper[j])
-        x[j] = v
+    idx = inst.integer_indices()
+    vals = x[idx]
+    raise_on_nonfinite(vals, math.floor)
+    v = np.floor(vals + 0.5)
+    lo = np.asarray(lower)[idx]
+    v = np.where(lo > v, lo, v)
+    hi = np.asarray(upper)[idx]
+    x[idx] = np.where(hi < v, hi, v)
     res = check_feasibility(inst, x, feas_tol, int_tol)
     return x if res.feasible else None
 

@@ -1,7 +1,7 @@
 """Per-variable and problem-wide branching statistics."""
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 
 
 @dataclass
@@ -30,18 +30,23 @@ class VariableHistory:
             return self.pscost_up_sum / self.pscost_up_count if self.pscost_up_count > 0 else None
         return self.pscost_down_sum / self.pscost_down_count if self.pscost_down_count > 0 else None
 
-    def copy(self) -> "VariableHistory":
-        return VariableHistory(**asdict(self))
+    def to_dict(self) -> dict:
+        """Field name -> value, in field order."""
+        return {f: getattr(self, f) for f in _FIELDS}
+
+    def copy(self):
+        """An independent copy of the same type."""
+        return type(self)(*[getattr(self, f) for f in _FIELDS])
 
     def is_empty(self) -> bool:
-        return all(v == 0.0 for v in asdict(self).values())
+        return all(getattr(self, f) == 0.0 for f in _FIELDS)
+
+
+_FIELDS = tuple(f.name for f in fields(VariableHistory))
 
 
 class GlobalHistory(VariableHistory):
     """Same statistics aggregated over all variables."""
-
-    def copy(self) -> "GlobalHistory":
-        return GlobalHistory(**asdict(self))
 
 
 def update_pseudocost(hist: VariableHistory, direction: str, obj_gain: float,

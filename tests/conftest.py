@@ -156,3 +156,30 @@ def lp_vertex_oracle(inst, tol=1e-7):
 @pytest.fixture
 def tmp_series_dir(tmp_path):
     return tmp_path / "series"
+
+
+def awkward_values(rng, size):
+    """Floats that stress rounding: exact .5 ties of both signs, -0.0,
+    values a hair off an integer or off .5, large magnitudes and plain
+    fractions."""
+    base = rng.integers(-6, 7, size).astype(float)
+    kind = rng.integers(0, 7, size)
+    v = base + rng.random(size)
+    v[kind == 1] = base[kind == 1] + 0.5
+    v[kind == 2] = -0.0
+    near = kind == 3
+    v[near] = base[near] + rng.choice([-1e-7, 1e-7, -1e-12, 1e-12], near.sum())
+    v[kind == 4] = rng.choice([0.49999999999999994, -0.49999999999999994,
+                               2.0 ** 52 + 1.0, -(2.0 ** 52) - 1.0, 2.5e15 + 0.5,
+                               1e300, -1e300], (kind == 4).sum())
+    v[kind == 5] = base[kind == 5]
+    return v
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the ValueError or OverflowError it raised
+    (what math.floor and round() raise on NaN and inf)."""
+    try:
+        return fn(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc)

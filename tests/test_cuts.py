@@ -1,14 +1,20 @@
-"""Cut separation: toggle contracts, violation, and brute-force validity."""
+"""Cut separation: toggle contracts, violation, brute-force validity, and
+the numpy GMI derivation against a per-column loop kept here as reference."""
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 
-from mipseries.lp import LpProblem, LpStatus, solve_lp
-from mipseries.model import Sense
+from mipseries.lp import (AT_LOWER, AT_UPPER, BASIC, FIXED, FREE, LpProblem,
+                          LpStatus, SimplexSnapshot, solve_lp)
+from mipseries.model import LinearRow, Sense, dense_block
 from mipseries.solver import SolverConfig, generate_cuts, slack_integrality
+from mipseries.solver import cuts as C
 
-from conftest import enumerate_integer_points, make_instance, random_feasible_mip
+from conftest import (enumerate_integer_points, make_instance, outcome,
+                      random_feasible_mip)
 
 
 def _fractional_instance():
@@ -25,12 +31,12 @@ def test_classic_half_integral_vertex_cut():
                          [0, 0], [1, 1], ints=(0, 1))
     cfg = SolverConfig()
     res, mat, rhs, slack_int = _cut_inputs(inst, cfg)
-    cuts = generate_cuts(res, True, cfg, inst.is_integer(), mat, rhs, slack_int,
-                         inst.var_names, "t")
+    cuts = generate_cuts(res, True, cfg, inst.is_integer(), mat, rhs, slack_int)
     assert len(cuts) == 1
-    (j0, w0), (j1, w1) = cuts[0].coefs
+    w0, w1 = cuts.mat[0][np.flatnonzero(cuts.mat[0])]
     assert w0 == pytest.approx(w1)
-    assert cuts[0].rhs / w0 == pytest.approx(1.0)   # scaled x + y <= 1
+    assert cuts.rhs[0] / w0 == pytest.approx(1.0)   # scaled x + y <= 1
+    assert cuts.senses == (Sense.GE,)
 
 
 def _cut_inputs(inst, cfg):
@@ -47,51 +53,46 @@ def test_toggle_off_returns_empty():
     inst = _fractional_instance()
     cfg = SolverConfig(use_cuts_root=False)
     res, mat, rhs, slack_int = _cut_inputs(inst, cfg)
-    assert generate_cuts(res, True, cfg, inst.is_integer(), mat, rhs, slack_int,
-                         inst.var_names, "t") == []
+    assert len(generate_cuts(res, True, cfg, inst.is_integer(), mat, rhs,
+                             slack_int)) == 0
     cfg2 = SolverConfig(use_cuts_tree=False)
-    assert generate_cuts(res, False, cfg2, inst.is_integer(), mat, rhs, slack_int,
-                         inst.var_names, "t") == []
+    assert len(generate_cuts(res, False, cfg2, inst.is_integer(), mat, rhs,
+                             slack_int)) == 0
 
 
 def test_integral_point_yields_no_cuts():
     inst = make_instance("int", [-1.0], [([1.0], Sense.LE, 2.0)], [0], [5], ints=(0,))
     cfg = SolverConfig()
     res, mat, rhs, slack_int = _cut_inputs(inst, cfg)
-    assert generate_cuts(res, True, cfg, inst.is_integer(), mat, rhs, slack_int,
-                         inst.var_names, "t") == []
+    assert len(generate_cuts(res, True, cfg, inst.is_integer(), mat, rhs,
+                             slack_int)) == 0
 
 
 def test_cuts_are_violated_by_lp_point():
     inst = _fractional_instance()
     cfg = SolverConfig()
     res, mat, rhs, slack_int = _cut_inputs(inst, cfg)
-    cuts = generate_cuts(res, True, cfg, inst.is_integer(), mat, rhs, slack_int,
-                         inst.var_names, "t")
+    cuts = generate_cuts(res, True, cfg, inst.is_integer(), mat, rhs, slack_int)
     assert cuts, "expected at least one cut at a fractional vertex"
-    for cut in cuts:
-        act = sum(c * res.primal[j] for j, c in cut.coefs)
-        assert act < cut.rhs - 1e-6
+    for w, cut_rhs in zip(cuts.mat, cuts.rhs):
+        act = sum(w[j] * res.primal[j] for j in np.flatnonzero(w))
+        assert act < cut_rhs - 1e-6
 
 
 def _assert_cuts_valid(inst, cuts):
     points = enumerate_integer_points(inst)
     assert len(points), "test instance must have integer-feasible points"
-    for cut in cuts:
-        w = np.zeros(inst.num_vars)
-        for j, c in cut.coefs:
-            w[j] = c
+    for i, (w, cut_rhs) in enumerate(zip(cuts.mat, cuts.rhs)):
         acts = points @ w
-        assert np.all(acts >= cut.rhs - 1e-7), \
-            f"cut {cut.name} violated by an integer-feasible point"
+        assert np.all(acts >= cut_rhs - 1e-7), \
+            f"cut {i} violated by an integer-feasible point"
 
 
 def test_cut_validity_small_fixture():
     inst = _fractional_instance()
     cfg = SolverConfig()
     res, mat, rhs, slack_int = _cut_inputs(inst, cfg)
-    cuts = generate_cuts(res, True, cfg, inst.is_integer(), mat, rhs, slack_int,
-                         inst.var_names, "t")
+    cuts = generate_cuts(res, True, cfg, inst.is_integer(), mat, rhs, slack_int)
     _assert_cuts_valid(inst, cuts)
 
 
@@ -109,7 +110,7 @@ def test_cut_validity_random_instances():
         rhs = inst.rhs_array()
         slack_int = slack_integrality(mat, rhs, inst.senses(), inst.is_integer())
         cuts = generate_cuts(res, True, cfg, inst.is_integer(), mat, rhs,
-                             slack_int, inst.var_names, "t")
+                             slack_int)
         if cuts:
             produced += 1
             _assert_cuts_valid(inst, cuts)
@@ -125,8 +126,7 @@ def test_cut_validity_with_continuous_variables():
                          [0, 0, 0], [4, 4, 10], ints=(0, 1))
     cfg = SolverConfig()
     res, mat, rhs, slack_int = _cut_inputs(inst, cfg)
-    cuts = generate_cuts(res, True, cfg, inst.is_integer(), mat, rhs, slack_int,
-                         inst.var_names, "t")
+    cuts = generate_cuts(res, True, cfg, inst.is_integer(), mat, rhs, slack_int)
     # validity over a grid of integer assignments x continuous samples
     for x0 in range(5):
         for x1 in range(5):
@@ -135,8 +135,192 @@ def test_cut_validity_with_continuous_variables():
                 acts = mat @ point
                 if np.any(acts > rhs + 1e-9):
                     continue
-                for cut in cuts:
-                    w = np.zeros(3)
-                    for j, c in cut.coefs:
-                        w[j] = c
-                    assert float(w @ point) >= cut.rhs - 1e-7
+                for w, cut_rhs in zip(cuts.mat, cuts.rhs):
+                    assert float(w @ point) >= cut_rhs - 1e-7
+
+
+# ---------------------------------------------------------------------------
+# The numpy GMI derivation against the per-column loop it replaced
+# ---------------------------------------------------------------------------
+
+def loop_gmi_from_row(snap, r, is_int, row_matrix, row_rhs, slack_int):
+    """Reference: one cut (w, rhs) from tableau row r, column by column."""
+    n = snap.n_struct
+    b0 = snap.beta[r]
+    f0 = b0 - math.floor(b0)
+    if f0 < C.MIN_FRACTIONALITY or f0 > 1.0 - C.MIN_FRACTIONALITY:
+        return None
+
+    w = np.zeros(n)
+    const = 0.0
+    for j in range(snap.tab.shape[1]):
+        st = snap.stat[j]
+        if st == BASIC or st == FIXED:
+            continue
+        a = snap.tab[r, j]
+        if abs(a) <= C.ZERO_COEF:
+            continue
+        if st == FREE:
+            return None
+        if st == AT_LOWER:
+            shift = snap.lo[j]
+            coef = a
+        else:  # AT_UPPER
+            shift = snap.hi[j]
+            coef = -a
+        if not math.isfinite(shift):
+            return None
+
+        if j < n:
+            integral = bool(is_int[j]) and abs(shift - round(shift)) <= 1e-9
+        else:
+            integral = bool(slack_int[j - n])
+
+        if integral:
+            fj = coef - math.floor(coef)
+            gamma = fj / f0 if fj <= f0 else (1.0 - fj) / (1.0 - f0)
+        else:
+            gamma = coef / f0 if coef > 0 else -coef / (1.0 - f0)
+        if gamma == 0.0:
+            continue
+
+        if j < n:
+            if st == AT_LOWER:
+                w[j] += gamma
+                const -= gamma * shift
+            else:
+                w[j] -= gamma
+                const += gamma * shift
+        else:
+            k = j - n
+            if st == AT_LOWER:
+                w -= gamma * row_matrix[k]
+                const += gamma * row_rhs[k]
+            else:
+                w += gamma * row_matrix[k]
+                const -= gamma * row_rhs[k]
+
+    rhs = 1.0 - const
+    w[np.abs(w) <= C.ZERO_COEF] = 0.0
+    nz = np.abs(w[w != 0.0])
+    if len(nz) == 0:
+        return None
+    if nz.max() / nz.min() > C.MAX_DYNAMISM:
+        return None
+    return w, rhs
+
+
+def _bits(a):
+    """The IEEE bit patterns, with every NaN mapped to one pattern."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    return np.where(np.isnan(a), np.nan, a).view(np.uint64)
+
+
+def _assert_same_cut(got, want):
+    if want is None or isinstance(want, type):
+        assert got is want
+        return
+    assert got is not None and not isinstance(got, type)
+    assert np.array_equal(_bits(got[0]), _bits(want[0]))
+    assert np.array_equal(_bits(got[1]), _bits(want[1]))
+
+
+def _random_snapshot(rng, nonfinite=False):
+    """A tableau state with every column status, integral and fractional
+    shifts, infinite shifts, integral coefficients (zero gammas), tiny and
+    signed-zero entries, and slack rows over 16 orders of magnitude."""
+    n = int(rng.integers(1, 12))
+    m = int(rng.integers(1, 8))
+    ncol = n + m
+    tab = rng.standard_normal((m, ncol)) * 10.0 ** rng.integers(-6, 4, (m, ncol))
+    u = rng.random((m, ncol))
+    tab[u < 0.15] = rng.integers(-3, 4, (m, ncol))[u < 0.15]   # integral: zero gammas
+    tab[(u >= 0.15) & (u < 0.22)] = 0.0
+    tab[(u >= 0.22) & (u < 0.27)] = -0.0
+    tab[(u >= 0.27) & (u < 0.32)] = 1e-12
+    if nonfinite:
+        v = rng.random((m, ncol))
+        tab[v < 0.05] = np.nan
+        tab[v > 0.95] = rng.choice([np.inf, -np.inf])
+    basis = rng.choice(ncol, size=m, replace=False)
+    p_free = 0.1 if rng.random() < 0.3 else 0.0
+    stat = rng.choice([AT_LOWER, AT_UPPER, FIXED, FREE], size=ncol,
+                      p=[0.5 - p_free / 2, 0.3 - p_free / 2, 0.2, p_free]).astype(np.int8)
+    stat[basis] = BASIC
+    lo = rng.integers(-3, 3, ncol).astype(float)
+    frac = rng.random(ncol)
+    lo[frac < 0.25] += 0.5
+    lo[(frac >= 0.25) & (frac < 0.35)] += 1e-10   # integral within 1e-9
+    lo[frac > 0.97] = -0.0
+    hi = lo + rng.integers(0, 4, ncol)
+    hi[stat == FIXED] = lo[stat == FIXED]
+    inf_shift = rng.random(ncol) < 0.04
+    lo[inf_shift & (stat == AT_LOWER)] = -np.inf
+    hi[inf_shift & (stat == AT_UPPER)] = np.inf
+    lo[stat == FREE], hi[stat == FREE] = -np.inf, np.inf
+    beta = rng.integers(-4, 5, m) + rng.random(m)
+    beta[rng.random(m) < 0.15] = np.round(beta[0]) + 1e-6   # below MIN_FRACTIONALITY
+    row_matrix = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-8, 9, (m, n))
+    row_matrix[rng.random((m, n)) < 0.3] = 0.0
+    row_rhs = rng.standard_normal(m) * 10.0 ** rng.integers(-4, 5, m)
+    row_rhs[rng.random(m) < 0.3] = rng.integers(-5, 6)
+    snap = SimplexSnapshot(tab=tab, rhs=beta.copy(), basis=basis, stat=stat,
+                           beta=beta, lo=lo, hi=hi, n_struct=n)
+    is_int = rng.random(n) < 0.6
+    slack_int = rng.random(m) < 0.5
+    return snap, is_int, row_matrix, row_rhs, slack_int
+
+
+def test_gmi_matches_column_loop_on_random_snapshots():
+    rng = np.random.default_rng(31)
+    kinds = {"cut": 0, "none": 0}
+    for _ in range(1500):
+        snap, is_int, row_matrix, row_rhs, slack_int = _random_snapshot(rng)
+        for r in range(snap.tab.shape[0]):
+            args = (snap, r, is_int, row_matrix, row_rhs, slack_int)
+            want = loop_gmi_from_row(*args)
+            _assert_same_cut(C._gmi_from_row(*args), want)
+            kinds["none" if want is None else "cut"] += 1
+    assert kinds["cut"] > 1000 and kinds["none"] > 1000
+
+
+def test_gmi_nonfinite_coefficients_raise_or_stop_like_the_loop():
+    rng = np.random.default_rng(32)
+    seen = set()
+    with np.errstate(invalid="ignore", over="ignore"):
+        for _ in range(1500):
+            snap, is_int, row_matrix, row_rhs, slack_int = _random_snapshot(rng, True)
+            for r in range(snap.tab.shape[0]):
+                args = (snap, r, is_int, row_matrix, row_rhs, slack_int)
+                want = outcome(loop_gmi_from_row, *args)
+                _assert_same_cut(outcome(C._gmi_from_row, *args), want)
+                seen.add(want if isinstance(want, type) or want is None else "cut")
+    assert {ValueError, OverflowError, None, "cut"} <= seen
+
+
+def test_generate_cuts_matches_column_loop_on_solved_instances(monkeypatch):
+    # real tableaus: the block equals the loop's cuts, and turning each cut
+    # into sparse coefficients and back (as cut rows once were) loses no bit
+    rng = np.random.default_rng(33)
+    cfg = SolverConfig()
+    produced = 0
+    for _ in range(60):
+        inst = random_feasible_mip(rng, max_vars=8, max_rows=6)
+        res = solve_lp(LpProblem(inst), want_snapshot=True)
+        if res.status is not LpStatus.OPTIMAL:
+            continue
+        mat, rhs = inst.dense_matrix(), inst.rhs_array()
+        slack_int = slack_integrality(mat, rhs, inst.senses(), inst.is_integer())
+        args = (res, True, cfg, inst.is_integer(), mat, rhs, slack_int)
+        block = generate_cuts(*args)
+        with monkeypatch.context() as mp:
+            mp.setattr(C, "_gmi_from_row", loop_gmi_from_row)
+            ref = generate_cuts(*args)
+        assert np.array_equal(_bits(block.mat), _bits(ref.mat))
+        assert np.array_equal(_bits(block.rhs), _bits(ref.rhs))
+        assert block.mat.shape == (len(block), inst.num_vars)
+        rows = [LinearRow("c", tuple((int(j), float(w[j])) for j in np.nonzero(w)[0]),
+                          Sense.GE, float(b)) for w, b in zip(block.mat, block.rhs)]
+        assert np.array_equal(_bits(dense_block(rows, inst.num_vars)), _bits(block.mat))
+        produced += len(block)
+    assert produced >= 20

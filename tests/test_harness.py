@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import pytest
 
-from mipseries.harness import (RunConfig, improvement_table, run_series,
-                               write_report_csv, write_report_summary)
+from mipseries.harness import (RunConfig, ScoreRecord, _SeriesState, _error_record,
+                               improvement_table, run_series, write_report_csv,
+                               write_report_summary)
 from mipseries.model import (Component, SeriesManifest, load_series,
                              generate_series_files, save_instance)
 
@@ -232,3 +234,16 @@ def test_instance_failure_recorded_and_series_continues(tmp_path):
     assert [r.status for r in report.records] == ["OPTIMAL", "ERROR", "OPTIMAL"]
     assert report.records[1].total_score == 2.0
     assert report.errors and report.errors[0]["index"] == 1
+
+
+def test_checkpoint_records_serialize_like_asdict(tmp_path):
+    manifest = _identical_series(tmp_path, n=2)
+    state = _SeriesState(RunConfig())
+    state.records = [ScoreRecord(0, "OPTIMAL", 0.5, -3.0, -0.0, 0.1, 0.0, 0.1, True,
+                                 "FULLSTRONG", "ON", "OFF", "ON", True),
+                     _error_record(1, "ValueError: boom")]
+    data = state.to_json_dict(manifest)
+    assert json.dumps(data["records"], sort_keys=True) == \
+        json.dumps([asdict(r) for r in state.records], sort_keys=True)
+    data["records"][0]["pb"] = 99.0   # the checkpoint dict is not the record
+    assert state.records[0].pb == -3.0

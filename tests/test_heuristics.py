@@ -1,13 +1,17 @@
 """Rounding and hint completion."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from mipseries.model import Sense, SolutionStatus
-from mipseries.solver import SolverConfig, complete_hint, rounding_heuristic, solve
+from mipseries.model import FeasibilityResult, Sense, SolutionStatus
+from mipseries.solver import (SolverConfig, complete_hint, round_to_feasible,
+                              rounding_heuristic, solve)
+from mipseries.solver import heuristics
 
-from conftest import DET_WPS, make_instance
+from conftest import DET_WPS, awkward_values, make_instance, outcome
 
 
 def _knap():
@@ -116,3 +120,48 @@ def test_max_improving_cap_stops_processing():
                     1e6, hints=hints)
     assert out_all.stats.heuristics["completesol"].calls == 3
     assert out_all.primal_bound == pytest.approx(-8.0)
+
+
+def loop_round_to_feasible(inst, point, lower, upper):
+    """Reference: the rounded point of the per-variable loop, before the
+    feasibility check."""
+    x = np.array(point, dtype=float)
+    for j in sorted(inst.integer_mask):
+        v = math.floor(x[j] + 0.5)
+        v = min(max(v, lower[j]), upper[j])
+        x[j] = v
+    return x
+
+
+def test_round_to_feasible_matches_loop(monkeypatch):
+    # the feasibility check is stubbed out so the rounded point is returned
+    monkeypatch.setattr(heuristics, "check_feasibility",
+                        lambda *args: FeasibilityResult(True))
+    rng = np.random.default_rng(41)
+    raised = set()
+    for trial in range(600):
+        n = int(rng.integers(1, 15))
+        ints = [j for j in range(n) if rng.random() < 0.7]
+        inst = make_instance("r", np.zeros(n), [], np.full(n, -1e301),
+                             np.full(n, 1e301), ints)
+        point = awkward_values(rng, n)
+        lower = np.floor(awkward_values(rng, n)) - rng.integers(0, 2, n)
+        upper = lower + rng.integers(0, 4, n)
+        u = rng.random(n)
+        lower[u < 0.2] += 0.3    # fractional bounds
+        upper[u > 0.8] -= 0.3
+        lower[(u > 0.4) & (u < 0.5)] = -0.0
+        upper[(u > 0.5) & (u < 0.55)] = -0.0
+        lower[(u > 0.6) & (u < 0.65)] = -np.inf
+        upper[(u > 0.65) & (u < 0.7)] = np.inf
+        lower[(u > 0.7) & (u < 0.72)] = np.nan
+        if trial % 5 == 0:
+            point[rng.integers(n)] = rng.choice([np.nan, np.inf, -np.inf])
+        want = outcome(loop_round_to_feasible, inst, point, lower, upper)
+        got = outcome(round_to_feasible, inst, point, lower, upper)
+        if isinstance(want, type):
+            assert got is want
+            raised.add(want)
+        else:
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert raised == {ValueError, OverflowError}

@@ -9,7 +9,7 @@ import pytest
 
 from mipseries import kernels as K
 from mipseries.lp import LpProblem
-from mipseries.model import LinearRow, Sense
+from mipseries.model import LinearRow, Sense, dense_block
 from mipseries.solver import SolverConfig
 from mipseries.solver.bb import _TreeSolver
 
@@ -159,16 +159,30 @@ def test_lp_problem_and_tree_build_the_same_node_rows():
             LinearRow("c3", ((1, -1.0),), Sense.EQ, -0.0))
     tree = _TreeSolver(inst, SolverConfig(), 1e6)
     tree._set_base_rows(inst.rhs_array())
+
+    def block(rows):
+        return (dense_block(rows, inst.num_vars), tuple(row.sense for row in rows),
+                [row.rhs for row in rows])
+
+    expected = np.zeros((4, inst.num_vars))
+    expected[0, [0, 3]] = 1.5, -2.25
+    expected[1, [2, 5, 13]] = 1.0, 1.0, 0.5
+    expected[3, 1] = -1.0
+    assert_bits_equal(block(cuts)[0], expected)
+    repeated = LinearRow("r", ((4, 2.0), (4, -0.0)), Sense.LE, 1.0)
+    assert_bits_equal(dense_block((repeated,), inst.num_vars)[0, 4:5], [-0.0])
+
     for rows in ((), cuts[:1], cuts):
         lp_rows, _, _, _ = LpProblem(inst, extra_rows=rows).build()
-        node_rows = tree.base_rows.extend(rows)
+        node_rows = tree.base_rows.extend(*block(rows))
         assert_bits_equal(lp_rows.mat, node_rows.mat)
         assert list(lp_rows.senses) == list(node_rows.senses)
         assert_bits_equal(lp_rows.rhs, node_rows.rhs)
         assert len(node_rows.slack_int) == len(node_rows.rhs)
     # cut rounds extend a node's rows one round at a time
-    stepwise = tree.base_rows.extend(cuts[:1]).extend(cuts[1:3]).extend(cuts[3:])
-    at_once = tree.base_rows.extend(cuts)
+    stepwise = tree.base_rows.extend(*block(cuts[:1])).extend(
+        *block(cuts[1:3])).extend(*block(cuts[3:]))
+    at_once = tree.base_rows.extend(*block(cuts))
     for field in ("mat", "rhs", "slack_lo", "slack_hi", "all_cols"):
         assert_bits_equal(getattr(stepwise, field), getattr(at_once, field))
     assert stepwise.senses == at_once.senses

@@ -6,8 +6,8 @@ import pytest
 from scipy.optimize import linprog
 
 from mipseries.kernels import get_kernels
-from mipseries.lp import (LpProblem, LpStatus, NodeRows, SimplexBasis, _Simplex,
-                          solve_lp)
+from mipseries.lp import (AT_LOWER, BASIC, LpProblem, LpStatus, NodeRows,
+                          SimplexBasis, _Simplex, solve_arrays, solve_lp)
 from mipseries.model import LinearRow, Sense
 
 from conftest import lp_vertex_oracle, make_instance
@@ -269,3 +269,33 @@ def test_failed_factorization_is_never_kept():
                           get_kernels(), 50)
     assert not sx.warm_start(SimplexBasis(np.array([0, 1]), np.zeros(6, dtype=np.int8)))
     assert rows._factor is kept
+
+
+def test_warm_start_of_a_zero_row_lp():
+    # an empty basis is a valid token: the warm start hits and solves
+    rows = NodeRows(np.zeros((0, 2)), (), np.zeros(0))
+    lo, hi, cost = np.zeros(2), np.array([1.0, 2.0]), np.array([1.0, -1.0])
+    first = solve_arrays(rows, lo, hi, cost, None, 100, False, get_kernels(), 50)
+    assert first.status is LpStatus.OPTIMAL and len(first.basis.basis) == 0
+    sx = _Simplex.on_rows(rows, lo, hi, cost, get_kernels(), 50)
+    assert sx.warm_start(first.basis)
+    again = solve_arrays(rows, lo, hi, cost, first.basis, 100, False, get_kernels(), 50)
+    assert again.status is LpStatus.OPTIMAL
+    assert np.array_equal(again.primal, [0.0, 2.0]) and again.objective == -2.0
+
+
+def test_warm_start_rejects_repeated_and_out_of_range_basis_columns():
+    rows = NodeRows(np.array([[1.0, 1.0], [1.0, -1.0]]), (Sense.LE, Sense.LE),
+                    np.array([4.0, 1.0]))
+    lo, hi, cost = np.zeros(2), np.full(2, 3.0), np.array([-1.0, -2.0])
+    stat = np.array([AT_LOWER, AT_LOWER, BASIC, BASIC], dtype=np.int8)
+    factorized = []
+    factorization = rows.factorization
+    rows.factorization = lambda basis: factorized.append(basis) or factorization(basis)
+    for basis in ([2, 2], [2, 4], [-1, 2], [2], [0, 1, 2]):
+        sx = _Simplex.on_rows(rows, lo, hi, cost, get_kernels(), 50)
+        assert not sx.warm_start(SimplexBasis(np.array(basis, dtype=np.int64), stat))
+    assert factorized == []   # rejected before any basis system is solved
+    sx = _Simplex.on_rows(rows, lo, hi, cost, get_kernels(), 50)
+    assert sx.warm_start(SimplexBasis(np.array([3, 2], dtype=np.int64), stat))
+    assert len(factorized) == 1

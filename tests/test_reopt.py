@@ -1,6 +1,9 @@
 """Hint construction, history transfer and the branching-rule policy."""
 from __future__ import annotations
 
+import json
+from dataclasses import asdict, fields
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,8 @@ from mipseries.reopt import (HistoryStore, PoolEntry, SolutionPool,
                              transfer_histories, validate_hint_set)
 from mipseries.solver import (BranchingRule, GlobalHistory, SolverConfig,
                               SolveStatus, VariableHistory, solve)
+
+from mipseries.solver.bb import _TreeSolver
 
 from conftest import DET_WPS, make_instance
 
@@ -207,3 +212,69 @@ def test_pool_serialization_roundtrip():
     assert vars(again.histories["x0"]) == vars(store.histories["x0"])
     assert vars(again.global_history) == vars(store.global_history)
     assert again.source_index == 3
+
+
+def _random_history(rng, cls):
+    """Some fields zero or -0.0, others fractional, one sometimes NaN."""
+    vals = []
+    for _ in fields(cls):
+        u = rng.random()
+        vals.append(0.0 if u < 0.4 else -0.0 if u < 0.5 else float("nan") if u < 0.52
+                    else float(rng.uniform(0, 50)))
+    return cls(*vals)
+
+
+def _reprs(hist):
+    return [repr(v) for v in asdict(hist).values()]
+
+
+def test_history_copy_and_is_empty_match_asdict_versions():
+    rng = np.random.default_rng(51)
+    empties = 0
+    for trial in range(400):
+        cls = VariableHistory if trial % 2 else GlobalHistory
+        h = _random_history(rng, cls)
+        if trial % 4 == 0:   # all zeros, some of them -0.0
+            h = cls(*[-0.0 if rng.random() < 0.3 else 0.0 for _ in fields(cls)])
+        c = h.copy()
+        assert type(c) is cls and c is not h
+        assert _reprs(c) == _reprs(cls(**asdict(h)))
+        assert h.is_empty() == all(v == 0.0 for v in asdict(h).values())
+        empties += h.is_empty()
+        assert list(h.to_dict()) == list(asdict(h))
+        assert [repr(v) for v in h.to_dict().values()] == _reprs(h)
+        before = _reprs(h)
+        for f in fields(cls):   # a copy shares no state with its original
+            setattr(c, f.name, 7.0)
+        assert _reprs(h) == before
+    assert 100 <= empties < 400
+
+
+def test_history_copies_keep_the_global_type_and_share_nothing():
+    g = GlobalHistory(pscost_up_sum=9.0, pscost_up_count=6.0, conflict_count_down=1.0)
+    store = HistoryStore(histories={"x0": VariableHistory(pscost_down_sum=2.0)},
+                         global_history=g, source_index=0)
+    out, g2 = transfer_histories(store, _target())
+    assert type(g2) is GlobalHistory and g2 is not g
+    assert g2.pscost_up_count == 4.0 and g.pscost_up_count == 6.0
+    tree = _TreeSolver(_target(), SolverConfig(), 1e6, warm_histories=(out, g2))
+    assert type(tree.global_hist) is GlobalHistory and tree.global_hist is not g2
+    assert tree.global_hist.to_dict() == g2.to_dict()
+    assert tree.histories[0] is not out["x0"]
+    tree.global_hist.pscost_up_sum += 1.0
+    tree.histories[0].pscost_down_sum += 1.0
+    assert g2.pscost_up_sum == 6.0 and out["x0"].pscost_down_sum == 2.0
+
+
+def test_history_store_json_matches_asdict_form():
+    rng = np.random.default_rng(52)
+    store = HistoryStore(
+        histories={f"x{j}": _random_history(rng, VariableHistory) for j in range(5)},
+        global_history=_random_history(rng, GlobalHistory), source_index=3)
+    old = {"source_index": 3,
+           "histories": {name: asdict(h) for name, h in store.histories.items()},
+           "global_history": asdict(store.global_history)}
+    assert json.dumps(store.to_json_dict(), sort_keys=True) == \
+        json.dumps(old, sort_keys=True)
+    back = HistoryStore.from_json_dict(json.loads(json.dumps(store.to_json_dict())))
+    assert type(back.global_history) is GlobalHistory

@@ -1,15 +1,19 @@
 """Branch-and-bound: oracle equivalence, limits, determinism, invariants."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from mipseries.model import Sense, check_feasibility
-from mipseries.solver import BranchingRule, SolverConfig, SolveStatus, solve
+from mipseries.solver import (BranchingRule, Candidate, SolverConfig, SolveStatus,
+                              solve)
+from mipseries.solver.bb import _TreeSolver
 
-from conftest import (DET_WPS, enumerate_mip, hard_knapsack, make_instance,
-                      random_feasible_mip)
+from conftest import (DET_WPS, awkward_values, enumerate_mip, hard_knapsack,
+                      make_instance, outcome, random_feasible_mip)
 
 
 def _cfg(**kw):
@@ -223,3 +227,68 @@ def test_full_stats_bit_identical_on_repeat():
     a = solve(inst, _cfg(), 1e9)
     b = solve(inst, _cfg(), 1e9)
     assert repr(a.stats) == repr(b.stats)
+
+
+# ---------------------------------------------------------------------------
+# Integer scans against the per-variable loops they replaced
+# ---------------------------------------------------------------------------
+
+def loop_fractional(int_indices, x, int_tol):
+    out = []
+    for j in int_indices:
+        f = x[j] - math.floor(x[j])
+        if int_tol < f < 1.0 - int_tol:
+            out.append(Candidate(j, float(x[j])))
+    return out
+
+
+def loop_rounded(int_indices, point):
+    point = np.array(point, dtype=float)
+    for j in int_indices:
+        point[j] = round(point[j])
+    return point
+
+
+def test_integer_scans_match_loops():
+    rng = np.random.default_rng(43)
+    raised = set()
+    found = 0
+    for trial in range(500):
+        n = int(rng.integers(1, 15))
+        ints = sorted(j for j in range(n) if rng.random() < 0.7)
+        inst = make_instance("s", np.zeros(n), [], np.full(n, -1e301),
+                             np.full(n, 1e301), ints)
+        tree = _TreeSolver(inst, SolverConfig(), 1e6)
+        x = awkward_values(rng, n)
+        if trial % 5 == 0:
+            x[rng.integers(n)] = rng.choice([np.nan, np.inf, -np.inf])
+
+        want = outcome(loop_fractional, ints, x, tree.cfg.int_tol)
+        got = outcome(tree._fractional, x)
+        if isinstance(want, type):
+            assert got is want
+            raised.add(("fractional", want))
+        else:
+            assert got == want
+            assert all(type(c.index) is int and type(c.value) is float for c in got)
+            found += len(got)
+
+        want = outcome(loop_rounded, ints, x)
+        got = outcome(tree._rounded, x)
+        if isinstance(want, type):
+            assert got is want
+            raised.add(("rounded", want))
+        else:
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert found > 500
+    assert raised == {(scan, exc) for scan in ("fractional", "rounded")
+                      for exc in (ValueError, OverflowError)}
+
+
+def test_incumbent_rounding_turns_negative_zero_positive():
+    inst = make_instance("z", [1.0, 1.0], [([1.0, 1.0], Sense.GE, 0.0)],
+                         [-1, -1], [1, 1], ints=(0, 1))
+    tree = _TreeSolver(inst, _cfg(), 1e6)
+    assert tree._try_incumbent(np.array([-0.0, -0.4]))
+    assert tree.incumbent.values.tolist() == [0.0, 0.0]
+    assert not np.signbit(tree.incumbent.values).any()
