@@ -1,13 +1,37 @@
-"""Bounded-variable primal simplex over a dense tableau.
+"""Bounded-variable simplex over a dense tableau: primal and dual.
 
 Rows are converted to equalities with one slack each (LE: s >= 0, GE: s <= 0,
-EQ: s fixed at 0).  Phase 1 minimizes the total bound violation of basic
-variables, which works from a cold slack basis and from any warm-start basis
-alike; phase 2 runs the usual bounded-variable pivoting.  Bland's rule is
-engaged after a degenerate-pivot streak to guarantee termination.
+EQ: s fixed at 0), so the tableau is B^-1 [A | I] with the right-hand side
+B^-1 b beside it.
+
+Cold starts run the primal simplex from the slack basis.  Phase 1 minimizes
+the total bound violation of the basic variables; phase 2 runs the usual
+bounded-variable pivoting, and Bland's rule is engaged after a
+degenerate-pivot streak to guarantee termination.  Each pass recomputes the
+basic values beta and the reduced costs d from the tableau.
+
+Warm starts, from the token of an earlier solve, run the bounded dual simplex
+with the bound-flipping ratio test (Koberstein, *The dual simplex method*,
+2005) whenever the warm basis is dual feasible, as it is after a bound
+change or appended rows.  Boxed columns priced on the wrong side move to
+their other bound first.  The leaving row is the largest bound violation;
+beta and d are updated at each pivot, not recomputed.  Its objective is a
+lower bound on the LP optimum at every pivot, so an ITER_LIMIT result is a
+valid bound.  Before OPTIMAL or INFEASIBLE is reported, beta is recomputed
+from scratch and the verdict checked again.  A streak of degenerate dual
+pivots, or a warm basis that is not dual feasible, hands the basis to the
+primal loop.
+
+A token carries the solve's final tableau.  A warm start on the same rows
+copies it; on rows extended from the token's rows it adds the new rows as
+C - C_B T with their slacks basic.  Neither solves the basis system.  Once a
+tableau has seen REFACTOR_AGE pivots since its last factorization, the basis
+is factorized again and d recomputed.  Each pivot or bound flip is one
+iteration.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 
@@ -22,6 +46,8 @@ FEAS_TOL = 1e-7
 DEGEN_TOL = 1e-11
 DEFAULT_BLAND_AFTER = 50
 DEFAULT_ITER_LIMIT = 20000
+REFACTOR_AGE = 64       # pivots on a tableau before its basis is factorized again
+DUAL_STALL_AFTER = 50   # degenerate dual pivots in a row before the primal loop takes over
 
 # column statuses
 AT_LOWER, AT_UPPER, BASIC, FREE, FIXED = 0, 1, 2, 3, 4
@@ -40,10 +66,18 @@ class SimplexTrouble(RuntimeError):
 
 @dataclass
 class SimplexBasis:
-    """Opaque warm-start token: basic column per row plus all column statuses."""
+    """Opaque warm-start token: basic column per row plus all column statuses.
+
+    A token from a solve also carries its final tableau `tab` = B^-1 [A | I]
+    and `rhs` = B^-1 b on `rows` (read-only), with `age`, the pivots made on
+    them since the basis was last factorized."""
 
     basis: np.ndarray
     stat: np.ndarray
+    tab: np.ndarray | None = None
+    rhs: np.ndarray | None = None
+    age: int = 0
+    rows: NodeRows | None = None
 
     @property
     def ncols(self) -> int:
@@ -125,15 +159,12 @@ class NodeRows:
     slack bounds and the slack integrality (True where the slack is integral
     at every integer-feasible point; False, the default, is always valid).
     Branch and bound hands a node's rows to its children and extends them
-    with each cut round's new rows only.
-
-    It also keeps the last basis factorization (see `factorization`): LPs on
-    the same rows that warm-start from the same basis, such as the
-    strong-branching probes and both children of a node, solve the basis
-    system once.
+    with each cut round's new rows only.  Rows made by `extend` remember
+    (weakly) the rows they extend, so a warm start can carry a tableau
+    taken on those rows over to these.
     """
 
-    def __init__(self, mat, senses, rhs, slack_int=None):
+    def __init__(self, mat, senses, rhs, slack_int=None, parent=None):
         self.mat = _frozen(np.array(mat, dtype=float))
         self.m, self.n = self.mat.shape
         self.senses = tuple(senses)
@@ -144,7 +175,7 @@ class NodeRows:
         self.slack_lo = _frozen(slo)
         self.slack_hi = _frozen(shi)
         self.all_cols = _frozen(np.hstack([self.mat, np.eye(self.m)]))
-        self._factor = None   # (basis bytes, tableau, rhs) of the last success
+        self._parent = None if parent is None else weakref.ref(parent)
 
     def extend(self, mat, senses, rhs) -> "NodeRows":
         """These rows with the dense rows (mat, senses, rhs) below them;
@@ -153,26 +184,27 @@ class NodeRows:
             return self
         return NodeRows(np.vstack([self.mat, mat]), self.senses + tuple(senses),
                         np.concatenate([self.rhs, rhs]),
-                        np.concatenate([self.slack_int, np.zeros(len(rhs), dtype=bool)]))
+                        np.concatenate([self.slack_int, np.zeros(len(rhs), dtype=bool)]),
+                        parent=self)
+
+    def extends(self, rows: "NodeRows") -> bool:
+        """Whether these rows are `rows` with rows appended by `extend`."""
+        parent = self._parent() if self._parent is not None else None
+        return parent is not None and parent is rows
 
     def factorization(self, basis: np.ndarray):
         """(B^-1 [A | I], B^-1 b) for the basis columns `basis`, as fresh
         arrays the caller may pivot in place; None when B is singular or the
-        tableau is not finite.  The last success is kept, keyed by the basis,
-        and handed out again as bit-identical copies."""
-        key = basis.tobytes()
-        memo = self._factor
-        if memo is None or memo[0] != key:
-            try:
-                B = self.all_cols[:, basis]
-                tab = np.ascontiguousarray(np.linalg.solve(B, self.all_cols))
-                rhs = np.linalg.solve(B, self.rhs)
-            except np.linalg.LinAlgError:
-                return None
-            if not np.all(np.isfinite(tab)):
-                return None
-            memo = self._factor = (key, tab, rhs)
-        return memo[1].copy(), memo[2].copy()
+        tableau is not finite."""
+        try:
+            B = self.all_cols[:, basis]
+            tab = np.ascontiguousarray(np.linalg.solve(B, self.all_cols))
+            rhs = np.linalg.solve(B, self.rhs)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(tab)):
+            return None
+        return tab, rhs
 
 
 def _nonbasic_status(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -189,6 +221,9 @@ def _nonbasic_status(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 # (AT_LOWER, FREE) / decrease (AT_UPPER, FREE), -INF where it may not.
 _INCR_PEN = np.array([0.0, -INF, -INF, 0.0, -INF])
 _DECR_PEN = np.array([-INF, 0.0, -INF, 0.0, -INF])
+# Per status code: the direction in which a nonbasic column in that status
+# enters the dual ratio test, up from AT_LOWER and down from AT_UPPER.
+_DUAL_DIR = np.array([1.0, -1.0, 0.0, 0.0, 0.0])
 
 
 class _Simplex:
@@ -200,7 +235,7 @@ class _Simplex:
     @classmethod
     def on_rows(cls, rows: NodeRows, lo, hi, cost, kernels: Kernels,
                 bland_after: int) -> "_Simplex":
-        """A simplex over a shared row carrier (and its factorization)."""
+        """A simplex over a shared row carrier."""
         sx = cls.__new__(cls)
         sx._load(rows, lo, hi, cost, kernels, bland_after)
         return sx
@@ -226,6 +261,7 @@ class _Simplex:
         self.basis = np.arange(self.n, self.ncols, dtype=np.int64)
         self.stat = _nonbasic_status(self.lo, self.hi)
         self.stat[self.basis] = BASIC
+        self.age = 0   # pivots on self.tab since the basis was factorized
 
     def warm_start(self, token: SimplexBasis) -> bool:
         basis = np.array(token.basis, dtype=np.int64)
@@ -256,22 +292,56 @@ class _Simplex:
                             | ((stat == AT_UPPER) & (hi == INF)))
         stat[reset] = _nonbasic_status(lo, hi)[reset]
         stat[basis] = BASIC
-        factored = self.rows.factorization(basis)
-        if factored is None:
-            return False
-        self.tab, self.rhs = factored
+        carried = self._carried_tableau(token)
+        if carried is not None:
+            self.tab, self.rhs = carried
+            self.age = token.age
+        else:
+            factored = self.rows.factorization(basis)
+            if factored is None:
+                return False
+            self.tab, self.rhs = factored
+            self.age = 0
         self.basis = basis
         self.stat = stat
         return True
 
+    def _carried_tableau(self, token: SimplexBasis):
+        """The token's tableau and rhs on these rows, as fresh arrays; None
+        when it has none, is due for refactorization, or was taken on rows
+        these rows do not equal or extend.  Each appended row k, with its
+        slack basic, is row k of [A | I] minus C_B T, where C_B holds the
+        row's entries in the token's basic columns."""
+        if token.tab is None or token.age >= REFACTOR_AGE:
+            return None
+        if token.rows is self.rows:
+            return token.tab.copy(), token.rhs.copy()
+        if not self.rows.extends(token.rows):
+            return None
+        m0, ncols0 = token.tab.shape
+        tab = np.zeros((self.m, self.ncols))
+        tab[:m0, :ncols0] = token.tab
+        new = self.all_cols[m0:]
+        c_b = new[:, token.basis]
+        np.subtract(new, c_b @ tab[:m0], out=tab[m0:])
+        rhs = np.concatenate([token.rhs, self.b[m0:] - c_b @ token.rhs])
+        return tab, rhs
+
+    def _refactor(self) -> None:
+        """Replace the tableau by a fresh factorization of the basis; a
+        singular basis keeps the carried one for another REFACTOR_AGE
+        pivots."""
+        factored = self.rows.factorization(self.basis)
+        if factored is not None:
+            self.tab, self.rhs = factored
+        self.age = 0
+
     # -- iteration pieces ---------------------------------------------------
 
     def nonbasic_values(self) -> np.ndarray:
-        vals = np.zeros(self.ncols)
-        at_lo = (self.stat == AT_LOWER) | (self.stat == FIXED)
-        vals[at_lo] = self.lo[at_lo]
-        at_up = self.stat == AT_UPPER
-        vals[at_up] = self.hi[at_up]
+        stat = self.stat
+        vals = np.where(stat == AT_UPPER, self.hi, self.lo)
+        vals[(stat == BASIC) | (stat == FREE)] = 0.0
         return vals
 
     def compute_beta(self, vals: np.ndarray) -> np.ndarray:
@@ -281,13 +351,19 @@ class _Simplex:
             self.k.subtract_scaled_columns(beta, self.tab, nz, vals[nz])
         return beta
 
+    def reduced_costs(self) -> np.ndarray:
+        d = self.cost.copy()
+        self.k.accumulate_rowsum(d, self.cost[self.basis], self.tab)
+        return d
+
     def primal_point(self, beta: np.ndarray, vals: np.ndarray) -> np.ndarray:
         x = vals.copy()
         x[self.basis] = beta
         return x
 
     def run(self, iter_limit: int):
-        """Returns (status, beta) with beta valid for OPTIMAL/ITER_LIMIT.
+        """Primal simplex; returns (status, beta) with beta valid for
+        OPTIMAL/ITER_LIMIT.
 
         Everything that changes only where a pivot or bound flip changes a
         column is kept current across pivots, one entry at a time: the
@@ -380,6 +456,7 @@ class _Simplex:
                 else:
                     leave_stat = AT_UPPER if g[r] > 0 else AT_LOWER
                 self.k.eliminate(self.tab, self.rhs, r, j)
+                self.age += 1
                 basis[r] = j
                 stat[j] = BASIC
                 stat[leaving] = leave_stat
@@ -404,15 +481,165 @@ class _Simplex:
                 degen_streak = 0
                 bland = self.bland_after <= 0
 
+    def _dual_start(self, d: np.ndarray, box: np.ndarray):
+        """(sgn, free) for the dual loop, after every boxed column priced on
+        the wrong side by d has moved to its other bound: sgn is the
+        direction each column moves in the ratio test (+1 up from the lower
+        bound, -1 down from the upper bound, 0 for basic, fixed and free
+        columns), free marks the free nonbasic columns (None if there are
+        none).  None when d does not price the basis dual feasible."""
+        stat = self.stat
+        sgn = _DUAL_DIR[stat]
+        wrong = sgn * d < -DCOST_TOL
+        if wrong.any():
+            if np.any(box[wrong] == INF):
+                return None
+            stat[wrong] = np.where(stat[wrong] == AT_LOWER, AT_UPPER, AT_LOWER)
+            sgn[wrong] = -sgn[wrong]
+        free = stat == FREE   # nonbasic; a free column never leaves
+        if not free.any():
+            return sgn, None
+        if np.any(np.abs(d[free]) > DCOST_TOL):
+            return None
+        return sgn, free
+
+    def run_dual(self, iter_limit: int):
+        """Bounded dual simplex from the current basis.  Returns (status,
+        beta) like `run`, or None when the basis is not dual feasible or the
+        dual loop stalls; the basis is then left for the primal loop.
+
+        Each pass takes the row r with the largest bound violation of beta
+        and runs the bound-flipping ratio test over the nonbasic columns
+        whose move (up from the lower bound, down from the upper one) takes
+        beta_r back towards its bound: the breakpoints |d_j| / |alpha_rj| are
+        passed in increasing order (ties to the largest |alpha_rj|, then the
+        lowest index), each boxed one flipping its column, while the
+        violation left over stays positive.  The column whose breakpoint
+        uses it up enters.  One `eliminate` per pivot; d moves by
+        theta_d * alpha_r, beta by the flipped columns and the entering one.
+        """
+        lo, hi, stat, basis = self.lo, self.hi, self.stat, self.basis
+        box = hi - lo   # INF unless both bounds are finite
+        stall = 0
+        restart = True
+        while True:
+            if restart:
+                d = self.reduced_costs()
+                start = self._dual_start(d, box)
+                if start is None:
+                    return None
+                sgn, free = start
+                vals = self.vals = self.nonbasic_values()
+                beta = self.compute_beta(vals)
+                lB = lo[basis]
+                uB = hi[basis]
+                restart = False
+                fresh = True   # beta recomputed from the tableau, not updated
+
+            viol = np.maximum(lB - beta, beta - uB)
+            r = int(viol.argmax()) if self.m else 0
+            if not (self.m and viol[r] > FEAS_TOL):
+                if fresh:
+                    return LpStatus.OPTIMAL, beta
+                beta, fresh = self.compute_beta(vals), True
+                continue
+            below = beta[r] < lB[r]
+            alpha = self.tab[r]
+            # sgn_j * alpha_rj < 0: moving column j raises beta_r (> 0: lowers);
+            # a free column moves either way, with a breakpoint at 0
+            moves = sgn * alpha
+            eligible = moves < -PIVOT_TOL if below else moves > PIVOT_TOL
+            if free is not None:
+                eligible |= free & (np.abs(alpha) > PIVOT_TOL)
+            cand = eligible.nonzero()[0]
+            k = -1   # breakpoints passed (flipped) before the entering one
+            if len(cand):
+                abs_a = np.abs(alpha[cand])
+                ratio = (sgn * d)[cand]
+                np.maximum(ratio, 0.0, out=ratio)
+                ratio /= abs_a
+                i = int(ratio.argmin())
+                if abs_a[i] * box[cand[i]] >= viol[r] \
+                        and np.count_nonzero(ratio == ratio[i]) == 1:
+                    k = 0   # the first breakpoint alone is enough
+                    cand, ratio = cand[i:i + 1], ratio[i:i + 1]
+                else:
+                    order = np.lexsort((-abs_a, ratio))   # stable: lowest index first
+                    cand, ratio, abs_a = cand[order], ratio[order], abs_a[order]
+                    used = np.cumsum(abs_a * box[cand])
+                    short = viol[r] - used[-1]   # left with every candidate flipped
+                    # Within FEAS_TOL of enough, the last breakpoint enters.
+                    if short <= 0.0:
+                        k = int((used >= viol[r]).argmax())
+                    elif short <= FEAS_TOL:
+                        k = len(cand) - 1
+            if k < 0:
+                if fresh:
+                    return LpStatus.INFEASIBLE, beta
+                beta, fresh = self.compute_beta(vals), True
+                continue
+            if self.iterations + 1 + k > iter_limit:
+                return LpStatus.ITER_LIMIT, beta
+            q = int(cand[k])
+            theta = d[q] / alpha[q] if ratio[k] > 0.0 else 0.0
+
+            if k:
+                flips = cand[:k]
+                to_upper = sgn[flips] > 0.0
+                self.k.subtract_scaled_columns(beta, self.tab, flips,
+                                               sgn[flips] * box[flips])
+                vals[flips] = np.where(to_upper, hi[flips], lo[flips])
+                stat[flips] = np.where(to_upper, AT_UPPER, AT_LOWER)
+                sgn[flips] = -sgn[flips]
+            leaving = int(basis[r])
+            bound = lB[r] if below else uB[r]
+            step = (beta[r] - bound) / alpha[q]
+            beta -= step * self.tab[:, q]
+            beta[r] = vals[q] + step
+            if theta != 0.0:
+                d -= theta * alpha
+            d[q] = 0.0
+            self.k.eliminate(self.tab, self.rhs, r, q)
+            self.age += 1
+            basis[r] = q
+            stat[q] = BASIC
+            sgn[q] = 0.0
+            if free is not None:
+                free[q] = False
+            if lo[leaving] == hi[leaving]:
+                stat[leaving] = FIXED
+            else:
+                stat[leaving] = AT_LOWER if below else AT_UPPER
+                sgn[leaving] = 1.0 if below else -1.0
+            vals[q] = 0.0
+            vals[leaving] = bound
+            lB[r] = lo[q]
+            uB[r] = hi[q]
+            fresh = False
+
+            self.iterations += 1 + k
+            if abs(theta) <= DEGEN_TOL:
+                stall += 1
+                if stall >= DUAL_STALL_AFTER:
+                    return None
+            else:
+                stall = 0
+            if self.age >= REFACTOR_AGE:
+                self._refactor()
+                restart = True
+
 
 def solve_arrays(rows: NodeRows, lo, hi, cost, warm, iter_limit,
                  want_snapshot, kernels, bland_after) -> LpResult:
     """Solve min cost.x over `rows` within the column bounds lo, hi."""
     sx = _Simplex.on_rows(rows, lo, hi, cost, kernels, bland_after)
-    if warm is None or not sx.warm_start(warm):
-        sx.cold_start()
     try:
-        status, beta = sx.run(iter_limit)
+        out = None
+        if warm is not None and sx.warm_start(warm):
+            out = sx.run_dual(iter_limit)
+        else:
+            sx.cold_start()
+        status, beta = out if out is not None else sx.run(iter_limit)
     except SimplexTrouble:
         # Refactorize from scratch with Bland from the first pivot; if the
         # breakdown persists, report the pivot budget as exhausted.
@@ -426,21 +653,19 @@ def solve_arrays(rows: NodeRows, lo, hi, cost, warm, iter_limit,
     x = sx.primal_point(beta, sx.vals)
     n = sx.n
     primal = x[:n]
-    if status is LpStatus.OPTIMAL:
-        objective = float(np.dot(cost, primal))
-    elif status is LpStatus.INFEASIBLE:
+    if status is LpStatus.INFEASIBLE:
         objective = INF
     elif status is LpStatus.UNBOUNDED:
         objective = -INF
     else:
         objective = float(np.dot(cost, primal))
-    token = SimplexBasis(sx.basis.copy(), sx.stat.copy())
+    tab, rhs = _frozen(sx.tab), _frozen(sx.rhs)
+    token = SimplexBasis(sx.basis.copy(), sx.stat.copy(), tab, rhs, sx.age, rows)
     snapshot = None
     if want_snapshot and status is LpStatus.OPTIMAL:
         snapshot = SimplexSnapshot(
-            tab=sx.tab.copy(), rhs=sx.rhs.copy(), basis=sx.basis.copy(),
-            stat=sx.stat.copy(), beta=beta.copy(), lo=sx.lo.copy(),
-            hi=sx.hi.copy(), n_struct=n)
+            tab=tab, rhs=rhs, basis=token.basis, stat=token.stat, beta=beta.copy(),
+            lo=sx.lo.copy(), hi=sx.hi.copy(), n_struct=n)
     return LpResult(status, primal, objective, token, sx.iterations, snapshot)
 
 

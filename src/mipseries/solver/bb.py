@@ -160,13 +160,18 @@ class _TreeSolver:
         point[self.int_idx] = np.round(vals) + 0.0
         return point
 
-    def _try_incumbent(self, point: np.ndarray) -> bool:
+    def _try_incumbent(self, point: np.ndarray, checked: bool = False) -> bool:
         """Validate and accept an improving feasible point; returns True if
-        it became the new incumbent."""
-        point = self._rounded(point)
-        feas = check_feasibility(self.inst, point, self.cfg.feas_tol, self.cfg.int_tol)
-        if not feas.feasible:
-            return False
+        it became the new incumbent.  `checked` says that `point` already
+        passed `check_feasibility` with the solver's tolerances; the check is
+        then skipped unless rounding changes the point."""
+        rounded = self._rounded(point)
+        if not (checked and np.array_equal(rounded, point)):
+            feas = check_feasibility(self.inst, rounded, self.cfg.feas_tol,
+                                     self.cfg.int_tol)
+            if not feas.feasible:
+                return False
+        point = rounded
         obj = objective_value(self.inst, point)
         if obj >= self._prune_cutoff():
             return False
@@ -196,7 +201,7 @@ class _TreeSolver:
                                   self.cfg.feas_tol, self.cfg.int_tol)
         if point is not None:
             hstats.solutions_found += 1
-            if self._try_incumbent(point):
+            if self._try_incumbent(point, checked=True):
                 hstats.best_solutions_found += 1
         hstats.time += self.clock.elapsed() - start
 

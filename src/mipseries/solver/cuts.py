@@ -42,6 +42,38 @@ def slack_integrality(row_matrix: np.ndarray, row_rhs: np.ndarray,
     return out
 
 
+@dataclass
+class _SnapshotColumns(SimplexSnapshot):
+    """A snapshot with the column data of its GMI cuts that no tableau row
+    changes, computed once per `generate_cuts` call: the nonbasic columns
+    (neither BASIC nor FIXED), which of them rest at their lower bound, the
+    bound each rests at (its shift), the columns that stop a derivation
+    (FREE, or an infinite shift) and the integral ones (an integer column at
+    an integral shift, or an integral slack).  `_gmi_from_row` takes it in
+    place of the snapshot."""
+
+    nonbasic: np.ndarray | None = None
+    at_lower: np.ndarray | None = None
+    shift: np.ndarray | None = None
+    stop: np.ndarray | None = None
+    integral: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, snap: SimplexSnapshot, is_int: np.ndarray,
+           slack_int: np.ndarray) -> "_SnapshotColumns":
+        if isinstance(snap, cls):
+            return snap
+        stat, n = snap.stat, snap.n_struct
+        at_lower = stat == AT_LOWER
+        shift = np.where(at_lower, snap.lo, snap.hi)
+        with np.errstate(invalid="ignore"):   # inf - inf at infinite shifts
+            integral = np.concatenate([
+                is_int & (np.abs(shift[:n] - np.round(shift[:n])) <= 1e-9), slack_int])
+        return cls(**vars(snap), nonbasic=(stat != BASIC) & (stat != FIXED),
+                   at_lower=at_lower, shift=shift,
+                   stop=(stat == FREE) | ~np.isfinite(shift), integral=integral)
+
+
 def _gmi_from_row(snap: SimplexSnapshot, r: int, is_int: np.ndarray,
                   row_matrix: np.ndarray, row_rhs: np.ndarray,
                   slack_int: np.ndarray) -> tuple[np.ndarray, float] | None:
@@ -53,7 +85,8 @@ def _gmi_from_row(snap: SimplexSnapshot, r: int, is_int: np.ndarray,
     may sum pairwise), so w and rhs are the loop's bit for bit.  The loop
     stops at the first FREE column or infinite shift (None) or raises at
     the first non-finite integral coefficient (`math.floor`), whichever
-    column comes first; so does this.
+    column comes first; so does this.  `snap` may be a `_SnapshotColumns`,
+    which saves the per-column work when many rows of one snapshot are cut.
     """
     n = snap.n_struct
     b0 = snap.beta[r]
@@ -61,25 +94,19 @@ def _gmi_from_row(snap: SimplexSnapshot, r: int, is_int: np.ndarray,
     if f0 < MIN_FRACTIONALITY or f0 > 1.0 - MIN_FRACTIONALITY:
         return None
 
-    stat = snap.stat
+    columns = _SnapshotColumns.of(snap, is_int, slack_int)
     a = snap.tab[r]
-    cols = np.flatnonzero((stat != BASIC) & (stat != FIXED)
-                          & ~(np.abs(a) <= ZERO_COEF))
-    st = stat[cols]
-    at_lower = st == AT_LOWER
-    shift = np.where(at_lower, snap.lo[cols], snap.hi[cols])
-    stop = (st == FREE) | ~np.isfinite(shift)
+    cols = np.flatnonzero(columns.nonbasic & ~(np.abs(a) <= ZERO_COEF))
+    stop = columns.stop[cols]
     stopped = bool(stop.any())
     if stopped:
-        k = int(stop.argmax())
-        cols, at_lower, shift = cols[:k], at_lower[:k], shift[:k]
+        cols = cols[:int(stop.argmax())]
+    at_lower = columns.at_lower[cols]
+    shift = columns.shift[cols]
     coef = np.where(at_lower, a[cols], -a[cols])
 
     struct = cols < n
-    integral = np.empty(len(cols), dtype=bool)
-    s_shift = shift[struct]
-    integral[struct] = is_int[cols[struct]] & (np.abs(s_shift - np.round(s_shift)) <= 1e-9)
-    integral[~struct] = slack_int[cols[~struct] - n]
+    integral = columns.integral[cols]
     bad = integral & ~np.isfinite(coef)
     if bad.any():
         math.floor(coef[bad.argmax()])   # raises, as the loop did here
@@ -155,6 +182,7 @@ def generate_cuts(result: LpResult, at_root: bool, cfg: SolverConfig,
         return CutBlock(np.zeros((0, n)), np.zeros(0))
 
     x = result.primal
+    columns = _SnapshotColumns.of(snap, is_int, slack_int)
     ws, rhss = [], []
     for r in range(snap.tab.shape[0]):
         if len(ws) >= cfg.max_cuts_per_round:
@@ -165,7 +193,7 @@ def generate_cuts(result: LpResult, at_root: bool, cfg: SolverConfig,
         frac = snap.beta[r] - math.floor(snap.beta[r])
         if frac <= cfg.int_tol or frac >= 1.0 - cfg.int_tol:
             continue
-        derived = _gmi_from_row(snap, r, is_int, row_matrix, row_rhs, slack_int)
+        derived = _gmi_from_row(columns, r, is_int, row_matrix, row_rhs, slack_int)
         if derived is None:
             continue
         w, rhs = derived

@@ -1,12 +1,17 @@
 """Simplex engine: trivial cases, oracles, warm starts, limits."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from mipseries import lp
 from mipseries.kernels import get_kernels
-from mipseries.lp import (AT_LOWER, BASIC, LpProblem, LpStatus, NodeRows,
+from mipseries.lp import (AT_LOWER, BASIC, FREE, LpProblem, LpStatus, NodeRows,
                           SimplexBasis, _Simplex, solve_arrays, solve_lp)
 from mipseries.model import LinearRow, Sense
 
@@ -83,6 +88,10 @@ def _random_lp(rng, n_max=6, m_max=4, bounded=True):
         hi[rng.random(n) < 0.2] = np.inf
     rows = list(zip(A, senses, b))
     return make_instance(f"lp{rng.integers(1 << 30)}", c, rows, lo, hi)
+
+
+def _solve(rows, lo, hi, cost, warm=None, iter_limit=1000):
+    return solve_arrays(rows, lo, hi, cost, warm, iter_limit, False, get_kernels(), 50)
 
 
 def test_vertex_enumeration_oracle_on_random_lps():
@@ -212,63 +221,70 @@ def test_cold_start_run_leaves_constraint_columns_intact():
     assert pivoted >= 5
 
 
-def _assert_bits_equal(a, b):
-    assert np.array_equal(a, b)
-    assert np.array_equal(np.signbit(a), np.signbit(b))
-
-
-def test_factorization_memo_is_bit_identical_to_a_fresh_one():
-    # warm starts on shared rows reuse the last factorization; it must be
-    # the very arrays a fresh factorization of the same basis gives
+def test_carried_tableau_is_copied_and_matches_a_fresh_factorization():
+    # a warm start on the token's own rows copies the token's tableau, with
+    # no basis system solved; the copy agrees with a fresh factorization,
+    # and pivoting it leaves the token's arrays alone
     rng = np.random.default_rng(8)
-    hits = 0
-    for _ in range(20):
+    pivoted = 0
+    for _ in range(40):
         inst = _random_lp(rng)
-        res = solve_lp(LpProblem(inst))
-        if res.basis is None:
-            continue
         rows, lo, hi, cost = LpProblem(inst).build()
-        tight_hi = np.maximum(lo, hi - 1.0)
-        shared = [_Simplex.on_rows(rows, lo, b, cost, get_kernels(), 50)
-                  for b in (hi, tight_hi, hi)]
-        if not all(sx.warm_start(res.basis) for sx in shared):
+        token = _solve(rows, lo, hi, cost).basis
+        assert token.rows is rows and not token.tab.flags.writeable
+        kept = token.tab.copy(), token.rhs.copy()
+        factorized = []
+        factorization = rows.factorization
+        rows.factorization = lambda basis: factorized.append(basis) or factorization(basis)
+        sx = _Simplex.on_rows(rows, lo, lo + np.floor((hi - lo) / 3), cost, get_kernels(), 50)
+        assert sx.warm_start(token)
+        assert factorized == [] and sx.age == token.age
+        assert sx.tab is not token.tab and np.array_equal(sx.tab, token.tab)
+        fresh_tab, fresh_rhs = factorization(token.basis)
+        assert np.allclose(sx.tab, fresh_tab, atol=1e-9)
+        assert np.allclose(sx.rhs, fresh_rhs, atol=1e-9)
+        if sx.run_dual(1000) is None:
+            sx.run(1000)
+        pivoted += sx.iterations > 0
+        assert np.array_equal(token.tab, kept[0]) and np.array_equal(token.rhs, kept[1])
+    assert pivoted >= 5
+
+
+def test_carried_tableau_on_extended_rows_matches_a_fresh_factorization():
+    # rows appended by extend come in as C - C_B T with their slacks basic
+    rng = np.random.default_rng(9)
+    checked = 0
+    for _ in range(30):
+        inst = _random_lp(rng)
+        rows, lo, hi, cost = LpProblem(inst).build()
+        res = _solve(rows, lo, hi, cost)
+        if res.status is not LpStatus.OPTIMAL:
             continue
-        hits += 1
-        assert rows._factor[0] == shared[0].basis.tobytes()
-        fresh = _Simplex(rows.mat, rows.senses, rows.rhs, lo, hi, cost, get_kernels(), 50)
-        assert fresh.warm_start(res.basis)
-        for sx in shared:
-            _assert_bits_equal(sx.tab, fresh.tab)
-            _assert_bits_equal(sx.rhs, fresh.rhs)
-        # each simplex pivots its own copy, never the kept factorization
-        assert shared[0].tab is not shared[2].tab
-        shared[0].run(1000)
-        shared[0].tab[:] = 7.0
-        again = rows.factorization(res.basis.basis)
-        _assert_bits_equal(again[0], fresh.tab)
-        _assert_bits_equal(again[1], fresh.rhs)
-    assert hits >= 10
+        k = int(rng.integers(1, 3))
+        more = rows.extend(rng.integers(-3, 4, (k, rows.n)).astype(float),
+                           (Sense.LE,) * k, rng.integers(0, 6, k).astype(float))
+        assert more.extends(rows) and not rows.extends(more)
+        sx = _Simplex.on_rows(more, lo, hi, cost, get_kernels(), 50)
+        assert sx.warm_start(res.basis)
+        assert np.array_equal(sx.basis[:rows.m], res.basis.basis)
+        fresh_tab, fresh_rhs = more.factorization(sx.basis)
+        assert np.allclose(sx.tab, fresh_tab, atol=1e-9)
+        assert np.allclose(sx.rhs, fresh_rhs, atol=1e-9)
+        checked += 1
+    assert checked >= 15
 
 
-def test_failed_factorization_is_never_kept():
+def test_failed_factorization_returns_none():
     # columns 0 and 1 are equal, so a basis holding both is singular; with
     # column 2, B^-1 has an entry of about -1e10 / 1e-300, which overflows
     rows = NodeRows(np.array([[1.0, 1.0, 1e-300, 1e10], [3.0, 3.0, 0.0, 1.0]]),
                     (Sense.LE, Sense.LE), np.array([4.0, 5.0]))
     assert rows.factorization(np.array([0, 1], dtype=np.int64)) is None
     assert rows.factorization(np.array([2, 3], dtype=np.int64)) is None
-    assert rows._factor is None
-    good = np.array([0, 3], dtype=np.int64)
-    assert rows.factorization(good) is not None
-    kept = rows._factor
-    assert kept[0] == good.tobytes()
-    for bad in ([1, 0], [2, 3]):
-        assert rows.factorization(np.array(bad, dtype=np.int64)) is None
-        assert rows._factor is kept
+    assert rows.factorization(np.array([0, 3], dtype=np.int64)) is not None
     sx = _Simplex.on_rows(rows, np.zeros(4), np.full(4, 5.0), np.zeros(4),
                           get_kernels(), 50)
     assert not sx.warm_start(SimplexBasis(np.array([0, 1]), np.zeros(6, dtype=np.int8)))
-    assert rows._factor is kept
 
 
 def test_warm_start_of_a_zero_row_lp():
@@ -299,3 +315,239 @@ def test_warm_start_rejects_repeated_and_out_of_range_basis_columns():
     sx = _Simplex.on_rows(rows, lo, hi, cost, get_kernels(), 50)
     assert sx.warm_start(SimplexBasis(np.array([3, 2], dtype=np.int64), stat))
     assert len(factorized) == 1
+
+
+# ---------------------------------------------------------------------------
+# Warm re-solves fuzzed against vertex enumeration
+# ---------------------------------------------------------------------------
+
+FUZZ = settings(max_examples=120, deadline=None, derandomize=True, database=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def fuzz_lps(draw):
+    """(inst, oracle_inst): a bounded LP with boxed, free and fixed columns
+    and LE/GE/EQ rows, many of them tight at an integer point z (degenerate
+    right-hand sides).  Each free column also gets the rows -3 <= x_j <= 3;
+    `oracle_inst` has the same rows but finite bounds at -4 and 4 on the
+    free columns, which leaves the feasible set unchanged, for the oracle."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(1, 4))
+    ints = st.integers(-3, 3)
+    kind = draw(st.lists(st.sampled_from(["box", "box", "free", "fixed"]),
+                         min_size=n, max_size=n))
+    lo = np.array([float(draw(st.integers(-2, 1))) for _ in range(n)])
+    hi = lo + np.array([float(draw(st.integers(1, 3))) for _ in range(n)])
+    z = np.array([float(draw(st.integers(int(l), int(h)))) for l, h in zip(lo, hi)])
+    fixed = np.array(kind) == "fixed"
+    lo[fixed] = hi[fixed] = z[fixed]
+    A = np.array([[float(draw(ints)) for _ in range(n)] for _ in range(m)])
+    rows = []
+    for i in range(m):
+        sense = draw(st.sampled_from([Sense.LE, Sense.GE, Sense.EQ]))
+        gap = 0.0 if sense is Sense.EQ else float(draw(st.sampled_from([0, 0, 1, 2])))
+        rows.append((A[i], sense, A[i] @ z + (gap if sense is Sense.LE else -gap)))
+    free = np.array(kind) == "free"
+    for j in np.flatnonzero(free):
+        e = np.eye(n)[j]
+        rows += [(e, Sense.LE, 3.0), (e, Sense.GE, -3.0)]
+    c = [float(draw(st.integers(-5, 5))) for _ in range(n)]
+    lo_inf, hi_inf = lo.copy(), hi.copy()
+    lo_inf[free], hi_inf[free] = -np.inf, np.inf
+    lo[free], hi[free] = -4.0, 4.0
+    return (make_instance("fuzz", c, rows, lo_inf, hi_inf),
+            make_instance("fuzz", c, rows, lo, hi))
+
+
+def _with_bounds(inst, lo, hi):
+    return make_instance(inst.name, inst.objective,
+                         [(row, s, b) for row, s, b in zip(inst.dense_matrix(),
+                                                           inst.senses(), inst.rhs_array())],
+                         lo, hi)
+
+
+def _assert_agrees(res, oracle_inst):
+    ref = lp_vertex_oracle(oracle_inst)
+    if ref is None:
+        assert res.status is LpStatus.INFEASIBLE
+    else:
+        assert res.status is LpStatus.OPTIMAL
+        assert res.objective == pytest.approx(ref, abs=1e-6)
+    return ref
+
+
+@FUZZ
+@given(fuzz_lps(), st.data())
+def test_fuzz_warm_resolve_after_a_bound_change(lps, data):
+    inst, oracle_inst = lps
+    rows, lo, hi, cost = LpProblem(inst).build()
+    first = _solve(rows, lo, hi, cost)
+    _assert_agrees(first, oracle_inst)
+    boxed = np.flatnonzero(np.isfinite(lo) & np.isfinite(hi) & (lo < hi))
+    assume(first.status is LpStatus.OPTIMAL and len(boxed))
+    lo2, hi2 = lo.copy(), hi.copy()
+    for j in data.draw(st.lists(st.sampled_from(boxed.tolist()), min_size=1, max_size=2)):
+        v = float(data.draw(st.integers(int(lo2[j]), int(hi2[j]))))
+        if data.draw(st.booleans()):
+            hi2[j] = v
+        else:
+            lo2[j] = v
+    oracle_lo = np.where(np.isfinite(lo2), lo2, -4.0)
+    oracle_hi = np.where(np.isfinite(hi2), hi2, 4.0)
+    ref = _assert_agrees(_solve(rows, lo2, hi2, cost, first.basis),
+                         _with_bounds(oracle_inst, oracle_lo, oracle_hi))
+    # the dual simplex objective bounds the optimum from below at every
+    # pivot, and the beta it carries through pivots and flips is the beta a
+    # fresh computation gives
+    for limit in range(6):
+        res = _solve(rows, lo2, hi2, cost, first.basis, iter_limit=limit)
+        if res.status is LpStatus.ITER_LIMIT and ref is not None:
+            assert res.objective <= ref + 1e-6
+        sx = _Simplex.on_rows(rows, lo2, hi2, cost, get_kernels(), 50)
+        assert sx.warm_start(first.basis)
+        status, beta = sx.run_dual(limit)
+        assert np.allclose(beta, sx.compute_beta(sx.vals), rtol=0.0, atol=1e-9)
+    # a token past the refactorization age gives the same answers; its
+    # tableau is not read
+    aged = replace(first.basis, age=lp.REFACTOR_AGE,
+                   tab=np.full_like(first.basis.tab, np.nan))
+    _assert_agrees(_solve(rows, lo2, hi2, cost, aged),
+                   _with_bounds(oracle_inst, oracle_lo, oracle_hi))
+
+
+@FUZZ
+@given(fuzz_lps(), st.data())
+def test_fuzz_warm_resolve_after_appended_rows(lps, data):
+    inst, oracle_inst = lps
+    rows, lo, hi, cost = LpProblem(inst).build()
+    first = _solve(rows, lo, hi, cost)
+    assume(first.status is LpStatus.OPTIMAL)
+    k = data.draw(st.integers(1, 2))
+    mat = np.array([[float(data.draw(st.integers(-3, 3))) for _ in range(rows.n)]
+                    for _ in range(k)])
+    senses = [data.draw(st.sampled_from([Sense.LE, Sense.GE])) for _ in range(k)]
+    # through the LP point, or cutting it off by one
+    rhs = mat @ first.primal + np.array(
+        [float(data.draw(st.sampled_from([0, -1, 1, -4, 4]))) for _ in range(k)])
+    more = rows.extend(mat, senses, rhs)
+    extended = make_instance(
+        "fuzz", oracle_inst.objective,
+        [(row, s, b) for row, s, b in zip(more.mat, more.senses, more.rhs)],
+        oracle_inst.lower, oracle_inst.upper)
+    _assert_agrees(_solve(more, lo, hi, cost, first.basis), extended)
+
+
+@pytest.mark.parametrize("knob", ["REFACTOR_AGE", "DUAL_STALL_AFTER"])
+@FUZZ
+@given(fuzz_lps(), st.data())
+def test_fuzz_dual_refactorizing_or_stalling_every_pivot(knob, lps, data):
+    # REFACTOR_AGE 1: the dual loop factorizes and reprices after every
+    # pivot, and every warm start factorizes.  DUAL_STALL_AFTER 1: the
+    # first degenerate dual pivot hands the basis to the primal loop.
+    inst, oracle_inst = lps
+    rows, lo, hi, cost = LpProblem(inst).build()
+    first = _solve(rows, lo, hi, cost)
+    assume(first.status is LpStatus.OPTIMAL)
+    hi2 = hi.copy()
+    boxed = np.isfinite(lo) & np.isfinite(hi)
+    hi2[boxed] = lo[boxed] + np.floor((hi[boxed] - lo[boxed]) / 2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, knob, 1)
+        res = _solve(rows, lo, hi2, cost, first.basis)
+    _assert_agrees(res, _with_bounds(oracle_inst, oracle_inst.lower,
+                                     np.where(np.isfinite(hi2), hi2, 4.0)))
+
+
+def test_dual_enters_a_free_column_and_hands_a_stall_to_the_primal_loop():
+    # min x with x in [0, 2] and y free, x + y >= 0, -3 <= y <= 3: the cold
+    # solve leaves y nonbasic at 0 (d_y = 0).  The appended row y >= 1 can
+    # only be met by y entering, a dual-degenerate pivot (theta_d = 0).
+    inst = make_instance("free", [1.0, 0.0],
+                         [([1.0, 1.0], Sense.GE, 0.0), ([0.0, 1.0], Sense.LE, 3.0),
+                          ([0.0, 1.0], Sense.GE, -3.0)],
+                         [0.0, -np.inf], [2.0, np.inf])
+    rows, lo, hi, cost = LpProblem(inst).build()
+    first = _solve(rows, lo, hi, cost)
+    assert first.status is LpStatus.OPTIMAL and first.basis.stat[1] == FREE
+    more = rows.extend(np.array([[0.0, 1.0]]), (Sense.GE,), np.array([1.0]))
+    sx = _Simplex.on_rows(more, lo, hi, cost, get_kernels(), 50)
+    assert sx.warm_start(first.basis)
+    status, _ = sx.run_dual(100)
+    assert status is LpStatus.OPTIMAL and sx.stat[1] == BASIC and sx.iterations == 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "DUAL_STALL_AFTER", 1)
+        sx = _Simplex.on_rows(more, lo, hi, cost, get_kernels(), 50)
+        assert sx.warm_start(first.basis)
+        assert sx.run_dual(100) is None and sx.iterations == 1
+        res = _solve(more, lo, hi, cost, first.basis)
+    assert res.status is LpStatus.OPTIMAL and res.objective == 0.0
+    assert res.primal[1] == pytest.approx(1.0)
+
+
+def test_dual_carries_beta_and_the_bound_through_flips():
+    # binary knapsack LPs with several columns fixed against their LP value:
+    # the dual passes boxed breakpoints (bound flips) on the way, and at every
+    # iteration limit the beta it carries is the beta the tableau gives and
+    # its objective bounds the optimum from below
+    rng = np.random.default_rng(12)
+    flips = 0
+    for _ in range(30):
+        n, m = 12, 3
+        inst = make_instance("knap", -rng.integers(5, 30, n).astype(float),
+                             [(row, Sense.LE, float(row.sum() // 2))
+                              for row in rng.integers(1, 20, (m, n)).astype(float)],
+                             np.zeros(n), np.ones(n))
+        rows, lo, hi, cost = LpProblem(inst).build()
+        first = _solve(rows, lo, hi, cost)
+        lo2, hi2 = lo.copy(), hi.copy()
+        pick = rng.choice(n, size=4, replace=False)
+        up = first.primal[pick] < 0.5
+        lo2[pick[up]] = 1.0
+        hi2[pick[~up]] = 0.0
+        full = _solve(rows, lo2, hi2, cost, first.basis)
+        for limit in range(full.iterations):
+            sx = _Simplex.on_rows(rows, lo2, hi2, cost, get_kernels(), 50)
+            assert sx.warm_start(first.basis)
+            status, beta = sx.run_dual(limit)
+            assert status is LpStatus.ITER_LIMIT
+            assert np.allclose(beta, sx.compute_beta(sx.vals), rtol=0.0, atol=1e-9)
+            if full.status is LpStatus.OPTIMAL:
+                x = sx.primal_point(beta, sx.vals)[:n]
+                assert float(cost @ x) <= full.objective + 1e-9
+        flips += full.iterations - full.basis.age + first.basis.age
+    assert flips >= 10
+
+
+def test_dual_ratio_ties_go_to_the_largest_pivot():
+    # min x1 + 2 x2 with x1 + 2 x2 >= 2: both columns reach the row's bound
+    # at the same dual step (1/1 = 2/2); the larger |alpha| enters
+    mat, senses = np.array([[1.0, 2.0]]), (Sense.GE,)
+    lo, hi, cost = np.zeros(2), np.full(2, 5.0), np.array([1.0, 2.0])
+    first = _solve(NodeRows(mat, senses, [-1.0]), lo, hi, cost)
+    assert first.status is LpStatus.OPTIMAL and first.iterations == 0
+    res = _solve(NodeRows(mat, senses, [2.0]), lo, hi, cost, first.basis)
+    assert res.status is LpStatus.OPTIMAL and res.iterations == 1
+    assert res.primal.tolist() == [0.0, 1.0] and res.objective == 2.0
+
+
+def test_dual_moves_boxed_columns_priced_on_the_wrong_side():
+    # a token from the opposite objective prices most columns on the wrong
+    # side; where they are all boxed the dual moves them to their other
+    # bound and solves, otherwise the primal loop does; both match a cold solve
+    rng = np.random.default_rng(13)
+    dual_runs = 0
+    for _ in range(40):
+        inst = _random_lp(rng)
+        rows, lo, hi, cost = LpProblem(inst).build()
+        first = _solve(rows, lo, hi, -cost)
+        if first.status is not LpStatus.OPTIMAL:
+            continue
+        sx = _Simplex.on_rows(rows, lo, hi, cost, get_kernels(), 50)
+        assert sx.warm_start(first.basis)
+        dual_runs += sx.run_dual(1000) is not None
+        warm, cold = _solve(rows, lo, hi, cost, first.basis), _solve(rows, lo, hi, cost)
+        assert warm.status is cold.status
+        if cold.status is LpStatus.OPTIMAL:
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-8)
+    assert dual_runs >= 5

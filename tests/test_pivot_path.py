@@ -1,9 +1,11 @@
 """Pins of the pivot path: work counters and answers of fixed solves.
 
-The values were recorded with the row-loop simplex (before the pivot loop
-kept its arrays current across pivots and the kernels were vectorized).
-Every pivot choice is meant to be unchanged by that rewrite, so a
-difference here means the pivot path changed, not just its speed.
+The LP pins are cold solves, which run the primal simplex; they were
+recorded with the row-loop simplex, before the pivot loop kept its arrays
+current across pivots and the kernels were vectorized.  The branch-and-bound
+pins were recorded when warm re-solves moved to the dual simplex on the
+carried tableau.  A difference here means the pivot path changed, not just
+its speed.
 """
 from __future__ import annotations
 
@@ -22,12 +24,12 @@ from conftest import DET_WPS, hard_knapsack, make_instance, random_feasible_mip
 
 # name, status, nodes, lp_iterations, sb_lp_solves, cuts generated, primal bound
 MIP_PINS = [
-    ("knap17", "OPTIMAL", 101, 2085, 122, 207, -124.0),
-    ("knap5", "OPTIMAL", 29, 1085, 108, 61, -126.0),
-    ("rand6", "OPTIMAL", 1, 37, 0, 4, -11.0),
-    ("rand22", "OPTIMAL", 1, 26, 0, 9, -5.0),
-    ("rand26", "OPTIMAL", 3, 152, 14, 16, -3.0),
-    ("rand28", "OPTIMAL", 1, 23, 0, 4, -23.0),
+    ("knap17", "OPTIMAL", 103, 1236, 122, 205, -124.0),
+    ("knap5", "OPTIMAL", 29, 584, 108, 61, -126.0),
+    ("rand6", "OPTIMAL", 1, 25, 0, 4, -11.0),
+    ("rand22", "OPTIMAL", 1, 12, 0, 9, -5.0),
+    ("rand26", "OPTIMAL", 3, 83, 14, 16, -3.0),
+    ("rand28", "OPTIMAL", 1, 15, 0, 4, -23.0),
 ]
 
 # status, iterations, objective, sha256 prefix of the primal vector's bytes

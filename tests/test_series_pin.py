@@ -24,14 +24,14 @@ ALL_OFF = frozenset({"hints", "history", "sb", "tuning", "turnoff"})
 
 PINNED = {
     "reuse": {
-        "report.csv": "e09db22c44c6b8daebcc5df068b7a9916fcf83efaeb2f22e762880174581c4a8",
-        "summary.json": "b0223ca64e89794577307da31faee955a627ae478743a31f0538c8004464e44c",
-        "checkpoint.json": "da4696657dae14d9ac442c516e1bfb198c2b76fe5b34c6ef95c23ab85cdcf735",
+        "report.csv": "c0cfa079b52c0ac58c7afd48dfadd5989eff4bfca16463c1cbff0abbb689512c",
+        "summary.json": "be293cc26e68052e00eb725e7945e9753aa0980e887b2010b885e32208ba979d",
+        "checkpoint.json": "a89205e5387483656da82fba429ddeece98f7e80c998f7b903d884ebda3a0b59",
     },
     "scratch": {
-        "report.csv": "a0bc78fe9bc8b502549ed85c9f6b827101465777f46ea4aa61c33f8825b4a4ef",
-        "summary.json": "e3bcba1a4ebce963295076a160b0c59b54267a42173be73520d0d5e77f5367a6",
-        "checkpoint.json": "dbd00273be1fbec553342fa4a99a7e2a870b0da45e75158f1deafdd330170805",
+        "report.csv": "7d258b67a7dfea9306cc85bf4291ca41da76de9c6beb622a613d221e22faf99b",
+        "summary.json": "db6b8180bcd228548581d69a152d206d7d5b0cac0f592ddcf4562a11a37a65d6",
+        "checkpoint.json": "2444f503acfbda02bdb09ca333b88e937f5856a5e7532da79d1960f112618c36",
     },
 }
 

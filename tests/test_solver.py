@@ -2,14 +2,17 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from mipseries.lp import LpProblem, LpStatus, solve_lp
 from mipseries.model import Sense, check_feasibility
 from mipseries.solver import (BranchingRule, Candidate, SolverConfig, SolveStatus,
                               solve)
+from mipseries.solver import bb
 from mipseries.solver.bb import _TreeSolver
 
 from conftest import (DET_WPS, awkward_values, enumerate_mip, hard_knapsack,
@@ -292,3 +295,48 @@ def test_incumbent_rounding_turns_negative_zero_positive():
     assert tree._try_incumbent(np.array([-0.0, -0.4]))
     assert tree.incumbent.values.tolist() == [0.0, 0.0]
     assert not np.signbit(tree.incumbent.values).any()
+
+
+def test_rounding_checks_its_point_once_and_keeps_the_incumbents(monkeypatch):
+    # round_to_feasible has checked the point _run_rounding hands to
+    # _try_incumbent, with the same tolerances; skipping the second check
+    # must give the incumbent sequence the double check gave
+    class CheckTwice(_TreeSolver):
+        def _try_incumbent(self, point, checked=False):
+            return super()._try_incumbent(point)
+
+    calls = []
+    real_check = bb.check_feasibility
+    monkeypatch.setattr(bb, "check_feasibility",
+                        lambda *args: calls.append(1) or real_check(*args))
+    rng = np.random.default_rng(41)
+    counts = {_TreeSolver: 0, CheckTwice: 0}
+    accepted = 0
+    for _ in range(40):
+        inst = random_feasible_mip(rng, max_vars=10, max_rows=6)
+        points = []
+        for _ in range(15):
+            lo = np.array(inst.lower, dtype=float)
+            hi = np.array(inst.upper, dtype=float)
+            j = int(rng.integers(inst.num_vars))
+            lo[j] = hi[j] = float(rng.integers(lo[j], hi[j] + 1))
+            res = solve_lp(LpProblem(inst, local_lower=lo, local_upper=hi))
+            if res.status is LpStatus.OPTIMAL:
+                points.append(res.primal)
+            points.append(inst.lower + rng.random(inst.num_vars) * (inst.upper - inst.lower))
+        node = SimpleNamespace(lower=inst.lower, upper=inst.upper)
+        seqs = {}
+        for cls in counts:
+            tree = cls(inst, _cfg(), 1e6)
+            seq = []
+            calls.clear()
+            for x in points:
+                tree._run_rounding(x, node)
+                seq.append((tree.pb, None if tree.incumbent is None
+                            else tree.incumbent.values.tobytes()))
+            counts[cls] += len(calls)
+            seqs[cls] = (seq, repr(tree.stats.heuristics))
+        assert seqs[_TreeSolver] == seqs[CheckTwice]
+        accepted += len({pb for pb, _ in seqs[_TreeSolver][0]}) - 1
+    assert accepted >= 20
+    assert counts[_TreeSolver] < counts[CheckTwice]
