@@ -28,6 +28,8 @@ C - C_B T with their slacks basic.  Neither solves the basis system.  Once a
 tableau has seen REFACTOR_AGE pivots since its last factorization, the basis
 is factorized again and d recomputed.  Each pivot or bound flip is one
 iteration.
+
+`solve_arrays` over a `NodeRows` row carrier is the one entry point.
 """
 from __future__ import annotations
 
@@ -37,15 +39,13 @@ from enum import Enum
 
 import numpy as np
 
-from .kernels import Kernels, get_kernels
-from .model import INF, LinearRow, MipInstance, Sense, dense_block
+from .kernels import Kernels
+from .model import INF, Sense
 
 PIVOT_TOL = 1e-9
 DCOST_TOL = 1e-9
 FEAS_TOL = 1e-7
 DEGEN_TOL = 1e-11
-DEFAULT_BLAND_AFTER = 50
-DEFAULT_ITER_LIMIT = 20000
 REFACTOR_AGE = 64       # pivots on a tableau before its basis is factorized again
 DUAL_STALL_AFTER = 50   # degenerate dual pivots in a row before the primal loop takes over
 
@@ -86,7 +86,8 @@ class SimplexBasis:
 
 @dataclass
 class SimplexSnapshot:
-    """Final tableau state, consumed by cut generation."""
+    """Final tableau state of an OPTIMAL solve, consumed by cut generation;
+    it shares the tableau and statuses with the solve's token."""
 
     tab: np.ndarray
     rhs: np.ndarray
@@ -100,37 +101,15 @@ class SimplexSnapshot:
 
 @dataclass
 class LpResult:
+    """What `solve_arrays` returns.  `basis` is the warm-start token; every
+    OPTIMAL result carries a `snapshot`, every other result None."""
+
     status: LpStatus
     primal: np.ndarray
     objective: float
     basis: SimplexBasis | None
     iterations: int
     snapshot: SimplexSnapshot | None = None
-
-
-@dataclass
-class LpProblem:
-    """Instance rows plus appended cut rows and node-local bound overrides."""
-
-    inst: MipInstance
-    extra_rows: tuple[LinearRow, ...] = ()
-    local_lower: np.ndarray | None = None
-    local_upper: np.ndarray | None = None
-    rhs_override: np.ndarray | None = None
-
-    def build(self):
-        """(rows, lo, hi, cost): the row carrier and the column data."""
-        rhs = self.rhs_override if self.rhs_override is not None \
-            else self.inst.rhs_array()
-        extra = self.extra_rows
-        rows = NodeRows(self.inst.dense_matrix(), self.inst.senses(), rhs).extend(
-            dense_block(extra, self.inst.num_vars), tuple(row.sense for row in extra),
-            [row.rhs for row in extra])
-        lo = np.array(self.local_lower) if self.local_lower is not None \
-            else np.array(self.inst.lower)
-        hi = np.array(self.local_upper) if self.local_upper is not None \
-            else np.array(self.inst.upper)
-        return rows, lo, hi, np.array(self.inst.objective)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -227,20 +206,9 @@ _DUAL_DIR = np.array([1.0, -1.0, 0.0, 0.0, 0.0])
 
 
 class _Simplex:
-    def __init__(self, mat, senses, rhs, lo, hi, cost, kernels: Kernels,
+    def __init__(self, rows: NodeRows, lo, hi, cost, kernels: Kernels,
                  bland_after: int):
-        """A simplex over plain row arrays, through a row carrier of its own."""
-        self._load(NodeRows(mat, senses, rhs), lo, hi, cost, kernels, bland_after)
-
-    @classmethod
-    def on_rows(cls, rows: NodeRows, lo, hi, cost, kernels: Kernels,
-                bland_after: int) -> "_Simplex":
         """A simplex over a shared row carrier."""
-        sx = cls.__new__(cls)
-        sx._load(rows, lo, hi, cost, kernels, bland_after)
-        return sx
-
-    def _load(self, rows: NodeRows, lo, hi, cost, kernels, bland_after):
         self.rows = rows
         self.m, self.n = rows.m, rows.n
         self.lo = np.concatenate([lo, rows.slack_lo])
@@ -630,9 +598,13 @@ class _Simplex:
 
 
 def solve_arrays(rows: NodeRows, lo, hi, cost, warm, iter_limit,
-                 want_snapshot, kernels, bland_after) -> LpResult:
-    """Solve min cost.x over `rows` within the column bounds lo, hi."""
-    sx = _Simplex.on_rows(rows, lo, hi, cost, kernels, bland_after)
+                 kernels, bland_after) -> LpResult:
+    """Solve min cost.x over `rows` within the column bounds lo, hi, from the
+    token `warm` when it is given and fits; deterministic for fixed inputs.
+
+    ITER_LIMIT is returned (never raised) when the pivot budget runs out.
+    """
+    sx = _Simplex(rows, lo, hi, cost, kernels, bland_after)
     try:
         out = None
         if warm is not None and sx.warm_start(warm):
@@ -643,7 +615,7 @@ def solve_arrays(rows: NodeRows, lo, hi, cost, warm, iter_limit,
     except SimplexTrouble:
         # Refactorize from scratch with Bland from the first pivot; if the
         # breakdown persists, report the pivot budget as exhausted.
-        sx = _Simplex.on_rows(rows, lo, hi, cost, kernels, bland_after=0)
+        sx = _Simplex(rows, lo, hi, cost, kernels, bland_after=0)
         sx.cold_start()
         try:
             status, beta = sx.run(iter_limit)
@@ -661,21 +633,8 @@ def solve_arrays(rows: NodeRows, lo, hi, cost, warm, iter_limit,
         objective = float(np.dot(cost, primal))
     tab, rhs = _frozen(sx.tab), _frozen(sx.rhs)
     token = SimplexBasis(sx.basis.copy(), sx.stat.copy(), tab, rhs, sx.age, rows)
-    snapshot = None
-    if want_snapshot and status is LpStatus.OPTIMAL:
-        snapshot = SimplexSnapshot(
-            tab=tab, rhs=rhs, basis=token.basis, stat=token.stat, beta=beta.copy(),
-            lo=sx.lo.copy(), hi=sx.hi.copy(), n_struct=n)
+    # beta and the bounds are fresh arrays of this solve; tab and rhs are the token's
+    snapshot = None if status is not LpStatus.OPTIMAL else SimplexSnapshot(
+        tab=tab, rhs=rhs, basis=token.basis, stat=token.stat, beta=beta,
+        lo=sx.lo, hi=sx.hi, n_struct=n)
     return LpResult(status, primal, objective, token, sx.iterations, snapshot)
-
-
-def solve_lp(problem: LpProblem, warm: SimplexBasis | None = None,
-             iter_limit: int = DEFAULT_ITER_LIMIT, want_snapshot: bool = False,
-             bland_after: int = DEFAULT_BLAND_AFTER) -> LpResult:
-    """Solve the LP relaxation; deterministic for fixed inputs.
-
-    ITER_LIMIT is returned (never raised) when the pivot budget runs out.
-    """
-    rows, lo, hi, cost = problem.build()
-    return solve_arrays(rows, lo, hi, cost, warm, iter_limit,
-                        want_snapshot, get_kernels(), bland_after)

@@ -285,15 +285,6 @@ def check_feasibility(inst: MipInstance, point: np.ndarray,
     return FeasibilityResult(True)
 
 
-def evaluate_point(inst: MipInstance, point: np.ndarray,
-                   feas_tol: float = DEFAULT_FEAS_TOL,
-                   int_tol: float = DEFAULT_INT_TOL) -> Solution:
-    """Build a Solution for a point, classifying it as FEASIBLE or INFEASIBLE."""
-    res = check_feasibility(inst, point, feas_tol, int_tol)
-    status = SolutionStatus.FEASIBLE if res.feasible else SolutionStatus.INFEASIBLE
-    return Solution(np.array(point, dtype=float), objective_value(inst, point), status)
-
-
 # ---------------------------------------------------------------------------
 # Instance file I/O (JSON schema, see README)
 # ---------------------------------------------------------------------------
@@ -500,17 +491,6 @@ def load_series(path) -> SeriesManifest:
                 f"{path}: variable set mismatch between "
                 f"'{first.name}' and '{inst.name}'")
     return manifest
-
-
-def save_series_manifest(manifest: SeriesManifest, path) -> None:
-    path = Path(path)
-    data = {
-        "series_name": manifest.series_name,
-        "time_limit": manifest.time_limit_per_instance,
-        "changing": sorted(c.value for c in manifest.changing_components),
-        "instances": [str(Path(p).relative_to(path.parent)) for p in manifest.instance_paths],
-    }
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Branch-and-bound MIP solver with pluggable branching, cuts and heuristics."""
-from .bb import UnboundedRelaxationError, complete_hint, solve
+from .bb import UnboundedRelaxationError, solve
 from .branching import Candidate, select_branch_variable
 from .clock import SolveClock
 from .config import (ALL_HEURISTICS, ALL_PRESOLVERS, ALL_SEPARATORS,
@@ -9,7 +9,7 @@ from .config import (ALL_HEURISTICS, ALL_PRESOLVERS, ALL_SEPARATORS,
                      SolveOutcome, SolverConfig, SolverStats, SolveStatus,
                      fresh_stats)
 from .cuts import generate_cuts, slack_integrality
-from .heuristics import round_to_feasible, rounding_heuristic
+from .heuristics import round_to_feasible
 from .history import GlobalHistory, VariableHistory, update_pseudocost
 from .presolve import PresolveResult, run_presolve
 
@@ -19,8 +19,7 @@ __all__ = [
     "HeuristicStats", "PRE_BOUND_TIGHTEN", "PRE_COEF_TIGHTEN",
     "PresolveResult", "PresolverStats", "SEP_GOMORY", "SeparatorStats",
     "SolveClock", "SolveOutcome", "SolveStatus", "SolverConfig", "SolverStats",
-    "UnboundedRelaxationError", "VariableHistory", "complete_hint",
-    "fresh_stats", "generate_cuts", "round_to_feasible", "rounding_heuristic",
-    "run_presolve", "select_branch_variable", "slack_integrality", "solve",
-    "update_pseudocost",
+    "UnboundedRelaxationError", "VariableHistory", "fresh_stats",
+    "generate_cuts", "round_to_feasible", "run_presolve",
+    "select_branch_variable", "slack_integrality", "solve", "update_pseudocost",
 ]

@@ -94,24 +94,21 @@ class _TreeSolver:
     def _timed_out(self) -> bool:
         return self.clock.elapsed() >= self.deadline
 
-    def _lp(self, rows, lo, hi, warm=None, iter_limit=None,
-            want_snapshot=False, bland_after=None):
+    def _lp(self, rows, lo, hi, warm=None, iter_limit=None, bland_after=None):
         res = solve_arrays(
             rows, lo, hi, np.asarray(self.inst.objective),
             warm, iter_limit if iter_limit is not None else self.cfg.lp_iter_limit,
-            want_snapshot, self.kernels,
-            self.cfg.bland_after if bland_after is None else bland_after)
+            self.kernels, self.cfg.bland_after if bland_after is None else bland_after)
         self.clock.charge(res.iterations + 1)
         self.stats.lp_iterations += res.iterations
         return res
 
-    def _node_lp(self, rows, lo, hi, warm, want_snapshot):
-        res = self._lp(rows, lo, hi, warm, want_snapshot=want_snapshot)
+    def _node_lp(self, rows, lo, hi, warm):
+        res = self._lp(rows, lo, hi, warm)
         if res.status is LpStatus.ITER_LIMIT:
             # One cold retry with Bland from the first pivot.
             res = self._lp(rows, lo, hi, None,
-                           iter_limit=10 * self.cfg.lp_iter_limit,
-                           want_snapshot=want_snapshot, bland_after=0)
+                           iter_limit=10 * self.cfg.lp_iter_limit, bland_after=0)
             if res.status is LpStatus.ITER_LIMIT:
                 raise _PivotBudgetExhausted()
         return res
@@ -180,13 +177,6 @@ class _TreeSolver:
         if self.stats.time_to_first_incumbent is None:
             self.stats.time_to_first_incumbent = self.clock.elapsed()
         return True
-
-    def _set_base_rows(self, rhs0):
-        """The model rows, with right-hand sides rhs0, under every node LP."""
-        mat = self.inst.dense_matrix()
-        senses = self.inst.senses()
-        self.base_rows = NodeRows(mat, senses, rhs0,
-                                  slack_integrality(mat, rhs0, senses, self.is_int))
 
     # -- heuristics -----------------------------------------------------------
 
@@ -264,7 +254,8 @@ class _TreeSolver:
                 continue
             hstats.solutions_found += 1
             self.stats.hint_converted = True
-            if self._try_incumbent(point):
+            # both completion paths checked the point with these tolerances
+            if self._try_incumbent(point, checked=True):
                 hstats.best_solutions_found += 1
                 improving += 1
         hstats.time += self.clock.elapsed() - start
@@ -289,8 +280,7 @@ class _TreeSolver:
                 break
             sstats.cuts_generated += len(new_cuts)
             node.rows = rows.extend(new_cuts.mat, new_cuts.senses, new_cuts.rhs)
-            res = self._node_lp(node.rows, node.lower, node.upper,
-                                res.basis, want_snapshot=True)
+            res = self._node_lp(node.rows, node.lower, node.upper, res.basis)
             if res.status is LpStatus.INFEASIBLE:
                 return None
             if res.status is LpStatus.UNBOUNDED:
@@ -305,11 +295,10 @@ class _TreeSolver:
     def _process_node(self, node: _Node) -> list[int]:
         self.stats.nodes += 1
         at_root = node.nid == 0
-        want_snap = ((at_root and self.cfg.use_cuts_root)
-                     or (not at_root and self.cfg.use_cuts_tree)) \
+        run_cuts = ((at_root and self.cfg.use_cuts_root)
+                    or (not at_root and self.cfg.use_cuts_tree)) \
             and SEP_GOMORY in self.cfg.enabled_separators
-        res = self._node_lp(node.rows, node.lower, node.upper,
-                            node.basis, want_snapshot=want_snap)
+        res = self._node_lp(node.rows, node.lower, node.upper, node.basis)
         if res.status is LpStatus.INFEASIBLE:
             return []
         if res.status is LpStatus.UNBOUNDED:
@@ -324,7 +313,7 @@ class _TreeSolver:
             if obj >= self._prune_cutoff():
                 return []
 
-        if want_snap:
+        if run_cuts:
             cut_state = self._cut_loop(node, at_root, res, obj)
             if cut_state is None:
                 return []
@@ -401,7 +390,10 @@ class _TreeSolver:
                 self.pb = INF
                 return self._outcome(SolveStatus.INFEASIBLE)
             lower, upper = pres.lower, pres.upper
-            self._set_base_rows(pres.rhs)
+            # the model rows, with the presolved rhs, under every node LP
+            mat, senses = self.inst.dense_matrix(), self.inst.senses()
+            self.base_rows = NodeRows(mat, senses, pres.rhs, slack_integrality(
+                mat, pres.rhs, senses, self.is_int))
 
         root = _Node(0, -INF, 0, np.array(lower), np.array(upper), None, self.base_rows)
         self.next_id = 0
@@ -451,24 +443,3 @@ def solve(inst: MipInstance, cfg: SolverConfig, time_limit: float,
     if time_limit < 0:
         raise ValueError("time_limit must be non-negative")
     return _TreeSolver(inst, cfg, time_limit, hints, warm_histories).solve()
-
-
-def complete_hint(inst: MipInstance, hint, cfg: SolverConfig,
-                  time_budget: float) -> Solution | None:
-    """Try to extend one partial assignment to a feasible solution.
-
-    Fixes the hinted integer variables; completes with a single LP when all
-    integers are fixed, otherwise with a sub-MIP capped at
-    cfg.completesol_node_limit nodes.  Returns None on failure; infeasible
-    fixings are never repaired.
-    """
-    solver = _TreeSolver(inst, cfg, time_budget)
-    pres = run_presolve(inst, cfg)
-    if pres.infeasible:
-        return None
-    solver._set_base_rows(pres.rhs)
-    node = _Node(0, -INF, 0, pres.lower, pres.upper, None, solver.base_rows)
-    point = solver._complete_one_hint(_hint_assignment(hint), node)
-    if point is None:
-        return None
-    return Solution(point, objective_value(inst, point), SolutionStatus.FEASIBLE)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from ..model import MipInstance, Solution, SolutionStatus, check_feasibility, objective_value
+from ..model import MipInstance, check_feasibility
 
 
 def raise_on_nonfinite(values: np.ndarray, scalar_op) -> None:
@@ -37,16 +37,3 @@ def round_to_feasible(inst: MipInstance, point: np.ndarray,
     x[idx] = np.where(hi < v, hi, v)
     res = check_feasibility(inst, x, feas_tol, int_tol)
     return x if res.feasible else None
-
-
-def rounding_heuristic(inst: MipInstance, lp_point: np.ndarray,
-                       lower: np.ndarray | None = None,
-                       upper: np.ndarray | None = None,
-                       feas_tol: float = 1e-6, int_tol: float = 1e-6) -> Solution | None:
-    """Public wrapper returning a Solution or None."""
-    lower = inst.lower if lower is None else lower
-    upper = inst.upper if upper is None else upper
-    x = round_to_feasible(inst, lp_point, lower, upper, feas_tol, int_tol)
-    if x is None:
-        return None
-    return Solution(x, objective_value(inst, x), SolutionStatus.FEASIBLE)

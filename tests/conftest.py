@@ -6,10 +6,15 @@ import itertools
 import numpy as np
 import pytest
 
+from mipseries.kernels import get_kernels
+from mipseries.lp import NodeRows, solve_arrays
 from mipseries.model import LinearRow, MipInstance, Sense
+from mipseries.solver import SolverConfig
 
 # All tests run on the deterministic clock so they are machine-independent.
 DET_WPS = 1e6
+
+_SOLVER = SolverConfig()
 
 
 def make_instance(name, c, rows, lo, hi, ints=()):
@@ -22,6 +27,20 @@ def make_instance(name, c, rows, lo, hi, ints=()):
     return MipInstance(name, tuple(f"x{j}" for j in range(n)),
                        np.asarray(c, dtype=float), np.asarray(lo, dtype=float),
                        np.asarray(hi, dtype=float), frozenset(ints), built)
+
+
+def relaxation(inst):
+    """(rows, lo, hi, cost) of an instance's LP relaxation: its rows as a
+    `NodeRows` and copies of its bounds and objective."""
+    rows = NodeRows(inst.dense_matrix(), inst.senses(), inst.rhs_array())
+    return rows, np.array(inst.lower), np.array(inst.upper), np.array(inst.objective)
+
+
+def lp_solve(rows, lo, hi, cost, warm=None, iter_limit=_SOLVER.lp_iter_limit,
+             bland_after=_SOLVER.bland_after):
+    """`solve_arrays` with the solver's default pivot budget and Bland
+    trigger."""
+    return solve_arrays(rows, lo, hi, cost, warm, iter_limit, get_kernels(), bland_after)
 
 
 def hard_knapsack(seed=17, n=14, m=3):

@@ -7,14 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from mipseries.lp import (AT_LOWER, AT_UPPER, BASIC, FIXED, FREE, LpProblem,
-                          LpStatus, SimplexSnapshot, solve_lp)
+from mipseries.lp import (AT_LOWER, AT_UPPER, BASIC, FIXED, FREE, LpStatus,
+                          SimplexSnapshot)
 from mipseries.model import LinearRow, Sense, dense_block
 from mipseries.solver import SolverConfig, generate_cuts, slack_integrality
 from mipseries.solver import cuts as C
 
-from conftest import (enumerate_integer_points, make_instance, outcome,
-                      random_feasible_mip)
+from conftest import (enumerate_integer_points, lp_solve, make_instance, outcome,
+                      random_feasible_mip, relaxation)
 
 
 def _fractional_instance():
@@ -40,8 +40,7 @@ def test_classic_half_integral_vertex_cut():
 
 
 def _cut_inputs(inst, cfg):
-    problem = LpProblem(inst)
-    res = solve_lp(problem, want_snapshot=True)
+    res = lp_solve(*relaxation(inst))
     assert res.status is LpStatus.OPTIMAL
     mat = inst.dense_matrix()
     rhs = inst.rhs_array()
@@ -102,8 +101,7 @@ def test_cut_validity_random_instances():
     for _ in range(40):
         inst = random_feasible_mip(rng, max_vars=6, max_rows=5)
         cfg = SolverConfig()
-        problem = LpProblem(inst)
-        res = solve_lp(problem, want_snapshot=True)
+        res = lp_solve(*relaxation(inst))
         if res.status is not LpStatus.OPTIMAL:
             continue
         mat = inst.dense_matrix()
@@ -306,7 +304,7 @@ def test_generate_cuts_matches_column_loop_on_solved_instances(monkeypatch):
     produced = 0
     for _ in range(60):
         inst = random_feasible_mip(rng, max_vars=8, max_rows=6)
-        res = solve_lp(LpProblem(inst), want_snapshot=True)
+        res = lp_solve(*relaxation(inst))
         if res.status is not LpStatus.OPTIMAL:
             continue
         mat, rhs = inst.dense_matrix(), inst.rhs_array()

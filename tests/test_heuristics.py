@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from mipseries.model import FeasibilityResult, Sense, SolutionStatus
-from mipseries.solver import (SolverConfig, complete_hint, round_to_feasible,
-                              rounding_heuristic, solve)
+from mipseries.model import (FeasibilityResult, Sense, SolutionStatus,
+                             check_feasibility, objective_value)
+from mipseries.solver import SolverConfig, SolveStatus, round_to_feasible, solve
 from mipseries.solver import heuristics
 
 from conftest import DET_WPS, awkward_values, make_instance, outcome
@@ -20,59 +20,74 @@ def _knap():
                          [0, 0, 0], [1, 1, 1], ints=(0, 1, 2))
 
 
+def _round(inst, lp_point):
+    return round_to_feasible(inst, lp_point, inst.lower, inst.upper)
+
+
 def test_rounding_integral_point_returned():
     inst = _knap()
-    sol = rounding_heuristic(inst, np.array([1.0, 0.0, 1.0]))
-    assert sol is not None and sol.status is SolutionStatus.FEASIBLE
-    assert sol.objective == pytest.approx(-8.0)
+    x = _round(inst, np.array([1.0, 0.0, 1.0]))
+    assert x is not None and check_feasibility(inst, x).feasible
+    assert objective_value(inst, x) == pytest.approx(-8.0)
 
 
 def test_rounding_breaks_row_returns_none():
     inst = _knap()
     # rounds to (1,1,1): weight 9 > 6
-    assert rounding_heuristic(inst, np.array([0.9, 0.8, 0.9])) is None
+    assert _round(inst, np.array([0.9, 0.8, 0.9])) is None
 
 
 def test_rounding_clamps_to_bounds():
     inst = _knap()
-    sol = rounding_heuristic(inst, np.array([1.4, -0.4, 0.2]))
-    assert sol is not None
-    assert sol.values.tolist() == [1.0, 0.0, 0.0]
+    x = _round(inst, np.array([1.4, -0.4, 0.2]))
+    assert x is not None
+    assert x.tolist() == [1.0, 0.0, 0.0]
+
+
+def _complete(inst, hint, **kw):
+    """A root-only solve in which only hint completion can find incumbents:
+    (outcome, completesol stats)."""
+    cfg = SolverConfig(det_work_per_second=DET_WPS, node_limit=1,
+                       enabled_heuristics=frozenset({"completesol"}),
+                       use_cuts_root=False, use_cuts_tree=False, **kw)
+    out = solve(inst, cfg, 10.0, hints=[hint])
+    return out, out.stats.heuristics["completesol"]
 
 
 def test_complete_hint_full_fixing_single_lp():
-    inst = _knap()
-    cfg = SolverConfig(det_work_per_second=DET_WPS)
-    sol = complete_hint(inst, {"x0": 1, "x1": 0, "x2": 1}, cfg, 10.0)
+    out, cs = _complete(_knap(), {"x0": 1, "x1": 0, "x2": 1})
+    assert cs.calls == 1 and cs.solutions_found == cs.best_solutions_found == 1
+    sol = out.best_solution
     assert sol is not None and sol.status is SolutionStatus.FEASIBLE
     assert sol.objective == pytest.approx(-8.0)
+    assert sol.values.tolist() == [1.0, 0.0, 1.0]
 
 
 def test_complete_hint_infeasible_fixing_not_repaired():
-    inst = _knap()
-    cfg = SolverConfig(det_work_per_second=DET_WPS)
-    assert complete_hint(inst, {"x0": 1, "x1": 1, "x2": 1}, cfg, 10.0) is None
+    out, cs = _complete(_knap(), {"x0": 1, "x1": 1, "x2": 1})
+    assert cs.calls == 1 and cs.solutions_found == 0
+    assert out.best_solution is None
 
 
 def test_complete_hint_out_of_bounds_value_rejected():
-    inst = _knap()
-    cfg = SolverConfig(det_work_per_second=DET_WPS)
-    assert complete_hint(inst, {"x0": 2}, cfg, 10.0) is None
+    out, cs = _complete(_knap(), {"x0": 2})
+    assert cs.calls == 1 and cs.solutions_found == 0
+    assert out.best_solution is None
 
 
 def test_complete_hint_partial_runs_submip():
-    inst = _knap()
-    cfg = SolverConfig(det_work_per_second=DET_WPS)
-    sol = complete_hint(inst, {"x0": 0}, cfg, 10.0)
-    assert sol is not None
+    out, cs = _complete(_knap(), {"x0": 0})
+    assert cs.solutions_found == 1
     # best completion with x0 = 0: x1 = x2 = 1, objective -7
-    assert sol.objective == pytest.approx(-7.0)
+    assert out.best_solution is not None
+    assert out.best_solution.objective == pytest.approx(-7.0)
+    assert out.best_solution.values.tolist() == [0.0, 1.0, 1.0]
 
 
 def test_complete_hint_node_limit_zero_partial_empty():
-    inst = _knap()
-    cfg = SolverConfig(det_work_per_second=DET_WPS, completesol_node_limit=0)
-    assert complete_hint(inst, {"x0": 0}, cfg, 10.0) is None
+    out, cs = _complete(_knap(), {"x0": 0}, completesol_node_limit=0)
+    assert cs.calls == 1 and cs.solutions_found == 0
+    assert out.best_solution is None
 
 
 def test_complete_hint_presolve_infeasible_returns_none(monkeypatch):
@@ -88,16 +103,18 @@ def test_complete_hint_presolve_infeasible_returns_none(monkeypatch):
         raise AssertionError("completion tried on a presolve-infeasible instance")
 
     monkeypatch.setattr(bb._TreeSolver, "_complete_one_hint", no_completion)
-    assert complete_hint(inst, {"x0": 1}, cfg, 10.0) is None
+    out, cs = _complete(inst, {"x0": 1})
+    assert out.status is SolveStatus.INFEASIBLE
+    assert cs.calls == 0 and out.best_solution is None
 
 
 def test_hint_with_continuous_entry_ignored():
     inst = make_instance("mix", [-1.0, 1.0],
                          [([1.0, 1.0], Sense.LE, 3.0)], [0, 0], [2, 5], ints=(0,))
-    cfg = SolverConfig(det_work_per_second=DET_WPS)
-    sol = complete_hint(inst, {"x0": 2, "x1": 4.5}, cfg, 10.0)
-    assert sol is not None
-    assert sol.values[0] == 2.0
+    out, cs = _complete(inst, {"x0": 2, "x1": 4.5})
+    assert cs.solutions_found == cs.best_solutions_found == 1
+    assert out.best_solution is not None
+    assert out.best_solution.values[0] == 2.0
 
 
 def test_max_improving_cap_stops_processing():

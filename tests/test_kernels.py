@@ -1,19 +1,19 @@
 """The numpy kernels against row- and column-loop reference kernels kept
 here: the loops do the plain arithmetic in the plain order, and the numpy
-kernels must match them bit for bit.  Also checks that `solve_lp` and the
-tree build the same tableau rows for the same cuts."""
+kernels must match them bit for bit.  Also checks that an instance's
+`NodeRows` and the tree's base rows, extended by the same cuts, hold the same
+rows."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
 from mipseries import kernels as K
-from mipseries.lp import LpProblem
 from mipseries.model import LinearRow, Sense, dense_block
 from mipseries.solver import SolverConfig
 from mipseries.solver.bb import _TreeSolver
 
-from conftest import hard_knapsack
+from conftest import hard_knapsack, relaxation
 
 
 def loop_eliminate(tab, rhs, r, j):
@@ -157,8 +157,11 @@ def test_lp_problem_and_tree_build_the_same_node_rows():
             LinearRow("c1", ((2, 1.0), (5, 1.0), (13, 0.5)), Sense.GE, 1.0),
             LinearRow("c2", (), Sense.LE, 0.0),
             LinearRow("c3", ((1, -1.0),), Sense.EQ, -0.0))
-    tree = _TreeSolver(inst, SolverConfig(), 1e6)
-    tree._set_base_rows(inst.rhs_array())
+    # no presolve keeps the model rhs; node limit 0 sets the base rows up
+    # and processes no node
+    tree = _TreeSolver(inst, SolverConfig(enabled_presolvers=frozenset(), node_limit=0), 1e6)
+    tree.solve()
+    model_rows = relaxation(inst)[0]
 
     def block(rows):
         return (dense_block(rows, inst.num_vars), tuple(row.sense for row in rows),
@@ -173,7 +176,7 @@ def test_lp_problem_and_tree_build_the_same_node_rows():
     assert_bits_equal(dense_block((repeated,), inst.num_vars)[0, 4:5], [-0.0])
 
     for rows in ((), cuts[:1], cuts):
-        lp_rows, _, _, _ = LpProblem(inst, extra_rows=rows).build()
+        lp_rows = model_rows.extend(*block(rows))
         node_rows = tree.base_rows.extend(*block(rows))
         assert_bits_equal(lp_rows.mat, node_rows.mat)
         assert list(lp_rows.senses) == list(node_rows.senses)

@@ -11,16 +11,15 @@ from scipy.optimize import linprog
 
 from mipseries import lp
 from mipseries.kernels import get_kernels
-from mipseries.lp import (AT_LOWER, BASIC, FREE, LpProblem, LpStatus, NodeRows,
-                          SimplexBasis, _Simplex, solve_arrays, solve_lp)
-from mipseries.model import LinearRow, Sense
+from mipseries.lp import AT_LOWER, BASIC, FREE, LpStatus, NodeRows, SimplexBasis, _Simplex
+from mipseries.model import LinearRow, Sense, dense_block
 
-from conftest import lp_vertex_oracle, make_instance
+from conftest import lp_solve, lp_vertex_oracle, make_instance, relaxation
 
 
 def test_single_var_lower_bounded_row():
     inst = make_instance("a", [1.0], [([1.0], Sense.GE, 2.0)], [0], [10], [0])
-    res = solve_lp(LpProblem(inst))
+    res = lp_solve(*relaxation(inst))
     assert res.status is LpStatus.OPTIMAL
     assert res.primal[0] == pytest.approx(2.0)
     assert res.objective == pytest.approx(2.0)
@@ -29,7 +28,7 @@ def test_single_var_lower_bounded_row():
 def test_two_var_box_vertex():
     inst = make_instance("b", [-1.0, -1.0], [([1.0, 1.0], Sense.LE, 1.0)],
                          [0, 0], [1, 1])
-    res = solve_lp(LpProblem(inst))
+    res = lp_solve(*relaxation(inst))
     assert res.status is LpStatus.OPTIMAL
     assert res.objective == pytest.approx(-1.0)
     # independent check: enumerate the vertices of the 2-D polytope
@@ -39,12 +38,12 @@ def test_two_var_box_vertex():
 def test_infeasible_rows():
     inst = make_instance("c", [1.0], [([1.0], Sense.GE, 1.0), ([1.0], Sense.LE, 0.0)],
                          [0], [10])
-    assert solve_lp(LpProblem(inst)).status is LpStatus.INFEASIBLE
+    assert lp_solve(*relaxation(inst)).status is LpStatus.INFEASIBLE
 
 
 def test_unbounded():
     inst = make_instance("d", [-1.0], [], [0], [np.inf])
-    assert solve_lp(LpProblem(inst)).status is LpStatus.UNBOUNDED
+    assert lp_solve(*relaxation(inst)).status is LpStatus.UNBOUNDED
 
 
 def test_iter_limit_returned_not_raised():
@@ -52,16 +51,16 @@ def test_iter_limit_returned_not_raised():
                          [([1.0, 2.0], Sense.LE, 2.0),
                           ([2.0, 1.0], Sense.LE, 2.0)],
                          [0, 0], [2, 2])
-    full = solve_lp(LpProblem(inst))
+    full = lp_solve(*relaxation(inst))
     assert full.status is LpStatus.OPTIMAL and full.iterations >= 2
-    res = solve_lp(LpProblem(inst), iter_limit=1)
+    res = lp_solve(*relaxation(inst), iter_limit=1)
     assert res.status is LpStatus.ITER_LIMIT
     assert res.iterations == 1
 
 
 def test_free_variable():
     inst = make_instance("f", [1.0], [([1.0], Sense.GE, -3.0)], [-np.inf], [np.inf])
-    res = solve_lp(LpProblem(inst))
+    res = lp_solve(*relaxation(inst))
     assert res.status is LpStatus.OPTIMAL
     assert res.objective == pytest.approx(-3.0)
 
@@ -69,7 +68,7 @@ def test_free_variable():
 def test_equality_row():
     inst = make_instance("g", [1.0, 1.0], [([1.0, 1.0], Sense.EQ, 3.0)],
                          [0, 0], [2, 2])
-    res = solve_lp(LpProblem(inst))
+    res = lp_solve(*relaxation(inst))
     assert res.status is LpStatus.OPTIMAL
     assert res.objective == pytest.approx(3.0)
 
@@ -90,16 +89,12 @@ def _random_lp(rng, n_max=6, m_max=4, bounded=True):
     return make_instance(f"lp{rng.integers(1 << 30)}", c, rows, lo, hi)
 
 
-def _solve(rows, lo, hi, cost, warm=None, iter_limit=1000):
-    return solve_arrays(rows, lo, hi, cost, warm, iter_limit, False, get_kernels(), 50)
-
-
 def test_vertex_enumeration_oracle_on_random_lps():
     rng = np.random.default_rng(5)
     checked = 0
     for _ in range(60):
         inst = _random_lp(rng)
-        res = solve_lp(LpProblem(inst))
+        res = lp_solve(*relaxation(inst))
         ref = lp_vertex_oracle(inst)
         if ref is None:
             assert res.status is LpStatus.INFEASIBLE
@@ -114,7 +109,7 @@ def test_against_scipy_including_unbounded():
     rng = np.random.default_rng(9)
     for _ in range(120):
         inst = _random_lp(rng, bounded=False)
-        res = solve_lp(LpProblem(inst))
+        res = lp_solve(*relaxation(inst))
         A = inst.dense_matrix()
         b = inst.rhs_array()
         A_ub, b_ub = [], []
@@ -140,7 +135,7 @@ def test_optimal_point_is_feasible():
     rng = np.random.default_rng(31)
     for _ in range(40):
         inst = _random_lp(rng)
-        res = solve_lp(LpProblem(inst))
+        res = lp_solve(*relaxation(inst))
         if res.status is not LpStatus.OPTIMAL:
             continue
         x = res.primal
@@ -161,14 +156,15 @@ def test_warm_start_after_bound_tightening():
     agreements = 0
     for _ in range(40):
         inst = _random_lp(rng)
-        cold = solve_lp(LpProblem(inst))
+        cold = lp_solve(*relaxation(inst))
         if cold.status is not LpStatus.OPTIMAL:
             continue
-        hi = np.array(inst.upper)
+        # fresh rows: the warm start factorizes the token's basis
+        rows, lo, hi, cost = relaxation(inst)
         j = int(rng.integers(inst.num_vars))
         hi[j] = max(inst.lower[j], hi[j] - 1.0)
-        warm = solve_lp(LpProblem(inst, local_upper=hi), warm=cold.basis)
-        cold2 = solve_lp(LpProblem(inst, local_upper=hi))
+        warm = lp_solve(rows, lo, hi, cost, cold.basis)
+        cold2 = lp_solve(rows, lo, hi, cost)
         assert warm.status == cold2.status
         if warm.status is LpStatus.OPTIMAL:
             assert warm.objective == pytest.approx(cold2.objective, abs=1e-8)
@@ -179,11 +175,14 @@ def test_warm_start_after_bound_tightening():
 def test_warm_start_with_appended_rows():
     inst = make_instance("h", [-1.0, -2.0],
                          [([1.0, 1.0], Sense.LE, 4.0)], [0, 0], [3, 3])
-    first = solve_lp(LpProblem(inst))
+    first = lp_solve(*relaxation(inst))
     assert first.status is LpStatus.OPTIMAL
     cut = LinearRow("cut", ((0, 1.0), (1, 1.0)), Sense.LE, 3.0)
-    warm = solve_lp(LpProblem(inst, extra_rows=(cut,)), warm=first.basis)
-    cold = solve_lp(LpProblem(inst, extra_rows=(cut,)))
+    # fresh rows: the warm start factorizes the token's basis
+    rows, lo, hi, cost = relaxation(inst)
+    more = rows.extend(dense_block((cut,), inst.num_vars), (cut.sense,), [cut.rhs])
+    warm = lp_solve(more, lo, hi, cost, first.basis)
+    cold = lp_solve(more, lo, hi, cost)
     assert warm.status is LpStatus.OPTIMAL
     assert warm.objective == pytest.approx(cold.objective, abs=1e-8)
 
@@ -191,8 +190,8 @@ def test_warm_start_with_appended_rows():
 def test_deterministic_repeat():
     rng = np.random.default_rng(123)
     inst = _random_lp(rng)
-    r1 = solve_lp(LpProblem(inst))
-    r2 = solve_lp(LpProblem(inst))
+    r1 = lp_solve(*relaxation(inst))
+    r2 = lp_solve(*relaxation(inst))
     assert r1.status == r2.status and r1.iterations == r2.iterations
     assert np.array_equal(r1.primal, r2.primal)
 
@@ -204,15 +203,14 @@ def test_cold_start_run_leaves_constraint_columns_intact():
     pivoted = 0
     for _ in range(10):
         inst = _random_lp(rng)
-        rows, lo, hi, cost = LpProblem(inst).build()
-        arrays = (rows.mat, rows.senses, rows.rhs, lo, hi, cost)
+        rows, lo, hi, cost = relaxation(inst)
         mat = rows.mat
-        sx = _Simplex(*arrays, get_kernels(), bland_after=50)
+        sx = _Simplex(rows, lo, hi, cost, get_kernels(), bland_after=50)
         sx.cold_start()
         sx.run(1000)
         assert np.array_equal(sx.all_cols, np.hstack([mat, np.eye(len(mat))]))
         token = SimplexBasis(sx.basis.copy(), sx.stat.copy())
-        fresh = _Simplex(*arrays, get_kernels(), bland_after=50)
+        fresh = _Simplex(rows, lo, hi, cost, get_kernels(), bland_after=50)
         assert fresh.warm_start(token)
         assert sx.warm_start(token)
         assert np.array_equal(sx.tab, fresh.tab)
@@ -229,14 +227,14 @@ def test_carried_tableau_is_copied_and_matches_a_fresh_factorization():
     pivoted = 0
     for _ in range(40):
         inst = _random_lp(rng)
-        rows, lo, hi, cost = LpProblem(inst).build()
-        token = _solve(rows, lo, hi, cost).basis
+        rows, lo, hi, cost = relaxation(inst)
+        token = lp_solve(rows, lo, hi, cost).basis
         assert token.rows is rows and not token.tab.flags.writeable
         kept = token.tab.copy(), token.rhs.copy()
         factorized = []
         factorization = rows.factorization
         rows.factorization = lambda basis: factorized.append(basis) or factorization(basis)
-        sx = _Simplex.on_rows(rows, lo, lo + np.floor((hi - lo) / 3), cost, get_kernels(), 50)
+        sx = _Simplex(rows, lo, lo + np.floor((hi - lo) / 3), cost, get_kernels(), 50)
         assert sx.warm_start(token)
         assert factorized == [] and sx.age == token.age
         assert sx.tab is not token.tab and np.array_equal(sx.tab, token.tab)
@@ -256,15 +254,15 @@ def test_carried_tableau_on_extended_rows_matches_a_fresh_factorization():
     checked = 0
     for _ in range(30):
         inst = _random_lp(rng)
-        rows, lo, hi, cost = LpProblem(inst).build()
-        res = _solve(rows, lo, hi, cost)
+        rows, lo, hi, cost = relaxation(inst)
+        res = lp_solve(rows, lo, hi, cost)
         if res.status is not LpStatus.OPTIMAL:
             continue
         k = int(rng.integers(1, 3))
         more = rows.extend(rng.integers(-3, 4, (k, rows.n)).astype(float),
                            (Sense.LE,) * k, rng.integers(0, 6, k).astype(float))
         assert more.extends(rows) and not rows.extends(more)
-        sx = _Simplex.on_rows(more, lo, hi, cost, get_kernels(), 50)
+        sx = _Simplex(more, lo, hi, cost, get_kernels(), 50)
         assert sx.warm_start(res.basis)
         assert np.array_equal(sx.basis[:rows.m], res.basis.basis)
         fresh_tab, fresh_rhs = more.factorization(sx.basis)
@@ -282,7 +280,7 @@ def test_failed_factorization_returns_none():
     assert rows.factorization(np.array([0, 1], dtype=np.int64)) is None
     assert rows.factorization(np.array([2, 3], dtype=np.int64)) is None
     assert rows.factorization(np.array([0, 3], dtype=np.int64)) is not None
-    sx = _Simplex.on_rows(rows, np.zeros(4), np.full(4, 5.0), np.zeros(4),
+    sx = _Simplex(rows, np.zeros(4), np.full(4, 5.0), np.zeros(4),
                           get_kernels(), 50)
     assert not sx.warm_start(SimplexBasis(np.array([0, 1]), np.zeros(6, dtype=np.int8)))
 
@@ -291,11 +289,11 @@ def test_warm_start_of_a_zero_row_lp():
     # an empty basis is a valid token: the warm start hits and solves
     rows = NodeRows(np.zeros((0, 2)), (), np.zeros(0))
     lo, hi, cost = np.zeros(2), np.array([1.0, 2.0]), np.array([1.0, -1.0])
-    first = solve_arrays(rows, lo, hi, cost, None, 100, False, get_kernels(), 50)
+    first = lp_solve(rows, lo, hi, cost, iter_limit=100)
     assert first.status is LpStatus.OPTIMAL and len(first.basis.basis) == 0
-    sx = _Simplex.on_rows(rows, lo, hi, cost, get_kernels(), 50)
+    sx = _Simplex(rows, lo, hi, cost, get_kernels(), 50)
     assert sx.warm_start(first.basis)
-    again = solve_arrays(rows, lo, hi, cost, first.basis, 100, False, get_kernels(), 50)
+    again = lp_solve(rows, lo, hi, cost, first.basis, iter_limit=100)
     assert again.status is LpStatus.OPTIMAL
     assert np.array_equal(again.primal, [0.0, 2.0]) and again.objective == -2.0
 
@@ -309,12 +307,66 @@ def test_warm_start_rejects_repeated_and_out_of_range_basis_columns():
     factorization = rows.factorization
     rows.factorization = lambda basis: factorized.append(basis) or factorization(basis)
     for basis in ([2, 2], [2, 4], [-1, 2], [2], [0, 1, 2]):
-        sx = _Simplex.on_rows(rows, lo, hi, cost, get_kernels(), 50)
+        sx = _Simplex(rows, lo, hi, cost, get_kernels(), 50)
         assert not sx.warm_start(SimplexBasis(np.array(basis, dtype=np.int64), stat))
     assert factorized == []   # rejected before any basis system is solved
-    sx = _Simplex.on_rows(rows, lo, hi, cost, get_kernels(), 50)
+    sx = _Simplex(rows, lo, hi, cost, get_kernels(), 50)
     assert sx.warm_start(SimplexBasis(np.array([3, 2], dtype=np.int64), stat))
     assert len(factorized) == 1
+
+
+def _breaks_down(monkeypatch, times):
+    """Make the primal loop break down after at most two pivots on its
+    first `times` calls; returns the list of calls."""
+    real_run = _Simplex.run
+    calls = []
+
+    def run(self, iter_limit):
+        calls.append(self.bland_after)
+        if len(calls) > times:
+            return real_run(self, iter_limit)
+        real_run(self, min(iter_limit, 2))
+        raise lp.SimplexTrouble("injected breakdown")
+
+    monkeypatch.setattr(_Simplex, "run", run)
+    return calls
+
+
+def test_simplex_trouble_recovers_with_a_cold_bland_solve(monkeypatch):
+    # a breakdown of the first run is answered by a fresh cold solve with
+    # Bland from the first pivot: the result is that solve's, bit for bit
+    rng = np.random.default_rng(17)
+    optimal = 0
+    for _ in range(30):
+        rows, lo, hi, cost = relaxation(_random_lp(rng, bounded=False))
+        clean = lp_solve(rows, lo, hi, cost, bland_after=0)
+        with monkeypatch.context() as mp:
+            calls = _breaks_down(mp, times=1)
+            res = lp_solve(rows, lo, hi, cost)
+        assert calls == [50, 0]
+        assert res.status is clean.status and res.iterations == clean.iterations
+        assert np.array_equal(res.primal, clean.primal)
+        assert res.objective == clean.objective
+        assert np.array_equal(res.basis.basis, clean.basis.basis)
+        assert np.array_equal(res.basis.stat, clean.basis.stat)
+        optimal += res.status is LpStatus.OPTIMAL
+    assert optimal >= 10
+
+
+def test_simplex_trouble_that_persists_reports_the_budget_spent(monkeypatch):
+    # when the cold Bland solve breaks down too, the pivot budget is
+    # reported as spent: ITER_LIMIT with a finite point and a token
+    rng = np.random.default_rng(18)
+    for _ in range(20):
+        rows, lo, hi, cost = relaxation(_random_lp(rng))
+        with monkeypatch.context() as mp:
+            calls = _breaks_down(mp, times=2)
+            res = lp_solve(rows, lo, hi, cost)
+        assert calls == [50, 0]
+        assert res.status is LpStatus.ITER_LIMIT
+        assert np.all(np.isfinite(res.primal)) and np.isfinite(res.objective)
+        assert res.basis is not None and res.snapshot is None
+        assert res.iterations <= 2
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +433,8 @@ def _assert_agrees(res, oracle_inst):
 @given(fuzz_lps(), st.data())
 def test_fuzz_warm_resolve_after_a_bound_change(lps, data):
     inst, oracle_inst = lps
-    rows, lo, hi, cost = LpProblem(inst).build()
-    first = _solve(rows, lo, hi, cost)
+    rows, lo, hi, cost = relaxation(inst)
+    first = lp_solve(rows, lo, hi, cost)
     _assert_agrees(first, oracle_inst)
     boxed = np.flatnonzero(np.isfinite(lo) & np.isfinite(hi) & (lo < hi))
     assume(first.status is LpStatus.OPTIMAL and len(boxed))
@@ -395,16 +447,16 @@ def test_fuzz_warm_resolve_after_a_bound_change(lps, data):
             lo2[j] = v
     oracle_lo = np.where(np.isfinite(lo2), lo2, -4.0)
     oracle_hi = np.where(np.isfinite(hi2), hi2, 4.0)
-    ref = _assert_agrees(_solve(rows, lo2, hi2, cost, first.basis),
+    ref = _assert_agrees(lp_solve(rows, lo2, hi2, cost, first.basis),
                          _with_bounds(oracle_inst, oracle_lo, oracle_hi))
     # the dual simplex objective bounds the optimum from below at every
     # pivot, and the beta it carries through pivots and flips is the beta a
     # fresh computation gives
     for limit in range(6):
-        res = _solve(rows, lo2, hi2, cost, first.basis, iter_limit=limit)
+        res = lp_solve(rows, lo2, hi2, cost, first.basis, iter_limit=limit)
         if res.status is LpStatus.ITER_LIMIT and ref is not None:
             assert res.objective <= ref + 1e-6
-        sx = _Simplex.on_rows(rows, lo2, hi2, cost, get_kernels(), 50)
+        sx = _Simplex(rows, lo2, hi2, cost, get_kernels(), 50)
         assert sx.warm_start(first.basis)
         status, beta = sx.run_dual(limit)
         assert np.allclose(beta, sx.compute_beta(sx.vals), rtol=0.0, atol=1e-9)
@@ -412,7 +464,7 @@ def test_fuzz_warm_resolve_after_a_bound_change(lps, data):
     # tableau is not read
     aged = replace(first.basis, age=lp.REFACTOR_AGE,
                    tab=np.full_like(first.basis.tab, np.nan))
-    _assert_agrees(_solve(rows, lo2, hi2, cost, aged),
+    _assert_agrees(lp_solve(rows, lo2, hi2, cost, aged),
                    _with_bounds(oracle_inst, oracle_lo, oracle_hi))
 
 
@@ -420,8 +472,8 @@ def test_fuzz_warm_resolve_after_a_bound_change(lps, data):
 @given(fuzz_lps(), st.data())
 def test_fuzz_warm_resolve_after_appended_rows(lps, data):
     inst, oracle_inst = lps
-    rows, lo, hi, cost = LpProblem(inst).build()
-    first = _solve(rows, lo, hi, cost)
+    rows, lo, hi, cost = relaxation(inst)
+    first = lp_solve(rows, lo, hi, cost)
     assume(first.status is LpStatus.OPTIMAL)
     k = data.draw(st.integers(1, 2))
     mat = np.array([[float(data.draw(st.integers(-3, 3))) for _ in range(rows.n)]
@@ -435,7 +487,7 @@ def test_fuzz_warm_resolve_after_appended_rows(lps, data):
         "fuzz", oracle_inst.objective,
         [(row, s, b) for row, s, b in zip(more.mat, more.senses, more.rhs)],
         oracle_inst.lower, oracle_inst.upper)
-    _assert_agrees(_solve(more, lo, hi, cost, first.basis), extended)
+    _assert_agrees(lp_solve(more, lo, hi, cost, first.basis), extended)
 
 
 @pytest.mark.parametrize("knob", ["REFACTOR_AGE", "DUAL_STALL_AFTER"])
@@ -446,15 +498,15 @@ def test_fuzz_dual_refactorizing_or_stalling_every_pivot(knob, lps, data):
     # pivot, and every warm start factorizes.  DUAL_STALL_AFTER 1: the
     # first degenerate dual pivot hands the basis to the primal loop.
     inst, oracle_inst = lps
-    rows, lo, hi, cost = LpProblem(inst).build()
-    first = _solve(rows, lo, hi, cost)
+    rows, lo, hi, cost = relaxation(inst)
+    first = lp_solve(rows, lo, hi, cost)
     assume(first.status is LpStatus.OPTIMAL)
     hi2 = hi.copy()
     boxed = np.isfinite(lo) & np.isfinite(hi)
     hi2[boxed] = lo[boxed] + np.floor((hi[boxed] - lo[boxed]) / 2)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp, knob, 1)
-        res = _solve(rows, lo, hi2, cost, first.basis)
+        res = lp_solve(rows, lo, hi2, cost, first.basis)
     _assert_agrees(res, _with_bounds(oracle_inst, oracle_inst.lower,
                                      np.where(np.isfinite(hi2), hi2, 4.0)))
 
@@ -467,20 +519,20 @@ def test_dual_enters_a_free_column_and_hands_a_stall_to_the_primal_loop():
                          [([1.0, 1.0], Sense.GE, 0.0), ([0.0, 1.0], Sense.LE, 3.0),
                           ([0.0, 1.0], Sense.GE, -3.0)],
                          [0.0, -np.inf], [2.0, np.inf])
-    rows, lo, hi, cost = LpProblem(inst).build()
-    first = _solve(rows, lo, hi, cost)
+    rows, lo, hi, cost = relaxation(inst)
+    first = lp_solve(rows, lo, hi, cost)
     assert first.status is LpStatus.OPTIMAL and first.basis.stat[1] == FREE
     more = rows.extend(np.array([[0.0, 1.0]]), (Sense.GE,), np.array([1.0]))
-    sx = _Simplex.on_rows(more, lo, hi, cost, get_kernels(), 50)
+    sx = _Simplex(more, lo, hi, cost, get_kernels(), 50)
     assert sx.warm_start(first.basis)
     status, _ = sx.run_dual(100)
     assert status is LpStatus.OPTIMAL and sx.stat[1] == BASIC and sx.iterations == 1
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp, "DUAL_STALL_AFTER", 1)
-        sx = _Simplex.on_rows(more, lo, hi, cost, get_kernels(), 50)
+        sx = _Simplex(more, lo, hi, cost, get_kernels(), 50)
         assert sx.warm_start(first.basis)
         assert sx.run_dual(100) is None and sx.iterations == 1
-        res = _solve(more, lo, hi, cost, first.basis)
+        res = lp_solve(more, lo, hi, cost, first.basis)
     assert res.status is LpStatus.OPTIMAL and res.objective == 0.0
     assert res.primal[1] == pytest.approx(1.0)
 
@@ -498,16 +550,16 @@ def test_dual_carries_beta_and_the_bound_through_flips():
                              [(row, Sense.LE, float(row.sum() // 2))
                               for row in rng.integers(1, 20, (m, n)).astype(float)],
                              np.zeros(n), np.ones(n))
-        rows, lo, hi, cost = LpProblem(inst).build()
-        first = _solve(rows, lo, hi, cost)
+        rows, lo, hi, cost = relaxation(inst)
+        first = lp_solve(rows, lo, hi, cost)
         lo2, hi2 = lo.copy(), hi.copy()
         pick = rng.choice(n, size=4, replace=False)
         up = first.primal[pick] < 0.5
         lo2[pick[up]] = 1.0
         hi2[pick[~up]] = 0.0
-        full = _solve(rows, lo2, hi2, cost, first.basis)
+        full = lp_solve(rows, lo2, hi2, cost, first.basis)
         for limit in range(full.iterations):
-            sx = _Simplex.on_rows(rows, lo2, hi2, cost, get_kernels(), 50)
+            sx = _Simplex(rows, lo2, hi2, cost, get_kernels(), 50)
             assert sx.warm_start(first.basis)
             status, beta = sx.run_dual(limit)
             assert status is LpStatus.ITER_LIMIT
@@ -524,9 +576,9 @@ def test_dual_ratio_ties_go_to_the_largest_pivot():
     # at the same dual step (1/1 = 2/2); the larger |alpha| enters
     mat, senses = np.array([[1.0, 2.0]]), (Sense.GE,)
     lo, hi, cost = np.zeros(2), np.full(2, 5.0), np.array([1.0, 2.0])
-    first = _solve(NodeRows(mat, senses, [-1.0]), lo, hi, cost)
+    first = lp_solve(NodeRows(mat, senses, [-1.0]), lo, hi, cost)
     assert first.status is LpStatus.OPTIMAL and first.iterations == 0
-    res = _solve(NodeRows(mat, senses, [2.0]), lo, hi, cost, first.basis)
+    res = lp_solve(NodeRows(mat, senses, [2.0]), lo, hi, cost, first.basis)
     assert res.status is LpStatus.OPTIMAL and res.iterations == 1
     assert res.primal.tolist() == [0.0, 1.0] and res.objective == 2.0
 
@@ -539,14 +591,14 @@ def test_dual_moves_boxed_columns_priced_on_the_wrong_side():
     dual_runs = 0
     for _ in range(40):
         inst = _random_lp(rng)
-        rows, lo, hi, cost = LpProblem(inst).build()
-        first = _solve(rows, lo, hi, -cost)
+        rows, lo, hi, cost = relaxation(inst)
+        first = lp_solve(rows, lo, hi, -cost)
         if first.status is not LpStatus.OPTIMAL:
             continue
-        sx = _Simplex.on_rows(rows, lo, hi, cost, get_kernels(), 50)
+        sx = _Simplex(rows, lo, hi, cost, get_kernels(), 50)
         assert sx.warm_start(first.basis)
         dual_runs += sx.run_dual(1000) is not None
-        warm, cold = _solve(rows, lo, hi, cost, first.basis), _solve(rows, lo, hi, cost)
+        warm, cold = lp_solve(rows, lo, hi, cost, first.basis), lp_solve(rows, lo, hi, cost)
         assert warm.status is cold.status
         if cold.status is LpStatus.OPTIMAL:
             assert warm.objective == pytest.approx(cold.objective, abs=1e-8)

@@ -15,12 +15,13 @@ import numpy as np
 import pytest
 
 from mipseries.kernels import get_kernels
-from mipseries.lp import (AT_LOWER, AT_UPPER, BASIC, FIXED, FREE, LpProblem,
-                          SimplexBasis, _Simplex, solve_lp)
+from mipseries.lp import (AT_LOWER, AT_UPPER, BASIC, FIXED, FREE, NodeRows,
+                          SimplexBasis, _Simplex)
 from mipseries.model import INF, Sense
 from mipseries.solver import BranchingRule, SolverConfig, solve
 
-from conftest import DET_WPS, hard_knapsack, make_instance, random_feasible_mip
+from conftest import (DET_WPS, hard_knapsack, lp_solve, make_instance,
+                      random_feasible_mip, relaxation)
 
 # name, status, nodes, lp_iterations, sb_lp_solves, cuts generated, primal bound
 MIP_PINS = [
@@ -99,7 +100,7 @@ def test_lp_solves_pinned():
     lps = list(pinned_lps())
     assert len(lps) == len(LP_PINS)
     for inst, (status, iters, obj, digest) in zip(lps, LP_PINS):
-        res = solve_lp(LpProblem(inst))
+        res = lp_solve(*relaxation(inst))
         assert res.status.name == status
         assert res.iterations == iters
         # the objective is a BLAS dot product, whose summation order may
@@ -152,8 +153,8 @@ def test_start_statuses_match_column_loops():
         hi = np.maximum(hi, lo)
         senses = [(Sense.LE, Sense.GE, Sense.EQ)[s] for s in rng.integers(0, 3, m)]
         mat = rng.standard_normal((m, n))
-        sx = _Simplex(mat, senses, rng.standard_normal(m), lo, hi, np.zeros(n),
-                      kernels, bland_after=50)
+        sx = _Simplex(NodeRows(mat, senses, rng.standard_normal(m)), lo, hi,
+                      np.zeros(n), kernels, bland_after=50)
 
         sx.cold_start()
         want = [loop_nonbasic_status(sx.lo[j], sx.hi[j]) for j in range(sx.ncols)]

@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from mipseries.lp import LpProblem, LpStatus, solve_lp
+from mipseries.lp import LpStatus
 from mipseries.model import Sense, check_feasibility
 from mipseries.solver import (BranchingRule, Candidate, SolverConfig, SolveStatus,
                               solve)
 from mipseries.solver import bb
 from mipseries.solver.bb import _TreeSolver
 
-from conftest import (DET_WPS, awkward_values, enumerate_mip, hard_knapsack,
-                      make_instance, outcome, random_feasible_mip)
+from conftest import (DET_WPS, awkward_values, enumerate_integer_points,
+                      enumerate_mip, hard_knapsack, lp_solve, make_instance,
+                      outcome, random_feasible_mip, relaxation)
 
 
 def _cfg(**kw):
@@ -320,7 +321,8 @@ def test_rounding_checks_its_point_once_and_keeps_the_incumbents(monkeypatch):
             hi = np.array(inst.upper, dtype=float)
             j = int(rng.integers(inst.num_vars))
             lo[j] = hi[j] = float(rng.integers(lo[j], hi[j] + 1))
-            res = solve_lp(LpProblem(inst, local_lower=lo, local_upper=hi))
+            rows, _, _, cost = relaxation(inst)
+            res = lp_solve(rows, lo, hi, cost)
             if res.status is LpStatus.OPTIMAL:
                 points.append(res.primal)
             points.append(inst.lower + rng.random(inst.num_vars) * (inst.upper - inst.lower))
@@ -340,3 +342,55 @@ def test_rounding_checks_its_point_once_and_keeps_the_incumbents(monkeypatch):
         accepted += len({pb for pb, _ in seqs[_TreeSolver][0]}) - 1
     assert accepted >= 20
     assert counts[_TreeSolver] < counts[CheckTwice]
+
+
+def test_hint_completion_checks_each_point_once_and_keeps_the_incumbents(monkeypatch):
+    # both paths of _complete_one_hint have checked the point that
+    # _run_completesol hands to _try_incumbent, with the same tolerances:
+    # the all-fixed LP checks its rounded point, a sub-MIP's incumbent passed
+    # the sub-solver's check; skipping the second check must give the
+    # incumbent sequence and the completesol stats the double check gave
+    class CheckOnce(_TreeSolver):
+        def _try_incumbent(self, point, checked=False):
+            took = super()._try_incumbent(point, checked)
+            self.seq.append((took, self.pb, None if self.incumbent is None
+                             else self.incumbent.values.tobytes()))
+            return took
+
+    class CheckTwice(CheckOnce):
+        def _try_incumbent(self, point, checked=False):
+            return super()._try_incumbent(point)
+
+    calls = []
+    real_check = bb.check_feasibility
+    monkeypatch.setattr(bb, "check_feasibility",
+                        lambda *args: calls.append(1) or real_check(*args))
+    rng = np.random.default_rng(43)
+    cfg = _cfg(node_limit=3, completesol_max_improving=None)
+    counts = {CheckOnce: 0, CheckTwice: 0}
+    completed = 0
+    for _ in range(25):
+        inst = random_feasible_mip(rng, max_vars=8, max_rows=6)
+        feasible = enumerate_integer_points(inst)
+        lattice = inst.lower + np.floor(rng.random((2, inst.num_vars))
+                                        * (inst.upper - inst.lower + 1))
+        points = [*feasible[rng.integers(len(feasible), size=4)], *lattice]
+        hints = []
+        for k, x in enumerate(points):
+            # full assignments complete with one LP, partial ones with a sub-MIP
+            keep = np.ones(inst.num_vars, dtype=bool) if k % 2 == 0 \
+                else rng.random(inst.num_vars) < 0.5
+            hints.append({inst.var_names[j]: float(x[j]) for j in np.flatnonzero(keep)})
+        runs = {}
+        for cls in counts:
+            tree = cls(inst, cfg, 1e6, hints=hints)
+            tree.seq = []
+            calls.clear()
+            out = tree.solve()
+            counts[cls] += len(calls)
+            runs[cls] = (tree.seq, out.primal_bound, out.status,
+                         repr(out.stats.heuristics["completesol"]))
+        assert runs[CheckOnce] == runs[CheckTwice]
+        completed += tree.stats.heuristics["completesol"].solutions_found
+    assert completed >= 100
+    assert counts[CheckOnce] < counts[CheckTwice]
