@@ -67,12 +67,13 @@ def total_score(record) -> float:
     return record.time_score + record.gap_score
 
 
-def shifted_geomean(times, shift: float = GEOMEAN_SHIFT) -> float:
-    """exp(mean(ln(t + shift))) - shift."""
+def shifted_geomean(times) -> float:
+    """exp(mean(ln(t + GEOMEAN_SHIFT))) - GEOMEAN_SHIFT."""
     times = list(times)
     if not times:
         raise ValueError("shifted_geomean of an empty list")
-    return math.exp(sum(math.log(t + shift) for t in times) / len(times)) - shift
+    return math.exp(sum(math.log(t + GEOMEAN_SHIFT) for t in times)
+                    / len(times)) - GEOMEAN_SHIFT
 
 
 @dataclass
@@ -94,18 +95,21 @@ class ScoreRecord:
     error: str | None = None
 
 
-def batch_averages(records, batch_size: int = BATCH_SIZE) -> list[dict]:
-    """Mean total score per batch of `batch_size` consecutive instances; the
-    final partial batch is averaged over its actual size."""
+def _batch_means(totals: list[float]) -> list[tuple[str, int, float]]:
+    """(label "first-last", count, mean) per batch of BATCH_SIZE consecutive
+    totals; the final partial batch is averaged over its actual size."""
     out = []
-    for start in range(0, len(records), batch_size):
-        chunk = records[start:start + batch_size]
-        out.append({
-            "batch": f"{start + 1}-{start + len(chunk)}",
-            "count": len(chunk),
-            "mean_total_score": sum(r.total_score for r in chunk) / len(chunk),
-        })
+    for start in range(0, len(totals), BATCH_SIZE):
+        chunk = totals[start:start + BATCH_SIZE]
+        out.append((f"{start + 1}-{start + len(chunk)}", len(chunk),
+                    sum(chunk) / len(chunk)))
     return out
+
+
+def batch_averages(records) -> list[dict]:
+    """Mean total score per batch of BATCH_SIZE consecutive instances."""
+    return [{"batch": label, "count": count, "mean_total_score": mean}
+            for label, count, mean in _batch_means([r.total_score for r in records])]
 
 
 def improvement_pct(base: float, new: float) -> float:
@@ -287,35 +291,31 @@ def _solve_one(state: _SeriesState, manifest: SeriesManifest,
     try:
         outcome = solve(inst, cfg, limit, hints=hints, warm_histories=warm)
     except Exception as exc:   # instance-level failure: record it, move on
-        state.errors.append({"index": t, "error": f"{type(exc).__name__}: {exc}"})
-        record = _error_record(t, f"{type(exc).__name__}: {exc}")
-        if tuning_active:
-            base = -record.total_score
-            state.tuner.update(Param.HINT, values[Param.HINT], base,
-                               hints_provided=hints_provided, hint_converted=False)
-            state.tuner.update(Param.CUTS, values[Param.CUTS], base)
-            state.tuner.update(Param.ROOT_CUTS, values[Param.ROOT_CUTS], base)
-        return record
-
-    solved = outcome.status is SolveStatus.OPTIMAL
-    ts = time_score(outcome.solve_time, limit, solved)
-    gs = gap_score(outcome.primal_bound, outcome.dual_bound)
-    record = ScoreRecord(
-        instance_index=t, status=outcome.status.value,
-        solve_time=outcome.solve_time, pb=outcome.primal_bound,
-        db=outcome.dual_bound, time_score=ts, gap_score=gs,
-        total_score=ts + gs, hint_converted=outcome.stats.hint_converted,
-        rule=rule.value, hint_value=values[Param.HINT],
-        cuts_value=values[Param.CUTS], root_cuts_value=values[Param.ROOT_CUTS],
-        hints_provided=hints_provided)
+        message = f"{type(exc).__name__}: {exc}"
+        state.errors.append({"index": t, "error": message})
+        outcome, record = None, _error_record(t, message)
+    else:
+        solved = outcome.status is SolveStatus.OPTIMAL
+        ts = time_score(outcome.solve_time, limit, solved)
+        gs = gap_score(outcome.primal_bound, outcome.dual_bound)
+        record = ScoreRecord(
+            instance_index=t, status=outcome.status.value,
+            solve_time=outcome.solve_time, pb=outcome.primal_bound,
+            db=outcome.dual_bound, time_score=ts, gap_score=gs,
+            total_score=ts + gs, hint_converted=outcome.stats.hint_converted,
+            rule=rule.value, hint_value=values[Param.HINT],
+            cuts_value=values[Param.CUTS], root_cuts_value=values[Param.ROOT_CUTS],
+            hints_provided=hints_provided)
 
     if tuning_active:
         base = -record.total_score
         state.tuner.update(Param.HINT, values[Param.HINT], base,
                            hints_provided=hints_provided,
-                           hint_converted=outcome.stats.hint_converted)
+                           hint_converted=record.hint_converted)
         state.tuner.update(Param.CUTS, values[Param.CUTS], base)
         state.tuner.update(Param.ROOT_CUTS, values[Param.ROOT_CUTS], base)
+    if outcome is None:
+        return record
 
     if use["turnoff"]:
         enabled = set()
@@ -424,22 +424,10 @@ def improvement_table(report_csv, baseline_csv) -> dict:
     base_rows = read_report_csv(baseline_csv)
     new_totals = [float(r["total_score"]) for r in new_rows]
     base_totals = [float(r["total_score"]) for r in base_rows]
-
-    def _batch_means(totals):
-        return [sum(chunk) / len(chunk)
-                for chunk in (totals[i:i + BATCH_SIZE]
-                              for i in range(0, len(totals), BATCH_SIZE))]
-
-    new_means = _batch_means(new_totals)
-    base_means = _batch_means(base_totals)
-    batches = []
-    for i in range(min(len(new_means), len(base_means))):
-        batches.append({
-            "batch": f"{i * BATCH_SIZE + 1}-{min((i + 1) * BATCH_SIZE, len(new_totals))}",
-            "baseline": base_means[i],
-            "report": new_means[i],
-            "improvement_pct": improvement_pct(base_means[i], new_means[i]),
-        })
+    batches = [{"batch": label, "baseline": base_mean, "report": new_mean,
+                "improvement_pct": improvement_pct(base_mean, new_mean)}
+               for (label, _, new_mean), (_, _, base_mean)
+               in zip(_batch_means(new_totals), _batch_means(base_totals))]
     base_avg = sum(base_totals) / len(base_totals) if base_totals else 0.0
     new_avg = sum(new_totals) / len(new_totals) if new_totals else 0.0
     return {

@@ -166,16 +166,6 @@ class MipInstance:
     def senses(self) -> tuple[Sense, ...]:
         return tuple(row.sense for row in self.rows)
 
-    def same_data(self, other: "MipInstance") -> bool:
-        """Field-for-field equality (used by round-trip tests)."""
-        return (self.name == other.name
-                and self.var_names == other.var_names
-                and np.array_equal(self.objective, other.objective)
-                and np.array_equal(self.lower, other.lower)
-                and np.array_equal(self.upper, other.upper)
-                and self.integer_mask == other.integer_mask
-                and self.rows == other.rows)
-
 
 @dataclass
 class Solution:
@@ -299,6 +289,14 @@ def _parse_bound(value, *, path, var, side) -> float:
     raise InstanceError(f"{path}: variable '{var}': bad {side} bound {value!r}")
 
 
+def _as_float(value, error, where: str) -> float:
+    """float(value), or `error` naming `where` when value is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise error(f"{where}: not a number: {value!r}") from None
+
+
 def _format_bound(value: float):
     if value == INF:
         return "inf"
@@ -320,16 +318,22 @@ def instance_from_dict(data: dict, path: str = "<memory>") -> MipInstance:
         row_specs = data["rows"]
     except KeyError as exc:
         raise InstanceError(f"{path}: missing top-level key {exc}") from None
+    if not isinstance(var_specs, list) or not isinstance(row_specs, list):
+        raise InstanceError(f"{path}: 'vars' and 'rows' must be lists")
 
     names, lower, upper, obj = [], [], [], []
     integer = set()
     for k, v in enumerate(var_specs):
+        if not isinstance(v, dict):
+            raise InstanceError(f"{path}: variable #{k} must be an object, got {v!r}")
         try:
             vname = v["name"]
-            lb = _parse_bound(v["lb"], path=path, var=v.get("name", k), side="lower")
-            ub = _parse_bound(v["ub"], path=path, var=v.get("name", k), side="upper")
+            if not isinstance(vname, str):
+                raise InstanceError(f"{path}: variable #{k}: name {vname!r} is not a string")
+            lb = _parse_bound(v["lb"], path=path, var=vname, side="lower")
+            ub = _parse_bound(v["ub"], path=path, var=vname, side="upper")
             is_int = bool(v["integer"])
-            cj = float(v["obj"])
+            cj = _as_float(v["obj"], InstanceError, f"{path}: variable '{vname}': obj")
         except KeyError as exc:
             raise InstanceError(f"{path}: variable #{k}: missing key {exc}") from None
         if is_int:
@@ -351,20 +355,27 @@ def instance_from_dict(data: dict, path: str = "<memory>") -> MipInstance:
 
     rows = []
     for i, r in enumerate(row_specs):
+        if not isinstance(r, dict):
+            raise InstanceError(f"{path}: row #{i} must be an object, got {r!r}")
         try:
             rname = r["name"]
             coefs = r["coefs"]
             rsense = Sense(r["sense"])
-            rhs = float(r["rhs"])
+            rhs = _as_float(r["rhs"], InstanceError, f"{path}: row #{i}: rhs")
         except KeyError as exc:
             raise InstanceError(f"{path}: row #{i}: missing key {exc}") from None
+        except InstanceError:
+            raise
         except ValueError:
             raise InstanceError(f"{path}: row #{i}: bad sense {r.get('sense')!r}") from None
+        if not isinstance(coefs, dict):
+            raise InstanceError(f"{path}: row '{rname}': coefs must be an object")
         pairs = []
         for vname, coef in coefs.items():
             if vname not in name_to_idx:
                 raise InstanceError(f"{path}: row '{rname}': unknown variable '{vname}'")
-            pairs.append((name_to_idx[vname], float(coef)))
+            pairs.append((name_to_idx[vname], _as_float(
+                coef, InstanceError, f"{path}: row '{rname}': coefficient of '{vname}'")))
         pairs.sort()
         rows.append(LinearRow(rname, tuple(pairs), rsense, rhs))
 
@@ -453,20 +464,28 @@ def load_series(path) -> SeriesManifest:
         data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SeriesError(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from None
+    if not isinstance(data, dict):
+        raise SeriesError(f"{path}: top level must be an object")
     try:
         series_name = data["series_name"]
-        time_limit = float(data["time_limit"])
+        time_limit = _as_float(data["time_limit"], SeriesError, f"{path}: time_limit")
+        if not isinstance(data["changing"], list):
+            raise SeriesError(f"{path}: changing must be a list")
         changing = frozenset(Component(c) for c in data["changing"])
         rel_paths = data["instances"]
     except KeyError as exc:
         raise SeriesError(f"{path}: missing key {exc}") from None
+    except SeriesError:
+        raise
     except ValueError as exc:
         raise SeriesError(f"{path}: {exc}") from None
+    if not isinstance(rel_paths, list) or not all(isinstance(p, str) for p in rel_paths):
+        raise SeriesError(f"{path}: instances must be a list of file names")
 
     if not rel_paths:
         raise SeriesError(f"{path}: empty series")
-    if time_limit <= 0:
-        raise SeriesError(f"{path}: time limit must be positive")
+    if not 0 < time_limit < INF:   # NaN fails too
+        raise SeriesError(f"{path}: time limit must be positive and finite")
     if not changing:
         raise SeriesError(f"{path}: changing components must be non-empty")
 

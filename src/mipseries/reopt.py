@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import Component, MipInstance, Solution
+from .model import DEFAULT_INT_TOL, Component, MipInstance, Solution
 from .solver import BranchingRule, GlobalHistory, SolveOutcome, VariableHistory
 
 DEFAULT_ALPHA_PCT = 90.0
@@ -111,8 +111,7 @@ def solution_values_by_name(sol: Solution, var_names) -> dict:
     return {name: float(sol.values[j]) for j, name in enumerate(var_names)}
 
 
-def clip_and_strip(values_by_name, target: MipInstance,
-                   int_tol: float = 1e-6) -> dict:
+def clip_and_strip(values_by_name, target: MipInstance) -> dict:
     """Keep only integer variables, clamping each value into the target's
     bounds (integer-variable bounds are integral, so clamped values stay
     integral)."""
@@ -128,8 +127,7 @@ def clip_and_strip(values_by_name, target: MipInstance,
 
 
 def build_common_hint(pool: SolutionPool, target: MipInstance,
-                      alpha_pct: float = DEFAULT_ALPHA_PCT,
-                      int_tol: float = 1e-6) -> dict:
+                      alpha_pct: float = DEFAULT_ALPHA_PCT) -> dict:
     """Pairs that appear in the first archived solution and in at least
     alpha_pct percent of all archived solutions, clipped to target bounds.
 
@@ -145,10 +143,10 @@ def build_common_hint(pool: SolutionPool, target: MipInstance,
             continue
         v = round(value)
         matches = sum(1 for e in entries
-                      if name in e.values and abs(e.values[name] - v) <= int_tol)
+                      if name in e.values and abs(e.values[name] - v) <= DEFAULT_INT_TOL)
         if matches * 100.0 >= alpha_pct * len(entries) - 1e-9:
             selected[name] = float(v)
-    return clip_and_strip(selected, target, int_tol)
+    return clip_and_strip(selected, target)
 
 
 def completesol_params(changing) -> tuple[int, int | None]:
@@ -161,20 +159,19 @@ def completesol_params(changing) -> tuple[int, int | None]:
 
 
 def assemble_hints(pool: SolutionPool, target: MipInstance, changing,
-                   alpha_pct: float = DEFAULT_ALPHA_PCT,
-                   int_tol: float = 1e-6) -> HintSet:
+                   alpha_pct: float = DEFAULT_ALPHA_PCT) -> HintSet:
     """Common hint plus the clipped solutions of the previous instances:
     4 previous for objective-only series (5 hints total), 9 otherwise (10)."""
     changing = frozenset(Component(c) for c in changing)
     if len(pool) == 0:
         return HintSet(())
     hints = []
-    common = build_common_hint(pool, target, alpha_pct, int_tol)
+    common = build_common_hint(pool, target, alpha_pct)
     if common:
         hints.append(Hint(common, "COMMON"))
     prev_count = 4 if changing == {Component.OBJECTIVE} else 9
     for entry in reversed(pool.entries[-prev_count:]):
-        assignment = clip_and_strip(entry.values, target, int_tol)
+        assignment = clip_and_strip(entry.values, target)
         if assignment:
             hints.append(Hint(assignment, f"CLIPPED_PREV({entry.index})"))
     return HintSet(tuple(hints))
@@ -228,18 +225,3 @@ def record_outcome(pool: SolutionPool, store: HistoryStore,
     store.histories = {name: h.copy() for name, h in outcome.histories.items()}
     store.global_history = outcome.global_history.copy()
     store.source_index = instance_index
-
-
-def validate_hint_set(hint_set: HintSet, target: MipInstance,
-                      int_tol: float = 1e-6) -> None:
-    """Assert the HintSet invariants: known names, integer variables only,
-    values integral and within the target bounds."""
-    for hint in hint_set:
-        for name, v in hint.assignment.items():
-            j = target.var_index(name)
-            if j not in target.integer_mask:
-                raise ValueError(f"hint touches continuous variable {name!r}")
-            if abs(v - round(v)) > int_tol:
-                raise ValueError(f"hint value for {name!r} not integral: {v}")
-            if v < target.lower[j] - int_tol or v > target.upper[j] + int_tol:
-                raise ValueError(f"hint value for {name!r} out of bounds: {v}")

@@ -28,6 +28,13 @@ from .heuristics import raise_on_nonfinite, round_to_feasible
 from .history import GlobalHistory, VariableHistory
 from .presolve import run_presolve
 
+LP_ITER_LIMIT = 20000           # pivots per node LP; the cold retry gets 10x
+BLAND_AFTER = 50                # degenerate pivots before Bland's rule
+STRONG_BRANCH_ITER_LIMIT = 500  # pivots per strong-branching probe
+CUT_ROUNDS_ROOT = 3
+CUT_ROUNDS_TREE = 1
+PLUNGE_LIMIT = 3                # depth-first steps before best-bound again
+
 
 class UnboundedRelaxationError(RuntimeError):
     """The LP relaxation is unbounded; the MIP status is undecidable here."""
@@ -94,11 +101,10 @@ class _TreeSolver:
     def _timed_out(self) -> bool:
         return self.clock.elapsed() >= self.deadline
 
-    def _lp(self, rows, lo, hi, warm=None, iter_limit=None, bland_after=None):
-        res = solve_arrays(
-            rows, lo, hi, np.asarray(self.inst.objective),
-            warm, iter_limit if iter_limit is not None else self.cfg.lp_iter_limit,
-            self.kernels, self.cfg.bland_after if bland_after is None else bland_after)
+    def _lp(self, rows, lo, hi, warm=None, iter_limit=LP_ITER_LIMIT,
+            bland_after=BLAND_AFTER):
+        res = solve_arrays(rows, lo, hi, np.asarray(self.inst.objective),
+                           warm, iter_limit, self.kernels, bland_after)
         self.clock.charge(res.iterations + 1)
         self.stats.lp_iterations += res.iterations
         return res
@@ -108,7 +114,7 @@ class _TreeSolver:
         if res.status is LpStatus.ITER_LIMIT:
             # One cold retry with Bland from the first pivot.
             res = self._lp(rows, lo, hi, None,
-                           iter_limit=10 * self.cfg.lp_iter_limit, bland_after=0)
+                           iter_limit=10 * LP_ITER_LIMIT, bland_after=0)
             if res.status is LpStatus.ITER_LIMIT:
                 raise _PivotBudgetExhausted()
         return res
@@ -123,7 +129,7 @@ class _TreeSolver:
         return self.heap[0][0] if self.heap else INF
 
     def _select(self) -> _Node:
-        while self.plunge_queue and self.plunge_count < self.cfg.plunge_limit:
+        while self.plunge_queue and self.plunge_count < PLUNGE_LIMIT:
             nid = self.plunge_queue.pop()
             if nid in self.open:
                 self.plunge_count += 1
@@ -265,7 +271,7 @@ class _TreeSolver:
     def _cut_loop(self, node, at_root, res, obj):
         """Rounds of separation + re-solve, extending node.rows; returns the
         last (LP result, bound) or None when the node got cut off."""
-        rounds = self.cfg.cut_rounds_root if at_root else self.cfg.cut_rounds_tree
+        rounds = CUT_ROUNDS_ROOT if at_root else CUT_ROUNDS_TREE
         sstats = self.stats.separators[SEP_GOMORY]
         for rnd in range(rounds):
             if not self._fractional(res.primal):
@@ -274,7 +280,7 @@ class _TreeSolver:
             self.clock.charge(1)
             rows = node.rows
             new_cuts = generate_cuts(
-                res, at_root, self.cfg, self.is_int, rows.mat, rows.rhs, rows.slack_int)
+                res, self.cfg, self.is_int, rows.mat, rows.rhs, rows.slack_int)
             sstats.time += self.clock.elapsed() - start
             if not new_cuts:
                 break
@@ -337,7 +343,7 @@ class _TreeSolver:
             else:
                 lo[j] = new_bound
             return self._lp(node.rows, lo, hi, res.basis,
-                            iter_limit=self.cfg.strong_branch_iter_limit)
+                            iter_limit=STRONG_BRANCH_ITER_LIMIT)
 
         j, xj = select_branch_variable(
             candidates, obj, self.db_final, self.histories, self.global_hist,

@@ -15,6 +15,7 @@ from ..lp import LpStatus
 from .config import BranchingRule, SolverConfig
 from .history import GlobalHistory, VariableHistory, update_pseudocost
 
+RELIABILITY_THRESHOLD = 5   # pseudocost count below which RELIABILITY probes
 SCORE_EPS = 1e-6
 INFEASIBLE_GAIN_SCALE = 1e6
 
@@ -90,9 +91,7 @@ def select_branch_variable(candidates: list[Candidate], node_obj: float, db: flo
     elif rule is BranchingRule.RELIABILITY:
         to_probe = [c for c in candidates
                     if min(histories[c.index].pscost_up_count,
-                           histories[c.index].pscost_down_count) < cfg.reliability_threshold]
-        if cfg.strong_branch_candidate_limit is not None:
-            to_probe = to_probe[:cfg.strong_branch_candidate_limit]
+                           histories[c.index].pscost_down_count) < RELIABILITY_THRESHOLD]
     else:
         to_probe = []
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from ..model import Solution
+from ..model import DEFAULT_FEAS_TOL, DEFAULT_INT_TOL, Solution
 from .history import GlobalHistory, VariableHistory
 
 
@@ -35,8 +35,14 @@ ALL_SEPARATORS = frozenset({SEP_GOMORY})
 
 @dataclass
 class SolverConfig:
+    """The settings a solve takes from its caller.  The series harness sets
+    the rule, the cut toggles, the enabled components, the hint-completion
+    effort and the deterministic clock; the hint-completion sub-MIP sets
+    `node_limit`; the tolerances are read by callers that check an answer
+    with the solver's own tolerances.  Everything else is a constant of the
+    module that reads it."""
+
     branching_rule: BranchingRule = BranchingRule.RELIABILITY
-    reliability_threshold: int = 5
     use_cuts_root: bool = True
     use_cuts_tree: bool = True
     enabled_heuristics: frozenset = ALL_HEURISTICS
@@ -44,23 +50,13 @@ class SolverConfig:
     enabled_separators: frozenset = ALL_SEPARATORS
     completesol_node_limit: int = 500
     completesol_max_improving: int | None = 5
-    strong_branch_candidate_limit: int | None = None
-    strong_branch_iter_limit: int = 500
     node_limit: int | None = None
-    feas_tol: float = 1e-6
-    int_tol: float = 1e-6
+    feas_tol: float = DEFAULT_FEAS_TOL
+    int_tol: float = DEFAULT_INT_TOL
     gap_tol: float = 1e-6
-    cut_rounds_root: int = 3
-    cut_rounds_tree: int = 1
-    max_cuts_per_round: int = 20
-    lp_iter_limit: int = 20000
-    bland_after: int = 50
-    plunge_limit: int = 3
     det_work_per_second: float | None = None   # None -> wall clock
 
     def __post_init__(self):
-        if self.reliability_threshold < 1:
-            raise ValueError("reliability_threshold must be >= 1")
         if self.completesol_node_limit < 0:
             raise ValueError("completesol_node_limit must be >= 0")
         if self.node_limit is not None and self.node_limit < 0:

@@ -14,8 +14,10 @@ import numpy as np
 
 from ..lp import AT_LOWER, BASIC, FIXED, FREE, LpResult, SimplexSnapshot
 from ..model import Sense
-from .config import SEP_GOMORY, SolverConfig
+from .config import SolverConfig
 
+MAX_CUTS_PER_ROUND = 20
+MIN_VIOLATION = 1e-6
 MIN_FRACTIONALITY = 1e-4
 ZERO_COEF = 1e-11
 MAX_DYNAMISM = 1e8
@@ -165,27 +167,24 @@ class CutBlock:
         return (Sense.GE,) * len(self)
 
 
-def generate_cuts(result: LpResult, at_root: bool, cfg: SolverConfig,
-                  is_int: np.ndarray, row_matrix: np.ndarray,
-                  row_rhs: np.ndarray, slack_int: np.ndarray,
-                  min_violation: float = 1e-6) -> CutBlock:
-    """Cuts from tableau rows of fractional basic integer variables.
-
-    Returns an empty block when the root/tree toggle for this location is
-    off.  Every returned cut is violated by the LP point by more than
-    `min_violation`.
+def generate_cuts(result: LpResult, cfg: SolverConfig, is_int: np.ndarray,
+                  row_matrix: np.ndarray, row_rhs: np.ndarray,
+                  slack_int: np.ndarray) -> CutBlock:
+    """Cuts from tableau rows of fractional basic integer variables, at most
+    `MAX_CUTS_PER_ROUND`.  Every returned cut is violated by the LP point by
+    more than `MIN_VIOLATION`.  Whether cuts run at a node is the caller's
+    decision.
     """
     n = row_matrix.shape[1]
     snap = result.snapshot
-    if not (cfg.use_cuts_root if at_root else cfg.use_cuts_tree) \
-            or SEP_GOMORY not in cfg.enabled_separators or snap is None:
+    if snap is None:
         return CutBlock(np.zeros((0, n)), np.zeros(0))
 
     x = result.primal
     columns = _SnapshotColumns.of(snap, is_int, slack_int)
     ws, rhss = [], []
     for r in range(snap.tab.shape[0]):
-        if len(ws) >= cfg.max_cuts_per_round:
+        if len(ws) >= MAX_CUTS_PER_ROUND:
             break
         j0 = int(snap.basis[r])
         if j0 >= snap.n_struct or not is_int[j0]:
@@ -197,7 +196,7 @@ def generate_cuts(result: LpResult, at_root: bool, cfg: SolverConfig,
         if derived is None:
             continue
         w, rhs = derived
-        if float(w @ x) >= rhs - min_violation:
+        if float(w @ x) >= rhs - MIN_VIOLATION:
             continue
         ws.append(w)
         rhss.append(rhs)

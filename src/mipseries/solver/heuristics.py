@@ -5,7 +5,8 @@ import math
 
 import numpy as np
 
-from ..model import MipInstance, check_feasibility
+from ..model import (DEFAULT_FEAS_TOL, DEFAULT_INT_TOL, MipInstance,
+                     check_feasibility)
 
 
 def raise_on_nonfinite(values: np.ndarray, scalar_op) -> None:
@@ -18,7 +19,8 @@ def raise_on_nonfinite(values: np.ndarray, scalar_op) -> None:
 
 def round_to_feasible(inst: MipInstance, point: np.ndarray,
                       lower: np.ndarray, upper: np.ndarray,
-                      feas_tol: float = 1e-6, int_tol: float = 1e-6) -> np.ndarray | None:
+                      feas_tol: float = DEFAULT_FEAS_TOL,
+                      int_tol: float = DEFAULT_INT_TOL) -> np.ndarray | None:
     """Round fractional integers to the nearest in-bounds integer; returns the
     point only when it passes the feasibility check, else None.
 

@@ -2,19 +2,60 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from mipseries.kernels import get_kernels
 from mipseries.lp import NodeRows, solve_arrays
-from mipseries.model import LinearRow, MipInstance, Sense
-from mipseries.solver import SolverConfig
+from mipseries.model import DEFAULT_INT_TOL, LinearRow, MipInstance, Sense
+from mipseries.solver.bb import BLAND_AFTER, LP_ITER_LIMIT
 
 # All tests run on the deterministic clock so they are machine-independent.
 DET_WPS = 1e6
 
-_SOLVER = SolverConfig()
+
+# A one-variable, one-row instance in the JSON file layout.
+MINIMAL = {
+    "name": "mini",
+    "vars": [{"name": "x", "lb": 0, "ub": 10, "integer": True, "obj": 1.0}],
+    "rows": [{"name": "c0", "coefs": {"x": 1.0}, "sense": "GE", "rhs": 2.0}],
+}
+
+
+def malformed_instance(edit):
+    """MINIMAL with `edit` applied to a deep copy."""
+    data = json.loads(json.dumps(MINIMAL))
+    edit(data)
+    return data
+
+
+# Instance files with a wrong-typed field: case -> (edit of MINIMAL, message).
+MALFORMED_INSTANCES = {
+    "coefs_list": (lambda d: d["rows"][0].update(coefs=[1]), "coefs must be an object"),
+    "var_not_object": (lambda d: d.update(vars=["x"]), "variable #0 must be an object"),
+    "vars_not_list": (lambda d: d.update(vars=5), "must be lists"),
+    "var_name_not_string": (lambda d: d["vars"][0].update(name=[1]), "is not a string"),
+    "rhs_null": (lambda d: d["rows"][0].update(rhs=None), "rhs: not a number"),
+    "obj_text": (lambda d: d["vars"][0].update(obj="abc"), "obj: not a number"),
+    "coef_null": (lambda d: d["rows"][0].update(coefs={"x": None}),
+                  "coefficient of 'x': not a number"),
+    "row_not_object": (lambda d: d.update(rows=[3]), "row #0 must be an object"),
+}
+
+
+# Manifests with a wrong-typed field: case -> (fields replaced in a valid
+# manifest, or None for a top-level list; message).
+MALFORMED_MANIFESTS = {
+    "instances_int": ({"instances": 5}, "instances must be a list of file names"),
+    "instances_of_int": ({"instances": [5]}, "instances must be a list of file names"),
+    "time_limit_null": ({"time_limit": None}, "time_limit: not a number"),
+    "time_limit_nan": ({"time_limit": float("nan")}, "time limit must be positive and finite"),
+    "time_limit_inf": ({"time_limit": float("inf")}, "time limit must be positive and finite"),
+    "changing_int": ({"changing": 5}, "changing must be a list"),
+    "top_level_list": (None, "top level must be an object"),
+}
 
 
 def make_instance(name, c, rows, lo, hi, ints=()):
@@ -36,11 +77,36 @@ def relaxation(inst):
     return rows, np.array(inst.lower), np.array(inst.upper), np.array(inst.objective)
 
 
-def lp_solve(rows, lo, hi, cost, warm=None, iter_limit=_SOLVER.lp_iter_limit,
-             bland_after=_SOLVER.bland_after):
+def lp_solve(rows, lo, hi, cost, warm=None, iter_limit=LP_ITER_LIMIT,
+             bland_after=BLAND_AFTER):
     """`solve_arrays` with the solver's default pivot budget and Bland
     trigger."""
     return solve_arrays(rows, lo, hi, cost, warm, iter_limit, get_kernels(), bland_after)
+
+
+def same_data(a: MipInstance, b: MipInstance) -> bool:
+    """Field-for-field equality of two instances."""
+    return (a.name == b.name
+            and a.var_names == b.var_names
+            and np.array_equal(a.objective, b.objective)
+            and np.array_equal(a.lower, b.lower)
+            and np.array_equal(a.upper, b.upper)
+            and a.integer_mask == b.integer_mask
+            and a.rows == b.rows)
+
+
+def validate_hint_set(hint_set, target: MipInstance, int_tol=DEFAULT_INT_TOL) -> None:
+    """Assert the HintSet invariants: known names, integer variables only,
+    values integral and within the target bounds."""
+    for hint in hint_set:
+        for name, v in hint.assignment.items():
+            j = target.var_index(name)
+            if j not in target.integer_mask:
+                raise ValueError(f"hint touches continuous variable {name!r}")
+            if abs(v - round(v)) > int_tol:
+                raise ValueError(f"hint value for {name!r} not integral: {v}")
+            if v < target.lower[j] - int_tol or v > target.upper[j] + int_tol:
+                raise ValueError(f"hint value for {name!r} out of bounds: {v}")
 
 
 def hard_knapsack(seed=17, n=14, m=3):

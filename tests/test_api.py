@@ -1,13 +1,18 @@
-"""The export surface: every exported name resolves, and the names that were
-removed with the second LP entry path and the unused helpers stay gone."""
+"""The export surface: every exported name resolves; the names removed with
+the second LP entry path, the unused helpers and the settings that no caller
+set stay gone; `SolverConfig` keeps exactly the fields its callers set."""
 from __future__ import annotations
 
+import dataclasses
 import importlib
+import inspect
 
 import pytest
 
 import mipseries
-from mipseries import solver
+from mipseries import harness, reopt, solver
+from mipseries.model import MipInstance
+from mipseries.solver import SolverConfig, generate_cuts
 
 
 @pytest.mark.parametrize("module", [mipseries, solver], ids=lambda m: m.__name__)
@@ -28,6 +33,7 @@ REMOVED = [
     ("mipseries.solver.heuristics", "rounding_heuristic"),
     ("mipseries.model", "evaluate_point"),
     ("mipseries.model", "save_series_manifest"),
+    ("mipseries.reopt", "validate_hint_set"),
 ]
 
 
@@ -39,3 +45,32 @@ def test_removed_names_stay_gone(module, name):
 def test_simplex_has_one_constructor():
     from mipseries.lp import _Simplex
     assert not hasattr(_Simplex, "on_rows") and not hasattr(_Simplex, "_load")
+
+
+def test_same_data_stays_gone():
+    assert not hasattr(MipInstance, "same_data")
+
+
+def test_solver_config_fields():
+    assert {f.name for f in dataclasses.fields(SolverConfig)} == {
+        "branching_rule", "use_cuts_root", "use_cuts_tree",
+        "enabled_heuristics", "enabled_presolvers", "enabled_separators",
+        "completesol_node_limit", "completesol_max_improving", "node_limit",
+        "feas_tol", "int_tol", "gap_tol", "det_work_per_second"}
+
+
+REMOVED_PARAMETERS = [
+    (generate_cuts, "at_root"),
+    (generate_cuts, "min_violation"),
+    (reopt.clip_and_strip, "int_tol"),
+    (reopt.build_common_hint, "int_tol"),
+    (reopt.assemble_hints, "int_tol"),
+    (harness.shifted_geomean, "shift"),
+    (harness.batch_averages, "batch_size"),
+]
+
+
+@pytest.mark.parametrize("func, param", REMOVED_PARAMETERS,
+                         ids=lambda v: getattr(v, "__name__", v))
+def test_removed_parameters_stay_gone(func, param):
+    assert param not in inspect.signature(func).parameters

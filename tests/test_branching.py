@@ -136,20 +136,6 @@ def test_infeasible_child_counts_conflict_and_large_gain():
     assert histories[0].pscost_down_count == 1.0
 
 
-def test_candidate_limit_respected():
-    cfg = SolverConfig(branching_rule=BranchingRule.RELIABILITY,
-                       strong_branch_candidate_limit=1)
-    stats = SolverStats()
-    histories = {0: VariableHistory(), 1: VariableHistory()}
-    objs = {(0, "down"): 1.0, (0, "up"): 1.0}
-    solve_child, calls = _fake_child_solver(objs)
-    select_branch_variable(
-        [Candidate(0, 0.5), Candidate(1, 0.5)], 0.0, -1.0, histories,
-        GlobalHistory(), cfg, solve_child, stats)
-    assert stats.sb_lp_solves == 2
-    assert {c[0] for c in calls} == {0}
-
-
 def test_no_fractional_candidate_is_contract_violation():
     cfg = SolverConfig()
     with pytest.raises(ValueError):

@@ -10,7 +10,8 @@ import pytest
 from mipseries.cli import main
 from mipseries.model import save_instance
 
-from conftest import hard_knapsack
+from conftest import (MALFORMED_INSTANCES, MALFORMED_MANIFESTS, hard_knapsack,
+                      malformed_instance)
 
 
 @pytest.fixture
@@ -75,6 +76,32 @@ def test_missing_manifest_is_config_error(tmp_path, capsys):
                "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["coefs_list", "var_not_object", "rhs_null", "obj_text"])
+def test_malformed_base_instance_is_config_error(tmp_path, capsys, case):
+    edit, _ = MALFORMED_INSTANCES[case]
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(malformed_instance(edit)))
+    rc = main(["generate", "--base", str(path), "--kind", "rhs", "--count", "2",
+               "--out", str(tmp_path / "series")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+def test_malformed_manifest_is_config_error(tmp_path, base_instance_path, capsys, case):
+    update, _ = MALFORMED_MANIFESTS[case]
+    data = {"series_name": "s", "time_limit": 10.0, "changing": ["RHS"],
+            "instances": [base_instance_path.name]}
+    data = [data] if update is None else {**data, **update}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    rc = main(["run", "--manifest", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and "Traceback" not in err
 
 
 def test_checkpoint_resume_via_cli(tmp_path, base_instance_path):

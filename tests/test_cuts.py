@@ -10,11 +10,13 @@ import pytest
 from mipseries.lp import (AT_LOWER, AT_UPPER, BASIC, FIXED, FREE, LpStatus,
                           SimplexSnapshot)
 from mipseries.model import LinearRow, Sense, dense_block
-from mipseries.solver import SolverConfig, generate_cuts, slack_integrality
+from mipseries.solver import (SEP_GOMORY, SolverConfig, SolveStatus, generate_cuts,
+                              slack_integrality, solve)
+from mipseries.solver import bb
 from mipseries.solver import cuts as C
 
-from conftest import (enumerate_integer_points, lp_solve, make_instance, outcome,
-                      random_feasible_mip, relaxation)
+from conftest import (DET_WPS, enumerate_integer_points, lp_solve, make_instance,
+                      outcome, random_feasible_mip, relaxation)
 
 
 def _fractional_instance():
@@ -31,7 +33,7 @@ def test_classic_half_integral_vertex_cut():
                          [0, 0], [1, 1], ints=(0, 1))
     cfg = SolverConfig()
     res, mat, rhs, slack_int = _cut_inputs(inst, cfg)
-    cuts = generate_cuts(res, True, cfg, inst.is_integer(), mat, rhs, slack_int)
+    cuts = generate_cuts(res, cfg, inst.is_integer(), mat, rhs, slack_int)
     assert len(cuts) == 1
     w0, w1 = cuts.mat[0][np.flatnonzero(cuts.mat[0])]
     assert w0 == pytest.approx(w1)
@@ -48,22 +50,25 @@ def _cut_inputs(inst, cfg):
     return res, mat, rhs, slack_int
 
 
-def test_toggle_off_returns_empty():
-    inst = _fractional_instance()
-    cfg = SolverConfig(use_cuts_root=False)
-    res, mat, rhs, slack_int = _cut_inputs(inst, cfg)
-    assert len(generate_cuts(res, True, cfg, inst.is_integer(), mat, rhs,
-                             slack_int)) == 0
-    cfg2 = SolverConfig(use_cuts_tree=False)
-    assert len(generate_cuts(res, False, cfg2, inst.is_integer(), mat, rhs,
-                             slack_int)) == 0
+def test_toggles_off_never_separate(monkeypatch):
+    # the root/tree toggles are decided once, in bb._process_node: with both
+    # off the separator is never called and no cut is counted
+    def fail(*args):
+        raise AssertionError("generate_cuts called with both cut toggles off")
+
+    monkeypatch.setattr(bb, "generate_cuts", fail)
+    cfg = SolverConfig(use_cuts_root=False, use_cuts_tree=False,
+                       det_work_per_second=DET_WPS)
+    out = solve(_fractional_instance(), cfg, 100.0)
+    assert out.status is SolveStatus.OPTIMAL and out.stats.nodes > 1
+    assert out.stats.separators[SEP_GOMORY].cuts_generated == 0
 
 
 def test_integral_point_yields_no_cuts():
     inst = make_instance("int", [-1.0], [([1.0], Sense.LE, 2.0)], [0], [5], ints=(0,))
     cfg = SolverConfig()
     res, mat, rhs, slack_int = _cut_inputs(inst, cfg)
-    assert len(generate_cuts(res, True, cfg, inst.is_integer(), mat, rhs,
+    assert len(generate_cuts(res, cfg, inst.is_integer(), mat, rhs,
                              slack_int)) == 0
 
 
@@ -71,7 +76,7 @@ def test_cuts_are_violated_by_lp_point():
     inst = _fractional_instance()
     cfg = SolverConfig()
     res, mat, rhs, slack_int = _cut_inputs(inst, cfg)
-    cuts = generate_cuts(res, True, cfg, inst.is_integer(), mat, rhs, slack_int)
+    cuts = generate_cuts(res, cfg, inst.is_integer(), mat, rhs, slack_int)
     assert cuts, "expected at least one cut at a fractional vertex"
     for w, cut_rhs in zip(cuts.mat, cuts.rhs):
         act = sum(w[j] * res.primal[j] for j in np.flatnonzero(w))
@@ -91,7 +96,7 @@ def test_cut_validity_small_fixture():
     inst = _fractional_instance()
     cfg = SolverConfig()
     res, mat, rhs, slack_int = _cut_inputs(inst, cfg)
-    cuts = generate_cuts(res, True, cfg, inst.is_integer(), mat, rhs, slack_int)
+    cuts = generate_cuts(res, cfg, inst.is_integer(), mat, rhs, slack_int)
     _assert_cuts_valid(inst, cuts)
 
 
@@ -107,7 +112,7 @@ def test_cut_validity_random_instances():
         mat = inst.dense_matrix()
         rhs = inst.rhs_array()
         slack_int = slack_integrality(mat, rhs, inst.senses(), inst.is_integer())
-        cuts = generate_cuts(res, True, cfg, inst.is_integer(), mat, rhs,
+        cuts = generate_cuts(res, cfg, inst.is_integer(), mat, rhs,
                              slack_int)
         if cuts:
             produced += 1
@@ -124,7 +129,7 @@ def test_cut_validity_with_continuous_variables():
                          [0, 0, 0], [4, 4, 10], ints=(0, 1))
     cfg = SolverConfig()
     res, mat, rhs, slack_int = _cut_inputs(inst, cfg)
-    cuts = generate_cuts(res, True, cfg, inst.is_integer(), mat, rhs, slack_int)
+    cuts = generate_cuts(res, cfg, inst.is_integer(), mat, rhs, slack_int)
     # validity over a grid of integer assignments x continuous samples
     for x0 in range(5):
         for x1 in range(5):
@@ -309,7 +314,7 @@ def test_generate_cuts_matches_column_loop_on_solved_instances(monkeypatch):
             continue
         mat, rhs = inst.dense_matrix(), inst.rhs_array()
         slack_int = slack_integrality(mat, rhs, inst.senses(), inst.is_integer())
-        args = (res, True, cfg, inst.is_integer(), mat, rhs, slack_int)
+        args = (res, cfg, inst.is_integer(), mat, rhs, slack_int)
         block = generate_cuts(*args)
         with monkeypatch.context() as mp:
             mp.setattr(C, "_gmi_from_row", loop_gmi_from_row)

@@ -234,6 +234,14 @@ def test_instance_failure_recorded_and_series_continues(tmp_path):
     assert [r.status for r in report.records] == ["OPTIMAL", "ERROR", "OPTIMAL"]
     assert report.records[1].total_score == 2.0
     assert report.errors and report.errors[0]["index"] == 1
+    # the failing instance is the first one tuned (all arms OFF under
+    # exploration): each parameter credits its used arm with base score -2.0
+    upto_error = run_series(manifest, RunConfig(seed=0, det_work_per_second=DET_WPS,
+                                                stop_after=2))
+    assert upto_error.records[1].status == "ERROR"
+    for param in ("HINT", "CUTS", "ROOT_CUTS"):
+        arm = upto_error.tuner_summary[param]
+        assert (arm["n_on"], arm["n_off"], arm["q_off"]) == (0, 1, -2.0), param
 
 
 def test_checkpoint_records_serialize_like_asdict(tmp_path):

@@ -12,13 +12,8 @@ from mipseries.model import (INF, Component, FeasibilityResult, InstanceError,
                              instance_from_dict, load_instance, load_series,
                              objective_value, perturb_series, save_instance)
 
-from conftest import make_instance
-
-MINIMAL = {
-    "name": "mini",
-    "vars": [{"name": "x", "lb": 0, "ub": 10, "integer": True, "obj": 1.0}],
-    "rows": [{"name": "c0", "coefs": {"x": 1.0}, "sense": "GE", "rhs": 2.0}],
-}
+from conftest import (MALFORMED_INSTANCES, MALFORMED_MANIFESTS, MINIMAL, make_instance,
+                      malformed_instance, same_data)
 
 
 def test_minimal_instance_roundtrip(tmp_path):
@@ -28,7 +23,7 @@ def test_minimal_instance_roundtrip(tmp_path):
     path = tmp_path / "mini.json"
     save_instance(inst, path)
     again = load_instance(path)
-    assert again.same_data(inst)
+    assert same_data(again, inst)
 
 
 def test_unknown_variable_in_row():
@@ -233,6 +228,30 @@ def test_missing_instance_file(tmp_path):
                                 "changing": ["RHS"], "instances": ["nope.json"]}))
     with pytest.raises(SeriesError, match="missing instance"):
         load_series(path)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INSTANCES))
+def test_malformed_instance_field_is_instance_error(tmp_path, case):
+    edit, message = MALFORMED_INSTANCES[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(malformed_instance(edit)))
+    with pytest.raises(InstanceError, match=message) as info:
+        load_instance(path)
+    assert str(info.value).startswith(str(path))
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+def test_malformed_manifest_field_is_series_error(tmp_path, case):
+    save_instance(instance_from_dict(MINIMAL), tmp_path / "i0.json")
+    update, message = MALFORMED_MANIFESTS[case]
+    data = {"series_name": "s", "time_limit": 10.0, "changing": ["RHS"],
+            "instances": ["i0.json"]}
+    data = [data] if update is None else {**data, **update}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SeriesError, match=message) as info:
+        load_series(path)
+    assert str(info.value).startswith(str(path))
 
 
 def _base_for_perturb():

@@ -12,13 +12,13 @@ from mipseries.reopt import (HistoryStore, PoolEntry, SolutionPool,
                              assemble_hints, branching_policy,
                              build_common_hint, clip_and_strip,
                              completesol_params, record_outcome,
-                             transfer_histories, validate_hint_set)
+                             transfer_histories)
 from mipseries.solver import (BranchingRule, GlobalHistory, SolverConfig,
                               SolveStatus, VariableHistory, solve)
 
 from mipseries.solver.bb import _TreeSolver
 
-from conftest import DET_WPS, make_instance
+from conftest import DET_WPS, make_instance, validate_hint_set
 
 
 def _target(u0=5.0):
