@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .model import MipInstance, SeriesManifest
@@ -23,11 +23,11 @@ from .reopt import (HistoryStore, HintSet, SolutionPool, assemble_hints,
 from .solver import (ALL_HEURISTICS, ALL_PRESOLVERS, ALL_SEPARATORS,
                      HEUR_COMPLETESOL, HEUR_ROUNDING, SEP_GOMORY,
                      BranchingRule, SolveStatus, SolverConfig, solve)
-from .tuner import OFF, ON, Param, TunerState
+from .tuner import OFF, ON, PARAM_ORDER, Param, TunerState
 from .turnoff import ComponentLedger
 
 GEOMEAN_SHIFT = 10.0
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 BATCH_SIZE = 10
 
 TECHNIQUES = ("hints", "history", "sb", "tuning", "turnoff")
@@ -62,11 +62,6 @@ def gap_score(pb: float, db: float) -> float:
     return abs(pb - db) / max(abs(pb), abs(db))
 
 
-def total_score(record) -> float:
-    """Sum of the two equally weighted components."""
-    return record.time_score + record.gap_score
-
-
 def shifted_geomean(times) -> float:
     """exp(mean(ln(t + GEOMEAN_SHIFT))) - GEOMEAN_SHIFT."""
     times = list(times)
@@ -85,7 +80,6 @@ class ScoreRecord:
     db: float
     time_score: float
     gap_score: float
-    total_score: float
     hint_converted: bool
     rule: str
     hint_value: str
@@ -93,6 +87,32 @@ class ScoreRecord:
     root_cuts_value: str
     hints_provided: bool = False
     error: str | None = None
+
+    @property
+    def total_score(self) -> float:
+        """Sum of the two equally weighted components."""
+        return self.time_score + self.gap_score
+
+
+# The JSON types a checkpoint may hold for each ScoreRecord annotation.
+_JSON_TYPES = {"int": (int,), "float": (float,), "str": (str,), "bool": (bool,),
+               "str | None": (str, type(None))}
+
+
+def _checked(value, kinds: tuple, name: str):
+    """`value` when its exact JSON type is one of `kinds` (so a bool is not an
+    int), else a ValueError naming the field."""
+    if type(value) not in kinds:
+        raise ValueError(f"{name} is {value!r}, expected "
+                         + " or ".join(k.__name__ for k in kinds))
+    return value
+
+
+def _record_from_json(data) -> ScoreRecord:
+    record = ScoreRecord(**data)     # TypeError on a missing or unknown field
+    for f in fields(ScoreRecord):
+        _checked(getattr(record, f.name), _JSON_TYPES[f.type], f"record field {f.name!r}")
+    return record
 
 
 def _batch_means(totals: list[float]) -> list[tuple[str, int, float]]:
@@ -130,7 +150,6 @@ class RunConfig:
     disable: frozenset = frozenset()
     alpha_pct: float = 90.0
     checkpoint_path: str | Path | None = None
-    stop_after: int | None = None
 
     def __post_init__(self):
         bad = set(self.disable) - set(TECHNIQUES)
@@ -150,7 +169,6 @@ class SeriesReport:
     turnoff_summary: list
     hints_provided_count: int
     hints_converted_count: int
-    errors: list
 
     def summary_dict(self) -> dict:
         provided = self.hints_provided_count
@@ -168,7 +186,8 @@ class SeriesReport:
                 "conversion_rate_pct": (100.0 * self.hints_converted_count / provided)
                                        if provided else 0.0,
             },
-            "errors": self.errors,
+            "errors": [{"index": r.instance_index, "error": r.error}
+                       for r in self.records if r.error is not None],
         }
 
 
@@ -179,17 +198,13 @@ class _SeriesState:
         self.tuner = TunerState(seed=run_cfg.seed)
         self.ledger = ComponentLedger()
         self.records: list[ScoreRecord] = []
-        self.errors: list[dict] = []
-        self.next_index = 0
 
     def to_json_dict(self, manifest: SeriesManifest) -> dict:
         return {
             "version": CHECKPOINT_VERSION,
             "series_name": manifest.series_name,
             "num_instances": len(manifest),
-            "next_index": self.next_index,
             "records": [dict(vars(r)) for r in self.records],   # flat: no deep copy
-            "errors": self.errors,
             "pool": self.pool.to_json_dict(),
             "history_store": self.history_store.to_json_dict(),
             "tuner": self.tuner.to_json_dict(),
@@ -199,12 +214,16 @@ class _SeriesState:
     @classmethod
     def from_json_dict(cls, data: dict, run_cfg: RunConfig) -> "_SeriesState":
         state = cls(run_cfg)
-        state.next_index = data["next_index"]
-        state.records = [ScoreRecord(**r) for r in data["records"]]
-        state.errors = list(data["errors"])
+        state.records = [_record_from_json(r) for r in data["records"]]
+        tuner = data["tuner"]
+        _checked(tuner["seed"], (int,), "tuner seed")
+        draws = _checked(tuner["draws"], (int,), "tuner draws")
+        most = len(PARAM_ORDER) * len(state.records)     # one draw per parameter
+        if not 0 <= draws <= most:
+            raise ValueError(f"tuner draws {draws} is outside 0..{most}")
         state.pool = SolutionPool.from_json_dict(data["pool"])
         state.history_store = HistoryStore.from_json_dict(data["history_store"])
-        state.tuner = TunerState.from_json_dict(data["tuner"])
+        state.tuner = TunerState.from_json_dict(tuner)
         state.ledger = ComponentLedger.from_json_dict(data["ledger"])
         return state
 
@@ -231,15 +250,12 @@ def _load_checkpoint(path, manifest: SeriesManifest, run_cfg: RunConfig) -> _Ser
         raise ValueError(f"checkpoint {path} does not match the manifest")
     try:
         state = _SeriesState.from_json_dict(data, run_cfg)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"checkpoint {path} is malformed: "
                          f"{type(exc).__name__}: {exc}") from exc
-    nxt = state.next_index
-    if not isinstance(nxt, int) or isinstance(nxt, bool) \
-            or not 0 <= nxt <= len(manifest) or nxt != len(state.records):
-        raise ValueError(f"checkpoint {path} is malformed: next_index {nxt!r} is not "
-                         f"the number of records ({len(state.records)}) or is outside "
-                         f"0..{len(manifest)}")
+    if len(state.records) > len(manifest):
+        raise ValueError(f"checkpoint {path} is malformed: {len(state.records)} records "
+                         f"for {len(manifest)} instances")
     return state
 
 
@@ -247,7 +263,7 @@ def _error_record(index: int, message: str) -> ScoreRecord:
     return ScoreRecord(
         instance_index=index, status="ERROR", solve_time=0.0,
         pb=math.inf, db=-math.inf, time_score=1.0, gap_score=1.0,
-        total_score=2.0, hint_converted=False, rule="-",
+        hint_converted=False, rule="-",
         hint_value=OFF, cuts_value=OFF, root_cuts_value=OFF,
         hints_provided=False, error=message)
 
@@ -291,9 +307,7 @@ def _solve_one(state: _SeriesState, manifest: SeriesManifest,
     try:
         outcome = solve(inst, cfg, limit, hints=hints, warm_histories=warm)
     except Exception as exc:   # instance-level failure: record it, move on
-        message = f"{type(exc).__name__}: {exc}"
-        state.errors.append({"index": t, "error": message})
-        outcome, record = None, _error_record(t, message)
+        outcome, record = None, _error_record(t, f"{type(exc).__name__}: {exc}")
     else:
         solved = outcome.status is SolveStatus.OPTIMAL
         ts = time_score(outcome.solve_time, limit, solved)
@@ -302,7 +316,7 @@ def _solve_one(state: _SeriesState, manifest: SeriesManifest,
             instance_index=t, status=outcome.status.value,
             solve_time=outcome.solve_time, pb=outcome.primal_bound,
             db=outcome.dual_bound, time_score=ts, gap_score=gs,
-            total_score=ts + gs, hint_converted=outcome.stats.hint_converted,
+            hint_converted=outcome.stats.hint_converted,
             rule=rule.value, hint_value=values[Param.HINT],
             cuts_value=values[Param.CUTS], root_cuts_value=values[Param.ROOT_CUTS],
             hints_provided=hints_provided)
@@ -348,15 +362,9 @@ def run_series(manifest: SeriesManifest, run_cfg: RunConfig) -> SeriesReport:
     if state is None:
         state = _SeriesState(run_cfg)
 
-    solved_now = 0
-    for t in range(state.next_index, len(manifest)):
-        if run_cfg.stop_after is not None and solved_now >= run_cfg.stop_after:
-            break
+    for t in range(len(state.records), len(manifest)):
         inst = manifest.load(t)
-        record = _solve_one(state, manifest, run_cfg, inst, t)
-        state.records.append(record)
-        state.next_index = t + 1
-        solved_now += 1
+        state.records.append(_solve_one(state, manifest, run_cfg, inst, t))
         if run_cfg.checkpoint_path is not None:
             _write_checkpoint(run_cfg.checkpoint_path, state, manifest)
 
@@ -376,8 +384,7 @@ def run_series(manifest: SeriesManifest, run_cfg: RunConfig) -> SeriesReport:
         tuner_summary=state.tuner.summary() if use_tuning else {},
         turnoff_summary=state.ledger.summary() if use_turnoff else [],
         hints_provided_count=provided,
-        hints_converted_count=converted,
-        errors=state.errors)
+        hints_converted_count=converted)
 
 
 # ---------------------------------------------------------------------------

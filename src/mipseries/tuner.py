@@ -2,11 +2,11 @@
 
 Each parameter (solution hint, tree cuts, root cuts) keeps one arm per value
 with a running average Q of base scores and an update count N.  The score is
-Q + C/N (linear in N for fast convergence; C/sqrt(N) and the classical
-total-count form are available behind a switch).  A parameter stays under
-deterministic exploration until both arms have at least four updates; after
-that all arms within one tenth of the base-score standard deviation of the
-best score are candidates, drawn uniformly at random.
+Q + C/N with C = 0.3, linear in N for fast convergence; `arm_score` also
+computes the C/sqrt(N) bonus the paper compares it with.  A parameter stays
+under deterministic exploration until both arms have at least four updates;
+after that all arms within one tenth of the base-score standard deviation of
+the best score are candidates, drawn uniformly at random.
 """
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ _EXPLORATION_BIT = {Param.HINT: 0, Param.CUTS: 1, Param.ROOT_CUTS: 2}
 class Variant(Enum):
     LINEAR = "LINEAR"       # bonus C / N
     SQRT = "SQRT"           # bonus C / sqrt(N)
-    CLASSIC = "CLASSIC"     # bonus C * sqrt(ln(total) / N)
 
 
 ON = "ON"
@@ -47,17 +46,13 @@ class ParamArm:
     N: int = 0
 
 
-def arm_score(arm: ParamArm, C: float, variant: Variant = Variant.LINEAR,
-              total_updates: int | None = None) -> float:
+def arm_score(arm: ParamArm, C: float, variant: Variant = Variant.LINEAR) -> float:
     """Q + exploration bonus; calling it on an unused arm is a contract error."""
     if arm.N < 1:
         raise ValueError("arm_score requires N >= 1; the arm is under exploration")
     if variant is Variant.LINEAR:
         return arm.Q + C / arm.N
-    if variant is Variant.SQRT:
-        return arm.Q + C / math.sqrt(arm.N)
-    total = total_updates if total_updates is not None else arm.N
-    return arm.Q + C * math.sqrt(math.log(max(total, 2)) / arm.N)
+    return arm.Q + C / math.sqrt(arm.N)
 
 
 @dataclass
@@ -81,13 +76,11 @@ class ParamState:
 
 
 class TunerState:
-    def __init__(self, seed: int = 0, C: float = DEFAULT_C,
-                 variant: Variant = Variant.LINEAR, tuning_start_index: int = 1):
-        self.C = C
-        self.variant = variant
+    def __init__(self, seed: int = 0, tuning_start_index: int = 1):
         self.tuning_start_index = tuning_start_index
         self.seed = seed
         self.rng = random.Random(seed)
+        self.draws = 0          # rng.choice calls so far; restores the rng
         self.params = {p: ParamState(ParamArm(ON), ParamArm(OFF)) for p in PARAM_ORDER}
 
     # -- selection ----------------------------------------------------------
@@ -107,9 +100,8 @@ class TunerState:
             if state.under_exploration():
                 out[p] = ON if (t >> _EXPLORATION_BIT[p]) & 1 else OFF
                 continue
-            total = state.on.N + state.off.N
-            scores = {ON: arm_score(state.on, self.C, self.variant, total),
-                      OFF: arm_score(state.off, self.C, self.variant, total)}
+            scores = {ON: arm_score(state.on, DEFAULT_C),
+                      OFF: arm_score(state.off, DEFAULT_C)}
             best = max(scores.values())
             band = state.sigma() * CANDIDATE_BAND_FRACTION
             candidates = [v for v in (ON, OFF) if scores[v] >= best - band]
@@ -117,6 +109,7 @@ class TunerState:
                 out[p] = candidates[0]
             else:
                 out[p] = self.rng.choice(candidates)
+                self.draws += 1
         return out
 
     # -- updates --------------------------------------------------------------
@@ -158,17 +151,10 @@ class TunerState:
         return out
 
     def to_json_dict(self) -> dict:
-        def _enc(x):
-            if isinstance(x, (list, tuple)):
-                return {"t": "seq", "v": [_enc(e) for e in x]}
-            return x
-        rng_state = self.rng.getstate()
         return {
             "seed": self.seed,
-            "C": self.C,
-            "variant": self.variant.value,
+            "draws": self.draws,
             "tuning_start_index": self.tuning_start_index,
-            "rng_state": _enc(rng_state),
             "params": {
                 p.value: {
                     "on": {"Q": st.on.Q, "N": st.on.N},
@@ -179,14 +165,12 @@ class TunerState:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TunerState":
-        def _dec(x):
-            if isinstance(x, dict) and x.get("t") == "seq":
-                return tuple(_dec(e) for e in x["v"])
-            return x
-        state = cls(seed=data["seed"], C=data["C"],
-                    variant=Variant(data["variant"]),
-                    tuning_start_index=data["tuning_start_index"])
-        state.rng.setstate(_dec(data["rng_state"]))
+        """The stored state; the rng is rebuilt by replaying `draws` choices
+        between two values, the only kind `select_values` makes."""
+        state = cls(seed=data["seed"], tuning_start_index=data["tuning_start_index"])
+        for _ in range(data["draws"]):
+            state.rng.choice((ON, OFF))
+        state.draws = data["draws"]
         for p in PARAM_ORDER:
             src = data["params"][p.value]
             st = state.params[p]

@@ -1,9 +1,11 @@
 """The export surface: every exported name resolves; the names removed with
 the second LP entry path, the unused helpers and the settings that no caller
-set stay gone; `SolverConfig` keeps exactly the fields its callers set."""
+set stay gone; `SolverConfig` and `RunConfig` keep exactly the fields their
+callers set."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import importlib
 import inspect
 
@@ -11,8 +13,10 @@ import pytest
 
 import mipseries
 from mipseries import harness, reopt, solver
+from mipseries.harness import RunConfig
 from mipseries.model import MipInstance
 from mipseries.solver import SolverConfig, generate_cuts
+from mipseries.tuner import TunerState, arm_score
 
 
 @pytest.mark.parametrize("module", [mipseries, solver], ids=lambda m: m.__name__)
@@ -34,12 +38,17 @@ REMOVED = [
     ("mipseries.model", "evaluate_point"),
     ("mipseries.model", "save_series_manifest"),
     ("mipseries.reopt", "validate_hint_set"),
+    ("mipseries.harness", "total_score"),
+    ("mipseries.harness", "RunConfig.stop_after"),
+    ("mipseries.tuner", "Variant.CLASSIC"),
 ]
 
 
 @pytest.mark.parametrize("module, name", REMOVED)
 def test_removed_names_stay_gone(module, name):
-    assert not hasattr(importlib.import_module(module), name)
+    *owner, attr = name.split(".")
+    obj = functools.reduce(getattr, owner, importlib.import_module(module))
+    assert not hasattr(obj, attr)
 
 
 def test_simplex_has_one_constructor():
@@ -59,6 +68,11 @@ def test_solver_config_fields():
         "feas_tol", "int_tol", "gap_tol", "det_work_per_second"}
 
 
+def test_run_config_fields():
+    assert {f.name for f in dataclasses.fields(RunConfig)} == {
+        "seed", "det_work_per_second", "disable", "alpha_pct", "checkpoint_path"}
+
+
 REMOVED_PARAMETERS = [
     (generate_cuts, "at_root"),
     (generate_cuts, "min_violation"),
@@ -67,6 +81,9 @@ REMOVED_PARAMETERS = [
     (reopt.assemble_hints, "int_tol"),
     (harness.shifted_geomean, "shift"),
     (harness.batch_averages, "batch_size"),
+    (TunerState, "C"),
+    (TunerState, "variant"),
+    (arm_score, "total_updates"),
 ]
 
 

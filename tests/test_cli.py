@@ -121,36 +121,45 @@ def test_checkpoint_resume_via_cli(tmp_path, base_instance_path):
     assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
 
 
+def _corrupt_checkpoint(tmp_path, base_instance_path, capsys, edit):
+    """Exit code and stderr of a run resumed from a checkpoint that `edit`
+    changed; the checkpoint holds both instances of a 2-instance series."""
+    manifest = _generate(tmp_path, base_instance_path, count=2)
+    ckpt = tmp_path / "ck.json"
+    args = ["run", "--manifest", str(manifest), "--out", str(tmp_path / "r"),
+            "--det-clock", "1000000", "--checkpoint", str(ckpt)]
+    assert main(args) == 0
+    data = json.loads(ckpt.read_text())
+    edit(data)
+    ckpt.write_text(json.dumps(data))
+    capsys.readouterr()
+    rc = main(args)
+    return rc, capsys.readouterr().err
+
+
 def test_checkpoint_missing_field_is_config_error(tmp_path, base_instance_path, capsys):
-    manifest = _generate(tmp_path, base_instance_path, count=2)
-    ckpt = tmp_path / "ck.json"
-    args = ["run", "--manifest", str(manifest), "--out", str(tmp_path / "r"),
-            "--det-clock", "1000000", "--checkpoint", str(ckpt)]
-    assert main(args) == 0
-    data = json.loads(ckpt.read_text())
-    del data["next_index"]
-    ckpt.write_text(json.dumps(data))
-    capsys.readouterr()
-    assert main(args) == 2
-    err = capsys.readouterr().err
-    assert "error:" in err and "next_index" in err
+    rc, err = _corrupt_checkpoint(tmp_path, base_instance_path, capsys,
+                                  lambda data: data["tuner"].pop("draws"))
+    assert rc == 2
+    assert "error:" in err and "draws" in err
 
 
-@pytest.mark.parametrize("next_index", ["3", -1])
-def test_checkpoint_bad_next_index_is_config_error(tmp_path, base_instance_path, capsys,
-                                                   next_index):
-    manifest = _generate(tmp_path, base_instance_path, count=2)
-    ckpt = tmp_path / "ck.json"
-    args = ["run", "--manifest", str(manifest), "--out", str(tmp_path / "r"),
-            "--det-clock", "1000000", "--checkpoint", str(ckpt)]
-    assert main(args) == 0
-    data = json.loads(ckpt.read_text())
-    data["next_index"] = next_index
-    ckpt.write_text(json.dumps(data))
-    capsys.readouterr()
-    assert main(args) == 2
-    err = capsys.readouterr().err
-    assert "error:" in err and "next_index" in err
+@pytest.mark.parametrize("draws", ["3", -1])
+def test_checkpoint_bad_draws_is_config_error(tmp_path, base_instance_path, capsys, draws):
+    rc, err = _corrupt_checkpoint(tmp_path, base_instance_path, capsys,
+                                  lambda data: data["tuner"].update(draws=draws))
+    assert rc == 2
+    assert "error:" in err and "draws" in err
+
+
+@pytest.mark.parametrize("field, value", [("status", 5), ("time_score", "x"),
+                                          ("total_score", "x")])
+def test_checkpoint_wrong_typed_record_is_config_error(tmp_path, base_instance_path,
+                                                       capsys, field, value):
+    rc, err = _corrupt_checkpoint(tmp_path, base_instance_path, capsys,
+                                  lambda data: data["records"][0].update({field: value}))
+    assert rc == 2
+    assert "error:" in err and field in err and "Traceback" not in err
 
 
 def test_cross_process_byte_identical_reports(tmp_path, base_instance_path):

@@ -1,11 +1,13 @@
 """Series orchestration: wiring, ablations, determinism, checkpoint resume."""
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict
 
 import pytest
 
+from mipseries import harness
 from mipseries.harness import (RunConfig, ScoreRecord, _SeriesState, _error_record,
                                improvement_table, run_series, write_report_csv,
                                write_report_summary)
@@ -26,6 +28,42 @@ def _identical_series(tmp_path, n=5, time_limit=50.0, changing=("RHS",)):
         "series_name": "copies", "time_limit": time_limit,
         "changing": list(changing), "instances": ["inst.json"] * n}))
     return load_series(manifest_path)
+
+
+def _run_until(manifest, run_cfg, stop):
+    """Run the series and stop it as Ctrl-C would, once `stop()` holds when
+    an instance is about to be solved; returns the checkpoint left behind."""
+    real_solve = harness.solve
+
+    def solve(*args, **kwargs):
+        if stop():
+            raise KeyboardInterrupt
+        return real_solve(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "solve", solve)
+        with pytest.raises(KeyboardInterrupt):
+            run_series(manifest, run_cfg)
+    return json.loads(run_cfg.checkpoint_path.read_text())
+
+
+def _stop_after(manifest, run_cfg, k):
+    """Checkpoint of the run interrupted when instance k + 1 starts solving."""
+    calls = itertools.count()
+    return _run_until(manifest, run_cfg, lambda: next(calls) == k)
+
+
+def _one_record_checkpoint(tmp_path):
+    """A 3-instance series, its config, and the checkpoint after instance 0."""
+    manifest = _identical_series(tmp_path, n=3)
+    cfg = RunConfig(det_work_per_second=DET_WPS, checkpoint_path=tmp_path / "ckpt.json")
+    return manifest, cfg, _stop_after(manifest, cfg, 1)
+
+
+def _rejected(manifest, cfg, data, match):
+    cfg.checkpoint_path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=match):
+        run_series(manifest, cfg)
 
 
 def test_identical_series_receives_hints_and_histories(tmp_path):
@@ -78,57 +116,91 @@ def test_checkpoint_resume_equals_uninterrupted(tmp_path):
     manifest = _identical_series(tmp_path, n=5)
     straight = run_series(manifest, RunConfig(seed=3, det_work_per_second=DET_WPS))
 
-    ckpt = tmp_path / "ckpt.json"
-    partial = run_series(manifest, RunConfig(seed=3, det_work_per_second=DET_WPS,
-                                             checkpoint_path=ckpt, stop_after=2))
-    assert len(partial.records) == 2
-    resumed = run_series(manifest, RunConfig(seed=3, det_work_per_second=DET_WPS,
-                                             checkpoint_path=ckpt))
+    cfg = RunConfig(seed=3, det_work_per_second=DET_WPS,
+                    checkpoint_path=tmp_path / "ckpt.json")
+    assert len(_stop_after(manifest, cfg, 2)["records"]) == 2
+    resumed = run_series(manifest, cfg)
     assert len(resumed.records) == 5
     assert [vars(r) for r in resumed.records] == [vars(r) for r in straight.records]
     assert resumed.summary_dict() == straight.summary_dict()
 
 
-def test_checkpoint_mismatch_rejected(tmp_path):
-    manifest = _identical_series(tmp_path, n=3)
+def test_checkpoint_resume_after_tuner_draws_equals_uninterrupted(tmp_path):
+    # RHS perturbations under a tight limit leave arms within the candidate
+    # band after exploration, so the tuner draws; the resumed run must
+    # rebuild its rng from the stored seed and draw count
+    manifest = load_series(generate_series_files(
+        hard_knapsack(n=20, m=4), {"RHS"}, 16, seed=1, magnitude=0.1,
+        out_dir=tmp_path / "s", time_limit=0.06))
+    straight = run_series(manifest, RunConfig(seed=1, det_work_per_second=1e4))
+
     ckpt = tmp_path / "ckpt.json"
-    run_series(manifest, RunConfig(det_work_per_second=DET_WPS,
-                                   checkpoint_path=ckpt, stop_after=1))
+    cfg = RunConfig(seed=1, det_work_per_second=1e4, checkpoint_path=ckpt)
+    stopped = _run_until(manifest, cfg, lambda: ckpt.exists() and
+                         json.loads(ckpt.read_text())["tuner"]["draws"] > 0)
+    assert len(stopped["records"]) < 16
+    resumed = run_series(manifest, cfg)
+    assert json.loads(ckpt.read_text())["tuner"]["draws"] > stopped["tuner"]["draws"]
+    assert [vars(r) for r in resumed.records] == [vars(r) for r in straight.records]
+    assert resumed.summary_dict() == straight.summary_dict()
+
+
+def test_checkpoint_mismatch_rejected(tmp_path):
+    manifest, cfg, _ = _one_record_checkpoint(tmp_path)
     other = SeriesManifest("other", manifest.instance_paths,
                            manifest.time_limit_per_instance,
                            manifest.changing_components)
     with pytest.raises(ValueError, match="does not match"):
-        run_series(other, RunConfig(det_work_per_second=DET_WPS,
-                                    checkpoint_path=ckpt))
+        run_series(other, cfg)
 
 
 def test_checkpoint_of_unknown_version_rejected(tmp_path):
-    manifest = _identical_series(tmp_path, n=3)
-    ckpt = tmp_path / "ckpt.json"
-    run_series(manifest, RunConfig(det_work_per_second=DET_WPS,
-                                   checkpoint_path=ckpt, stop_after=1))
-    data = json.loads(ckpt.read_text())
-    data["version"] = 2
-    ckpt.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match="version 2"):
-        run_series(manifest, RunConfig(det_work_per_second=DET_WPS,
-                                       checkpoint_path=ckpt))
+    manifest, cfg, data = _one_record_checkpoint(tmp_path)
+    _rejected(manifest, cfg, {**data, "version": 3}, "version 3")
+    # the version-1 layout: next_index and errors beside the records, each
+    # record with its total, the tuner with C, variant and the rng state
+    data.update(version=1, next_index=1, errors=[])
+    data["records"][0]["total_score"] = 0.0
+    data["tuner"].update(C=0.3, variant="LINEAR",
+                         rng_state={"t": "seq", "v": [3, {"t": "seq", "v": []}, None]})
+    del data["tuner"]["draws"]
+    _rejected(manifest, cfg, data, "version 1")
 
 
-@pytest.mark.parametrize("next_index", ["3", -1, 2, True, None])
-def test_checkpoint_with_bad_next_index_rejected(tmp_path, next_index):
-    # one record stored: next_index must be the int 1
-    manifest = _identical_series(tmp_path, n=3)
-    ckpt = tmp_path / "ckpt.json"
-    run_series(manifest, RunConfig(det_work_per_second=DET_WPS,
-                                   checkpoint_path=ckpt, stop_after=1))
-    data = json.loads(ckpt.read_text())
-    assert data["next_index"] == 1
-    data["next_index"] = next_index
-    ckpt.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match="next_index"):
-        run_series(manifest, RunConfig(det_work_per_second=DET_WPS,
-                                       checkpoint_path=ckpt))
+@pytest.mark.parametrize("draws", ["3", -1, 4, True, None])
+def test_checkpoint_with_bad_draws_rejected(tmp_path, draws):
+    # one record stored: draws must be an int in 0..3
+    manifest, cfg, data = _one_record_checkpoint(tmp_path)
+    assert data["tuner"]["draws"] == 0
+    data["tuner"]["draws"] = draws
+    _rejected(manifest, cfg, data, "draws")
+
+
+def test_checkpoint_with_more_records_than_instances_rejected(tmp_path):
+    manifest, cfg, data = _one_record_checkpoint(tmp_path)
+    data["records"] *= 4
+    _rejected(manifest, cfg, data, "4 records for 3 instances")
+
+
+@pytest.mark.parametrize("where, field, value", [
+    ("record", "instance_index", True),    # int
+    ("record", "time_score", "x"),         # float
+    ("record", "pb", 1),
+    ("record", "status", 5),               # str
+    ("record", "hint_converted", 1),       # bool
+    ("record", "error", 5),                # str or None
+    ("record", "total_score", "x"),        # no longer a field
+    ("tuner", "seed", "1"),
+    ("tuner", "seed", False),
+])
+def test_checkpoint_with_wrong_typed_field_rejected(tmp_path, where, field, value):
+    manifest, cfg, data = _one_record_checkpoint(tmp_path)
+    if where == "record":
+        data["records"][0][field] = value
+        _rejected(manifest, cfg, data, f"'{field}'")
+    else:
+        data["tuner"][field] = value
+        _rejected(manifest, cfg, data, f"tuner {field}")
 
 
 def test_reports_and_improvement_table(tmp_path):
@@ -229,15 +301,16 @@ def test_instance_failure_recorded_and_series_continues(tmp_path):
     mpath.write_text(_json.dumps({
         "series_name": "mixed", "time_limit": 10.0, "changing": ["RHS"],
         "instances": ["g.json", "b.json", "g.json"]}))
-    manifest = load_series(mpath)
-    report = run_series(manifest, RunConfig(seed=0, det_work_per_second=DET_WPS))
+    report = run_series(load_series(mpath), RunConfig(seed=0, det_work_per_second=DET_WPS))
     assert [r.status for r in report.records] == ["OPTIMAL", "ERROR", "OPTIMAL"]
     assert report.records[1].total_score == 2.0
-    assert report.errors and report.errors[0]["index"] == 1
+    assert report.summary_dict()["errors"] == [{"index": 1, "error": report.records[1].error}]
     # the failing instance is the first one tuned (all arms OFF under
     # exploration): each parameter credits its used arm with base score -2.0
-    upto_error = run_series(manifest, RunConfig(seed=0, det_work_per_second=DET_WPS,
-                                                stop_after=2))
+    mpath.write_text(_json.dumps({
+        "series_name": "mixed", "time_limit": 10.0, "changing": ["RHS"],
+        "instances": ["g.json", "b.json"]}))
+    upto_error = run_series(load_series(mpath), RunConfig(seed=0, det_work_per_second=DET_WPS))
     assert upto_error.records[1].status == "ERROR"
     for param in ("HINT", "CUTS", "ROOT_CUTS"):
         arm = upto_error.tuner_summary[param]
@@ -247,7 +320,7 @@ def test_instance_failure_recorded_and_series_continues(tmp_path):
 def test_checkpoint_records_serialize_like_asdict(tmp_path):
     manifest = _identical_series(tmp_path, n=2)
     state = _SeriesState(RunConfig())
-    state.records = [ScoreRecord(0, "OPTIMAL", 0.5, -3.0, -0.0, 0.1, 0.0, 0.1, True,
+    state.records = [ScoreRecord(0, "OPTIMAL", 0.5, -3.0, -0.0, 0.1, 0.0, True,
                                  "FULLSTRONG", "ON", "OFF", "ON", True),
                      _error_record(1, "ValueError: boom")]
     data = state.to_json_dict(manifest)

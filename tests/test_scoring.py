@@ -6,8 +6,7 @@ import math
 import pytest
 
 from mipseries.harness import (ScoreRecord, batch_averages, gap_score,
-                               improvement_pct, shifted_geomean, time_score,
-                               total_score)
+                               improvement_pct, shifted_geomean, time_score)
 
 
 def test_time_score_cases():
@@ -36,20 +35,20 @@ def test_gap_score_scale_invariance():
 
 
 def _record(ts, gs):
-    return ScoreRecord(0, "OPTIMAL", 0.0, 0.0, 0.0, ts, gs, ts + gs, False,
+    return ScoreRecord(0, "OPTIMAL", 0.0, 0.0, 0.0, ts, gs, False,
                        "RELIABILITY", "ON", "ON", "ON")
 
 
 def test_total_score_cases():
-    assert total_score(_record(0.5, 0.0)) == pytest.approx(0.5)
-    assert total_score(_record(1.0, 10.0 / 110.0)) == pytest.approx(1.0909, abs=1e-4)
-    assert total_score(_record(1.0, 1.0)) == 2.0
+    assert _record(0.5, 0.0).total_score == pytest.approx(0.5)
+    assert _record(1.0, 10.0 / 110.0).total_score == pytest.approx(1.0909, abs=1e-4)
+    assert _record(1.0, 1.0).total_score == 2.0
 
 
 def test_score_ranges():
     for ts in (0.0, 0.3, 1.0):
         for gs in (0.0, 0.5, 1.0):
-            t = total_score(_record(ts, gs))
+            t = _record(ts, gs).total_score
             assert 0.0 <= ts <= 1.0 and 0.0 <= gs <= 1.0 and 0.0 <= t <= 2.0
 
 

@@ -26,12 +26,12 @@ PINNED = {
     "reuse": {
         "report.csv": "c0cfa079b52c0ac58c7afd48dfadd5989eff4bfca16463c1cbff0abbb689512c",
         "summary.json": "be293cc26e68052e00eb725e7945e9753aa0980e887b2010b885e32208ba979d",
-        "checkpoint.json": "a89205e5387483656da82fba429ddeece98f7e80c998f7b903d884ebda3a0b59",
+        "checkpoint.json": "2fee59817b8c7a7f2910b8e9c009dfc371fbb81de7be54a57b3b6a0b2d049aa0",
     },
     "scratch": {
         "report.csv": "7d258b67a7dfea9306cc85bf4291ca41da76de9c6beb622a613d221e22faf99b",
         "summary.json": "db6b8180bcd228548581d69a152d206d7d5b0cac0f592ddcf4562a11a37a65d6",
-        "checkpoint.json": "2444f503acfbda02bdb09ca333b88e937f5856a5e7532da79d1960f112618c36",
+        "checkpoint.json": "5a1b4ffc865dbd938ecdff7bd67b811545351406d30e89e2f2fe5b6f73bd6a2f",
     },
 }
 
