@@ -53,14 +53,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     manifest = load_series(args.manifest)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     run_cfg = RunConfig(
         seed=args.seed,
         det_work_per_second=args.det_clock,
         disable=frozenset(args.disable),
         alpha_pct=args.alpha,
         checkpoint_path=args.checkpoint)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     report = run_series(manifest, run_cfg)
     csv_path = out_dir / "report.csv"
     summary_path = out_dir / "summary.json"

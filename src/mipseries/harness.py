@@ -5,7 +5,8 @@ time limit used when solved, 1 otherwise) and a gap score (relative
 primal-dual gap, 1 on infinite bounds or sign-crossing bounds).  The
 orchestrator wires solution hints, history transfer, the branching-rule
 policy, online parameter tuning and component turn-off around the solver,
-one instance at a time, and can checkpoint/resume a run.
+one instance at a time, and can checkpoint/resume a run through an
+append-only journal.
 """
 from __future__ import annotations
 
@@ -17,17 +18,18 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .model import MipInstance, SeriesManifest
-from .reopt import (HistoryStore, HintSet, SolutionPool, assemble_hints,
-                    branching_policy, completesol_params, record_outcome,
-                    transfer_histories)
+from .reopt import (HistoryStore, HintSet, PoolEntry, SolutionPool,
+                    assemble_hints, branching_policy, completesol_params,
+                    record_outcome, transfer_histories)
 from .solver import (ALL_HEURISTICS, ALL_PRESOLVERS, ALL_SEPARATORS,
                      HEUR_COMPLETESOL, HEUR_ROUNDING, SEP_GOMORY,
                      BranchingRule, SolveStatus, SolverConfig, solve)
-from .tuner import OFF, ON, PARAM_ORDER, Param, TunerState
+from .solver.config import check_det_clock
+from .tuner import ON, PARAM_ORDER, TUNING_START_INDEX, Param, TunerState
 from .turnoff import ComponentLedger
 
 GEOMEAN_SHIFT = 10.0
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 BATCH_SIZE = 10
 
 TECHNIQUES = ("hints", "history", "sb", "tuning", "turnoff")
@@ -99,19 +101,13 @@ _JSON_TYPES = {"int": (int,), "float": (float,), "str": (str,), "bool": (bool,),
                "str | None": (str, type(None))}
 
 
-def _checked(value, kinds: tuple, name: str):
-    """`value` when its exact JSON type is one of `kinds` (so a bool is not an
-    int), else a ValueError naming the field."""
-    if type(value) not in kinds:
-        raise ValueError(f"{name} is {value!r}, expected "
-                         + " or ".join(k.__name__ for k in kinds))
-    return value
-
-
 def _record_from_json(data) -> ScoreRecord:
     record = ScoreRecord(**data)     # TypeError on a missing or unknown field
     for f in fields(ScoreRecord):
-        _checked(getattr(record, f.name), _JSON_TYPES[f.type], f"record field {f.name!r}")
+        value, kinds = getattr(record, f.name), _JSON_TYPES[f.type]
+        if type(value) not in kinds:     # exact, so a bool is not an int
+            raise ValueError(f"record field {f.name!r} is {value!r}, expected "
+                             + " or ".join(k.__name__ for k in kinds))
     return record
 
 
@@ -156,6 +152,9 @@ class RunConfig:
         if bad:
             raise ValueError(f"unknown technique(s) to disable: {sorted(bad)}")
         self.disable = frozenset(self.disable)
+        check_det_clock(self.det_work_per_second)
+        if not 0 <= self.alpha_pct <= 100:   # NaN fails too
+            raise ValueError(f"alpha_pct must be within 0..100, got {self.alpha_pct!r}")
 
 
 @dataclass
@@ -195,76 +194,113 @@ class _SeriesState:
     def __init__(self, run_cfg: RunConfig):
         self.pool = SolutionPool()
         self.history_store = HistoryStore()
-        self.tuner = TunerState(seed=run_cfg.seed)
+        self.tuner = None if "tuning" in run_cfg.disable else TunerState(seed=run_cfg.seed)
         self.ledger = ComponentLedger()
         self.records: list[ScoreRecord] = []
 
-    def to_json_dict(self, manifest: SeriesManifest) -> dict:
-        return {
-            "version": CHECKPOINT_VERSION,
-            "series_name": manifest.series_name,
-            "num_instances": len(manifest),
-            "records": [dict(vars(r)) for r in self.records],   # flat: no deep copy
-            "pool": self.pool.to_json_dict(),
-            "history_store": self.history_store.to_json_dict(),
-            "tuner": self.tuner.to_json_dict(),
-            "ledger": self.ledger.to_json_dict(),
-        }
+    def select_values(self, t: int) -> dict:
+        """The tuner's parameter values for instance t, all ON when untuned."""
+        if self.tuner is None or t < TUNING_START_INDEX:
+            return dict.fromkeys(PARAM_ORDER, ON)
+        return self.tuner.select_values(t)
 
-    @classmethod
-    def from_json_dict(cls, data: dict, run_cfg: RunConfig) -> "_SeriesState":
-        state = cls(run_cfg)
-        state.records = [_record_from_json(r) for r in data["records"]]
-        tuner = data["tuner"]
-        _checked(tuner["seed"], (int,), "tuner seed")
-        draws = _checked(tuner["draws"], (int,), "tuner draws")
-        most = len(PARAM_ORDER) * len(state.records)     # one draw per parameter
-        if not 0 <= draws <= most:
-            raise ValueError(f"tuner draws {draws} is outside 0..{most}")
-        state.pool = SolutionPool.from_json_dict(data["pool"])
-        state.history_store = HistoryStore.from_json_dict(data["history_store"])
-        state.tuner = TunerState.from_json_dict(tuner)
-        state.ledger = ComponentLedger.from_json_dict(data["ledger"])
-        return state
+    def credit(self, record: ScoreRecord) -> None:
+        """Credit the tuner with a record's values and score, if it tuned them."""
+        if self.tuner is None or record.instance_index < TUNING_START_INDEX:
+            return
+        base = -record.total_score
+        self.tuner.update(Param.HINT, record.hint_value, base,
+                          hints_provided=record.hints_provided,
+                          hint_converted=record.hint_converted)
+        self.tuner.update(Param.CUTS, record.cuts_value, base)
+        self.tuner.update(Param.ROOT_CUTS, record.root_cuts_value, base)
 
 
-def _write_checkpoint(path, state: _SeriesState, manifest: SeriesManifest) -> None:
+# A checkpoint is a JSON-lines journal.  The first line is the header: the
+# version, the series and the run settings its records depend on.  Then one
+# line per finished instance holds its record, its pool entry (or null), and
+# the history store and ledger after it.  The tuner is not stored: a resume
+# replays it over the records.
+
+def _journal_line(state: _SeriesState, record: ScoreRecord) -> dict:
+    entry = state.pool.get(record.instance_index)
+    return {"record": dict(vars(record)),      # flat: no deep copy
+            "pool_entry": None if entry is None else
+                          {"objective": entry.objective, "values": entry.values},
+            "history_store": state.history_store.to_json_dict(),
+            "ledger": state.ledger.to_json_dict()}
+
+
+def _write_checkpoint(path, line: dict) -> None:
+    """Append one line to the journal at `path`."""
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(line, sort_keys=True) + "\n")
+
+
+def _load_checkpoint(path, manifest: SeriesManifest, run_cfg: RunConfig) -> _SeriesState:
+    """The state the journal at `path` ends in, with the file cut back to its
+    last whole line (a torn last line is dropped).  A missing file, or one
+    without a whole line, starts a new journal that holds only the header;
+    a first line that parses must still be a header of this version."""
     path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(state.to_json_dict(manifest), sort_keys=True),
-                   encoding="utf-8")
-    os.replace(tmp, path)
-
-
-def _load_checkpoint(path, manifest: SeriesManifest, run_cfg: RunConfig) -> _SeriesState | None:
-    path = Path(path)
-    if not path.exists():
-        return None
-    data = json.loads(path.read_text(encoding="utf-8"))
-    version = data.get("version") if isinstance(data, dict) else None
-    if version != CHECKPOINT_VERSION:
+    header = {"version": CHECKPOINT_VERSION, "series_name": manifest.series_name,
+              "num_instances": len(manifest), "seed": run_cfg.seed,
+              "disable": sorted(run_cfg.disable), "alpha_pct": run_cfg.alpha_pct,
+              "det_work_per_second": run_cfg.det_work_per_second}
+    raw = path.read_bytes() if path.exists() else b""
+    *whole, torn = raw.split(b"\n")
+    state = _SeriesState(run_cfg)
+    try:
+        first = json.loads(whole[0] if whole else torn)
+    except ValueError:
+        first = None                    # empty, torn, or not JSON
+    version = first.get("version") if isinstance(first, dict) else None
+    if (whole or first is not None) and version != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint {path} has version {version!r}, "
                          f"expected {CHECKPOINT_VERSION}")
-    if data.get("series_name") != manifest.series_name \
-            or data.get("num_instances") != len(manifest):
-        raise ValueError(f"checkpoint {path} does not match the manifest")
+    if not whole:
+        path.write_text(json.dumps(header, sort_keys=True) + "\n", encoding="utf-8")
+        return state
+    for key, value in header.items():
+        if json.dumps(first.get(key)) != json.dumps(value):    # so False is not 0
+            raise ValueError(f"checkpoint {path} does not match this run: its {key} "
+                             f"is {first.get(key)!r}, this run's is {value!r}")
+    lines = whole[1:]
+    if len(lines) > len(manifest):
+        raise ValueError(f"checkpoint {path} is malformed: {len(lines)} records "
+                         f"for {len(manifest)} instances")
     try:
-        state = _SeriesState.from_json_dict(data, run_cfg)
+        for t, line in enumerate(map(json.loads, lines)):
+            record = _record_from_json(line["record"])
+            if record.instance_index != t:
+                raise ValueError(f"line {t + 2} holds instance "
+                                 f"{record.instance_index}, expected {t}")
+            values = state.select_values(t)
+            if [values[p] for p in PARAM_ORDER] != \
+                    [record.hint_value, record.cuts_value, record.root_cuts_value]:
+                raise ValueError(f"line {t + 2}: the replayed tuner values differ "
+                                 "from the record's")
+            state.credit(record)
+            if line["pool_entry"] is not None:
+                state.pool.set(t, PoolEntry(t, **line["pool_entry"]))
+            state.records.append(record)
+        if lines:
+            state.history_store = HistoryStore.from_json_dict(line["history_store"])
+            state.ledger = ComponentLedger.from_json_dict(line["ledger"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"checkpoint {path} is malformed: "
                          f"{type(exc).__name__}: {exc}") from exc
-    if len(state.records) > len(manifest):
-        raise ValueError(f"checkpoint {path} is malformed: {len(state.records)} records "
-                         f"for {len(manifest)} instances")
+    os.truncate(path, len(raw) - len(torn))
     return state
 
 
-def _error_record(index: int, message: str) -> ScoreRecord:
+def _error_record(index: int, message: str, values: dict) -> ScoreRecord:
+    """A failed solve's record, with the values the tuner is credited with."""
     return ScoreRecord(
         instance_index=index, status="ERROR", solve_time=0.0,
         pb=math.inf, db=-math.inf, time_score=1.0, gap_score=1.0,
-        hint_converted=False, rule="-",
-        hint_value=OFF, cuts_value=OFF, root_cuts_value=OFF,
+        hint_converted=False, rule="-", hint_value=values[Param.HINT],
+        cuts_value=values[Param.CUTS], root_cuts_value=values[Param.ROOT_CUTS],
         hints_provided=False, error=message)
 
 
@@ -276,11 +312,7 @@ def _solve_one(state: _SeriesState, manifest: SeriesManifest,
 
     rule = branching_policy(t, changing) if use["sb"] else BranchingRule.RELIABILITY
 
-    tuning_active = use["tuning"] and t >= state.tuner.tuning_start_index
-    if tuning_active:
-        values = state.tuner.select_values(t)
-    else:
-        values = {Param.HINT: ON, Param.CUTS: ON, Param.ROOT_CUTS: ON}
+    values = state.select_values(t)
 
     hints = HintSet(())
     if use["hints"] and t >= 1 and values[Param.HINT] == ON:
@@ -307,7 +339,7 @@ def _solve_one(state: _SeriesState, manifest: SeriesManifest,
     try:
         outcome = solve(inst, cfg, limit, hints=hints, warm_histories=warm)
     except Exception as exc:   # instance-level failure: record it, move on
-        outcome, record = None, _error_record(t, f"{type(exc).__name__}: {exc}")
+        outcome, record = None, _error_record(t, f"{type(exc).__name__}: {exc}", values)
     else:
         solved = outcome.status is SolveStatus.OPTIMAL
         ts = time_score(outcome.solve_time, limit, solved)
@@ -321,13 +353,7 @@ def _solve_one(state: _SeriesState, manifest: SeriesManifest,
             cuts_value=values[Param.CUTS], root_cuts_value=values[Param.ROOT_CUTS],
             hints_provided=hints_provided)
 
-    if tuning_active:
-        base = -record.total_score
-        state.tuner.update(Param.HINT, values[Param.HINT], base,
-                           hints_provided=hints_provided,
-                           hint_converted=record.hint_converted)
-        state.tuner.update(Param.CUTS, values[Param.CUTS], base)
-        state.tuner.update(Param.ROOT_CUTS, values[Param.ROOT_CUTS], base)
+    state.credit(record)
     if outcome is None:
         return record
 
@@ -354,24 +380,21 @@ def run_series(manifest: SeriesManifest, run_cfg: RunConfig) -> SeriesReport:
     Techniques can be disabled independently via run_cfg.disable (subset of
     hints/history/sb/tuning/turnoff); disabling all of them is the
     solve-from-scratch baseline.  With a checkpoint path, the run resumes
-    from the checkpoint when one exists and rewrites it after each instance.
+    from the journal when one exists and appends a line after each instance.
     """
-    state = None
-    if run_cfg.checkpoint_path is not None:
-        state = _load_checkpoint(run_cfg.checkpoint_path, manifest, run_cfg)
-    if state is None:
-        state = _SeriesState(run_cfg)
+    ckpt = run_cfg.checkpoint_path
+    state = _SeriesState(run_cfg) if ckpt is None else _load_checkpoint(ckpt, manifest, run_cfg)
 
     for t in range(len(state.records), len(manifest)):
         inst = manifest.load(t)
-        state.records.append(_solve_one(state, manifest, run_cfg, inst, t))
-        if run_cfg.checkpoint_path is not None:
-            _write_checkpoint(run_cfg.checkpoint_path, state, manifest)
+        record = _solve_one(state, manifest, run_cfg, inst, t)
+        state.records.append(record)
+        if ckpt is not None:
+            _write_checkpoint(ckpt, _journal_line(state, record))
 
     records = state.records
     provided = sum(1 for r in records if r.hints_provided)
     converted = sum(1 for r in records if r.hint_converted)
-    use_tuning = "tuning" not in run_cfg.disable
     use_turnoff = "turnoff" not in run_cfg.disable
     return SeriesReport(
         series_name=manifest.series_name,
@@ -381,7 +404,7 @@ def run_series(manifest: SeriesManifest, run_cfg: RunConfig) -> SeriesReport:
                              if records else 0.0,
         mean_total_score=(sum(r.total_score for r in records) / len(records))
                          if records else 0.0,
-        tuner_summary=state.tuner.summary() if use_tuning else {},
+        tuner_summary={} if state.tuner is None else state.tuner.summary(),
         turnoff_summary=state.ledger.summary() if use_turnoff else [],
         hints_provided_count=provided,
         hints_converted_count=converted)

@@ -439,20 +439,25 @@ class SeriesManifest:
     instance_paths: tuple[Path, ...]
     time_limit_per_instance: float
     changing_components: frozenset[Component]
+    _cache: dict = field(default_factory=dict, init=False, repr=False)  # index -> instance
 
     def __len__(self) -> int:
         return len(self.instance_paths)
 
     def load(self, index: int) -> MipInstance:
-        return load_instance(self.instance_paths[index])
+        """The instance at `index`, parsed on first use only."""
+        if index not in self._cache:
+            self._cache[index] = load_instance(self.instance_paths[index])
+        return self._cache[index]
 
     def instances(self):
-        for p in self.instance_paths:
-            yield load_instance(p)
+        for i in range(len(self)):
+            yield self.load(i)
 
 
 def load_series(path) -> SeriesManifest:
-    """Load a manifest and validate every referenced instance.
+    """Load a manifest and validate every referenced instance; the manifest
+    keeps the parsed instances, so each file is read once.
 
     All instances must share the variable name set; when MATRIX is not among
     the changing components the variable order must match as well.

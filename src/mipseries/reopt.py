@@ -70,17 +70,6 @@ class SolutionPool:
             return None
         return self._by_index[min(self._by_index)]
 
-    def to_json_dict(self) -> dict:
-        return {str(i): {"index": e.index, "objective": e.objective, "values": e.values}
-                for i, e in self._by_index.items()}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SolutionPool":
-        pool = cls()
-        for _, e in sorted(data.items(), key=lambda kv: int(kv[0])):
-            pool.set(e["index"], PoolEntry(e["index"], e["objective"], dict(e["values"])))
-        return pool
-
 
 @dataclass
 class HistoryStore:

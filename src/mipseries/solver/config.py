@@ -1,6 +1,7 @@
 """Solver configuration, per-component statistics and the solve outcome."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -33,6 +34,14 @@ ALL_PRESOLVERS = frozenset({PRE_BOUND_TIGHTEN, PRE_COEF_TIGHTEN})
 ALL_SEPARATORS = frozenset({SEP_GOMORY})
 
 
+def check_det_clock(work_per_second) -> None:
+    """ValueError unless the deterministic clock is off (None) or runs at a
+    finite positive rate."""
+    if work_per_second is not None and not 0 < work_per_second < math.inf:  # NaN fails too
+        raise ValueError("det_work_per_second must be None or finite and > 0, "
+                         f"got {work_per_second!r}")
+
+
 @dataclass
 class SolverConfig:
     """The settings a solve takes from its caller.  The series harness sets
@@ -57,6 +66,7 @@ class SolverConfig:
     det_work_per_second: float | None = None   # None -> wall clock
 
     def __post_init__(self):
+        check_det_clock(self.det_work_per_second)
         if self.completesol_node_limit < 0:
             raise ValueError("completesol_node_limit must be >= 0")
         if self.node_limit is not None and self.node_limit < 0:

@@ -7,6 +7,10 @@ computes the C/sqrt(N) bonus the paper compares it with.  A parameter stays
 under deterministic exploration until both arms have at least four updates;
 after that all arms within one tenth of the base-score standard deviation of
 the best score are candidates, drawn uniformly at random.
+
+Tuning starts at instance TUNING_START_INDEX.  The state is never stored: it
+is a fold of the per-instance records, so a resumed series rebuilds it (rng
+included) by replaying `select_values` and `update` over them.
 """
 from __future__ import annotations
 
@@ -18,6 +22,7 @@ from enum import Enum
 DEFAULT_C = 0.3
 EXPLORATION_MIN_USES = 4
 CANDIDATE_BAND_FRACTION = 0.1
+TUNING_START_INDEX = 1      # instance 0 is solved untuned
 
 
 class Param(Enum):
@@ -76,11 +81,8 @@ class ParamState:
 
 
 class TunerState:
-    def __init__(self, seed: int = 0, tuning_start_index: int = 1):
-        self.tuning_start_index = tuning_start_index
-        self.seed = seed
+    def __init__(self, seed: int = 0):
         self.rng = random.Random(seed)
-        self.draws = 0          # rng.choice calls so far; restores the rng
         self.params = {p: ParamState(ParamArm(ON), ParamArm(OFF)) for p in PARAM_ORDER}
 
     # -- selection ----------------------------------------------------------
@@ -89,11 +91,11 @@ class TunerState:
         """Value per parameter for this instance.
 
         Under exploration the choice is the deterministic bit pattern of
-        t = instance_index - tuning_start_index (HINT: bit 0, CUTS: bit 1,
+        t = instance_index - TUNING_START_INDEX (HINT: bit 0, CUTS: bit 1,
         ROOT_CUTS: bit 2).  Otherwise every arm whose score is within one
         tenth of the base-score standard deviation of the best is a
         candidate; ties are drawn uniformly with the seeded rng."""
-        t = instance_index - self.tuning_start_index
+        t = instance_index - TUNING_START_INDEX
         out = {}
         for p in PARAM_ORDER:
             state = self.params[p]
@@ -109,7 +111,6 @@ class TunerState:
                 out[p] = candidates[0]
             else:
                 out[p] = self.rng.choice(candidates)
-                self.draws += 1
         return out
 
     # -- updates --------------------------------------------------------------
@@ -134,7 +135,7 @@ class TunerState:
     def exploration_flags(self) -> dict:
         return {p: self.params[p].under_exploration() for p in PARAM_ORDER}
 
-    # -- reporting / persistence ------------------------------------------------
+    # -- reporting --------------------------------------------------------------
 
     def summary(self) -> dict:
         """Most-updated value and its count per parameter."""
@@ -149,32 +150,3 @@ class TunerState:
                             "n_on": state.on.N, "n_off": state.off.N,
                             "q_on": state.on.Q, "q_off": state.off.Q}
         return out
-
-    def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "draws": self.draws,
-            "tuning_start_index": self.tuning_start_index,
-            "params": {
-                p.value: {
-                    "on": {"Q": st.on.Q, "N": st.on.N},
-                    "off": {"Q": st.off.Q, "N": st.off.N},
-                    "samples": list(st.samples),
-                } for p, st in self.params.items()},
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TunerState":
-        """The stored state; the rng is rebuilt by replaying `draws` choices
-        between two values, the only kind `select_values` makes."""
-        state = cls(seed=data["seed"], tuning_start_index=data["tuning_start_index"])
-        for _ in range(data["draws"]):
-            state.rng.choice((ON, OFF))
-        state.draws = data["draws"]
-        for p in PARAM_ORDER:
-            src = data["params"][p.value]
-            st = state.params[p]
-            st.on.Q, st.on.N = src["on"]["Q"], src["on"]["N"]
-            st.off.Q, st.off.N = src["off"]["Q"], src["off"]["N"]
-            st.samples = list(src["samples"])
-        return state

@@ -79,10 +79,10 @@ EXPLORATION_TABLE = [
 
 def test_criterion_2_exploration_table():
     start = time.perf_counter()
-    state = TunerState(seed=0, tuning_start_index=0)
+    state = TunerState(seed=0)
     ok = True
     for t, row in enumerate(EXPLORATION_TABLE):
-        vals = state.select_values(t)
+        vals = state.select_values(t + 1)
         got = (vals[Param.HINT], vals[Param.CUTS], vals[Param.ROOT_CUTS])
         ok = ok and got == row
     elapsed = time.perf_counter() - start
@@ -220,7 +220,7 @@ def test_criterion_7_tuner_convergence():
     ok = True
     detail = ""
     for seed in range(20):
-        state = TunerState(seed=seed, tuning_start_index=1)
+        state = TunerState(seed=seed)
         picks_after = []
         for idx in range(1, 50):
             vals = state.select_values(idx)

@@ -41,6 +41,10 @@ REMOVED = [
     ("mipseries.harness", "total_score"),
     ("mipseries.harness", "RunConfig.stop_after"),
     ("mipseries.tuner", "Variant.CLASSIC"),
+    ("mipseries.tuner", "TunerState.to_json_dict"),
+    ("mipseries.tuner", "TunerState.from_json_dict"),
+    ("mipseries.reopt", "SolutionPool.to_json_dict"),
+    ("mipseries.reopt", "SolutionPool.from_json_dict"),
 ]
 
 
@@ -83,6 +87,7 @@ REMOVED_PARAMETERS = [
     (harness.batch_averages, "batch_size"),
     (TunerState, "C"),
     (TunerState, "variant"),
+    (TunerState, "tuning_start_index"),
     (arm_score, "total_updates"),
 ]
 

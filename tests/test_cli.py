@@ -121,35 +121,28 @@ def test_checkpoint_resume_via_cli(tmp_path, base_instance_path):
     assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
 
 
-def _corrupt_checkpoint(tmp_path, base_instance_path, capsys, edit):
-    """Exit code and stderr of a run resumed from a checkpoint that `edit`
-    changed; the checkpoint holds both instances of a 2-instance series."""
+def _corrupt_checkpoint(tmp_path, base_instance_path, capsys, edit, extra=()):
+    """Exit code and stderr of a run, with `extra` arguments, resumed from a
+    checkpoint journal whose parsed lines `edit` changed; the journal holds
+    the header and both instances of a 2-instance series."""
     manifest = _generate(tmp_path, base_instance_path, count=2)
     ckpt = tmp_path / "ck.json"
     args = ["run", "--manifest", str(manifest), "--out", str(tmp_path / "r"),
             "--det-clock", "1000000", "--checkpoint", str(ckpt)]
     assert main(args) == 0
-    data = json.loads(ckpt.read_text())
-    edit(data)
-    ckpt.write_text(json.dumps(data))
+    lines = [json.loads(line) for line in ckpt.read_text().splitlines()]
+    edit(lines)
+    ckpt.write_text("".join(json.dumps(line) + "\n" for line in lines))
     capsys.readouterr()
-    rc = main(args)
+    rc = main(args + list(extra))
     return rc, capsys.readouterr().err
 
 
 def test_checkpoint_missing_field_is_config_error(tmp_path, base_instance_path, capsys):
     rc, err = _corrupt_checkpoint(tmp_path, base_instance_path, capsys,
-                                  lambda data: data["tuner"].pop("draws"))
+                                  lambda lines: lines[-1].pop("ledger"))
     assert rc == 2
-    assert "error:" in err and "draws" in err
-
-
-@pytest.mark.parametrize("draws", ["3", -1])
-def test_checkpoint_bad_draws_is_config_error(tmp_path, base_instance_path, capsys, draws):
-    rc, err = _corrupt_checkpoint(tmp_path, base_instance_path, capsys,
-                                  lambda data: data["tuner"].update(draws=draws))
-    assert rc == 2
-    assert "error:" in err and "draws" in err
+    assert "error:" in err and "ledger" in err
 
 
 @pytest.mark.parametrize("field, value", [("status", 5), ("time_score", "x"),
@@ -157,9 +150,41 @@ def test_checkpoint_bad_draws_is_config_error(tmp_path, base_instance_path, caps
 def test_checkpoint_wrong_typed_record_is_config_error(tmp_path, base_instance_path,
                                                        capsys, field, value):
     rc, err = _corrupt_checkpoint(tmp_path, base_instance_path, capsys,
-                                  lambda data: data["records"][0].update({field: value}))
+                                  lambda lines: lines[1]["record"].update({field: value}))
     assert rc == 2
     assert "error:" in err and field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra, field", [(["--seed", "1"], "seed"),
+                                          (["--disable", "sb"], "disable")],
+                         ids=["seed", "disable"])
+def test_checkpoint_of_another_run_is_config_error(tmp_path, base_instance_path,
+                                                   capsys, extra, field):
+    rc, err = _corrupt_checkpoint(tmp_path, base_instance_path, capsys,
+                                  lambda lines: None, extra)
+    assert rc == 2
+    assert f"does not match this run: its {field} " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--det-clock", "0", "det_work_per_second"),
+    ("--det-clock", "-5", "det_work_per_second"),
+    ("--det-clock", "nan", "det_work_per_second"),
+    ("--det-clock", "inf", "det_work_per_second"),
+    ("--alpha", "nan", "alpha_pct"),
+    ("--alpha", "-1", "alpha_pct"),
+    ("--alpha", "101", "alpha_pct"),
+])
+def test_bad_clock_or_alpha_is_config_error(tmp_path, base_instance_path, capsys,
+                                            flag, value, field):
+    manifest = _generate(tmp_path, base_instance_path, count=2)
+    capsys.readouterr()
+    rc = main(["run", "--manifest", str(manifest), "--out", str(tmp_path / "r"),
+               flag, value])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err and "Traceback" not in err
+    assert not (tmp_path / "r").exists()
 
 
 def test_cross_process_byte_identical_reports(tmp_path, base_instance_path):

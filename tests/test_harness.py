@@ -3,20 +3,25 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import asdict
+import math
+import random
+from dataclasses import asdict, replace
 
 import pytest
 
 from mipseries import harness
 from mipseries.harness import (RunConfig, ScoreRecord, _SeriesState, _error_record,
-                               improvement_table, run_series, write_report_csv,
-                               write_report_summary)
+                               _journal_line, improvement_table, run_series,
+                               write_report_csv, write_report_summary)
 from mipseries.model import (Component, SeriesManifest, load_series,
                              generate_series_files, save_instance)
+from mipseries.solver import SolverConfig
+from mipseries.tuner import ON, PARAM_ORDER
 
 from conftest import DET_WPS, hard_knapsack
 
 ALL_OFF = frozenset({"hints", "history", "sb", "tuning", "turnoff"})
+ALL_ON = dict.fromkeys(PARAM_ORDER, ON)
 
 
 def _identical_series(tmp_path, n=5, time_limit=50.0, changing=("RHS",)):
@@ -30,9 +35,18 @@ def _identical_series(tmp_path, n=5, time_limit=50.0, changing=("RHS",)):
     return load_series(manifest_path)
 
 
+def _journal(path) -> list:
+    """The lines of a checkpoint journal, parsed: the header first."""
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _write_journal(path, lines) -> None:
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+
+
 def _run_until(manifest, run_cfg, stop):
     """Run the series and stop it as Ctrl-C would, once `stop()` holds when
-    an instance is about to be solved; returns the checkpoint left behind."""
+    an instance is about to be solved; returns the journal left behind."""
     real_solve = harness.solve
 
     def solve(*args, **kwargs):
@@ -44,24 +58,24 @@ def _run_until(manifest, run_cfg, stop):
         mp.setattr(harness, "solve", solve)
         with pytest.raises(KeyboardInterrupt):
             run_series(manifest, run_cfg)
-    return json.loads(run_cfg.checkpoint_path.read_text())
+    return _journal(run_cfg.checkpoint_path)
 
 
 def _stop_after(manifest, run_cfg, k):
-    """Checkpoint of the run interrupted when instance k + 1 starts solving."""
+    """Journal of the run interrupted when instance k + 1 starts solving."""
     calls = itertools.count()
     return _run_until(manifest, run_cfg, lambda: next(calls) == k)
 
 
 def _one_record_checkpoint(tmp_path):
-    """A 3-instance series, its config, and the checkpoint after instance 0."""
+    """A 3-instance series, its config, and the journal after instance 0."""
     manifest = _identical_series(tmp_path, n=3)
     cfg = RunConfig(det_work_per_second=DET_WPS, checkpoint_path=tmp_path / "ckpt.json")
     return manifest, cfg, _stop_after(manifest, cfg, 1)
 
 
-def _rejected(manifest, cfg, data, match):
-    cfg.checkpoint_path.write_text(json.dumps(data))
+def _rejected(manifest, cfg, lines, match):
+    _write_journal(cfg.checkpoint_path, lines)
     with pytest.raises(ValueError, match=match):
         run_series(manifest, cfg)
 
@@ -118,31 +132,63 @@ def test_checkpoint_resume_equals_uninterrupted(tmp_path):
 
     cfg = RunConfig(seed=3, det_work_per_second=DET_WPS,
                     checkpoint_path=tmp_path / "ckpt.json")
-    assert len(_stop_after(manifest, cfg, 2)["records"]) == 2
+    assert len(_stop_after(manifest, cfg, 2)) == 1 + 2     # the header and 2 records
     resumed = run_series(manifest, cfg)
     assert len(resumed.records) == 5
     assert [vars(r) for r in resumed.records] == [vars(r) for r in straight.records]
     assert resumed.summary_dict() == straight.summary_dict()
+    assert [line["record"] for line in _journal(cfg.checkpoint_path)[1:]] == \
+        [asdict(r) for r in straight.records]
 
 
 def test_checkpoint_resume_after_tuner_draws_equals_uninterrupted(tmp_path):
     # RHS perturbations under a tight limit leave arms within the candidate
-    # band after exploration, so the tuner draws; the resumed run must
-    # rebuild its rng from the stored seed and draw count
+    # band after exploration, so the tuner draws from instance 10 on; a
+    # resume after k instances, with a torn line after them, must rebuild
+    # the tuner and its rng by replaying the k records
     manifest = load_series(generate_series_files(
         hard_knapsack(n=20, m=4), {"RHS"}, 16, seed=1, magnitude=0.1,
         out_dir=tmp_path / "s", time_limit=0.06))
-    straight = run_series(manifest, RunConfig(seed=1, det_work_per_second=1e4))
+    choice = random.Random.choice
+    drawn = []
 
-    ckpt = tmp_path / "ckpt.json"
-    cfg = RunConfig(seed=1, det_work_per_second=1e4, checkpoint_path=ckpt)
-    stopped = _run_until(manifest, cfg, lambda: ckpt.exists() and
-                         json.loads(ckpt.read_text())["tuner"]["draws"] > 0)
-    assert len(stopped["records"]) < 16
-    resumed = run_series(manifest, cfg)
-    assert json.loads(ckpt.read_text())["tuner"]["draws"] > stopped["tuner"]["draws"]
-    assert [vars(r) for r in resumed.records] == [vars(r) for r in straight.records]
-    assert resumed.summary_dict() == straight.summary_dict()
+    def counted(self, seq):
+        drawn.append(seq)
+        return choice(self, seq)
+
+    for disable in (frozenset(), ALL_OFF):
+        straight = run_series(manifest, RunConfig(seed=1, det_work_per_second=1e4,
+                                                  disable=disable))
+        for k in (1, 5, 9, 14):
+            ckpt = tmp_path / f"ckpt{k}{len(disable)}.json"
+            cfg = RunConfig(seed=1, det_work_per_second=1e4, disable=disable,
+                            checkpoint_path=ckpt)
+            drawn.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(random.Random, "choice", counted)
+                assert len(_stop_after(manifest, cfg, k)) == 1 + k
+            assert bool(drawn) == (k == 14 and not disable)
+            with ckpt.open("a") as fh:
+                fh.write('{"record": {"instance_ind')
+            resumed = run_series(manifest, cfg)
+            assert [vars(r) for r in resumed.records] == \
+                [vars(r) for r in straight.records], (k, disable)
+            assert resumed.summary_dict() == straight.summary_dict(), (k, disable)
+            assert len(_journal(ckpt)) == 1 + 16    # the torn line is gone
+
+
+@pytest.mark.parametrize("content", [b"", b'{"alpha_pct": 90.0, "det_w'],
+                         ids=["empty", "torn_header"])
+def test_checkpoint_without_a_whole_line_starts_over(tmp_path, content):
+    # a zero-byte file, or one whose header was torn, holds no checkpoint
+    manifest = _identical_series(tmp_path, n=2)
+    straight = run_series(manifest, RunConfig(det_work_per_second=DET_WPS))
+    cfg = RunConfig(det_work_per_second=DET_WPS, checkpoint_path=tmp_path / "ckpt.json")
+    cfg.checkpoint_path.write_bytes(content)
+    report = run_series(manifest, cfg)
+    assert [vars(r) for r in report.records] == [vars(r) for r in straight.records]
+    header, *lines = _journal(cfg.checkpoint_path)
+    assert header["version"] == harness.CHECKPOINT_VERSION and len(lines) == 2
 
 
 def test_checkpoint_mismatch_rejected(tmp_path):
@@ -154,32 +200,55 @@ def test_checkpoint_mismatch_rejected(tmp_path):
         run_series(other, cfg)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("series_name", "other"), ("num_instances", 2), ("seed", 5),
+    ("disable", frozenset({"sb"})), ("alpha_pct", 50.0),
+    ("det_work_per_second", 2 * DET_WPS)])
+def test_checkpoint_of_another_run_rejected(tmp_path, field, value):
+    manifest, cfg, _ = _one_record_checkpoint(tmp_path)
+    if field == "series_name":
+        manifest = replace(manifest, series_name=value)
+    elif field == "num_instances":
+        manifest = replace(manifest, instance_paths=manifest.instance_paths[:value])
+    else:
+        cfg = replace(cfg, **{field: value})
+    with pytest.raises(ValueError, match=f"does not match this run: its {field} "):
+        run_series(manifest, cfg)
+
+
 def test_checkpoint_of_unknown_version_rejected(tmp_path):
-    manifest, cfg, data = _one_record_checkpoint(tmp_path)
-    _rejected(manifest, cfg, {**data, "version": 3}, "version 3")
-    # the version-1 layout: next_index and errors beside the records, each
-    # record with its total, the tuner with C, variant and the rng state
-    data.update(version=1, next_index=1, errors=[])
-    data["records"][0]["total_score"] = 0.0
-    data["tuner"].update(C=0.3, variant="LINEAR",
-                         rng_state={"t": "seq", "v": [3, {"t": "seq", "v": []}, None]})
-    del data["tuner"]["draws"]
-    _rejected(manifest, cfg, data, "version 1")
-
-
-@pytest.mark.parametrize("draws", ["3", -1, 4, True, None])
-def test_checkpoint_with_bad_draws_rejected(tmp_path, draws):
-    # one record stored: draws must be an int in 0..3
-    manifest, cfg, data = _one_record_checkpoint(tmp_path)
-    assert data["tuner"]["draws"] == 0
-    data["tuner"]["draws"] = draws
-    _rejected(manifest, cfg, data, "draws")
+    manifest, cfg, lines = _one_record_checkpoint(tmp_path)
+    _rejected(manifest, cfg, [{**lines[0], "version": 4}] + lines[1:], "version 4")
+    # the version-2 layout: one JSON object, the whole state, no newline
+    state = {"version": 2, "series_name": "copies", "num_instances": 3,
+             "records": [lines[1]["record"]], "pool": {}, "history_store": {},
+             "ledger": {}, "tuner": {"seed": 0, "draws": 0, "params": {}}}
+    cfg.checkpoint_path.write_text(json.dumps(state))
+    with pytest.raises(ValueError, match="version 2"):
+        run_series(manifest, cfg)
+    # the version-1 layout: next_index and errors beside the records
+    state.update(version=1, next_index=1, errors=[])
+    _rejected(manifest, cfg, [state], "version 1")
 
 
 def test_checkpoint_with_more_records_than_instances_rejected(tmp_path):
-    manifest, cfg, data = _one_record_checkpoint(tmp_path)
-    data["records"] *= 4
-    _rejected(manifest, cfg, data, "4 records for 3 instances")
+    manifest, cfg, lines = _one_record_checkpoint(tmp_path)
+    _rejected(manifest, cfg, lines[:1] + lines[1:] * 4, "4 records for 3 instances")
+
+
+def test_checkpoint_line_out_of_order_rejected(tmp_path):
+    manifest = _identical_series(tmp_path, n=3)
+    cfg = RunConfig(det_work_per_second=DET_WPS, checkpoint_path=tmp_path / "ckpt.json")
+    header, first, second = _stop_after(manifest, cfg, 2)
+    _rejected(manifest, cfg, [header, second, first], "line 2 holds instance 1, expected 0")
+
+
+@pytest.mark.parametrize("field", ["hint_value", "cuts_value", "root_cuts_value"])
+def test_checkpoint_record_the_tuner_did_not_choose_rejected(tmp_path, field):
+    # instance 0 is never tuned, so all three values were ON
+    manifest, cfg, lines = _one_record_checkpoint(tmp_path)
+    lines[1]["record"][field] = "OFF"
+    _rejected(manifest, cfg, lines, "line 2: the replayed tuner values differ")
 
 
 @pytest.mark.parametrize("where, field, value", [
@@ -190,17 +259,17 @@ def test_checkpoint_with_more_records_than_instances_rejected(tmp_path):
     ("record", "hint_converted", 1),       # bool
     ("record", "error", 5),                # str or None
     ("record", "total_score", "x"),        # no longer a field
-    ("tuner", "seed", "1"),
+    ("tuner", "seed", "1"),                # the header's seed seeds the tuner
     ("tuner", "seed", False),
 ])
 def test_checkpoint_with_wrong_typed_field_rejected(tmp_path, where, field, value):
-    manifest, cfg, data = _one_record_checkpoint(tmp_path)
+    manifest, cfg, lines = _one_record_checkpoint(tmp_path)
     if where == "record":
-        data["records"][0][field] = value
-        _rejected(manifest, cfg, data, f"'{field}'")
+        lines[1]["record"][field] = value
+        _rejected(manifest, cfg, lines, f"'{field}'")
     else:
-        data["tuner"][field] = value
-        _rejected(manifest, cfg, data, f"tuner {field}")
+        lines[0][field] = value
+        _rejected(manifest, cfg, lines, f"its {field} is {value!r}")
 
 
 def test_reports_and_improvement_table(tmp_path):
@@ -226,6 +295,19 @@ def test_reports_and_improvement_table(tmp_path):
 def test_unknown_disable_rejected():
     with pytest.raises(ValueError, match="unknown technique"):
         RunConfig(disable=frozenset({"everything"}))
+
+
+@pytest.mark.parametrize("clock", [0.0, -5.0, math.nan, math.inf])
+def test_bad_deterministic_clock_rejected(clock):
+    for config in (RunConfig, SolverConfig):
+        with pytest.raises(ValueError, match="det_work_per_second"):
+            config(det_work_per_second=clock)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 100.5, math.nan, math.inf])
+def test_bad_alpha_rejected(alpha):
+    with pytest.raises(ValueError, match="alpha_pct"):
+        RunConfig(alpha_pct=alpha)
 
 
 def test_generated_rhs_series_runs_end_to_end(tmp_path):
@@ -317,14 +399,14 @@ def test_instance_failure_recorded_and_series_continues(tmp_path):
         assert (arm["n_on"], arm["n_off"], arm["q_off"]) == (0, 1, -2.0), param
 
 
-def test_checkpoint_records_serialize_like_asdict(tmp_path):
-    manifest = _identical_series(tmp_path, n=2)
+def test_checkpoint_records_serialize_like_asdict():
     state = _SeriesState(RunConfig())
     state.records = [ScoreRecord(0, "OPTIMAL", 0.5, -3.0, -0.0, 0.1, 0.0, True,
                                  "FULLSTRONG", "ON", "OFF", "ON", True),
-                     _error_record(1, "ValueError: boom")]
-    data = state.to_json_dict(manifest)
-    assert json.dumps(data["records"], sort_keys=True) == \
+                     _error_record(1, "ValueError: boom", ALL_ON)]
+    lines = [_journal_line(state, r) for r in state.records]
+    assert json.dumps([line["record"] for line in lines], sort_keys=True) == \
         json.dumps([asdict(r) for r in state.records], sort_keys=True)
-    data["records"][0]["pb"] = 99.0   # the checkpoint dict is not the record
+    assert lines[0]["pool_entry"] is None
+    lines[0]["record"]["pb"] = 99.0   # the journal line is not the record
     assert state.records[0].pb == -3.0

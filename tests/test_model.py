@@ -6,11 +6,13 @@ import json
 import numpy as np
 import pytest
 
+from mipseries import model
 from mipseries.model import (INF, Component, FeasibilityResult, InstanceError,
-                             LinearRow, MipInstance, Sense, SeriesError, Violation,
-                             check_feasibility, generate_series_files,
-                             instance_from_dict, load_instance, load_series,
-                             objective_value, perturb_series, save_instance)
+                             LinearRow, MipInstance, Sense, SeriesError,
+                             SeriesManifest, Violation, check_feasibility,
+                             generate_series_files, instance_from_dict,
+                             load_instance, load_series, objective_value,
+                             perturb_series, save_instance)
 
 from conftest import (MALFORMED_INSTANCES, MALFORMED_MANIFESTS, MINIMAL, make_instance,
                       malformed_instance, same_data)
@@ -212,6 +214,29 @@ def test_load_series_and_validation(tmp_path):
     (tmp_path / "i1.json").write_text(json.dumps(other))
     with pytest.raises(SeriesError, match="variable set mismatch"):
         load_series(manifest_path)
+
+
+def test_series_files_are_parsed_once(tmp_path, monkeypatch):
+    inst = instance_from_dict(MINIMAL)
+    save_instance(inst, tmp_path / "i.json")
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps({
+        "series_name": "s", "time_limit": 60.0, "changing": ["RHS"],
+        "instances": ["i.json", "i.json"]}))
+    parsed = []
+    monkeypatch.setattr(model, "load_instance",
+                        lambda path: parsed.append(path) or load_instance(path))
+    manifest = load_series(manifest_path)
+    assert len(parsed) == 2
+    first, second = manifest.load(0), manifest.load(1)
+    assert list(manifest.instances()) == [first, second]
+    assert manifest.load(0) is first and len(parsed) == 2
+    assert same_data(first, inst)
+    # a manifest built directly parses each file on its first use
+    direct = SeriesManifest("s", manifest.instance_paths, 60.0, frozenset({Component.RHS}))
+    assert len(parsed) == 2
+    assert same_data(direct.load(1), inst) and len(parsed) == 3
+    assert direct.load(1) is direct.load(1) and len(parsed) == 3
 
 
 def test_empty_series_rejected(tmp_path):

@@ -199,10 +199,7 @@ def test_hint_set_invariants_on_random_series():
         assert len(hints) <= 10
 
 
-def test_pool_serialization_roundtrip():
-    pool = _pool_with([{"x0": 1.0, "x1": 2.0}, {"x0": 0.0, "x1": 3.0}])
-    again = SolutionPool.from_json_dict(pool.to_json_dict())
-    assert [e.values for e in again.entries] == [e.values for e in pool.entries]
+def test_history_store_serialization_roundtrip():
     store = HistoryStore(histories={"x0": VariableHistory(pscost_up_sum=1.5,
                                                           pscost_up_count=2.0)},
                          global_history=GlobalHistory(pscost_down_sum=4.0,

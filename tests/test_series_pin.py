@@ -3,7 +3,7 @@
 Two arms (every technique on, and all five off) run a 10-instance RHS and
 objective series of mixed-integer knapsacks with checkpoints, on the
 deterministic clock and under a time limit that cuts some solves short.
-The sha256 of `report.csv`, `summary.json` and the final checkpoint are
+The sha256 of `report.csv`, `summary.json` and the checkpoint journal are
 pinned, so a change that alters any pivot, node, cut, score or checkpoint
 byte on this path fails here.  The digests depend on the platform's
 floating-point arithmetic and were recorded on x86-64 Linux.
@@ -26,12 +26,12 @@ PINNED = {
     "reuse": {
         "report.csv": "c0cfa079b52c0ac58c7afd48dfadd5989eff4bfca16463c1cbff0abbb689512c",
         "summary.json": "be293cc26e68052e00eb725e7945e9753aa0980e887b2010b885e32208ba979d",
-        "checkpoint.json": "2fee59817b8c7a7f2910b8e9c009dfc371fbb81de7be54a57b3b6a0b2d049aa0",
+        "checkpoint.json": "41673ed1ede259f3b87ebd76e52ea8c2d1a813fe37a26ea05b2a4b918e039308",
     },
     "scratch": {
         "report.csv": "7d258b67a7dfea9306cc85bf4291ca41da76de9c6beb622a613d221e22faf99b",
         "summary.json": "db6b8180bcd228548581d69a152d206d7d5b0cac0f592ddcf4562a11a37a65d6",
-        "checkpoint.json": "5a1b4ffc865dbd938ecdff7bd67b811545351406d30e89e2f2fe5b6f73bd6a2f",
+        "checkpoint.json": "d0f0eeae51cb7c7222d1286fcf61fde9650348c4fe9ece5333250f0458e76db0",
     },
 }
 
