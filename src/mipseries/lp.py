@@ -22,6 +22,17 @@ from scratch and the verdict checked again.  A streak of degenerate dual
 pivots, or a warm basis that is not dual feasible, hands the basis to the
 primal loop.
 
+The dual loop also stops early at an objective cutoff (the objective limit
+SCIP gives its LP solver; Achterberg, *Constraint Integer Programming*,
+2007).  Before each pass, the basis objective c_B beta + c_N x_N is compared
+with the cutoff; at or above it the loop returns CUTOFF, after the same
+comparison on a beta recomputed from scratch has confirmed it.  The
+confirming beta is a temporary: when it does not confirm, the loop goes on
+from the updated beta, so a solve whose cutoff never fires takes the same
+pivots as one without a cutoff.  The primal loop has no cutoff.  Only branch
+and bound's node LPs and cut re-solves pass one (the incumbent's pruning
+bound); strong-branching probes and the all-fixed hint LP run to the end.
+
 A token carries the solve's final tableau.  A warm start on the same rows
 copies it; on rows extended from the token's rows it adds the new rows as
 C - C_B T with their slacks basic.  Neither solves the basis system.  Once a
@@ -58,6 +69,7 @@ class LpStatus(Enum):
     INFEASIBLE = "INFEASIBLE"
     UNBOUNDED = "UNBOUNDED"
     ITER_LIMIT = "ITER_LIMIT"
+    CUTOFF = "CUTOFF"
 
 
 class SimplexTrouble(RuntimeError):
@@ -102,7 +114,10 @@ class SimplexSnapshot:
 @dataclass
 class LpResult:
     """What `solve_arrays` returns.  `basis` is the warm-start token; every
-    OPTIMAL result carries a `snapshot`, every other result None."""
+    OPTIMAL result carries a `snapshot`, every other result None.  A CUTOFF
+    result's `objective` is the dual simplex objective at which it stopped:
+    a lower bound on the LP optimum that is >= the cutoff; its `primal` is
+    that basis's point, which need not be feasible."""
 
     status: LpStatus
     primal: np.ndarray
@@ -324,6 +339,11 @@ class _Simplex:
         self.k.accumulate_rowsum(d, self.cost[self.basis], self.tab)
         return d
 
+    def objective(self, beta: np.ndarray, vals: np.ndarray) -> float:
+        """c.x of the basis point with basic values beta and nonbasic values
+        vals (zero on the basic columns)."""
+        return float(self.cost[self.basis] @ beta + self.cost @ vals)
+
     def primal_point(self, beta: np.ndarray, vals: np.ndarray) -> np.ndarray:
         x = vals.copy()
         x[self.basis] = beta
@@ -471,10 +491,14 @@ class _Simplex:
             return None
         return sgn, free
 
-    def run_dual(self, iter_limit: int):
+    def run_dual(self, iter_limit: int, cutoff: float = INF):
         """Bounded dual simplex from the current basis.  Returns (status,
         beta) like `run`, or None when the basis is not dual feasible or the
         dual loop stalls; the basis is then left for the primal loop.
+
+        Before each pass it returns (CUTOFF, fresh beta) once the basis
+        objective, confirmed on a fresh beta, is at least `cutoff` (see the
+        module docstring).
 
         Each pass takes the row r with the largest bound violation of beta
         and runs the bound-flipping ratio test over the nonbasic columns
@@ -503,6 +527,11 @@ class _Simplex:
                 uB = hi[basis]
                 restart = False
                 fresh = True   # beta recomputed from the tableau, not updated
+
+            if cutoff < INF and self.objective(beta, vals) >= cutoff:
+                confirmed = beta if fresh else self.compute_beta(vals)
+                if self.objective(confirmed, vals) >= cutoff:
+                    return LpStatus.CUTOFF, confirmed
 
             viol = np.maximum(lB - beta, beta - uB)
             r = int(viol.argmax()) if self.m else 0
@@ -598,17 +627,19 @@ class _Simplex:
 
 
 def solve_arrays(rows: NodeRows, lo, hi, cost, warm, iter_limit,
-                 kernels, bland_after) -> LpResult:
+                 kernels, bland_after, cutoff: float = INF) -> LpResult:
     """Solve min cost.x over `rows` within the column bounds lo, hi, from the
     token `warm` when it is given and fits; deterministic for fixed inputs.
 
     ITER_LIMIT is returned (never raised) when the pivot budget runs out.
+    CUTOFF is returned when the dual simplex shows that the optimum is at
+    least `cutoff`; the primal loop runs to the end whatever the cutoff.
     """
     sx = _Simplex(rows, lo, hi, cost, kernels, bland_after)
     try:
         out = None
         if warm is not None and sx.warm_start(warm):
-            out = sx.run_dual(iter_limit)
+            out = sx.run_dual(iter_limit, cutoff)
         else:
             sx.cold_start()
         status, beta = out if out is not None else sx.run(iter_limit)
@@ -629,6 +660,8 @@ def solve_arrays(rows: NodeRows, lo, hi, cost, warm, iter_limit,
         objective = INF
     elif status is LpStatus.UNBOUNDED:
         objective = -INF
+    elif status is LpStatus.CUTOFF:
+        objective = sx.objective(beta, sx.vals)
     else:
         objective = float(np.dot(cost, primal))
     tab, rhs = _frozen(sx.tab), _frozen(sx.rhs)

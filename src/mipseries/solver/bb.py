@@ -102,16 +102,20 @@ class _TreeSolver:
         return self.clock.elapsed() >= self.deadline
 
     def _lp(self, rows, lo, hi, warm=None, iter_limit=LP_ITER_LIMIT,
-            bland_after=BLAND_AFTER):
+            bland_after=BLAND_AFTER, cutoff=INF):
         res = solve_arrays(rows, lo, hi, np.asarray(self.inst.objective),
-                           warm, iter_limit, self.kernels, bland_after)
+                           warm, iter_limit, self.kernels, bland_after, cutoff=cutoff)
         self.clock.charge(res.iterations + 1)
         self.stats.lp_iterations += res.iterations
         return res
 
     def _node_lp(self, rows, lo, hi, warm):
-        res = self._lp(rows, lo, hi, warm)
-        if res.status is LpStatus.ITER_LIMIT:
+        """A node LP or cut re-solve: CUTOFF once its dual bound reaches the
+        pruning bound; ITER_LIMIT only, never CUTOFF, is retried."""
+        res = self._lp(rows, lo, hi, warm, cutoff=self._prune_cutoff())
+        if res.status is LpStatus.CUTOFF:
+            self.stats.lp_cutoffs += 1
+        elif res.status is LpStatus.ITER_LIMIT:
             # One cold retry with Bland from the first pivot.
             res = self._lp(rows, lo, hi, None,
                            iter_limit=10 * LP_ITER_LIMIT, bland_after=0)
@@ -287,7 +291,7 @@ class _TreeSolver:
             sstats.cuts_generated += len(new_cuts)
             node.rows = rows.extend(new_cuts.mat, new_cuts.senses, new_cuts.rhs)
             res = self._node_lp(node.rows, node.lower, node.upper, res.basis)
-            if res.status is LpStatus.INFEASIBLE:
+            if res.status is LpStatus.INFEASIBLE or res.status is LpStatus.CUTOFF:
                 return None
             if res.status is LpStatus.UNBOUNDED:
                 raise UnboundedRelaxationError(self.inst.name)
@@ -305,7 +309,7 @@ class _TreeSolver:
                     or (not at_root and self.cfg.use_cuts_tree)) \
             and SEP_GOMORY in self.cfg.enabled_separators
         res = self._node_lp(node.rows, node.lower, node.upper, node.basis)
-        if res.status is LpStatus.INFEASIBLE:
+        if res.status is LpStatus.INFEASIBLE or res.status is LpStatus.CUTOFF:
             return []
         if res.status is LpStatus.UNBOUNDED:
             raise UnboundedRelaxationError(self.inst.name)
@@ -446,6 +450,6 @@ def solve(inst: MipInstance, cfg: SolverConfig, time_limit: float,
     (per-variable history map, global history) pair transferred from an
     earlier solve.
     """
-    if time_limit < 0:
-        raise ValueError("time_limit must be non-negative")
+    if not time_limit >= 0:   # NaN fails too; inf means no limit
+        raise ValueError(f"time_limit must be >= 0, got {time_limit!r}")
     return _TreeSolver(inst, cfg, time_limit, hints, warm_histories).solve()

@@ -98,6 +98,7 @@ class SolverStats:
     nodes: int = 0
     sb_lp_solves: int = 0
     lp_iterations: int = 0
+    lp_cutoffs: int = 0   # node LPs and cut re-solves stopped at the cutoff
     separators: dict = field(default_factory=dict)
     heuristics: dict = field(default_factory=dict)
     presolvers: dict = field(default_factory=dict)

@@ -9,7 +9,8 @@ import pytest
 
 from mipseries.kernels import get_kernels
 from mipseries.lp import NodeRows, solve_arrays
-from mipseries.model import DEFAULT_INT_TOL, LinearRow, MipInstance, Sense
+from mipseries.model import DEFAULT_INT_TOL, INF, LinearRow, MipInstance, Sense
+from mipseries.solver import BranchingRule
 from mipseries.solver.bb import BLAND_AFTER, LP_ITER_LIMIT
 
 # All tests run on the deterministic clock so they are machine-independent.
@@ -78,10 +79,11 @@ def relaxation(inst):
 
 
 def lp_solve(rows, lo, hi, cost, warm=None, iter_limit=LP_ITER_LIMIT,
-             bland_after=BLAND_AFTER):
+             bland_after=BLAND_AFTER, cutoff=INF):
     """`solve_arrays` with the solver's default pivot budget and Bland
-    trigger."""
-    return solve_arrays(rows, lo, hi, cost, warm, iter_limit, get_kernels(), bland_after)
+    trigger, and no cutoff unless one is given."""
+    return solve_arrays(rows, lo, hi, cost, warm, iter_limit, get_kernels(), bland_after,
+                        cutoff)
 
 
 def same_data(a: MipInstance, b: MipInstance) -> bool:
@@ -155,6 +157,21 @@ def random_feasible_mip(rng, max_vars=12, max_rows=10):
         else:
             rows.append((A[i], Sense.EQ, act))
     return make_instance(f"rand{rng.integers(1 << 30)}", c, rows, lo, hi, range(n))
+
+
+def pinned_mips():
+    """(name, instance, branching rule) of the MIPs whose work counters
+    `test_pivot_path.py` pins: knap17 and the random instances under
+    reliability branching, knap5 under full strong branching."""
+    yield "knap17", hard_knapsack(), BranchingRule.RELIABILITY
+    yield "knap5", hard_knapsack(seed=5, n=12, m=4), BranchingRule.FULLSTRONG
+    rng = np.random.default_rng(11)
+    found = 0
+    for i in range(29):
+        inst = random_feasible_mip(rng, max_vars=12, max_rows=10)
+        if inst.num_vars >= 10 and inst.num_rows >= 6 and found < 4:
+            found += 1
+            yield f"rand{i}", inst, BranchingRule.RELIABILITY
 
 
 def enumerate_mip(inst, tol=1e-9):

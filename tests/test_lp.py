@@ -429,15 +429,12 @@ def _assert_agrees(res, oracle_inst):
     return ref
 
 
-@FUZZ
-@given(fuzz_lps(), st.data())
-def test_fuzz_warm_resolve_after_a_bound_change(lps, data):
-    inst, oracle_inst = lps
-    rows, lo, hi, cost = relaxation(inst)
-    first = lp_solve(rows, lo, hi, cost)
-    _assert_agrees(first, oracle_inst)
+def _bound_change(data, lo, hi):
+    """(lo2, hi2, oracle bounds): one or two boxed columns with a bound moved
+    to an integer inside the box; None when no column is boxed."""
     boxed = np.flatnonzero(np.isfinite(lo) & np.isfinite(hi) & (lo < hi))
-    assume(first.status is LpStatus.OPTIMAL and len(boxed))
+    if not len(boxed):
+        return None
     lo2, hi2 = lo.copy(), hi.copy()
     for j in data.draw(st.lists(st.sampled_from(boxed.tolist()), min_size=1, max_size=2)):
         v = float(data.draw(st.integers(int(lo2[j]), int(hi2[j]))))
@@ -445,8 +442,20 @@ def test_fuzz_warm_resolve_after_a_bound_change(lps, data):
             hi2[j] = v
         else:
             lo2[j] = v
-    oracle_lo = np.where(np.isfinite(lo2), lo2, -4.0)
-    oracle_hi = np.where(np.isfinite(hi2), hi2, 4.0)
+    return lo2, hi2, np.where(np.isfinite(lo2), lo2, -4.0), np.where(np.isfinite(hi2), hi2, 4.0)
+
+
+@FUZZ
+@given(fuzz_lps(), st.data())
+def test_fuzz_warm_resolve_after_a_bound_change(lps, data):
+    inst, oracle_inst = lps
+    rows, lo, hi, cost = relaxation(inst)
+    first = lp_solve(rows, lo, hi, cost)
+    _assert_agrees(first, oracle_inst)
+    assume(first.status is LpStatus.OPTIMAL)
+    change = _bound_change(data, lo, hi)
+    assume(change is not None)
+    lo2, hi2, oracle_lo, oracle_hi = change
     ref = _assert_agrees(lp_solve(rows, lo2, hi2, cost, first.basis),
                          _with_bounds(oracle_inst, oracle_lo, oracle_hi))
     # the dual simplex objective bounds the optimum from below at every
@@ -488,6 +497,50 @@ def test_fuzz_warm_resolve_after_appended_rows(lps, data):
         [(row, s, b) for row, s, b in zip(more.mat, more.senses, more.rhs)],
         oracle_inst.lower, oracle_inst.upper)
     _assert_agrees(lp_solve(more, lo, hi, cost, first.basis), extended)
+
+
+@FUZZ
+@given(fuzz_lps(), st.data())
+def test_fuzz_cutoff_stops_only_at_or_above_the_optimum(lps, data):
+    # A warm re-solve with a cutoff returns CUTOFF only when the optimum is at
+    # least the cutoff, with an objective between the two; otherwise it is
+    # the solve without a cutoff, bit for bit.  The re-solve moves bounds and
+    # adds a row that cuts the parent's point off, so that it pivots.
+    inst, oracle_inst = lps
+    rows, lo, hi, cost = relaxation(inst)
+    first = lp_solve(rows, lo, hi, cost)
+    assume(first.status is LpStatus.OPTIMAL)
+    change = _bound_change(data, lo, hi)
+    assume(change is not None)
+    lo2, hi2, oracle_lo, oracle_hi = change
+    cut = np.array([[float(data.draw(st.integers(-3, 3))) for _ in range(rows.n)]])
+    assume(cut.any())
+    sense = data.draw(st.sampled_from([Sense.LE, Sense.GE]))
+    away = float(data.draw(st.sampled_from([0.5, 1.0, 2.0])))
+    rows = rows.extend(cut, [sense], cut @ first.primal
+                       + (-away if sense is Sense.LE else away))
+    ref = lp_vertex_oracle(make_instance(
+        "fuzz", cost, list(zip(rows.mat, rows.senses, rows.rhs)), oracle_lo, oracle_hi))
+    optimum = np.inf if ref is None else ref
+    # between the parent's optimum and this one, on either, or past either
+    # (an infeasible LP's optimum counts as the parent's plus 4)
+    top = first.objective + 4.0 if ref is None else ref
+    share = data.draw(st.sampled_from([-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5]))
+    cutoff = first.objective + share * (top - first.objective) \
+        + data.draw(st.sampled_from([-1e-9, 0.0, 1e-9]))
+    plain = lp_solve(rows, lo2, hi2, cost, first.basis)
+    res = lp_solve(rows, lo2, hi2, cost, first.basis, cutoff=cutoff)
+    if res.status is LpStatus.CUTOFF:
+        assert optimum >= cutoff - 1e-6
+        assert cutoff <= res.objective <= optimum + 1e-6
+        assert res.snapshot is None
+        assert res.iterations <= plain.iterations
+    else:
+        assert res.status is plain.status
+        assert res.iterations == plain.iterations
+        assert res.primal.tobytes() == plain.primal.tobytes()
+        assert np.array_equal(res.basis.basis, plain.basis.basis)
+        assert np.array_equal(res.basis.stat, plain.basis.stat)
 
 
 @pytest.mark.parametrize("knob", ["REFACTOR_AGE", "DUAL_STALL_AFTER"])

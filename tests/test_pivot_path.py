@@ -4,8 +4,9 @@ The LP pins are cold solves, which run the primal simplex; they were
 recorded with the row-loop simplex, before the pivot loop kept its arrays
 current across pivots and the kernels were vectorized.  The branch-and-bound
 pins were recorded when warm re-solves moved to the dual simplex on the
-carried tableau.  A difference here means the pivot path changed, not just
-its speed.
+carried tableau; their LP iterations were re-recorded when node LPs and cut
+re-solves began to stop at the incumbent cutoff.  A difference here means
+the pivot path changed, not just its speed.
 """
 from __future__ import annotations
 
@@ -18,18 +19,17 @@ from mipseries.kernels import get_kernels
 from mipseries.lp import (AT_LOWER, AT_UPPER, BASIC, FIXED, FREE, NodeRows,
                           SimplexBasis, _Simplex)
 from mipseries.model import INF, Sense
-from mipseries.solver import BranchingRule, SolverConfig, solve
+from mipseries.solver import SolverConfig, solve
 
-from conftest import (DET_WPS, hard_knapsack, lp_solve, make_instance,
-                      random_feasible_mip, relaxation)
+from conftest import DET_WPS, lp_solve, make_instance, pinned_mips, relaxation
 
 # name, status, nodes, lp_iterations, sb_lp_solves, cuts generated, primal bound
 MIP_PINS = [
-    ("knap17", "OPTIMAL", 103, 1236, 122, 205, -124.0),
-    ("knap5", "OPTIMAL", 29, 584, 108, 61, -126.0),
+    ("knap17", "OPTIMAL", 103, 1157, 122, 205, -124.0),
+    ("knap5", "OPTIMAL", 29, 571, 108, 61, -126.0),
     ("rand6", "OPTIMAL", 1, 25, 0, 4, -11.0),
     ("rand22", "OPTIMAL", 1, 12, 0, 9, -5.0),
-    ("rand26", "OPTIMAL", 3, 83, 14, 16, -3.0),
+    ("rand26", "OPTIMAL", 3, 81, 14, 16, -3.0),
     ("rand28", "OPTIMAL", 1, 15, 0, 4, -23.0),
 ]
 
@@ -48,20 +48,6 @@ LP_PINS = [
     ("OPTIMAL", 7, -3.025201042311345, "bfe9ece58f3324ce"),
     ("OPTIMAL", 13, -446.96837631156706, "86cf67b77f8b4ea9"),
 ]
-
-
-def pinned_mips():
-    """knap17 and the random instances under reliability branching, knap5
-    under full strong branching."""
-    yield "knap17", hard_knapsack(), BranchingRule.RELIABILITY
-    yield "knap5", hard_knapsack(seed=5, n=12, m=4), BranchingRule.FULLSTRONG
-    rng = np.random.default_rng(11)
-    found = 0
-    for i in range(29):
-        inst = random_feasible_mip(rng, max_vars=12, max_rows=10)
-        if inst.num_vars >= 10 and inst.num_rows >= 6 and found < 4:
-            found += 1
-            yield f"rand{i}", inst, BranchingRule.RELIABILITY
 
 
 def pinned_lps():

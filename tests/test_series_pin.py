@@ -24,14 +24,14 @@ ALL_OFF = frozenset({"hints", "history", "sb", "tuning", "turnoff"})
 
 PINNED = {
     "reuse": {
-        "report.csv": "c0cfa079b52c0ac58c7afd48dfadd5989eff4bfca16463c1cbff0abbb689512c",
-        "summary.json": "be293cc26e68052e00eb725e7945e9753aa0980e887b2010b885e32208ba979d",
-        "checkpoint.json": "41673ed1ede259f3b87ebd76e52ea8c2d1a813fe37a26ea05b2a4b918e039308",
+        "report.csv": "b03d6918142f08d113220a9a1abb60afdf60ef99a602132fe164e18d7986407e",
+        "summary.json": "b4818775f7e872d8835883cfda5d7820c905b11a2aedf4bd9d9885d6bdbe15c0",
+        "checkpoint.json": "6cf22dc13747f3c5cddea0334611e5d71129b446465e0bd5c2b71bb7828a090f",
     },
     "scratch": {
-        "report.csv": "7d258b67a7dfea9306cc85bf4291ca41da76de9c6beb622a613d221e22faf99b",
-        "summary.json": "db6b8180bcd228548581d69a152d206d7d5b0cac0f592ddcf4562a11a37a65d6",
-        "checkpoint.json": "d0f0eeae51cb7c7222d1286fcf61fde9650348c4fe9ece5333250f0458e76db0",
+        "report.csv": "bd19f0a2e81fb71ea6be876c5b2f9c8fbf39098648416f670289d303ebf45dfb",
+        "summary.json": "a4a6e8ae28b7521f0e9ba94470c5e1775eadff317bb0fe8b446bb3f37df01a92",
+        "checkpoint.json": "d664ebfad08decc417bb1ceb01b9fb17ae20fb2e38e17f71a6efd1dc04eb3dc8",
     },
 }
 

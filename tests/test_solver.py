@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from scipy.optimize import linprog
 
 from mipseries.lp import LpStatus
-from mipseries.model import Sense, check_feasibility
+from mipseries.model import INF, Sense, check_feasibility
 from mipseries.solver import (BranchingRule, Candidate, SolverConfig, SolveStatus,
                               solve)
 from mipseries.solver import bb
@@ -17,7 +18,7 @@ from mipseries.solver.bb import _TreeSolver
 
 from conftest import (DET_WPS, awkward_values, enumerate_integer_points,
                       enumerate_mip, hard_knapsack, lp_solve, make_instance,
-                      outcome, random_feasible_mip, relaxation)
+                      outcome, pinned_mips, random_feasible_mip, relaxation)
 
 
 def _cfg(**kw):
@@ -51,6 +52,17 @@ def test_zero_time_limit():
     assert out.status is SolveStatus.TIME_LIMIT
     assert out.primal_bound == np.inf
     assert out.dual_bound == -np.inf
+
+
+@pytest.mark.parametrize("limit", [-1.0, math.nan])
+def test_time_limit_below_zero_or_nan_rejected(limit):
+    with pytest.raises(ValueError, match="time_limit"):
+        solve(hard_knapsack(), _cfg(), limit)
+
+
+def test_infinite_time_limit_means_no_limit():
+    out = solve(hard_knapsack(), _cfg(), math.inf)
+    assert out.status is SolveStatus.OPTIMAL
 
 
 def test_node_limit_status():
@@ -394,3 +406,77 @@ def test_hint_completion_checks_each_point_once_and_keeps_the_incumbents(monkeyp
         completed += tree.stats.heuristics["completesol"].solutions_found
     assert completed >= 100
     assert counts[CheckOnce] < counts[CheckTwice]
+
+
+# ---------------------------------------------------------------------------
+# The objective cutoff of node LPs and cut re-solves
+# ---------------------------------------------------------------------------
+
+def _record_lp_calls(monkeypatch, force_inf=False):
+    """Replace bb.solve_arrays by a spy that records, per call, the function
+    that called `_TreeSolver._lp`, the cutoff passed, the tree's pruning
+    bound, whether the call is the cold retry and the status; with
+    `force_inf` every solve runs without a cutoff."""
+    calls = []
+    real = bb.solve_arrays
+
+    def spy(rows, lo, hi, cost, warm, iter_limit, kernels, bland_after, cutoff=INF):
+        lp_frame = sys._getframe(1)   # _TreeSolver._lp
+        res = real(rows, lo, hi, cost, warm, iter_limit, kernels, bland_after,
+                   INF if force_inf else cutoff)
+        calls.append(SimpleNamespace(
+            caller=lp_frame.f_back.f_code.co_name, cutoff=cutoff,
+            prune=lp_frame.f_locals["self"]._prune_cutoff(),
+            retry=warm is None and bland_after == 0, status=res.status))
+        return res
+
+    monkeypatch.setattr(bb, "solve_arrays", spy)
+    return calls
+
+
+def test_only_node_lps_and_cut_resolves_pass_the_cutoff(monkeypatch):
+    calls = _record_lp_calls(monkeypatch)
+    for _, inst, rule in pinned_mips():
+        start = len(calls)
+        out = solve(inst, _cfg(branching_rule=rule), 1e6)
+        stopped = sum(c.status is LpStatus.CUTOFF for c in calls[start:])
+        assert out.stats.lp_cutoffs == stopped
+    # two full hints (the all-fixed LP, the second under an incumbent) and a
+    # partial one (a sub-MIP, whose nodes prune on its own incumbent)
+    inst = hard_knapsack()
+    best = solve(inst, _cfg(), 1e6).best_solution.values
+    full = {name: float(v) for name, v in zip(inst.var_names, best)}
+    half = dict(list(full.items())[::2])
+    solve(inst, _cfg(), 1e6, hints=[full, full, half])
+
+    assert {c.caller for c in calls} == {"_node_lp", "solve_child", "_complete_one_hint"}
+    for c in calls:
+        if c.caller == "_node_lp" and not c.retry:
+            assert c.cutoff == c.prune
+        else:   # strong-branching probes, the all-fixed hint LP, cold retries
+            assert c.cutoff == INF
+            assert c.status is not LpStatus.CUTOFF
+    for c, after in zip(calls, calls[1:]):
+        if c.status is LpStatus.CUTOFF:
+            assert not after.retry
+    assert any(c.status is LpStatus.CUTOFF for c in calls)
+    for caller in ("solve_child", "_complete_one_hint"):
+        assert any(c.caller == caller and c.prune < INF for c in calls), caller
+
+
+def test_cutoff_saves_pivots_and_changes_nothing_else_on_the_pinned_mips(monkeypatch):
+    def run(inst, rule):
+        out = solve(inst, _cfg(branching_rule=rule), 1e6)
+        s = out.stats
+        return (out.status, s.nodes, s.sb_lp_solves, s.separators["gomory"].cuts_generated,
+                out.primal_bound, out.best_solution.values.tobytes()), s
+
+    with_cutoff = [run(inst, rule) for _, inst, rule in pinned_mips()]
+    _record_lp_calls(monkeypatch, force_inf=True)
+    without = [run(inst, rule) for _, inst, rule in pinned_mips()]
+    for (same, s), (same_inf, s_inf) in zip(with_cutoff, without):
+        assert same == same_inf
+        assert s_inf.lp_cutoffs == 0
+        assert s_inf.lp_iterations >= s.lp_iterations
+    assert sum(s.lp_iterations for _, s in with_cutoff) \
+        < sum(s.lp_iterations for _, s in without)
