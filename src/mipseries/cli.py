@@ -7,7 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-from .harness import (RunConfig, improvement_table, run_series,
+from .harness import (TECHNIQUES, RunConfig, improvement_table, run_series,
                       write_report_csv, write_report_summary)
 from .model import (InstanceError, SeriesError, generate_series_files,
                     load_instance, load_series)
@@ -25,7 +25,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--manifest", required=True, help="series manifest path")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--disable", action="append", default=[],
-                     choices=["hints", "history", "sb", "tuning", "turnoff"],
+                     choices=TECHNIQUES,
                      help="disable a reuse technique (repeatable)")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--det-clock", type=float, default=None, metavar="PIVOTS_PER_SEC",

@@ -447,13 +447,27 @@ def read_report_csv(path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
+def _report_totals(path) -> tuple[list[str], list[float]]:
+    """The index and total_score columns of a report CSV; ValueError naming
+    the file when a row lacks either or a total is not a number."""
+    rows = read_report_csv(path)
+    try:
+        return [r["index"] for r in rows], [float(r["total_score"]) for r in rows]
+    except KeyError as exc:
+        raise ValueError(f"{path}: not a report: no {exc.args[0]} column") from None
+    except (TypeError, ValueError):   # a short row gives None
+        raise ValueError(f"{path}: not a report: a total_score is not a number") from None
+
+
 def improvement_table(report_csv, baseline_csv) -> dict:
     """Batch-wise and overall percent improvement of a report over a baseline
-    (both as written by write_report_csv)."""
-    new_rows = read_report_csv(report_csv)
-    base_rows = read_report_csv(baseline_csv)
-    new_totals = [float(r["total_score"]) for r in new_rows]
-    base_totals = [float(r["total_score"]) for r in base_rows]
+    (both as written by write_report_csv, over the same instances: the same
+    index column); ValueError naming the file when they are not."""
+    new_index, new_totals = _report_totals(report_csv)
+    base_index, base_totals = _report_totals(baseline_csv)
+    if new_index != base_index:
+        raise ValueError(f"{report_csv}: its instances ({len(new_index)} rows) are not "
+                         f"those of the baseline {baseline_csv} ({len(base_index)} rows)")
     batches = [{"batch": label, "baseline": base_mean, "report": new_mean,
                 "improvement_pct": improvement_pct(base_mean, new_mean)}
                for (label, _, new_mean), (_, _, base_mean)

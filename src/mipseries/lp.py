@@ -97,34 +97,20 @@ class SimplexBasis:
 
 
 @dataclass
-class SimplexSnapshot:
-    """Final tableau state of an OPTIMAL solve, consumed by cut generation;
-    it shares the tableau and statuses with the solve's token."""
-
-    tab: np.ndarray
-    rhs: np.ndarray
-    basis: np.ndarray
-    stat: np.ndarray
-    beta: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    n_struct: int
-
-
-@dataclass
 class LpResult:
-    """What `solve_arrays` returns.  `basis` is the warm-start token; every
-    OPTIMAL result carries a `snapshot`, every other result None.  A CUTOFF
-    result's `objective` is the dual simplex objective at which it stopped:
-    a lower bound on the LP optimum that is >= the cutoff; its `primal` is
-    that basis's point, which need not be feasible."""
+    """What `solve_arrays` returns.  `basis` is the warm-start token, with
+    the final tableau, basis, statuses and rows; `primal` is the final
+    basis's point, each nonbasic column at its bound.  Cut generation reads
+    an OPTIMAL result's token and point.  A CUTOFF result's `objective` is
+    the dual simplex objective at which it stopped: a lower bound on the LP
+    optimum that is >= the cutoff; its `primal` is that basis's point, which
+    need not be feasible."""
 
     status: LpStatus
     primal: np.ndarray
     objective: float
     basis: SimplexBasis | None
     iterations: int
-    snapshot: SimplexSnapshot | None = None
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -653,9 +639,7 @@ def solve_arrays(rows: NodeRows, lo, hi, cost, warm, iter_limit,
         except SimplexTrouble:
             status, beta = LpStatus.ITER_LIMIT, sx.compute_beta(sx.vals)
 
-    x = sx.primal_point(beta, sx.vals)
-    n = sx.n
-    primal = x[:n]
+    primal = sx.primal_point(beta, sx.vals)[:sx.n]
     if status is LpStatus.INFEASIBLE:
         objective = INF
     elif status is LpStatus.UNBOUNDED:
@@ -664,10 +648,6 @@ def solve_arrays(rows: NodeRows, lo, hi, cost, warm, iter_limit,
         objective = sx.objective(beta, sx.vals)
     else:
         objective = float(np.dot(cost, primal))
-    tab, rhs = _frozen(sx.tab), _frozen(sx.rhs)
-    token = SimplexBasis(sx.basis.copy(), sx.stat.copy(), tab, rhs, sx.age, rows)
-    # beta and the bounds are fresh arrays of this solve; tab and rhs are the token's
-    snapshot = None if status is not LpStatus.OPTIMAL else SimplexSnapshot(
-        tab=tab, rhs=rhs, basis=token.basis, stat=token.stat, beta=beta,
-        lo=sx.lo, hi=sx.hi, n_struct=n)
-    return LpResult(status, primal, objective, token, sx.iterations, snapshot)
+    token = SimplexBasis(sx.basis.copy(), sx.stat.copy(), _frozen(sx.tab),
+                         _frozen(sx.rhs), sx.age, rows)
+    return LpResult(status, primal, objective, token, sx.iterations)

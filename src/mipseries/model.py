@@ -280,21 +280,27 @@ def check_feasibility(inst: MipInstance, point: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _parse_bound(value, *, path, var, side) -> float:
-    if value == "inf":
-        return INF
-    if value == "-inf":
-        return -INF
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    """A finite number, or the infinity ("-inf" below, "inf" above) that
+    means no bound on that side; never NaN or the other infinity."""
+    none = -INF if side == "lower" else INF
+    if value == str(none) or (isinstance(value, (int, float)) and not isinstance(value, bool)
+                              and (math.isfinite(value) or value == none)):
         return float(value)
     raise InstanceError(f"{path}: variable '{var}': bad {side} bound {value!r}")
 
 
-def _as_float(value, error, where: str) -> float:
-    """float(value), or `error` naming `where` when value is not a number."""
+def _as_float(value, error, where: str, finite: bool = True) -> float:
+    """float(value), or `error` naming `where` when value is a bool, is not
+    a number or, with `finite`, is NaN or infinite."""
     try:
-        return float(value)
+        if isinstance(value, bool):
+            raise TypeError
+        x = float(value)
     except (TypeError, ValueError):
         raise error(f"{where}: not a number: {value!r}") from None
+    if finite and not math.isfinite(x):
+        raise error(f"{where}: not finite: {value!r}")
+    return x
 
 
 def _format_bound(value: float):
@@ -473,7 +479,8 @@ def load_series(path) -> SeriesManifest:
         raise SeriesError(f"{path}: top level must be an object")
     try:
         series_name = data["series_name"]
-        time_limit = _as_float(data["time_limit"], SeriesError, f"{path}: time_limit")
+        time_limit = _as_float(data["time_limit"], SeriesError, f"{path}: time_limit",
+                               finite=False)
         if not isinstance(data["changing"], list):
             raise SeriesError(f"{path}: changing must be a list")
         changing = frozenset(Component(c) for c in data["changing"])

@@ -282,14 +282,12 @@ class _TreeSolver:
                 break
             start = self.clock.elapsed()
             self.clock.charge(1)
-            rows = node.rows
-            new_cuts = generate_cuts(
-                res, self.cfg, self.is_int, rows.mat, rows.rhs, rows.slack_int)
+            new_cuts = generate_cuts(res, self.is_int)
             sstats.time += self.clock.elapsed() - start
             if not new_cuts:
                 break
             sstats.cuts_generated += len(new_cuts)
-            node.rows = rows.extend(new_cuts.mat, new_cuts.senses, new_cuts.rhs)
+            node.rows = node.rows.extend(new_cuts.mat, new_cuts.senses, new_cuts.rhs)
             res = self._node_lp(node.rows, node.lower, node.upper, res.basis)
             if res.status is LpStatus.INFEASIBLE or res.status is LpStatus.CUTOFF:
                 return None

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import ClassVar
 
 from ..model import DEFAULT_FEAS_TOL, DEFAULT_INT_TOL, Solution
 from .history import GlobalHistory, VariableHistory
@@ -47,9 +48,9 @@ class SolverConfig:
     """The settings a solve takes from its caller.  The series harness sets
     the rule, the cut toggles, the enabled components, the hint-completion
     effort and the deterministic clock; the hint-completion sub-MIP sets
-    `node_limit`; the tolerances are read by callers that check an answer
-    with the solver's own tolerances.  Everything else is a constant of the
-    module that reads it."""
+    `node_limit`.  The tolerances are class constants, which callers that
+    check an answer with the solver's own tolerances read.  Everything else
+    is a constant of the module that reads it."""
 
     branching_rule: BranchingRule = BranchingRule.RELIABILITY
     use_cuts_root: bool = True
@@ -60,10 +61,11 @@ class SolverConfig:
     completesol_node_limit: int = 500
     completesol_max_improving: int | None = 5
     node_limit: int | None = None
-    feas_tol: float = DEFAULT_FEAS_TOL
-    int_tol: float = DEFAULT_INT_TOL
-    gap_tol: float = 1e-6
     det_work_per_second: float | None = None   # None -> wall clock
+
+    feas_tol: ClassVar[float] = DEFAULT_FEAS_TOL
+    int_tol: ClassVar[float] = DEFAULT_INT_TOL
+    gap_tol: ClassVar[float] = 1e-6
 
     def __post_init__(self):
         check_det_clock(self.det_work_per_second)
@@ -90,7 +92,6 @@ class SeparatorStats:
 @dataclass
 class PresolverStats:
     changes: int = 0
-    time: float = 0.0
 
 
 @dataclass

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..lp import AT_LOWER, BASIC, FIXED, FREE, LpResult, SimplexSnapshot
-from ..model import Sense
-from .config import SolverConfig
+from ..lp import AT_LOWER, BASIC, FIXED, FREE, LpResult, LpStatus, NodeRows, SimplexBasis
+from ..model import DEFAULT_INT_TOL, Sense
 
 MAX_CUTS_PER_ROUND = 20
 MIN_VIOLATION = 1e-6
@@ -45,41 +44,44 @@ def slack_integrality(row_matrix: np.ndarray, row_rhs: np.ndarray,
 
 
 @dataclass
-class _SnapshotColumns(SimplexSnapshot):
-    """A snapshot with the column data of its GMI cuts that no tableau row
-    changes, computed once per `generate_cuts` call: the nonbasic columns
-    (neither BASIC nor FIXED), which of them rest at their lower bound, the
-    bound each rests at (its shift), the columns that stop a derivation
-    (FREE, or an infinite shift) and the integral ones (an integer column at
-    an integral shift, or an integral slack).  `_gmi_from_row` takes it in
-    place of the snapshot."""
+class _Columns:
+    """An OPTIMAL result's tableau and rows with the column data of its GMI
+    cuts that no tableau row changes, built once per `generate_cuts` call:
+    the nonbasic columns (neither BASIC nor FIXED), which of them rest at
+    their lower bound, the value each rests at (its shift), the columns that
+    stop a derivation (FREE, or an infinite shift) and the integral ones (an
+    integer column at an integral shift, or an integral slack)."""
 
-    nonbasic: np.ndarray | None = None
-    at_lower: np.ndarray | None = None
-    shift: np.ndarray | None = None
-    stop: np.ndarray | None = None
-    integral: np.ndarray | None = None
+    tab: np.ndarray
+    rows: NodeRows
+    nonbasic: np.ndarray
+    at_lower: np.ndarray
+    shift: np.ndarray
+    stop: np.ndarray
+    integral: np.ndarray
 
     @classmethod
-    def of(cls, snap: SimplexSnapshot, is_int: np.ndarray,
-           slack_int: np.ndarray) -> "_SnapshotColumns":
-        if isinstance(snap, cls):
-            return snap
-        stat, n = snap.stat, snap.n_struct
+    def of(cls, token: SimplexBasis, primal: np.ndarray,
+           is_int: np.ndarray) -> "_Columns":
+        """The columns of a solve that ended in `token` at `primal`: a
+        nonbasic structural column's shift is its value there (the solve
+        copied the bound), a nonbasic slack's is its bound in `token.rows`."""
+        stat, rows = token.stat, token.rows
         at_lower = stat == AT_LOWER
-        shift = np.where(at_lower, snap.lo, snap.hi)
+        shift = np.concatenate([
+            primal, np.where(at_lower[rows.n:], rows.slack_lo, rows.slack_hi)])
         with np.errstate(invalid="ignore"):   # inf - inf at infinite shifts
             integral = np.concatenate([
-                is_int & (np.abs(shift[:n] - np.round(shift[:n])) <= 1e-9), slack_int])
-        return cls(**vars(snap), nonbasic=(stat != BASIC) & (stat != FIXED),
+                is_int & (np.abs(primal - np.round(primal)) <= 1e-9), rows.slack_int])
+        return cls(token.tab, rows, nonbasic=(stat != BASIC) & (stat != FIXED),
                    at_lower=at_lower, shift=shift,
                    stop=(stat == FREE) | ~np.isfinite(shift), integral=integral)
 
 
-def _gmi_from_row(snap: SimplexSnapshot, r: int, is_int: np.ndarray,
-                  row_matrix: np.ndarray, row_rhs: np.ndarray,
-                  slack_int: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """Derive one cut (w, rhs) meaning w . x >= rhs, or None.
+def _gmi_from_row(columns: _Columns, r: int,
+                  b0: float) -> tuple[np.ndarray, float] | None:
+    """Derive one cut (w, rhs) meaning w . x >= rhs from tableau row r,
+    whose basic column has the value b0, or None.
 
     Whole-row numpy in column order, with the arithmetic of a loop over the
     columns: each term is the same product, and `const` and the slack rows
@@ -87,17 +89,15 @@ def _gmi_from_row(snap: SimplexSnapshot, r: int, is_int: np.ndarray,
     may sum pairwise), so w and rhs are the loop's bit for bit.  The loop
     stops at the first FREE column or infinite shift (None) or raises at
     the first non-finite integral coefficient (`math.floor`), whichever
-    column comes first; so does this.  `snap` may be a `_SnapshotColumns`,
-    which saves the per-column work when many rows of one snapshot are cut.
+    column comes first; so does this.
     """
-    n = snap.n_struct
-    b0 = snap.beta[r]
+    rows = columns.rows
+    n = rows.n
     f0 = b0 - math.floor(b0)
     if f0 < MIN_FRACTIONALITY or f0 > 1.0 - MIN_FRACTIONALITY:
         return None
 
-    columns = _SnapshotColumns.of(snap, is_int, slack_int)
-    a = snap.tab[r]
+    a = columns.tab[r]
     cols = np.flatnonzero(columns.nonbasic & ~(np.abs(a) <= ZERO_COEF))
     stop = columns.stop[cols]
     stopped = bool(stop.any())
@@ -133,12 +133,12 @@ def _gmi_from_row(snap: SimplexSnapshot, r: int, is_int: np.ndarray,
     terms[0] = 0.0
     slack = cols[~struct] - n
     terms[1:][struct] = sg[struct] * shift[struct]
-    terms[1:][~struct] = -sg[~struct] * row_rhs[slack]
+    terms[1:][~struct] = -sg[~struct] * rows.rhs[slack]
     const = np.subtract.reduce(terms)
     if len(slack):
         block = np.empty((len(slack) + 1, n))
         block[0] = w
-        np.multiply(sg[~struct, None], row_matrix[slack], out=block[1:])
+        np.multiply(sg[~struct, None], rows.mat[slack], out=block[1:])
         np.subtract.reduce(block, axis=0, out=w)
 
     rhs = 1.0 - const
@@ -167,37 +167,33 @@ class CutBlock:
         return (Sense.GE,) * len(self)
 
 
-def generate_cuts(result: LpResult, cfg: SolverConfig, is_int: np.ndarray,
-                  row_matrix: np.ndarray, row_rhs: np.ndarray,
-                  slack_int: np.ndarray) -> CutBlock:
-    """Cuts from tableau rows of fractional basic integer variables, at most
-    `MAX_CUTS_PER_ROUND`.  Every returned cut is violated by the LP point by
-    more than `MIN_VIOLATION`.  Whether cuts run at a node is the caller's
-    decision.
+def generate_cuts(result: LpResult, is_int: np.ndarray) -> CutBlock:
+    """Cuts from the tableau rows of an OPTIMAL result whose basic variable
+    is integer and fractional, at most `MAX_CUTS_PER_ROUND`; none from any
+    other result.  The tableau, statuses and rows are the result's token's,
+    the basic values its `primal`'s.  Every returned cut is violated by the
+    LP point by more than `MIN_VIOLATION`.  Whether cuts run at a node is
+    the caller's decision.
     """
-    n = row_matrix.shape[1]
-    snap = result.snapshot
-    if snap is None:
-        return CutBlock(np.zeros((0, n)), np.zeros(0))
-
-    x = result.primal
-    columns = _SnapshotColumns.of(snap, is_int, slack_int)
+    token, x = result.basis, result.primal
+    n = len(x)
     ws, rhss = [], []
-    for r in range(snap.tab.shape[0]):
-        if len(ws) >= MAX_CUTS_PER_ROUND:
-            break
-        j0 = int(snap.basis[r])
-        if j0 >= snap.n_struct or not is_int[j0]:
-            continue
-        frac = snap.beta[r] - math.floor(snap.beta[r])
-        if frac <= cfg.int_tol or frac >= 1.0 - cfg.int_tol:
-            continue
-        derived = _gmi_from_row(columns, r, is_int, row_matrix, row_rhs, slack_int)
-        if derived is None:
-            continue
-        w, rhs = derived
-        if float(w @ x) >= rhs - MIN_VIOLATION:
-            continue
-        ws.append(w)
-        rhss.append(rhs)
+    if result.status is LpStatus.OPTIMAL:
+        columns = _Columns.of(token, x, is_int)
+        for r, j0 in enumerate(token.basis.tolist()):
+            if len(ws) >= MAX_CUTS_PER_ROUND:
+                break
+            if j0 >= n or not is_int[j0]:
+                continue
+            frac = x[j0] - math.floor(x[j0])
+            if frac <= DEFAULT_INT_TOL or frac >= 1.0 - DEFAULT_INT_TOL:
+                continue
+            derived = _gmi_from_row(columns, r, x[j0])
+            if derived is None:
+                continue
+            w, rhs = derived
+            if float(w @ x) >= rhs - MIN_VIOLATION:
+                continue
+            ws.append(w)
+            rhss.append(rhs)
     return CutBlock(np.array(ws) if ws else np.zeros((0, n)), np.array(rhss, dtype=float))

@@ -61,7 +61,6 @@ class ComponentLedger:
                 rec.instances_enabled += 1
             if rec.kind == KIND_PRESOLVER and name in stats.presolvers:
                 rec.changes += stats.presolvers[name].changes
-                rec.time += stats.presolvers[name].time
             elif rec.kind == KIND_SEPARATOR and name in stats.separators:
                 rec.cuts += stats.separators[name].cuts_generated
                 rec.time += stats.separators[name].time

@@ -3,15 +3,18 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
+from mipseries.harness import CSV_COLUMNS
 from mipseries.kernels import get_kernels
 from mipseries.lp import NodeRows, solve_arrays
 from mipseries.model import DEFAULT_INT_TOL, INF, LinearRow, MipInstance, Sense
 from mipseries.solver import BranchingRule
 from mipseries.solver.bb import BLAND_AFTER, LP_ITER_LIMIT
+from mipseries.solver.cuts import slack_integrality
 
 # All tests run on the deterministic clock so they are machine-independent.
 DET_WPS = 1e6
@@ -32,7 +35,8 @@ def malformed_instance(edit):
     return data
 
 
-# Instance files with a wrong-typed field: case -> (edit of MINIMAL, message).
+# Instance files with a wrong-typed or non-finite field: case -> (edit of
+# MINIMAL, message).
 MALFORMED_INSTANCES = {
     "coefs_list": (lambda d: d["rows"][0].update(coefs=[1]), "coefs must be an object"),
     "var_not_object": (lambda d: d.update(vars=["x"]), "variable #0 must be an object"),
@@ -43,6 +47,23 @@ MALFORMED_INSTANCES = {
     "coef_null": (lambda d: d["rows"][0].update(coefs={"x": None}),
                   "coefficient of 'x': not a number"),
     "row_not_object": (lambda d: d.update(rows=[3]), "row #0 must be an object"),
+    "obj_infinity": (lambda d: d["vars"][0].update(obj=math.inf), "obj: not finite"),
+    "obj_nan": (lambda d: d["vars"][0].update(obj=math.nan), "obj: not finite"),
+    "obj_true": (lambda d: d["vars"][0].update(obj=True), "obj: not a number"),
+    "rhs_nan_text": (lambda d: d["rows"][0].update(rhs="nan"), "rhs: not finite"),
+    "rhs_minus_infinity": (lambda d: d["rows"][0].update(rhs=-math.inf), "rhs: not finite"),
+    "coef_true": (lambda d: d["rows"][0].update(coefs={"x": True}),
+                  "coefficient of 'x': not a number"),
+    "coef_infinity": (lambda d: d["rows"][0].update(coefs={"x": math.inf}),
+                      "coefficient of 'x': not finite"),
+    "lb_nan_continuous": (lambda d: d["vars"][0].update(lb=math.nan, integer=False),
+                          "'x': bad lower bound nan"),
+    "ub_nan": (lambda d: d["vars"][0].update(ub=math.nan), "'x': bad upper bound nan"),
+    "lb_plus_inf": (lambda d: d["vars"][0].update(lb="inf"), "'x': bad lower bound 'inf'"),
+    "lb_plus_infinity": (lambda d: d["vars"][0].update(lb=math.inf),
+                         "'x': bad lower bound inf"),
+    "ub_minus_inf": (lambda d: d["vars"][0].update(ub="-inf"), "'x': bad upper bound '-inf'"),
+    "ub_true": (lambda d: d["vars"][0].update(ub=True), "'x': bad upper bound True"),
 }
 
 
@@ -59,6 +80,18 @@ MALFORMED_MANIFESTS = {
 }
 
 
+def report_csv(path, totals, index=None, columns=CSV_COLUMNS):
+    """Write a report CSV with these total scores, for rows index 0, 1, ...
+    unless `index` is given, and 0 in every other column; returns `path`."""
+    index = range(len(totals)) if index is None else index
+    lines = [",".join(columns)]
+    for i, total in zip(index, totals):
+        cells = {"index": str(i), "total_score": repr(float(total))}
+        lines.append(",".join(cells.get(c, "0") for c in columns))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def make_instance(name, c, rows, lo, hi, ints=()):
     """rows: iterable of (dense coef list, Sense, rhs)."""
     n = len(c)
@@ -73,8 +106,10 @@ def make_instance(name, c, rows, lo, hi, ints=()):
 
 def relaxation(inst):
     """(rows, lo, hi, cost) of an instance's LP relaxation: its rows as a
-    `NodeRows` and copies of its bounds and objective."""
-    rows = NodeRows(inst.dense_matrix(), inst.senses(), inst.rhs_array())
+    `NodeRows`, with the slack integrality branch and bound gives the model
+    rows, and copies of its bounds and objective."""
+    mat, rhs, senses = inst.dense_matrix(), inst.rhs_array(), inst.senses()
+    rows = NodeRows(mat, senses, rhs, slack_integrality(mat, rhs, senses, inst.is_integer()))
     return rows, np.array(inst.lower), np.array(inst.upper), np.array(inst.objective)
 
 

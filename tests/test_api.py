@@ -14,7 +14,7 @@ import pytest
 import mipseries
 from mipseries import harness, reopt, solver
 from mipseries.harness import RunConfig
-from mipseries.model import MipInstance
+from mipseries.model import DEFAULT_FEAS_TOL, DEFAULT_INT_TOL, MipInstance
 from mipseries.solver import SolverConfig, generate_cuts
 from mipseries.tuner import TunerState, arm_score
 
@@ -45,6 +45,10 @@ REMOVED = [
     ("mipseries.tuner", "TunerState.from_json_dict"),
     ("mipseries.reopt", "SolutionPool.to_json_dict"),
     ("mipseries.reopt", "SolutionPool.from_json_dict"),
+    ("mipseries.lp", "SimplexSnapshot"),
+    ("mipseries.lp", "LpResult.snapshot"),
+    ("mipseries.solver.cuts", "_SnapshotColumns"),
+    ("mipseries.solver", "PresolverStats.time"),
 ]
 
 
@@ -69,7 +73,11 @@ def test_solver_config_fields():
         "branching_rule", "use_cuts_root", "use_cuts_tree",
         "enabled_heuristics", "enabled_presolvers", "enabled_separators",
         "completesol_node_limit", "completesol_max_improving", "node_limit",
-        "feas_tol", "int_tol", "gap_tol", "det_work_per_second"}
+        "det_work_per_second"}
+    # the tolerances are class constants, still read through an instance
+    cfg = SolverConfig()
+    assert (cfg.feas_tol, cfg.int_tol, cfg.gap_tol) == (
+        DEFAULT_FEAS_TOL, DEFAULT_INT_TOL, 1e-6)
 
 
 def test_run_config_fields():
@@ -80,6 +88,10 @@ def test_run_config_fields():
 REMOVED_PARAMETERS = [
     (generate_cuts, "at_root"),
     (generate_cuts, "min_violation"),
+    (generate_cuts, "cfg"),
+    (generate_cuts, "row_matrix"),
+    (generate_cuts, "row_rhs"),
+    (generate_cuts, "slack_int"),
     (reopt.clip_and_strip, "int_tol"),
     (reopt.build_common_hint, "int_tol"),
     (reopt.assemble_hints, "int_tol"),

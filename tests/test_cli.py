@@ -10,8 +10,10 @@ import pytest
 from mipseries.cli import main
 from mipseries.model import save_instance
 
+from mipseries.harness import CSV_COLUMNS
+
 from conftest import (MALFORMED_INSTANCES, MALFORMED_MANIFESTS, hard_knapsack,
-                      malformed_instance)
+                      malformed_instance, report_csv)
 
 
 @pytest.fixture
@@ -71,6 +73,21 @@ def test_score_command(tmp_path, base_instance_path, capsys):
     assert "overall" in out and "improvement" in out
 
 
+@pytest.mark.parametrize("case", ["longer", "no_total_score"])
+def test_score_of_mismatched_or_malformed_reports_is_config_error(tmp_path, capsys, case):
+    base = report_csv(tmp_path / "base.csv", [1.0] * 20)
+    if case == "longer":
+        report = report_csv(tmp_path / "report.csv", [0.5] * 40)
+    else:
+        report = report_csv(tmp_path / "report.csv", [0.5] * 20,
+                            columns=tuple(c for c in CSV_COLUMNS if c != "total_score"))
+    rc = main(["score", "--report", str(report), "--baseline", str(base)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {report}") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_missing_manifest_is_config_error(tmp_path, capsys):
     rc = main(["run", "--manifest", str(tmp_path / "nope.json"),
                "--out", str(tmp_path / "o")])
@@ -78,7 +95,9 @@ def test_missing_manifest_is_config_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["coefs_list", "var_not_object", "rhs_null", "obj_text"])
+@pytest.mark.parametrize("case", ["coefs_list", "var_not_object", "rhs_null", "obj_text",
+                                  "obj_infinity", "rhs_nan_text", "coef_true",
+                                  "lb_nan_continuous"])
 def test_malformed_base_instance_is_config_error(tmp_path, capsys, case):
     edit, _ = MALFORMED_INSTANCES[case]
     path = tmp_path / "base.json"

@@ -3,12 +3,13 @@ the numpy GMI derivation against a per-column loop kept here as reference."""
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from mipseries.lp import (AT_LOWER, AT_UPPER, BASIC, FIXED, FREE, LpStatus,
-                          SimplexSnapshot)
+from mipseries.lp import (AT_LOWER, AT_UPPER, BASIC, FIXED, FREE, LpStatus, NodeRows,
+                          SimplexBasis)
 from mipseries.model import LinearRow, Sense, dense_block
 from mipseries.solver import (SEP_GOMORY, SolverConfig, SolveStatus, generate_cuts,
                               slack_integrality, solve)
@@ -31,9 +32,7 @@ def test_classic_half_integral_vertex_cut():
     # min -x-y s.t. 2x+2y <= 3 over binaries: the derived cut is x+y <= 1
     inst = make_instance("half", [-1.0, -1.0], [([2.0, 2.0], Sense.LE, 3.0)],
                          [0, 0], [1, 1], ints=(0, 1))
-    cfg = SolverConfig()
-    res, mat, rhs, slack_int = _cut_inputs(inst, cfg)
-    cuts = generate_cuts(res, cfg, inst.is_integer(), mat, rhs, slack_int)
+    cuts = generate_cuts(_optimal_relaxation(inst), inst.is_integer())
     assert len(cuts) == 1
     w0, w1 = cuts.mat[0][np.flatnonzero(cuts.mat[0])]
     assert w0 == pytest.approx(w1)
@@ -41,13 +40,10 @@ def test_classic_half_integral_vertex_cut():
     assert cuts.senses == (Sense.GE,)
 
 
-def _cut_inputs(inst, cfg):
+def _optimal_relaxation(inst):
     res = lp_solve(*relaxation(inst))
     assert res.status is LpStatus.OPTIMAL
-    mat = inst.dense_matrix()
-    rhs = inst.rhs_array()
-    slack_int = slack_integrality(mat, rhs, inst.senses(), inst.is_integer())
-    return res, mat, rhs, slack_int
+    return res
 
 
 def test_toggles_off_never_separate(monkeypatch):
@@ -66,17 +62,22 @@ def test_toggles_off_never_separate(monkeypatch):
 
 def test_integral_point_yields_no_cuts():
     inst = make_instance("int", [-1.0], [([1.0], Sense.LE, 2.0)], [0], [5], ints=(0,))
-    cfg = SolverConfig()
-    res, mat, rhs, slack_int = _cut_inputs(inst, cfg)
-    assert len(generate_cuts(res, cfg, inst.is_integer(), mat, rhs,
-                             slack_int)) == 0
+    assert len(generate_cuts(_optimal_relaxation(inst), inst.is_integer())) == 0
+
+
+def test_no_cuts_from_a_result_that_is_not_optimal():
+    inst = _fractional_instance()
+    rows, lo, hi, cost = relaxation(inst)
+    res = lp_solve(rows, lo, hi, cost, iter_limit=0)
+    assert res.status is LpStatus.ITER_LIMIT
+    cuts = generate_cuts(res, inst.is_integer())
+    assert len(cuts) == 0 and cuts.mat.shape == (0, inst.num_vars)
 
 
 def test_cuts_are_violated_by_lp_point():
     inst = _fractional_instance()
-    cfg = SolverConfig()
-    res, mat, rhs, slack_int = _cut_inputs(inst, cfg)
-    cuts = generate_cuts(res, cfg, inst.is_integer(), mat, rhs, slack_int)
+    res = _optimal_relaxation(inst)
+    cuts = generate_cuts(res, inst.is_integer())
     assert cuts, "expected at least one cut at a fractional vertex"
     for w, cut_rhs in zip(cuts.mat, cuts.rhs):
         act = sum(w[j] * res.primal[j] for j in np.flatnonzero(w))
@@ -94,9 +95,7 @@ def _assert_cuts_valid(inst, cuts):
 
 def test_cut_validity_small_fixture():
     inst = _fractional_instance()
-    cfg = SolverConfig()
-    res, mat, rhs, slack_int = _cut_inputs(inst, cfg)
-    cuts = generate_cuts(res, cfg, inst.is_integer(), mat, rhs, slack_int)
+    cuts = generate_cuts(_optimal_relaxation(inst), inst.is_integer())
     _assert_cuts_valid(inst, cuts)
 
 
@@ -105,15 +104,10 @@ def test_cut_validity_random_instances():
     produced = 0
     for _ in range(40):
         inst = random_feasible_mip(rng, max_vars=6, max_rows=5)
-        cfg = SolverConfig()
         res = lp_solve(*relaxation(inst))
         if res.status is not LpStatus.OPTIMAL:
             continue
-        mat = inst.dense_matrix()
-        rhs = inst.rhs_array()
-        slack_int = slack_integrality(mat, rhs, inst.senses(), inst.is_integer())
-        cuts = generate_cuts(res, cfg, inst.is_integer(), mat, rhs,
-                             slack_int)
+        cuts = generate_cuts(res, inst.is_integer())
         if cuts:
             produced += 1
             _assert_cuts_valid(inst, cuts)
@@ -127,9 +121,8 @@ def test_cut_validity_with_continuous_variables():
                          [([3.0, 4.0, -1.0], Sense.LE, 6.0),
                           ([1.0, 3.0, 1.0], Sense.LE, 4.0)],
                          [0, 0, 0], [4, 4, 10], ints=(0, 1))
-    cfg = SolverConfig()
-    res, mat, rhs, slack_int = _cut_inputs(inst, cfg)
-    cuts = generate_cuts(res, cfg, inst.is_integer(), mat, rhs, slack_int)
+    cuts = generate_cuts(_optimal_relaxation(inst), inst.is_integer())
+    mat, rhs = inst.dense_matrix(), inst.rhs_array()
     # validity over a grid of integer assignments x continuous samples
     for x0 in range(5):
         for x1 in range(5):
@@ -147,7 +140,10 @@ def test_cut_validity_with_continuous_variables():
 # ---------------------------------------------------------------------------
 
 def loop_gmi_from_row(snap, r, is_int, row_matrix, row_rhs, slack_int):
-    """Reference: one cut (w, rhs) from tableau row r, column by column."""
+    """Reference: one cut (w, rhs) from tableau row r, column by column.
+    `snap` holds the tableau `tab`, the statuses `stat`, the bounds `lo` and
+    `hi` of every column (slacks last), the basic values `beta` and the
+    structural column count `n_struct`."""
     n = snap.n_struct
     b0 = snap.beta[r]
     f0 = b0 - math.floor(b0)
@@ -231,7 +227,11 @@ def _assert_same_cut(got, want):
 def _random_snapshot(rng, nonfinite=False):
     """A tableau state with every column status, integral and fractional
     shifts, infinite shifts, integral coefficients (zero gammas), tiny and
-    signed-zero entries, and slack rows over 16 orders of magnitude."""
+    signed-zero entries, and slack rows over 16 orders of magnitude.
+
+    Returns (columns, beta, snap, is_int): `columns` is built from a token
+    and a point, as `generate_cuts` builds it; `snap` holds the same state
+    for `loop_gmi_from_row`, with its rows in `snap.rows`."""
     n = int(rng.integers(1, 12))
     m = int(rng.integers(1, 8))
     ncol = n + m
@@ -250,39 +250,58 @@ def _random_snapshot(rng, nonfinite=False):
     stat = rng.choice([AT_LOWER, AT_UPPER, FIXED, FREE], size=ncol,
                       p=[0.5 - p_free / 2, 0.3 - p_free / 2, 0.2, p_free]).astype(np.int8)
     stat[basis] = BASIC
-    lo = rng.integers(-3, 3, ncol).astype(float)
-    frac = rng.random(ncol)
+    lo = rng.integers(-3, 3, n).astype(float)
+    frac = rng.random(n)
     lo[frac < 0.25] += 0.5
     lo[(frac >= 0.25) & (frac < 0.35)] += 1e-10   # integral within 1e-9
     lo[frac > 0.97] = -0.0
-    hi = lo + rng.integers(0, 4, ncol)
-    hi[stat == FIXED] = lo[stat == FIXED]
-    inf_shift = rng.random(ncol) < 0.04
-    lo[inf_shift & (stat == AT_LOWER)] = -np.inf
-    hi[inf_shift & (stat == AT_UPPER)] = np.inf
-    lo[stat == FREE], hi[stat == FREE] = -np.inf, np.inf
+    hi = lo + rng.integers(0, 4, n)
+    st = stat[:n]
+    hi[st == FIXED] = lo[st == FIXED]
+    inf_shift = rng.random(n) < 0.04
+    lo[inf_shift & (st == AT_LOWER)] = -np.inf
+    hi[inf_shift & (st == AT_UPPER)] = np.inf
+    lo[st == FREE], hi[st == FREE] = -np.inf, np.inf
     beta = rng.integers(-4, 5, m) + rng.random(m)
     beta[rng.random(m) < 0.15] = np.round(beta[0]) + 1e-6   # below MIN_FRACTIONALITY
     row_matrix = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-8, 9, (m, n))
     row_matrix[rng.random((m, n)) < 0.3] = 0.0
     row_rhs = rng.standard_normal(m) * 10.0 ** rng.integers(-4, 5, m)
     row_rhs[rng.random(m) < 0.3] = rng.integers(-5, 6)
-    snap = SimplexSnapshot(tab=tab, rhs=beta.copy(), basis=basis, stat=stat,
-                           beta=beta, lo=lo, hi=hi, n_struct=n)
+    senses = rng.choice([Sense.LE, Sense.GE, Sense.EQ], size=m)
+    rows = NodeRows(row_matrix, senses, row_rhs, rng.random(m) < 0.5)
+    # A nonbasic slack mostly rests at its finite bound (0); 4% of them at
+    # the infinite one, which stops a derivation.
+    ss = stat[n:]
+    finite_side = np.where(rows.slack_lo == 0.0, AT_LOWER, AT_UPPER)
+    moved = ((ss == AT_LOWER) | (ss == AT_UPPER)) & (rng.random(m) >= 0.04)
+    ss[moved] = finite_side[moved]
+    # the point a solve reports: nonbasic columns at their bound, basic at beta
+    x = np.where(st == AT_UPPER, hi, lo)
+    x[(st == BASIC) | (st == FREE)] = 0.0
+    struct_rows = basis < n
+    x[basis[struct_rows]] = beta[struct_rows]
     is_int = rng.random(n) < 0.6
-    slack_int = rng.random(m) < 0.5
-    return snap, is_int, row_matrix, row_rhs, slack_int
+    token = SimplexBasis(basis, stat, tab, beta.copy(), 0, rows)
+    snap = SimpleNamespace(tab=tab, stat=stat, beta=beta, n_struct=n, rows=rows,
+                           lo=np.concatenate([lo, rows.slack_lo]),
+                           hi=np.concatenate([hi, rows.slack_hi]))
+    return C._Columns.of(token, x, is_int), beta, snap, is_int
+
+
+def _loop_args(snap, r, is_int):
+    rows = snap.rows
+    return snap, r, is_int, rows.mat, rows.rhs, rows.slack_int
 
 
 def test_gmi_matches_column_loop_on_random_snapshots():
     rng = np.random.default_rng(31)
     kinds = {"cut": 0, "none": 0}
     for _ in range(1500):
-        snap, is_int, row_matrix, row_rhs, slack_int = _random_snapshot(rng)
-        for r in range(snap.tab.shape[0]):
-            args = (snap, r, is_int, row_matrix, row_rhs, slack_int)
-            want = loop_gmi_from_row(*args)
-            _assert_same_cut(C._gmi_from_row(*args), want)
+        columns, beta, snap, is_int = _random_snapshot(rng)
+        for r in range(len(beta)):
+            want = loop_gmi_from_row(*_loop_args(snap, r, is_int))
+            _assert_same_cut(C._gmi_from_row(columns, r, beta[r]), want)
             kinds["none" if want is None else "cut"] += 1
     assert kinds["cut"] > 1000 and kinds["none"] > 1000
 
@@ -292,33 +311,60 @@ def test_gmi_nonfinite_coefficients_raise_or_stop_like_the_loop():
     seen = set()
     with np.errstate(invalid="ignore", over="ignore"):
         for _ in range(1500):
-            snap, is_int, row_matrix, row_rhs, slack_int = _random_snapshot(rng, True)
-            for r in range(snap.tab.shape[0]):
-                args = (snap, r, is_int, row_matrix, row_rhs, slack_int)
-                want = outcome(loop_gmi_from_row, *args)
-                _assert_same_cut(outcome(C._gmi_from_row, *args), want)
+            columns, beta, snap, is_int = _random_snapshot(rng, True)
+            for r in range(len(beta)):
+                want = outcome(loop_gmi_from_row, *_loop_args(snap, r, is_int))
+                _assert_same_cut(outcome(C._gmi_from_row, columns, r, beta[r]), want)
                 seen.add(want if isinstance(want, type) or want is None else "cut")
     assert {ValueError, OverflowError, None, "cut"} <= seen
+
+
+_SLACK_BOUNDS = {Sense.LE: (0.0, np.inf), Sense.GE: (-np.inf, 0.0), Sense.EQ: (0.0, 0.0)}
+
+
+def _loop_state(inst, token):
+    """The loop's state for a solve of the relaxation of `inst` that ended in
+    `token`, with nothing read from the solve's point: the bounds are the
+    instance's and the slack bounds of its senses, and beta is B^-1 b less
+    the tableau's nonbasic columns times their bounds, column by column."""
+    slo, shi = zip(*(_SLACK_BOUNDS[s] for s in inst.senses()))
+    lo = np.concatenate([inst.lower, slo])
+    hi = np.concatenate([inst.upper, shi])
+    stat = token.stat
+    vals = np.where(stat == AT_UPPER, hi, lo)
+    vals[(stat == BASIC) | (stat == FREE)] = 0.0
+    beta = token.rhs.copy()
+    for j in np.flatnonzero(vals):
+        beta = beta - vals[j] * token.tab[:, j]
+    return SimpleNamespace(tab=token.tab, stat=stat, lo=lo, hi=hi, beta=beta,
+                           n_struct=inst.num_vars)
 
 
 def test_generate_cuts_matches_column_loop_on_solved_instances(monkeypatch):
     # real tableaus: the block equals the loop's cuts, and turning each cut
     # into sparse coefficients and back (as cut rows once were) loses no bit
     rng = np.random.default_rng(33)
-    cfg = SolverConfig()
     produced = 0
     for _ in range(60):
         inst = random_feasible_mip(rng, max_vars=8, max_rows=6)
         res = lp_solve(*relaxation(inst))
         if res.status is not LpStatus.OPTIMAL:
             continue
+        is_int = inst.is_integer()
         mat, rhs = inst.dense_matrix(), inst.rhs_array()
-        slack_int = slack_integrality(mat, rhs, inst.senses(), inst.is_integer())
-        args = (res, cfg, inst.is_integer(), mat, rhs, slack_int)
-        block = generate_cuts(*args)
+        slack_int = slack_integrality(mat, rhs, inst.senses(), is_int)
+        snap = _loop_state(inst, res.basis)
+        struct = res.basis.basis < inst.num_vars
+        assert np.array_equal(_bits(snap.beta[struct]),
+                              _bits(res.primal[res.basis.basis[struct]]))
+
+        def loop(columns, r, b0):
+            return loop_gmi_from_row(snap, r, is_int, mat, rhs, slack_int)
+
+        block = generate_cuts(res, is_int)
         with monkeypatch.context() as mp:
-            mp.setattr(C, "_gmi_from_row", loop_gmi_from_row)
-            ref = generate_cuts(*args)
+            mp.setattr(C, "_gmi_from_row", loop)
+            ref = generate_cuts(res, is_int)
         assert np.array_equal(_bits(block.mat), _bits(ref.mat))
         assert np.array_equal(_bits(block.rhs), _bits(ref.rhs))
         assert block.mat.shape == (len(block), inst.num_vars)

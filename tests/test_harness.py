@@ -18,7 +18,7 @@ from mipseries.model import (Component, SeriesManifest, load_series,
 from mipseries.solver import SolverConfig
 from mipseries.tuner import ON, PARAM_ORDER
 
-from conftest import DET_WPS, hard_knapsack
+from conftest import DET_WPS, hard_knapsack, report_csv
 
 ALL_OFF = frozenset({"hints", "history", "sb", "tuning", "turnoff"})
 ALL_ON = dict.fromkeys(PARAM_ORDER, ON)
@@ -290,6 +290,48 @@ def test_reports_and_improvement_table(tmp_path):
     assert "overall" in table and table["batches"]
     expected = 100.0 * (base.mean_total_score - full.mean_total_score) / base.mean_total_score
     assert table["overall"]["improvement_pct"] == pytest.approx(expected)
+
+
+def test_improvement_table_over_the_same_instances(tmp_path):
+    new = report_csv(tmp_path / "new.csv", [0.5] * 12)
+    base = report_csv(tmp_path / "base.csv", [1.0] * 10 + [0.5] * 2)
+    table = improvement_table(new, base)
+    assert [b["batch"] for b in table["batches"]] == ["1-10", "11-12"]
+    assert [b["improvement_pct"] for b in table["batches"]] == [50.0, 0.0]
+    assert table["overall"]["baseline"] == pytest.approx(11.0 / 12.0)
+
+
+@pytest.mark.parametrize("index", [range(40), range(10), [1, 0] + list(range(2, 20))],
+                         ids=["longer", "shorter", "reordered"])
+def test_improvement_table_rejects_reports_of_other_instances(tmp_path, index):
+    # a longer report used to be cut to the baseline's batches, while its
+    # overall mean ran over instances the baseline never solved
+    new = report_csv(tmp_path / "new.csv", [0.5] * len(index), index=index)
+    base = report_csv(tmp_path / "base.csv", [1.0] * 20)
+    with pytest.raises(ValueError, match="are not those of the baseline") as info:
+        improvement_table(new, base)
+    assert str(info.value).startswith(str(new))
+
+
+@pytest.mark.parametrize("column", ["index", "total_score"])
+@pytest.mark.parametrize("side", ["report", "baseline"])
+def test_improvement_table_rejects_a_csv_without_a_needed_column(tmp_path, column, side):
+    paths = {name: report_csv(tmp_path / f"{name}.csv", [1.0] * 3)
+             for name in ("report", "baseline")}
+    report_csv(paths[side], [1.0] * 3,
+               columns=tuple(c for c in harness.CSV_COLUMNS if c != column))
+    with pytest.raises(ValueError, match=f"not a report: no {column} column") as info:
+        improvement_table(paths["report"], paths["baseline"])
+    assert str(info.value).startswith(str(paths[side]))
+
+
+def test_improvement_table_rejects_a_total_that_is_not_a_number(tmp_path):
+    new = report_csv(tmp_path / "new.csv", [1.0] * 3)
+    new.write_text(new.read_text().replace("1.0", "abc", 1))
+    base = report_csv(tmp_path / "base.csv", [1.0] * 3)
+    with pytest.raises(ValueError, match="total_score is not a number") as info:
+        improvement_table(new, base)
+    assert str(info.value).startswith(str(new))
 
 
 def test_unknown_disable_rejected():

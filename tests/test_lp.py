@@ -1,6 +1,7 @@
 """Simplex engine: trivial cases, oracles, warm starts, limits."""
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -365,7 +366,7 @@ def test_simplex_trouble_that_persists_reports_the_budget_spent(monkeypatch):
         assert calls == [50, 0]
         assert res.status is LpStatus.ITER_LIMIT
         assert np.all(np.isfinite(res.primal)) and np.isfinite(res.objective)
-        assert res.basis is not None and res.snapshot is None
+        assert res.basis is not None
         assert res.iterations <= 2
 
 
@@ -429,19 +430,30 @@ def _assert_agrees(res, oracle_inst):
     return ref
 
 
-def _bound_change(data, lo, hi):
-    """(lo2, hi2, oracle bounds): one or two boxed columns with a bound moved
-    to an integer inside the box; None when no column is boxed."""
-    boxed = np.flatnonzero(np.isfinite(lo) & np.isfinite(hi) & (lo < hi))
-    if not len(boxed):
+def _bound_change(data, first, lo, hi):
+    """(lo2, hi2, oracle bounds) after branching on one or two boxed columns
+    that are basic in the solve `first`, or None when there is none.  As
+    branching does, each gets its upper bound moved to the nearest integer
+    below its LP value or its lower bound to the nearest integer above it,
+    whichever of the two stays inside the box."""
+    boxed = np.isfinite(lo) & np.isfinite(hi) & (lo < hi)
+    basic = np.sort(first.basis.basis)
+    branchable = basic[basic < len(lo)]
+    branchable = branchable[boxed[branchable]].tolist()
+    if not branchable:
         return None
     lo2, hi2 = lo.copy(), hi.copy()
-    for j in data.draw(st.lists(st.sampled_from(boxed.tolist()), min_size=1, max_size=2)):
-        v = float(data.draw(st.integers(int(lo2[j]), int(hi2[j]))))
-        if data.draw(st.booleans()):
-            hi2[j] = v
+    for j in data.draw(st.lists(st.sampled_from(branchable), min_size=1, max_size=2,
+                                unique=True)):
+        v = first.primal[j]
+        v = round(v) if abs(v - round(v)) <= 1e-9 else v
+        below, above = math.ceil(v) - 1, math.floor(v) + 1
+        sides = [side for side, ok in (("down", below >= lo[j]), ("up", above <= hi[j]))
+                 if ok]
+        if data.draw(st.sampled_from(sides)) == "down":
+            hi2[j] = float(below)
         else:
-            lo2[j] = v
+            lo2[j] = float(above)
     return lo2, hi2, np.where(np.isfinite(lo2), lo2, -4.0), np.where(np.isfinite(hi2), hi2, 4.0)
 
 
@@ -453,7 +465,7 @@ def test_fuzz_warm_resolve_after_a_bound_change(lps, data):
     first = lp_solve(rows, lo, hi, cost)
     _assert_agrees(first, oracle_inst)
     assume(first.status is LpStatus.OPTIMAL)
-    change = _bound_change(data, lo, hi)
+    change = _bound_change(data, first, lo, hi)
     assume(change is not None)
     lo2, hi2, oracle_lo, oracle_hi = change
     ref = _assert_agrees(lp_solve(rows, lo2, hi2, cost, first.basis),
@@ -510,7 +522,7 @@ def test_fuzz_cutoff_stops_only_at_or_above_the_optimum(lps, data):
     rows, lo, hi, cost = relaxation(inst)
     first = lp_solve(rows, lo, hi, cost)
     assume(first.status is LpStatus.OPTIMAL)
-    change = _bound_change(data, lo, hi)
+    change = _bound_change(data, first, lo, hi)
     assume(change is not None)
     lo2, hi2, oracle_lo, oracle_hi = change
     cut = np.array([[float(data.draw(st.integers(-3, 3))) for _ in range(rows.n)]])
@@ -533,7 +545,6 @@ def test_fuzz_cutoff_stops_only_at_or_above_the_optimum(lps, data):
     if res.status is LpStatus.CUTOFF:
         assert optimum >= cutoff - 1e-6
         assert cutoff <= res.objective <= optimum + 1e-6
-        assert res.snapshot is None
         assert res.iterations <= plain.iterations
     else:
         assert res.status is plain.status
