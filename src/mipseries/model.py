@@ -99,18 +99,32 @@ class MipInstance:
                           (self.upper, "upper bounds")):
             if arr.shape != (n,):
                 raise InstanceError(f"{self.name}: {what} length {arr.shape} != {n}")
+        bad = np.flatnonzero(~np.isfinite(self.objective))
+        if bad.size:
+            j = int(bad[0])
+            raise InstanceError(f"{self.name}: objective coefficient of "
+                                f"'{self.var_names[j]}' is not finite: {self.objective[j]}")
         for j in range(n):
-            if self.lower[j] > self.upper[j]:
+            lb, ub = self.lower[j], self.upper[j]
+            if math.isnan(lb) or math.isnan(ub) or lb == INF or ub == -INF:
                 raise InstanceError(
-                    f"{self.name}: crossed bounds at index {j} "
-                    f"(lb={self.lower[j]} > ub={self.upper[j]})")
+                    f"{self.name}: bad bounds at index {j} (lb={lb}, ub={ub})")
+            if lb > ub:
+                raise InstanceError(
+                    f"{self.name}: crossed bounds at index {j} (lb={lb} > ub={ub})")
         if not all(0 <= j < n for j in self.integer_mask):
             raise InstanceError(f"{self.name}: integer index out of range")
         for row in self.rows:
-            for j, _ in row.coefs:
+            if not math.isfinite(row.rhs):
+                raise InstanceError(
+                    f"{self.name}: row '{row.name}': rhs is not finite: {row.rhs}")
+            for j, c in row.coefs:
                 if not 0 <= j < n:
                     raise InstanceError(
                         f"{self.name}: row '{row.name}' references variable index {j} >= {n}")
+                if not math.isfinite(c):
+                    raise InstanceError(f"{self.name}: row '{row.name}': coefficient "
+                                        f"of '{self.var_names[j]}' is not finite: {c}")
 
     @property
     def num_vars(self) -> int:

@@ -5,6 +5,15 @@ rules, Gomory cut separation at the root and in the tree, a rounding
 heuristic at every node and hint completion (sub-MIP based) once at the root
 before branching.  One solve owns all mutable state; deterministic for fixed
 inputs and deterministic-clock mode.
+
+When every feasible objective value is a multiple of a step g > 0 (integer
+costs on integer columns only, see `objective_step`), a better solution
+must improve the incumbent by at least g.  Nodes, node LPs and cut
+re-solves are then cut off one step below the incumbent, and the open
+bound behind the OPTIMAL test and the reported dual bound is rounded up to
+a multiple of g (Achterberg, *Constraint Integer Programming*, 2007).  The
+node order still uses the raw LP bounds, and strong-branching probes and
+the all-fixed hint LP still run without a cutoff.
 """
 from __future__ import annotations
 
@@ -34,6 +43,7 @@ STRONG_BRANCH_ITER_LIMIT = 500  # pivots per strong-branching probe
 CUT_ROUNDS_ROOT = 3
 CUT_ROUNDS_TREE = 1
 PLUNGE_LIMIT = 3                # depth-first steps before best-bound again
+MAX_EXACT_COST = 2.0 ** 53      # larger integral costs are not exact in a double
 
 
 class UnboundedRelaxationError(RuntimeError):
@@ -55,6 +65,21 @@ class _Node:
     rows: NodeRows   # the model rows and the cuts inherited or added here
 
 
+def objective_step(inst: MipInstance) -> float:
+    """The gcd g of the integer columns' costs: every integral point's
+    objective is a multiple of g.  0.0 (no step) when a continuous column
+    has a nonzero cost, a cost is fractional or |cost| > 2^53, or every
+    cost is zero."""
+    is_int = inst.is_integer()
+    cost = inst.objective
+    if np.any(cost[~is_int] != 0.0):
+        return 0.0
+    cost = cost[is_int]
+    if np.any(np.abs(cost) > MAX_EXACT_COST) or np.any(cost != np.floor(cost)):
+        return 0.0
+    return float(np.gcd.reduce(cost.astype(np.int64)))
+
+
 def _hint_assignment(hint) -> dict:
     return hint.assignment if hasattr(hint, "assignment") else dict(hint)
 
@@ -72,6 +97,7 @@ class _TreeSolver:
         self.is_int = inst.is_integer()
         self.int_idx = inst.integer_indices()
         self.int_indices = self.int_idx.tolist()
+        self.step = objective_step(inst)
         self.hints = list(hints) if hints else []
         self.preset_bounds = preset_bounds
         self.preset_rows = preset_rows
@@ -145,8 +171,21 @@ class _TreeSolver:
             if nid in self.open:
                 return self.open.pop(nid)
 
+    def _open_bound(self) -> float:
+        """The least open node bound, rounded up to a multiple of the
+        objective step when there is one."""
+        b = self._min_open_bound()
+        g = self.step
+        if g == 0.0 or not math.isfinite(b):
+            return b
+        return max(b, g * math.ceil((b - 1e-6 * max(1.0, abs(b))) / g))
+
     def _prune_cutoff(self) -> float:
-        return self.pb - 1e-9 * max(1.0, abs(self.pb) if math.isfinite(self.pb) else 1.0)
+        scale = max(1.0, abs(self.pb) if math.isfinite(self.pb) else 1.0)
+        cutoff = self.pb - 1e-9 * scale
+        if self.step:
+            cutoff = min(cutoff, self.pb - self.step + 1e-6 * scale)
+        return cutoff
 
     def _fractional(self, x) -> list[Candidate]:
         """The integer variables with a fractional value, in index order."""
@@ -416,7 +455,7 @@ class _TreeSolver:
                 if cfg.node_limit is not None and self.stats.nodes >= cfg.node_limit:
                     status = SolveStatus.NODE_LIMIT
                     break
-                db_open = self._min_open_bound()
+                db_open = self._open_bound()
                 self.db_final = max(self.db_final, min(db_open, self.pb))
                 if math.isfinite(self.pb) and \
                         self.pb - db_open <= cfg.gap_tol * max(1.0, abs(self.pb)):
@@ -434,7 +473,7 @@ class _TreeSolver:
             status = SolveStatus.OPTIMAL if math.isfinite(self.pb) \
                 else SolveStatus.INFEASIBLE
         if status in (SolveStatus.TIME_LIMIT, SolveStatus.NODE_LIMIT) and self.open:
-            self.db_final = max(self.db_final, min(self._min_open_bound(), self.pb))
+            self.db_final = max(self.db_final, min(self._open_bound(), self.pb))
         return self._outcome(status)
 
 

@@ -500,9 +500,11 @@ def test_fuzz_warm_resolve_after_appended_rows(lps, data):
     mat = np.array([[float(data.draw(st.integers(-3, 3))) for _ in range(rows.n)]
                     for _ in range(k)])
     senses = [data.draw(st.sampled_from([Sense.LE, Sense.GE])) for _ in range(k)]
-    # through the LP point, or cutting it off by one
+    # cutting the LP point off by 1 or 4 (below it for an LE row, above it
+    # for a GE row), or through it; hypothesis draws the first choice most
+    away = [float(data.draw(st.sampled_from([1, 4, 0]))) for _ in range(k)]
     rhs = mat @ first.primal + np.array(
-        [float(data.draw(st.sampled_from([0, -1, 1, -4, 4]))) for _ in range(k)])
+        [-a if s is Sense.LE else a for a, s in zip(away, senses)])
     more = rows.extend(mat, senses, rhs)
     extended = make_instance(
         "fuzz", oracle_inst.objective,

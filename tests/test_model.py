@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -263,6 +264,31 @@ def test_malformed_instance_field_is_instance_error(tmp_path, case):
     with pytest.raises(InstanceError, match=message) as info:
         load_instance(path)
     assert str(info.value).startswith(str(path))
+
+
+_BUILT = dict(c=[1.0, -1.0], rows=[([1.0, 1.0], Sense.LE, 3.0)], lo=[0.0, 0.0],
+              hi=[2.0, 2.0])
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("c", [-INF, 1.0], "objective coefficient of 'x0' is not finite: -inf"),
+    ("c", [1.0, float("nan")], "objective coefficient of 'x1' is not finite: nan"),
+    ("rows", [([1.0, 1.0], Sense.LE, float("nan"))], "row 'r0': rhs is not finite: nan"),
+    ("rows", [([1.0, 1.0], Sense.GE, INF)], "row 'r0': rhs is not finite: inf"),
+    ("rows", [([1.0, -INF], Sense.LE, 3.0)],
+     "row 'r0': coefficient of 'x1' is not finite: -inf"),
+    ("rows", [([float("nan"), 1.0], Sense.LE, 3.0)],
+     "row 'r0': coefficient of 'x0' is not finite: nan"),
+    ("lo", [float("nan"), 0.0], "bad bounds at index 0"),
+    ("hi", [2.0, float("nan")], "bad bounds at index 1"),
+    ("lo", [INF, 0.0], "bad bounds at index 0"),
+    ("hi", [2.0, -INF], "bad bounds at index 1"),
+])
+def test_instance_built_in_code_rejects_nonfinite_data(field, value, message):
+    # the file loader rejects these; an instance built directly must too
+    kw = {**_BUILT, field: value}
+    with pytest.raises(InstanceError, match=re.escape(message)):
+        make_instance("built", kw["c"], kw["rows"], kw["lo"], kw["hi"], ints=(0, 1))
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -480,3 +481,67 @@ def test_cutoff_saves_pivots_and_changes_nothing_else_on_the_pinned_mips(monkeyp
         assert s_inf.lp_iterations >= s.lp_iterations
     assert sum(s.lp_iterations for _, s in with_cutoff) \
         < sum(s.lp_iterations for _, s in without)
+
+
+# -- the objective step ----------------------------------------------------
+
+def _with_objective(inst, cost):
+    return replace(inst, objective=np.asarray(cost, dtype=float), _cache={})
+
+
+@pytest.mark.parametrize("cost, ints, step", [
+    ([4.0, -6.0, 10.0], (0, 1, 2), 2.0),
+    ([-23.0, -26.0, -7.0], (0, 1, 2), 1.0),
+    ([-69.0, -78.0, -21.0], (0, 1, 2), 3.0),
+    ([3.0, -6.0, 0.5], (0, 1, 2), 0.0),
+    ([3.0, -6.0, 1.0], (0, 1), 0.0),
+    ([0.0, 0.0, 0.0], (0, 1, 2), 0.0),
+    ([6.0, -9.0, 0.0], (0, 1), 3.0),
+    ([2.0 ** 54, 4.0, 0.0], (0, 1), 0.0),
+])
+def test_objective_step(cost, ints, step):
+    inst = make_instance("s", cost, [([1.0, 1.0, 1.0], Sense.LE, 2.0)],
+                         np.zeros(3), np.full(3, 2.0), ints=ints)
+    assert bb.objective_step(inst) == step
+
+
+@pytest.mark.parametrize("scale, shift", [(3.0, 0.0), (1.0, 0.5)])
+def test_oracle_equivalence_with_a_step_and_without_one(scale, shift):
+    """Costs x3 give a step of 3; one cost +0.5 gives no step."""
+    rng = np.random.default_rng(31)
+    for _ in range(6):
+        inst = random_feasible_mip(rng, max_vars=8, max_rows=6)
+        cost = scale * inst.objective
+        cost[0] += shift
+        inst = _with_objective(inst, cost)
+        step = bb.objective_step(inst)
+        if shift:
+            assert step == 0.0
+        else:
+            assert step > 0.0 and step % 3.0 == 0.0
+        _, ref = enumerate_mip(inst)
+        for rule in BranchingRule:
+            for root in (True, False):
+                for tree in (True, False):
+                    out = solve(inst, _cfg(branching_rule=rule, use_cuts_root=root,
+                                           use_cuts_tree=tree), 1e6)
+                    assert out.status is SolveStatus.OPTIMAL
+                    assert out.primal_bound == pytest.approx(ref, abs=1e-6), \
+                        f"{inst.name} {rule} cuts=({root},{tree})"
+
+
+def test_time_limited_dual_bound_is_a_rounded_up_step_multiple():
+    inst = hard_knapsack()
+    inst = _with_objective(inst, 3.0 * inst.objective)
+    opt = solve(inst, _cfg(), 1e6).primal_bound
+    rounded = 0
+    for limit in (3e-4, 5e-4, 7e-4, 9e-4):
+        tree = bb._TreeSolver(inst, _cfg(), limit)
+        out = tree.solve()
+        assert out.status is SolveStatus.TIME_LIMIT and tree.step == 3.0
+        raw = tree._min_open_bound()
+        db = out.dual_bound
+        assert db % 3.0 == 0.0
+        assert raw <= db <= opt
+        rounded += db > raw
+    assert rounded
