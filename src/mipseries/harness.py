@@ -18,12 +18,12 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .model import MipInstance, SeriesManifest
-from .reopt import (HistoryStore, HintSet, PoolEntry, SolutionPool,
-                    assemble_hints, branching_policy, completesol_params,
-                    record_outcome, transfer_histories)
-from .solver import (ALL_HEURISTICS, ALL_PRESOLVERS, ALL_SEPARATORS,
-                     HEUR_COMPLETESOL, HEUR_ROUNDING, SEP_GOMORY,
-                     BranchingRule, SolveStatus, SolverConfig, solve)
+from .reopt import (HistoryStore, PoolEntry, SolutionPool, assemble_hints,
+                    branching_policy, completesol_params, record_outcome,
+                    transfer_histories)
+from .solver import (ALL_HEURISTICS, ALL_PRESOLVERS, HEUR_COMPLETESOL,
+                     HEUR_ROUNDING, SEP_GOMORY, BranchingRule, SolveStatus,
+                     SolverConfig, solve)
 from .solver.config import check_det_clock
 from .tuner import ON, PARAM_ORDER, TUNING_START_INDEX, Param, TunerState
 from .turnoff import ComponentLedger
@@ -313,9 +313,12 @@ def _solve_one(state: _SeriesState, manifest: SeriesManifest,
     rule = branching_policy(t, changing) if use["sb"] else BranchingRule.RELIABILITY
 
     values = state.select_values(t)
+    disabled = state.ledger.disabled_components() if use["turnoff"] else set()
 
-    hints = HintSet(())
-    if use["hints"] and t >= 1 and values[Param.HINT] == ON:
+    # hint completion is the only reader of hints
+    hints = ()
+    if (use["hints"] and t >= 1 and values[Param.HINT] == ON
+            and HEUR_COMPLETESOL not in disabled):
         hints = assemble_hints(state.pool, inst, changing, run_cfg.alpha_pct)
     hints_provided = len(hints) > 0
 
@@ -323,15 +326,14 @@ def _solve_one(state: _SeriesState, manifest: SeriesManifest,
     if use["history"] and t >= 1 and state.history_store.source_index is not None:
         warm = transfer_histories(state.history_store, inst)
 
-    disabled = state.ledger.disabled_components() if use["turnoff"] else set()
+    cuts = SEP_GOMORY not in disabled
     cs_node_limit, cs_max_improving = completesol_params(changing)
     cfg = SolverConfig(
         branching_rule=rule,
-        use_cuts_root=(values[Param.ROOT_CUTS] == ON),
-        use_cuts_tree=(values[Param.CUTS] == ON),
+        use_cuts_root=cuts and values[Param.ROOT_CUTS] == ON,
+        use_cuts_tree=cuts and values[Param.CUTS] == ON,
         enabled_heuristics=frozenset(ALL_HEURISTICS - disabled),
         enabled_presolvers=frozenset(ALL_PRESOLVERS - disabled),
-        enabled_separators=frozenset(ALL_SEPARATORS - disabled),
         completesol_node_limit=cs_node_limit,
         completesol_max_improving=cs_max_improving,
         det_work_per_second=run_cfg.det_work_per_second)
@@ -364,8 +366,7 @@ def _solve_one(state: _SeriesState, manifest: SeriesManifest,
             enabled.add(HEUR_ROUNDING)
         if HEUR_COMPLETESOL in cfg.enabled_heuristics and hints_provided:
             enabled.add(HEUR_COMPLETESOL)
-        if SEP_GOMORY in cfg.enabled_separators and \
-                (cfg.use_cuts_root or cfg.use_cuts_tree):
+        if cfg.use_cuts_root or cfg.use_cuts_tree:
             enabled.add(SEP_GOMORY)
         state.ledger.accumulate(outcome.stats, enabled, t)
         state.ledger.evaluate(limit, t)

@@ -1,8 +1,13 @@
 """Problem data model: MIP instances, solutions, series manifests and generators.
 
 Instances are interchanged as JSON files with explicit variable/row objects,
-minimization only.  All types are immutable after construction and safe to
-share read-only across threads.
+minimization only.  `MipInstance` is the one place that checks and
+normalizes instance data, whether it comes from a file or is built in code:
+it rounds integer bounds inward and rejects non-finite costs, rhs values and
+coefficients, bad or crossed bounds, duplicate names and indices out of
+range.  The file loader only converts JSON types to numbers and prefixes the
+validator's message with the file path.  All types are immutable after
+construction and safe to share read-only across threads.
 """
 from __future__ import annotations
 
@@ -84,13 +89,9 @@ class MipInstance:
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
-        self.lower = np.asarray(self.lower, dtype=float)
-        self.upper = np.asarray(self.upper, dtype=float)
-        for arr in (self.objective, self.lower, self.upper):
-            arr.setflags(write=False)
-        self._validate()
-
-    def _validate(self):
+        # copies: the integer bounds are rounded below
+        self.lower = np.array(self.lower, dtype=float)
+        self.upper = np.array(self.upper, dtype=float)
         n = len(self.var_names)
         if len(set(self.var_names)) != n:
             raise InstanceError(f"{self.name}: duplicate variable names")
@@ -99,21 +100,35 @@ class MipInstance:
                           (self.upper, "upper bounds")):
             if arr.shape != (n,):
                 raise InstanceError(f"{self.name}: {what} length {arr.shape} != {n}")
-        bad = np.flatnonzero(~np.isfinite(self.objective))
-        if bad.size:
-            j = int(bad[0])
-            raise InstanceError(f"{self.name}: objective coefficient of "
-                                f"'{self.var_names[j]}' is not finite: {self.objective[j]}")
-        for j in range(n):
-            lb, ub = self.lower[j], self.upper[j]
-            if math.isnan(lb) or math.isnan(ub) or lb == INF or ub == -INF:
-                raise InstanceError(
-                    f"{self.name}: bad bounds at index {j} (lb={lb}, ub={ub})")
-            if lb > ub:
-                raise InstanceError(
-                    f"{self.name}: crossed bounds at index {j} (lb={lb} > ub={ub})")
         if not all(0 <= j < n for j in self.integer_mask):
             raise InstanceError(f"{self.name}: integer index out of range")
+        # Integer variables keep integral bounds; rounding inward is lossless
+        # for the integer feasible set.  NaN and infinities pass through to
+        # the checks; + 0.0 turns a -0.0 into 0.0.
+        ints = sorted(self.integer_mask)
+        self.lower[ints] = np.ceil(self.lower[ints] - 1e-9) + 0.0
+        self.upper[ints] = np.floor(self.upper[ints] + 1e-9) + 0.0
+        for arr in (self.objective, self.lower, self.upper):
+            arr.setflags(write=False)
+        self._validate()
+
+    def _validate(self):
+        """InstanceError, naming the variable or row, for a cost, rhs or
+        coefficient that is not finite, a NaN bound, a lower bound of +inf,
+        an upper bound of -inf, crossed bounds, or a row index out of range."""
+        for vname, c, lb, ub in zip(self.var_names, self.objective.tolist(),
+                                    self.lower.tolist(), self.upper.tolist()):
+            if not math.isfinite(c):
+                raise InstanceError(f"{self.name}: objective coefficient of "
+                                    f"'{vname}' is not finite: {c}")
+            where = f"{self.name}: variable '{vname}'"
+            if math.isnan(lb) or lb == INF:
+                raise InstanceError(f"{where}: bad lower bound {lb}")
+            if math.isnan(ub) or ub == -INF:
+                raise InstanceError(f"{where}: bad upper bound {ub}")
+            if lb > ub:
+                raise InstanceError(f"{where}: crossed bounds (lb={lb} > ub={ub})")
+        n = self.num_vars
         for row in self.rows:
             if not math.isfinite(row.rhs):
                 raise InstanceError(
@@ -293,28 +308,18 @@ def check_feasibility(inst: MipInstance, point: np.ndarray,
 # Instance file I/O (JSON schema, see README)
 # ---------------------------------------------------------------------------
 
-def _parse_bound(value, *, path, var, side) -> float:
-    """A finite number, or the infinity ("-inf" below, "inf" above) that
-    means no bound on that side; never NaN or the other infinity."""
-    none = -INF if side == "lower" else INF
-    if value == str(none) or (isinstance(value, (int, float)) and not isinstance(value, bool)
-                              and (math.isfinite(value) or value == none)):
+def _number(value, error, where: str) -> float:
+    """A JSON number (not a boolean) or the string "inf" or "-inf" as a
+    float, else `error` naming `where`; an integer beyond float range is
+    not a number either.  Finiteness is MipInstance's to check."""
+    if value == "inf" or value == "-inf":
         return float(value)
-    raise InstanceError(f"{path}: variable '{var}': bad {side} bound {value!r}")
-
-
-def _as_float(value, error, where: str, finite: bool = True) -> float:
-    """float(value), or `error` naming `where` when value is a bool, is not
-    a number or, with `finite`, is NaN or infinite."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        x = float(value)
-    except (TypeError, ValueError):
-        raise error(f"{where}: not a number: {value!r}") from None
-    if finite and not math.isfinite(x):
-        raise error(f"{where}: not finite: {value!r}")
-    return x
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise error(f"{where}: not a number: {value!r}")
 
 
 def _format_bound(value: float):
@@ -350,27 +355,15 @@ def instance_from_dict(data: dict, path: str = "<memory>") -> MipInstance:
             vname = v["name"]
             if not isinstance(vname, str):
                 raise InstanceError(f"{path}: variable #{k}: name {vname!r} is not a string")
-            lb = _parse_bound(v["lb"], path=path, var=vname, side="lower")
-            ub = _parse_bound(v["ub"], path=path, var=vname, side="upper")
-            is_int = bool(v["integer"])
-            cj = _as_float(v["obj"], InstanceError, f"{path}: variable '{vname}': obj")
+            where = f"{path}: variable '{vname}'"
+            lower.append(_number(v["lb"], InstanceError, f"{where}: lb"))
+            upper.append(_number(v["ub"], InstanceError, f"{where}: ub"))
+            obj.append(_number(v["obj"], InstanceError, f"{where}: obj"))
+            if v["integer"]:
+                integer.add(k)
         except KeyError as exc:
             raise InstanceError(f"{path}: variable #{k}: missing key {exc}") from None
-        if is_int:
-            # Integer variables keep integral bounds; rounding inward is
-            # lossless for the integer feasible set.
-            if math.isfinite(lb):
-                lb = math.ceil(lb - 1e-9)
-            if math.isfinite(ub):
-                ub = math.floor(ub + 1e-9)
-            integer.add(k)
         names.append(vname)
-        lower.append(lb)
-        upper.append(ub)
-        obj.append(cj)
-
-    if len(set(names)) != len(names):
-        raise InstanceError(f"{path}: duplicate variable names")
     name_to_idx = {nm: j for j, nm in enumerate(names)}
 
     rows = []
@@ -381,7 +374,7 @@ def instance_from_dict(data: dict, path: str = "<memory>") -> MipInstance:
             rname = r["name"]
             coefs = r["coefs"]
             rsense = Sense(r["sense"])
-            rhs = _as_float(r["rhs"], InstanceError, f"{path}: row #{i}: rhs")
+            rhs = _number(r["rhs"], InstanceError, f"{path}: row #{i}: rhs")
         except KeyError as exc:
             raise InstanceError(f"{path}: row #{i}: missing key {exc}") from None
         except InstanceError:
@@ -394,7 +387,7 @@ def instance_from_dict(data: dict, path: str = "<memory>") -> MipInstance:
         for vname, coef in coefs.items():
             if vname not in name_to_idx:
                 raise InstanceError(f"{path}: row '{rname}': unknown variable '{vname}'")
-            pairs.append((name_to_idx[vname], _as_float(
+            pairs.append((name_to_idx[vname], _number(
                 coef, InstanceError, f"{path}: row '{rname}': coefficient of '{vname}'")))
         pairs.sort()
         rows.append(LinearRow(rname, tuple(pairs), rsense, rhs))
@@ -429,16 +422,22 @@ def instance_to_dict(inst: MipInstance) -> dict:
     return {"name": inst.name, "vars": var_specs, "rows": row_specs}
 
 
+def _read_json(path: Path, error):
+    """The JSON value in the file at `path`, else `error` naming the file."""
+    if not path.exists():
+        raise error(f"{path}: file not found")
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from None
+    except ValueError as exc:   # an integer of more digits than int() takes
+        raise error(f"{path}: {exc}") from None
+
+
 def load_instance(path) -> MipInstance:
     """Load and validate an instance file."""
     path = Path(path)
-    if not path.exists():
-        raise InstanceError(f"{path}: file not found")
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from None
-    return instance_from_dict(data, str(path))
+    return instance_from_dict(_read_json(path, InstanceError), str(path))
 
 
 def save_instance(inst: MipInstance, path) -> None:
@@ -483,18 +482,12 @@ def load_series(path) -> SeriesManifest:
     the changing components the variable order must match as well.
     """
     path = Path(path)
-    if not path.exists():
-        raise SeriesError(f"{path}: file not found")
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SeriesError(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from None
+    data = _read_json(path, SeriesError)
     if not isinstance(data, dict):
         raise SeriesError(f"{path}: top level must be an object")
     try:
         series_name = data["series_name"]
-        time_limit = _as_float(data["time_limit"], SeriesError, f"{path}: time_limit",
-                               finite=False)
+        time_limit = _number(data["time_limit"], SeriesError, f"{path}: time_limit")
         if not isinstance(data["changing"], list):
             raise SeriesError(f"{path}: changing must be a list")
         changing = frozenset(Component(c) for c in data["changing"])
@@ -617,19 +610,10 @@ def perturb_series(base: MipInstance, kinds, count: int, seed: int,
     if magnitude <= 0:
         raise ValueError("magnitude must be positive")
     kinds = frozenset(Component(k) for k in kinds)
-    out = []
-    for i in range(count):
-        name = f"{base.name}_{i:03d}"
-        if i == 0:
-            inst = MipInstance(name=name, var_names=base.var_names,
-                               objective=np.array(base.objective),
-                               lower=np.array(base.lower), upper=np.array(base.upper),
-                               integer_mask=base.integer_mask, rows=base.rows)
-        else:
-            rng = np.random.default_rng([seed, i])
-            inst = perturb_instance(base, kinds, rng, magnitude, name)
-        out.append(inst)
-    return out
+    return [perturb_instance(base, kinds if i else frozenset(),
+                             np.random.default_rng([seed, i]), magnitude,
+                             f"{base.name}_{i:03d}")
+            for i in range(count)]
 
 
 def generate_series_files(base: MipInstance, kinds, count: int, seed: int,

@@ -28,17 +28,6 @@ class Hint:
         return len(self.assignment)
 
 
-@dataclass(frozen=True)
-class HintSet:
-    hints: tuple[Hint, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.hints)
-
-    def __iter__(self):
-        return iter(self.hints)
-
-
 @dataclass
 class PoolEntry:
     index: int
@@ -148,12 +137,12 @@ def completesol_params(changing) -> tuple[int, int | None]:
 
 
 def assemble_hints(pool: SolutionPool, target: MipInstance, changing,
-                   alpha_pct: float = DEFAULT_ALPHA_PCT) -> HintSet:
+                   alpha_pct: float = DEFAULT_ALPHA_PCT) -> tuple[Hint, ...]:
     """Common hint plus the clipped solutions of the previous instances:
     4 previous for objective-only series (5 hints total), 9 otherwise (10)."""
     changing = frozenset(Component(c) for c in changing)
     if len(pool) == 0:
-        return HintSet(())
+        return ()
     hints = []
     common = build_common_hint(pool, target, alpha_pct)
     if common:
@@ -163,7 +152,7 @@ def assemble_hints(pool: SolutionPool, target: MipInstance, changing,
         assignment = clip_and_strip(entry.values, target)
         if assignment:
             hints.append(Hint(assignment, f"CLIPPED_PREV({entry.index})"))
-    return HintSet(tuple(hints))
+    return tuple(hints)
 
 
 def _capped(hist: VariableHistory) -> VariableHistory:

@@ -274,7 +274,6 @@ class _TreeSolver:
             self.cfg,
             branching_rule=BranchingRule.PSEUDOCOST,
             enabled_heuristics=frozenset({HEUR_ROUNDING}),
-            enabled_separators=frozenset(),
             use_cuts_root=False, use_cuts_tree=False,
             node_limit=self.cfg.completesol_node_limit)
         sub = _TreeSolver(self.inst, sub_cfg, self.deadline, clock=self.clock,
@@ -342,9 +341,7 @@ class _TreeSolver:
     def _process_node(self, node: _Node) -> list[int]:
         self.stats.nodes += 1
         at_root = node.nid == 0
-        run_cuts = ((at_root and self.cfg.use_cuts_root)
-                    or (not at_root and self.cfg.use_cuts_tree)) \
-            and SEP_GOMORY in self.cfg.enabled_separators
+        run_cuts = self.cfg.use_cuts_root if at_root else self.cfg.use_cuts_tree
         res = self._node_lp(node.rows, node.lower, node.upper, node.basis)
         if res.status is LpStatus.INFEASIBLE or res.status is LpStatus.CUTOFF:
             return []

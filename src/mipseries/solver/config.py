@@ -46,8 +46,9 @@ def check_det_clock(work_per_second) -> None:
 @dataclass
 class SolverConfig:
     """The settings a solve takes from its caller.  The series harness sets
-    the rule, the cut toggles, the enabled components, the hint-completion
-    effort and the deterministic clock; the hint-completion sub-MIP sets
+    the rule, the cut toggles (they gate Gomory, the one separator), the
+    enabled heuristics and presolvers, the hint-completion effort and the
+    deterministic clock; the hint-completion sub-MIP sets
     `node_limit`.  The tolerances are class constants, which callers that
     check an answer with the solver's own tolerances read.  Everything else
     is a constant of the module that reads it."""
@@ -57,7 +58,6 @@ class SolverConfig:
     use_cuts_tree: bool = True
     enabled_heuristics: frozenset = ALL_HEURISTICS
     enabled_presolvers: frozenset = ALL_PRESOLVERS
-    enabled_separators: frozenset = ALL_SEPARATORS
     completesol_node_limit: int = 500
     completesol_max_improving: int | None = 5
     node_limit: int | None = None

@@ -1,7 +1,7 @@
 """Per-variable and problem-wide branching statistics."""
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 
 @dataclass
@@ -32,17 +32,14 @@ class VariableHistory:
 
     def to_dict(self) -> dict:
         """Field name -> value, in field order."""
-        return {f: getattr(self, f) for f in _FIELDS}
+        return dict(vars(self))
 
     def copy(self):
         """An independent copy of the same type."""
-        return type(self)(*[getattr(self, f) for f in _FIELDS])
+        return type(self)(**vars(self))
 
     def is_empty(self) -> bool:
-        return all(getattr(self, f) == 0.0 for f in _FIELDS)
-
-
-_FIELDS = tuple(f.name for f in fields(VariableHistory))
+        return not any(vars(self).values())
 
 
 class GlobalHistory(VariableHistory):

@@ -132,9 +132,6 @@ class TunerState:
         arm.Q += (base_score - arm.Q) / arm.N
         state.samples.append(base_score)
 
-    def exploration_flags(self) -> dict:
-        return {p: self.params[p].under_exploration() for p in PARAM_ORDER}
-
     # -- reporting --------------------------------------------------------------
 
     def summary(self) -> dict:

@@ -36,7 +36,8 @@ def malformed_instance(edit):
 
 
 # Instance files with a wrong-typed or non-finite field: case -> (edit of
-# MINIMAL, message).
+# MINIMAL, message).  A value that converts to a number is rejected by
+# MipInstance, with the message an instance built in code gets.
 MALFORMED_INSTANCES = {
     "coefs_list": (lambda d: d["rows"][0].update(coefs=[1]), "coefs must be an object"),
     "var_not_object": (lambda d: d.update(vars=["x"]), "variable #0 must be an object"),
@@ -47,23 +48,35 @@ MALFORMED_INSTANCES = {
     "coef_null": (lambda d: d["rows"][0].update(coefs={"x": None}),
                   "coefficient of 'x': not a number"),
     "row_not_object": (lambda d: d.update(rows=[3]), "row #0 must be an object"),
-    "obj_infinity": (lambda d: d["vars"][0].update(obj=math.inf), "obj: not finite"),
-    "obj_nan": (lambda d: d["vars"][0].update(obj=math.nan), "obj: not finite"),
+    "obj_infinity": (lambda d: d["vars"][0].update(obj=math.inf),
+                     "mini: objective coefficient of 'x' is not finite: inf"),
+    "obj_nan": (lambda d: d["vars"][0].update(obj=math.nan),
+                "mini: objective coefficient of 'x' is not finite: nan"),
     "obj_true": (lambda d: d["vars"][0].update(obj=True), "obj: not a number"),
-    "rhs_nan_text": (lambda d: d["rows"][0].update(rhs="nan"), "rhs: not finite"),
-    "rhs_minus_infinity": (lambda d: d["rows"][0].update(rhs=-math.inf), "rhs: not finite"),
+    "obj_numeric_text": (lambda d: d["vars"][0].update(obj="1.5"),
+                         "'x': obj: not a number: '1.5'"),
+    "obj_huge_int": (lambda d: d["vars"][0].update(obj=10 ** 400), "'x': obj: not a number: 1000"),
+    "rhs_nan_text": (lambda d: d["rows"][0].update(rhs="nan"), "rhs: not a number: 'nan'"),
+    "rhs_minus_infinity": (lambda d: d["rows"][0].update(rhs=-math.inf),
+                           "mini: row 'c0': rhs is not finite: -inf"),
+    "rhs_huge_int": (lambda d: d["rows"][0].update(rhs=-10 ** 400), "rhs: not a number: -1000"),
     "coef_true": (lambda d: d["rows"][0].update(coefs={"x": True}),
                   "coefficient of 'x': not a number"),
     "coef_infinity": (lambda d: d["rows"][0].update(coefs={"x": math.inf}),
-                      "coefficient of 'x': not finite"),
+                      "mini: row 'c0': coefficient of 'x' is not finite: inf"),
+    "coef_huge_int": (lambda d: d["rows"][0].update(coefs={"x": 10 ** 400}),
+                      "row 'c0': coefficient of 'x': not a number: 1000"),
     "lb_nan_continuous": (lambda d: d["vars"][0].update(lb=math.nan, integer=False),
-                          "'x': bad lower bound nan"),
-    "ub_nan": (lambda d: d["vars"][0].update(ub=math.nan), "'x': bad upper bound nan"),
-    "lb_plus_inf": (lambda d: d["vars"][0].update(lb="inf"), "'x': bad lower bound 'inf'"),
+                          "mini: variable 'x': bad lower bound nan"),
+    "ub_nan": (lambda d: d["vars"][0].update(ub=math.nan), "mini: variable 'x': bad upper bound nan"),
+    "lb_plus_inf": (lambda d: d["vars"][0].update(lb="inf"),
+                    "mini: variable 'x': bad lower bound inf"),
     "lb_plus_infinity": (lambda d: d["vars"][0].update(lb=math.inf),
-                         "'x': bad lower bound inf"),
-    "ub_minus_inf": (lambda d: d["vars"][0].update(ub="-inf"), "'x': bad upper bound '-inf'"),
-    "ub_true": (lambda d: d["vars"][0].update(ub=True), "'x': bad upper bound True"),
+                         "mini: variable 'x': bad lower bound inf"),
+    "ub_minus_inf": (lambda d: d["vars"][0].update(ub="-inf"),
+                     "mini: variable 'x': bad upper bound -inf"),
+    "ub_true": (lambda d: d["vars"][0].update(ub=True), "'x': ub: not a number: True"),
+    "ub_huge_int": (lambda d: d["vars"][0].update(ub=10 ** 400), "'x': ub: not a number: 1000"),
 }
 
 
@@ -73,6 +86,8 @@ MALFORMED_MANIFESTS = {
     "instances_int": ({"instances": 5}, "instances must be a list of file names"),
     "instances_of_int": ({"instances": [5]}, "instances must be a list of file names"),
     "time_limit_null": ({"time_limit": None}, "time_limit: not a number"),
+    "time_limit_text": ({"time_limit": "60"}, "time_limit: not a number: '60'"),
+    "time_limit_huge_int": ({"time_limit": 10 ** 400}, "time_limit: not a number: 1000"),
     "time_limit_nan": ({"time_limit": float("nan")}, "time limit must be positive and finite"),
     "time_limit_inf": ({"time_limit": float("inf")}, "time limit must be positive and finite"),
     "changing_int": ({"changing": 5}, "changing must be a list"),
@@ -104,6 +119,19 @@ def make_instance(name, c, rows, lo, hi, ints=()):
                        np.asarray(hi, dtype=float), frozenset(ints), built)
 
 
+def instance_dict(name, c, rows, lo, hi, ints=()):
+    """The instance `make_instance` builds from these arguments, in the
+    instance file layout and unvalidated."""
+    names = [f"x{j}" for j in range(len(c))]
+    return {
+        "name": name,
+        "vars": [{"name": v, "lb": float(lb), "ub": float(ub), "integer": j in ints,
+                  "obj": float(cj)} for j, (v, cj, lb, ub) in enumerate(zip(names, c, lo, hi))],
+        "rows": [{"name": f"r{i}", "coefs": {names[j]: float(a) for j, a in enumerate(coefs) if a},
+                  "sense": sense.value, "rhs": float(rhs)}
+                 for i, (coefs, sense, rhs) in enumerate(rows)]}
+
+
 def relaxation(inst):
     """(rows, lo, hi, cost) of an instance's LP relaxation: its rows as a
     `NodeRows`, with the slack integrality branch and bound gives the model
@@ -133,7 +161,7 @@ def same_data(a: MipInstance, b: MipInstance) -> bool:
 
 
 def validate_hint_set(hint_set, target: MipInstance, int_tol=DEFAULT_INT_TOL) -> None:
-    """Assert the HintSet invariants: known names, integer variables only,
+    """Assert the hint invariants: known names, integer variables only,
     values integral and within the target bounds."""
     for hint in hint_set:
         for name, v in hint.assignment.items():

@@ -224,7 +224,7 @@ def test_criterion_7_tuner_convergence():
         picks_after = []
         for idx in range(1, 50):
             vals = state.select_values(idx)
-            exploring = state.exploration_flags()[Param.CUTS]
+            exploring = state.params[Param.CUTS].under_exploration()
             total = 0.5 if vals[Param.CUTS] == ON else 0.3
             base = -total
             state.update(Param.CUTS, vals[Param.CUTS], base)

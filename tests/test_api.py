@@ -49,6 +49,12 @@ REMOVED = [
     ("mipseries.lp", "LpResult.snapshot"),
     ("mipseries.solver.cuts", "_SnapshotColumns"),
     ("mipseries.solver", "PresolverStats.time"),
+    ("mipseries.solver", "SolverConfig.enabled_separators"),
+    ("mipseries.solver.history", "_FIELDS"),
+    ("mipseries.reopt", "HintSet"),
+    ("mipseries.tuner", "TunerState.exploration_flags"),
+    ("mipseries.model", "_parse_bound"),
+    ("mipseries.model", "_as_float"),
 ]
 
 
@@ -71,7 +77,7 @@ def test_same_data_stays_gone():
 def test_solver_config_fields():
     assert {f.name for f in dataclasses.fields(SolverConfig)} == {
         "branching_rule", "use_cuts_root", "use_cuts_tree",
-        "enabled_heuristics", "enabled_presolvers", "enabled_separators",
+        "enabled_heuristics", "enabled_presolvers",
         "completesol_node_limit", "completesol_max_improving", "node_limit",
         "det_work_per_second"}
     # the tolerances are class constants, still read through an instance

@@ -97,7 +97,7 @@ def test_missing_manifest_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("case", ["coefs_list", "var_not_object", "rhs_null", "obj_text",
                                   "obj_infinity", "rhs_nan_text", "coef_true",
-                                  "lb_nan_continuous"])
+                                  "lb_nan_continuous", "ub_huge_int"])
 def test_malformed_base_instance_is_config_error(tmp_path, capsys, case):
     edit, _ = MALFORMED_INSTANCES[case]
     path = tmp_path / "base.json"

@@ -15,7 +15,7 @@ from mipseries.harness import (RunConfig, ScoreRecord, _SeriesState, _error_reco
                                write_report_csv, write_report_summary)
 from mipseries.model import (Component, SeriesManifest, load_series,
                              generate_series_files, save_instance)
-from mipseries.solver import SolverConfig
+from mipseries.solver import HEUR_COMPLETESOL, SEP_GOMORY, SolverConfig
 from mipseries.tuner import ON, PARAM_ORDER
 
 from conftest import DET_WPS, hard_knapsack, report_csv
@@ -408,6 +408,33 @@ def test_turnoff_disables_idle_presolvers_in_series(tmp_path):
     assert by_name["coef_tighten"]["disabled_at"] == 14
     assert by_name["gomory"]["disabled_at"] is None
     assert all(r.status == "OPTIMAL" for r in report.records)
+
+
+@pytest.mark.parametrize("off", [(), (HEUR_COMPLETESOL, SEP_GOMORY)])
+def test_components_the_ledger_turned_off_get_no_hints_and_no_cuts(tmp_path, monkeypatch, off):
+    # hint completion is the only reader of hints and Gomory the only
+    # separator: with them off, no hints are assembled and the cut toggles
+    # are off, while the records still report the tuner's values
+    class Ledger(harness.ComponentLedger):
+        def __init__(self):
+            super().__init__()
+            for name in off:
+                self.records[name].disabled_at = 0
+
+    real_assemble, real_solve = harness.assemble_hints, harness.solve
+    assembled, configs = [], []
+    monkeypatch.setattr(harness, "ComponentLedger", Ledger)
+    monkeypatch.setattr(harness, "assemble_hints",
+                        lambda *a, **k: assembled.append(a[1]) or real_assemble(*a, **k))
+    monkeypatch.setattr(harness, "solve",
+                        lambda inst, cfg, *a, **k: configs.append(cfg) or real_solve(inst, cfg, *a, **k))
+    report = run_series(_identical_series(tmp_path, n=3),
+                        RunConfig(seed=0, det_work_per_second=DET_WPS, disable={"tuning"}))
+    assert len(assembled) == (0 if off else 2)
+    assert [r.hints_provided for r in report.records] == [False] + [not off] * 2
+    assert [(c.use_cuts_root, c.use_cuts_tree) for c in configs] == [(not off, not off)] * 3
+    assert all((r.hint_value, r.cuts_value, r.root_cuts_value) == (ON, ON, ON)
+               for r in report.records)
 
 
 def test_instance_failure_recorded_and_series_continues(tmp_path):

@@ -15,8 +15,8 @@ from mipseries.model import (INF, Component, FeasibilityResult, InstanceError,
                              load_instance, load_series, objective_value,
                              perturb_series, save_instance)
 
-from conftest import (MALFORMED_INSTANCES, MALFORMED_MANIFESTS, MINIMAL, make_instance,
-                      malformed_instance, same_data)
+from conftest import (MALFORMED_INSTANCES, MALFORMED_MANIFESTS, MINIMAL, instance_dict,
+                      make_instance, malformed_instance, same_data)
 
 
 def test_minimal_instance_roundtrip(tmp_path):
@@ -40,7 +40,7 @@ def test_crossed_bounds():
     bad = json.loads(json.dumps(MINIMAL))
     bad["vars"][0]["lb"] = 3
     bad["vars"][0]["ub"] = 1
-    with pytest.raises(InstanceError, match="crossed bounds at index 0"):
+    with pytest.raises(InstanceError, match=re.escape("variable 'x': crossed bounds (lb=3.0")):
         instance_from_dict(bad)
 
 
@@ -72,11 +72,41 @@ def test_parse_error_has_line_context(tmp_path):
         load_instance(path)
 
 
+def test_integer_too_long_to_parse_names_the_file(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(MINIMAL).replace('"obj": 1.0', '"obj": 1' + "0" * 5000))
+    with pytest.raises(InstanceError, match="digits") as info:
+        load_instance(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
 def test_integer_bounds_normalized():
     data = json.loads(json.dumps(MINIMAL))
     data["vars"][0].update({"lb": 0.4, "ub": 9.7})
     inst = instance_from_dict(data)
     assert inst.lower[0] == 1.0 and inst.upper[0] == 9.0
+
+
+def test_integer_bounds_rounded_in_code_as_in_a_file(tmp_path):
+    # the integer variable's [0.2, 2.7] becomes [1, 2]; the continuous one keeps its own
+    args = ("r", [1.0, 1.0], [([1.0, 1.0], Sense.LE, 3.0)], [0.2, 0.2], [2.7, 2.7], (0,))
+    built = make_instance(*args)
+    assert built.lower.tolist() == [1.0, 0.2] and built.upper.tolist() == [2.0, 2.7]
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(instance_dict(*args)))
+    assert same_data(load_instance(path), built)
+    # the rounding writes into a copy: the caller's array keeps its values and stays writable
+    lo = np.array([0.2, 0.2])
+    MipInstance("r", ("x0", "x1"), [1.0, 1.0], lo, [2.7, 2.7], frozenset({0}), ())
+    assert lo.tolist() == [0.2, 0.2] and lo.flags.writeable
+
+
+@pytest.mark.parametrize("lb", [0, 0.0, -0.0, -0.5, 1e-10])
+def test_integer_lower_bound_of_zero_stays_positive_zero(tmp_path, lb):
+    inst = make_instance("z", [1.0], [], [lb], [3.0], ints=(0,))
+    assert inst.lower[0] == 0.0 and not np.signbit(inst.lower[0])
+    save_instance(inst, tmp_path / "z.json")
+    assert '"lb": 0.0' in (tmp_path / "z.json").read_text()
 
 
 def test_check_feasibility_cases():
@@ -279,16 +309,24 @@ _BUILT = dict(c=[1.0, -1.0], rows=[([1.0, 1.0], Sense.LE, 3.0)], lo=[0.0, 0.0],
      "row 'r0': coefficient of 'x1' is not finite: -inf"),
     ("rows", [([float("nan"), 1.0], Sense.LE, 3.0)],
      "row 'r0': coefficient of 'x0' is not finite: nan"),
-    ("lo", [float("nan"), 0.0], "bad bounds at index 0"),
-    ("hi", [2.0, float("nan")], "bad bounds at index 1"),
-    ("lo", [INF, 0.0], "bad bounds at index 0"),
-    ("hi", [2.0, -INF], "bad bounds at index 1"),
+    ("lo", [float("nan"), 0.0], "variable 'x0': bad lower bound nan"),
+    ("hi", [2.0, float("nan")], "variable 'x1': bad upper bound nan"),
+    ("lo", [INF, 0.0], "variable 'x0': bad lower bound inf"),
+    ("hi", [2.0, -INF], "variable 'x1': bad upper bound -inf"),
 ])
-def test_instance_built_in_code_rejects_nonfinite_data(field, value, message):
-    # the file loader rejects these; an instance built directly must too
+def test_instance_built_in_code_rejects_nonfinite_data(tmp_path, field, value, message):
+    # MipInstance is the one validator: the same data in a file gets the
+    # same message, prefixed with the file's path
     kw = {**_BUILT, field: value}
-    with pytest.raises(InstanceError, match=re.escape(message)):
-        make_instance("built", kw["c"], kw["rows"], kw["lo"], kw["hi"], ints=(0, 1))
+    args = ("built", kw["c"], kw["rows"], kw["lo"], kw["hi"], (0, 1))
+    with pytest.raises(InstanceError) as built:
+        make_instance(*args)
+    assert str(built.value) == f"built: {message}"
+    path = tmp_path / "built.json"
+    path.write_text(json.dumps(instance_dict(*args)))
+    with pytest.raises(InstanceError) as loaded:
+        load_instance(path)
+    assert str(loaded.value) == f"{path}: {built.value}"
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))

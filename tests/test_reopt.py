@@ -107,8 +107,8 @@ def test_assemble_hints_validate_and_order():
     pool = _pool_with([{"x0": 1.0, "x1": 2.0}] * 12)
     hints = assemble_hints(pool, target, {Component.RHS})
     validate_hint_set(hints, target)
-    assert hints.hints[0].provenance == "COMMON"
-    assert hints.hints[1].provenance == "CLIPPED_PREV(11)"   # most recent first
+    assert hints[0].provenance == "COMMON"
+    assert hints[1].provenance == "CLIPPED_PREV(11)"   # most recent first
 
 
 def test_transfer_caps_counts_and_preserves_averages():

@@ -47,13 +47,12 @@ def test_deterministic_exploration_bits():
 
 def test_exploration_flags():
     state = TunerState(seed=0)
-    flags = state.exploration_flags()
-    assert all(flags.values())                       # fresh state explores
+    assert all(p.under_exploration() for p in state.params.values())  # fresh state explores
     p = state.params[Param.CUTS]
     p.on.N, p.off.N = 4, 3
-    assert state.exploration_flags()[Param.CUTS]     # one arm short of 4
+    assert p.under_exploration()                     # one arm short of 4
     p.off.N = 4
-    assert not state.exploration_flags()[Param.CUTS]
+    assert not p.under_exploration()
 
 
 def test_update_crediting_rules():
@@ -113,7 +112,7 @@ def test_never_converting_series_keeps_on_under_exploration():
         state.update(Param.ROOT_CUTS, vals[Param.ROOT_CUTS], -0.5)
     assert state.params[Param.HINT].on.N == 0
     assert state.params[Param.HINT].off.N == 49
-    assert state.exploration_flags()[Param.HINT]
+    assert state.params[Param.HINT].under_exploration()
     assert on_selected == 24                       # every alternate instance
 
 
@@ -125,7 +124,7 @@ def test_synthetic_bandit_converges_to_better_arm():
         picks_after_exploration = []
         for t in range(50):
             vals = state.select_values(t + TUNING_START_INDEX)
-            exploring = state.exploration_flags()[Param.CUTS]
+            exploring = state.params[Param.CUTS].under_exploration()
             score = -0.5 if vals[Param.CUTS] == ON else -0.3
             state.update(Param.CUTS, vals[Param.CUTS], score)
             state.update(Param.HINT, vals[Param.HINT], score,
