@@ -29,7 +29,7 @@ from .tuner import ON, PARAM_ORDER, TUNING_START_INDEX, Param, TunerState
 from .turnoff import ComponentLedger
 
 GEOMEAN_SHIFT = 10.0
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 BATCH_SIZE = 10
 
 TECHNIQUES = ("hints", "history", "sb", "tuning", "turnoff")
@@ -339,7 +339,8 @@ def _solve_one(state: _SeriesState, manifest: SeriesManifest,
         det_work_per_second=run_cfg.det_work_per_second)
 
     try:
-        outcome = solve(inst, cfg, limit, hints=hints, warm_histories=warm)
+        outcome = solve(inst, cfg, limit, hints=[h.assignment for h in hints],
+                        warm_histories=warm)
     except Exception as exc:   # instance-level failure: record it, move on
         outcome, record = None, _error_record(t, f"{type(exc).__name__}: {exc}", values)
     else:

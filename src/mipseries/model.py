@@ -359,7 +359,11 @@ def instance_from_dict(data: dict, path: str = "<memory>") -> MipInstance:
             lower.append(_number(v["lb"], InstanceError, f"{where}: lb"))
             upper.append(_number(v["ub"], InstanceError, f"{where}: ub"))
             obj.append(_number(v["obj"], InstanceError, f"{where}: obj"))
-            if v["integer"]:
+            integral = v["integer"]
+            if not isinstance(integral, bool):
+                raise InstanceError(f"{where}: integer must be true or false, "
+                                    f"got {integral!r}")
+            if integral:
                 integer.add(k)
         except KeyError as exc:
             raise InstanceError(f"{path}: variable #{k}: missing key {exc}") from None
@@ -474,6 +478,12 @@ class SeriesManifest:
             yield self.load(i)
 
 
+def _check_time_limit(time_limit: float, where) -> None:
+    """A manifest's per-instance time limit must be positive and finite."""
+    if not 0 < time_limit < INF:   # NaN fails too
+        raise SeriesError(f"{where}: time limit must be positive and finite")
+
+
 def load_series(path) -> SeriesManifest:
     """Load a manifest and validate every referenced instance; the manifest
     keeps the parsed instances, so each file is read once.
@@ -503,8 +513,7 @@ def load_series(path) -> SeriesManifest:
 
     if not rel_paths:
         raise SeriesError(f"{path}: empty series")
-    if not 0 < time_limit < INF:   # NaN fails too
-        raise SeriesError(f"{path}: time limit must be positive and finite")
+    _check_time_limit(time_limit, path)
     if not changing:
         raise SeriesError(f"{path}: changing components must be non-empty")
 
@@ -607,8 +616,8 @@ def perturb_series(base: MipInstance, kinds, count: int, seed: int,
     """Deterministic series of `count` instances; index 0 is the base itself."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if magnitude <= 0:
-        raise ValueError("magnitude must be positive")
+    if not 0 < magnitude < INF:   # NaN fails too
+        raise ValueError(f"magnitude must be positive and finite, got {magnitude!r}")
     kinds = frozenset(Component(k) for k in kinds)
     return [perturb_instance(base, kinds if i else frozenset(),
                              np.random.default_rng([seed, i]), magnitude,
@@ -619,18 +628,20 @@ def perturb_series(base: MipInstance, kinds, count: int, seed: int,
 def generate_series_files(base: MipInstance, kinds, count: int, seed: int,
                           magnitude: float, out_dir, time_limit: float,
                           series_name: str | None = None) -> Path:
-    """Write a perturbed series plus its manifest; returns the manifest path."""
+    """Write a perturbed series plus its manifest; returns the manifest path.
+    Every argument is checked before any file is written."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    manifest_path = out_dir / "manifest.json"
+    _check_time_limit(time_limit, manifest_path)
     kinds = frozenset(Component(k) for k in kinds)
     series_name = series_name or f"{base.name}_{'_'.join(sorted(k.value.lower() for k in kinds))}"
     instances = perturb_series(base, kinds, count, seed, magnitude)
+    out_dir.mkdir(parents=True, exist_ok=True)
     rel_paths = []
     for inst in instances:
         fname = f"{inst.name}.json"
         save_instance(inst, out_dir / fname)
         rel_paths.append(fname)
-    manifest_path = out_dir / "manifest.json"
     data = {
         "series_name": series_name,
         "time_limit": time_limit,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .model import DEFAULT_INT_TOL, Component, MipInstance, Solution
-from .solver import BranchingRule, GlobalHistory, SolveOutcome, VariableHistory
+from .solver import BranchingRule, SolveOutcome, VariableHistory
 
 DEFAULT_ALPHA_PCT = 90.0
 PSCOST_COUNT_CAP = 4.0
@@ -65,7 +65,7 @@ class HistoryStore:
     """Histories of the most recently recorded solve, source for transfers."""
 
     histories: dict = field(default_factory=dict)
-    global_history: GlobalHistory = field(default_factory=GlobalHistory)
+    global_history: VariableHistory = field(default_factory=VariableHistory)
     source_index: int | None = None
 
     def to_json_dict(self) -> dict:
@@ -80,7 +80,7 @@ class HistoryStore:
         return cls(
             histories={name: VariableHistory(**h)
                        for name, h in data["histories"].items()},
-            global_history=GlobalHistory(**data["global_history"]),
+            global_history=VariableHistory(**data["global_history"]),
             source_index=data["source_index"],
         )
 
@@ -169,7 +169,7 @@ def _capped(hist: VariableHistory) -> VariableHistory:
 
 
 def transfer_histories(prev: SolveOutcome | HistoryStore,
-                       target: MipInstance) -> tuple[dict, GlobalHistory]:
+                       target: MipInstance) -> tuple[dict, VariableHistory]:
     """Copy histories to the next instance, capping each pseudocost count at 4
     while preserving the average exactly (sums rescaled by powers of two)."""
     histories, global_hist = prev.histories, prev.global_history

@@ -10,12 +10,12 @@ from .config import (ALL_HEURISTICS, ALL_PRESOLVERS, ALL_SEPARATORS,
                      fresh_stats)
 from .cuts import generate_cuts, slack_integrality
 from .heuristics import round_to_feasible
-from .history import GlobalHistory, VariableHistory, update_pseudocost
+from .history import VariableHistory, update_pseudocost
 from .presolve import PresolveResult, run_presolve
 
 __all__ = [
     "ALL_HEURISTICS", "ALL_PRESOLVERS", "ALL_SEPARATORS", "BranchingRule",
-    "Candidate", "GlobalHistory", "HEUR_COMPLETESOL", "HEUR_ROUNDING",
+    "Candidate", "HEUR_COMPLETESOL", "HEUR_ROUNDING",
     "HeuristicStats", "PRE_BOUND_TIGHTEN", "PRE_COEF_TIGHTEN",
     "PresolveResult", "PresolverStats", "SEP_GOMORY", "SeparatorStats",
     "SolveClock", "SolveOutcome", "SolveStatus", "SolverConfig", "SolverStats",

@@ -34,7 +34,7 @@ from .config import (HEUR_COMPLETESOL, HEUR_ROUNDING, SEP_GOMORY,
                      fresh_stats)
 from .cuts import generate_cuts, slack_integrality
 from .heuristics import raise_on_nonfinite, round_to_feasible
-from .history import GlobalHistory, VariableHistory
+from .history import VariableHistory
 from .presolve import run_presolve
 
 LP_ITER_LIMIT = 20000           # pivots per node LP; the cold retry gets 10x
@@ -80,10 +80,6 @@ def objective_step(inst: MipInstance) -> float:
     return float(np.gcd.reduce(cost.astype(np.int64)))
 
 
-def _hint_assignment(hint) -> dict:
-    return hint.assignment if hasattr(hint, "assignment") else dict(hint)
-
-
 class _TreeSolver:
     def __init__(self, inst: MipInstance, cfg: SolverConfig, time_limit: float,
                  hints=None, warm_histories=None, clock: SolveClock | None = None,
@@ -104,7 +100,7 @@ class _TreeSolver:
 
         self.histories: dict[int, VariableHistory] = {
             j: VariableHistory() for j in self.int_indices}
-        self.global_hist = GlobalHistory()
+        self.global_hist = VariableHistory()
         if warm_histories is not None:
             by_name, global_hist = warm_histories
             for name, hist in by_name.items():
@@ -297,7 +293,7 @@ class _TreeSolver:
                 break
             hstats.calls += 1
             self.clock.charge(1)
-            point = self._complete_one_hint(_hint_assignment(hint), node)
+            point = self._complete_one_hint(hint, node)
             if point is None:
                 continue
             hstats.solutions_found += 1
@@ -478,11 +474,10 @@ def solve(inst: MipInstance, cfg: SolverConfig, time_limit: float,
           hints=None, warm_histories=None) -> SolveOutcome:
     """Solve a MIP instance under a time limit.
 
-    `hints` is an optional sequence of partial assignments (objects with an
-    `assignment` mapping or plain dicts var-name -> value) consumed by the
-    hint-completion heuristic at the root.  `warm_histories` is an optional
-    (per-variable history map, global history) pair transferred from an
-    earlier solve.
+    `hints` is an optional sequence of partial assignments, each a mapping
+    var-name -> value, consumed by the hint-completion heuristic at the
+    root.  `warm_histories` is an optional (per-variable history map, global
+    history) pair transferred from an earlier solve.
     """
     if not time_limit >= 0:   # NaN fails too; inf means no limit
         raise ValueError(f"time_limit must be >= 0, got {time_limit!r}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from ..lp import LpStatus
 from .config import BranchingRule, SolverConfig
-from .history import GlobalHistory, VariableHistory, update_pseudocost
+from .history import VariableHistory, update_pseudocost
 
 RELIABILITY_THRESHOLD = 5   # pseudocost count below which RELIABILITY probes
 SCORE_EPS = 1e-6
@@ -34,7 +34,7 @@ class Candidate:
         return math.ceil(self.value) - self.value
 
 
-def _estimated_gain(hist: VariableHistory, global_hist: GlobalHistory,
+def _estimated_gain(hist: VariableHistory, global_hist: VariableHistory,
                     direction: str, frac: float) -> float:
     """Pseudocost estimate; variables with count < 1 use the global average."""
     if hist.count(direction) >= 1.0:
@@ -48,7 +48,8 @@ def _estimated_gain(hist: VariableHistory, global_hist: GlobalHistory,
 
 def _strong_branch(cand: Candidate, node_obj: float, db: float,
                    histories, global_hist, solve_child, stats) -> tuple[float, float]:
-    """Solve both child LPs, update histories, return (gain_down, gain_up)."""
+    """Solve both child LPs, update the pseudocosts from each optimal one,
+    return (gain_down, gain_up)."""
     hist = histories[cand.index]
     gains = {}
     for direction in ("down", "up"):
@@ -61,12 +62,6 @@ def _strong_branch(cand: Candidate, node_obj: float, db: float,
         stats.sb_lp_solves += 1
         if res.status is LpStatus.INFEASIBLE:
             gains[direction] = INFEASIBLE_GAIN_SCALE * max(1.0, abs(db) if math.isfinite(db) else 1.0)
-            if direction == "up":
-                hist.conflict_count_up += 1
-                global_hist.conflict_count_up += 1
-            else:
-                hist.conflict_count_down += 1
-                global_hist.conflict_count_down += 1
         else:
             gain = max(res.objective - node_obj, 0.0)
             gains[direction] = gain
@@ -78,7 +73,7 @@ def _strong_branch(cand: Candidate, node_obj: float, db: float,
 
 def select_branch_variable(candidates: list[Candidate], node_obj: float, db: float,
                            histories: dict[int, VariableHistory],
-                           global_hist: GlobalHistory, cfg: SolverConfig,
+                           global_hist: VariableHistory, cfg: SolverConfig,
                            solve_child, stats) -> tuple[int, float]:
     """Pick the branching variable; `solve_child(j, dir, bound)` runs an SB LP."""
     if not candidates:

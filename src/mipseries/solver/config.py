@@ -7,7 +7,7 @@ from enum import Enum
 from typing import ClassVar
 
 from ..model import DEFAULT_FEAS_TOL, DEFAULT_INT_TOL, Solution
-from .history import GlobalHistory, VariableHistory
+from .history import VariableHistory
 
 
 class BranchingRule(Enum):
@@ -126,5 +126,5 @@ class SolveOutcome:
     best_solution: Solution | None
     stats: SolverStats
     histories: dict[str, VariableHistory]
-    global_history: GlobalHistory
+    global_history: VariableHistory
     solve_time: float

@@ -1,4 +1,4 @@
-"""Per-variable and problem-wide branching statistics."""
+"""Per-variable and problem-wide branching pseudocosts."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 @dataclass
 class VariableHistory:
-    """Pseudocost sums/counts plus conflict and inference records.
+    """Pseudocost sums and counts of one variable, or of all variables
+    together (the problem-wide aggregate).
 
     Pseudocost counts are floats: transferring a history across instances may
     rescale them to fractional values.
@@ -16,10 +17,6 @@ class VariableHistory:
     pscost_down_sum: float = 0.0
     pscost_up_count: float = 0.0
     pscost_down_count: float = 0.0
-    conflict_count_up: float = 0.0
-    conflict_count_down: float = 0.0
-    inference_count_up: float = 0.0
-    inference_count_down: float = 0.0
 
     def count(self, direction: str) -> float:
         return self.pscost_up_count if direction == "up" else self.pscost_down_count
@@ -34,16 +31,13 @@ class VariableHistory:
         """Field name -> value, in field order."""
         return dict(vars(self))
 
-    def copy(self):
-        """An independent copy of the same type."""
-        return type(self)(**vars(self))
+    def copy(self) -> VariableHistory:
+        """An independent copy."""
+        return VariableHistory(**vars(self))
 
     def is_empty(self) -> bool:
+        """True when no pseudocost observation has been recorded."""
         return not any(vars(self).values())
-
-
-class GlobalHistory(VariableHistory):
-    """Same statistics aggregated over all variables."""
 
 
 def update_pseudocost(hist: VariableHistory, direction: str, obj_gain: float,

@@ -77,6 +77,12 @@ MALFORMED_INSTANCES = {
                      "mini: variable 'x': bad upper bound -inf"),
     "ub_true": (lambda d: d["vars"][0].update(ub=True), "'x': ub: not a number: True"),
     "ub_huge_int": (lambda d: d["vars"][0].update(ub=10 ** 400), "'x': ub: not a number: 1000"),
+    "integer_text": (lambda d: d["vars"][0].update(integer="false", ub=2.5),
+                     "variable 'x': integer must be true or false, got 'false'"),
+    "integer_one": (lambda d: d["vars"][0].update(integer=1),
+                    "variable 'x': integer must be true or false, got 1"),
+    "integer_null": (lambda d: d["vars"][0].update(integer=None),
+                     "variable 'x': integer must be true or false, got None"),
 }
 
 
@@ -93,6 +99,21 @@ MALFORMED_MANIFESTS = {
     "changing_int": ({"changing": 5}, "changing must be a list"),
     "top_level_list": (None, "top level must be an object"),
 }
+
+
+def version_3_journal(lines):
+    """Parsed checkpoint journal `lines` in the version-3 layout, whose
+    histories also held conflict and inference counts."""
+    counts = dict.fromkeys(["conflict_count_up", "conflict_count_down",
+                            "inference_count_up", "inference_count_down"], 0.0)
+    old = [{**lines[0], "version": 3}]
+    for line in lines[1:]:
+        store = line["history_store"]
+        old.append({**line, "history_store": {
+            **store, "global_history": {**store["global_history"], **counts},
+            "histories": {name: {**h, **counts}
+                          for name, h in store["histories"].items()}}})
+    return old
 
 
 def report_csv(path, totals, index=None, columns=CSV_COLUMNS):

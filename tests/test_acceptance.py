@@ -152,7 +152,8 @@ def _run_copy_series(with_hints: bool, with_history: bool):
             if (with_hints and t >= 1) else ()
         warm = transfer_histories(store, inst) \
             if (with_history and t >= 1 and store.source_index is not None) else None
-        out = solve(inst, cfg, 1e9, hints=hints, warm_histories=warm)
+        out = solve(inst, cfg, 1e9, hints=[h.assignment for h in hints],
+                    warm_histories=warm)
         record_outcome(pool, store, out, t, inst.var_names)
         outcomes.append(out)
     return outcomes

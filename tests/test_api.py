@@ -55,6 +55,13 @@ REMOVED = [
     ("mipseries.tuner", "TunerState.exploration_flags"),
     ("mipseries.model", "_parse_bound"),
     ("mipseries.model", "_as_float"),
+    ("mipseries.solver", "GlobalHistory"),
+    ("mipseries.solver.history", "GlobalHistory"),
+    ("mipseries.solver", "VariableHistory.conflict_count_up"),
+    ("mipseries.solver", "VariableHistory.conflict_count_down"),
+    ("mipseries.solver", "VariableHistory.inference_count_up"),
+    ("mipseries.solver", "VariableHistory.inference_count_down"),
+    ("mipseries.solver.bb", "_hint_assignment"),
 ]
 
 

@@ -6,8 +6,8 @@ import math
 import pytest
 
 from mipseries.lp import LpResult, LpStatus
-from mipseries.solver import (BranchingRule, Candidate, GlobalHistory,
-                              SolverConfig, SolverStats, VariableHistory,
+from mipseries.solver import (BranchingRule, Candidate, SolverConfig,
+                              SolverStats, VariableHistory,
                               select_branch_variable, update_pseudocost)
 
 
@@ -51,7 +51,7 @@ def test_reliability_skips_reliable_candidates():
     solve_child, calls = _fake_child_solver({})
     j, _ = select_branch_variable(
         [Candidate(0, 0.5), Candidate(1, 0.5)], 0.0, -1.0, histories,
-        GlobalHistory(), cfg, solve_child, stats)
+        VariableHistory(), cfg, solve_child, stats)
     assert stats.sb_lp_solves == 0
     assert calls == []
     assert j in (0, 1)
@@ -64,7 +64,7 @@ def test_reliability_probes_unreliable_candidate():
     solve_child, calls = _fake_child_solver({(1, "down"): 1.0, (1, "up"): 2.0})
     select_branch_variable(
         [Candidate(0, 0.5), Candidate(1, 0.5)], 0.0, -1.0, histories,
-        GlobalHistory(), cfg, solve_child, stats)
+        VariableHistory(), cfg, solve_child, stats)
     assert stats.sb_lp_solves == 2
     assert [c[0] for c in calls] == [1, 1]
     assert histories[1].pscost_up_count == 1.0
@@ -83,7 +83,7 @@ def test_fullstrong_probes_all_candidates():
         objs[(j, "down")] = 1.0 + j
         objs[(j, "up")] = 2.0 + j
     solve_child, calls = _fake_child_solver(objs)
-    j, _ = select_branch_variable(cands, 0.0, -1.0, histories, GlobalHistory(),
+    j, _ = select_branch_variable(cands, 0.0, -1.0, histories, VariableHistory(),
                                   cfg, solve_child, stats)
     assert stats.sb_lp_solves == 8
     assert len(calls) == 8
@@ -94,8 +94,8 @@ def test_pseudocost_never_probes_and_uses_global_fallback():
     cfg = SolverConfig(branching_rule=BranchingRule.PSEUDOCOST)
     stats = SolverStats()
     histories = {0: VariableHistory(), 1: _hist_with_counts(2, 2, up_avg=10.0, down_avg=10.0)}
-    global_hist = GlobalHistory(pscost_up_sum=2.0, pscost_down_sum=2.0,
-                                pscost_up_count=2.0, pscost_down_count=2.0)
+    global_hist = VariableHistory(pscost_up_sum=2.0, pscost_down_sum=2.0,
+                                  pscost_up_count=2.0, pscost_down_count=2.0)
     solve_child, calls = _fake_child_solver({})
     j, _ = select_branch_variable(
         [Candidate(0, 0.5), Candidate(1, 0.5)], 0.0, -1.0, histories,
@@ -112,32 +112,37 @@ def test_tie_breaks_to_lowest_index():
     solve_child, _ = _fake_child_solver({})
     j, _ = select_branch_variable(
         [Candidate(2, 0.5), Candidate(5, 0.5)], 0.0, -1.0, histories,
-        GlobalHistory(), cfg, solve_child, stats)
+        VariableHistory(), cfg, solve_child, stats)
     assert j == 2
 
 
-def test_infeasible_child_counts_conflict_and_large_gain():
+def test_infeasible_child_scores_large_gain_without_history_update():
     cfg = SolverConfig(branching_rule=BranchingRule.FULLSTRONG)
     stats = SolverStats()
     histories = {0: VariableHistory(), 1: VariableHistory()}
-    global_hist = GlobalHistory()
+    global_hist = VariableHistory()
     objs = {(0, "down"): 0.1, (0, "up"): "infeasible",
             (1, "down"): 0.2, (1, "up"): 0.3}
     solve_child, _ = _fake_child_solver(objs)
     j, _ = select_branch_variable(
         [Candidate(0, 0.5), Candidate(1, 0.5)], 0.0, -5.0, histories,
         global_hist, cfg, solve_child, stats)
-    assert histories[0].conflict_count_up == 1
-    assert global_hist.conflict_count_up == 1
     # infeasible up child contributes gain 1e6 * |db|, dwarfing candidate 1
     assert j == 0
-    # no pseudocost update for the infeasible direction
+    # the infeasible direction leaves every history as the three optimal
+    # probes alone make it
+    expected = {0: VariableHistory(), 1: VariableHistory()}
+    expected_global = VariableHistory()
+    for (k, direction), obj in objs.items():
+        if obj != "infeasible":
+            update_pseudocost(expected[k], direction, obj, 0.5)
+            update_pseudocost(expected_global, direction, obj, 0.5)
+    assert histories == expected and global_hist == expected_global
     assert histories[0].pscost_up_count == 0.0
-    assert histories[0].pscost_down_count == 1.0
 
 
 def test_no_fractional_candidate_is_contract_violation():
     cfg = SolverConfig()
     with pytest.raises(ValueError):
-        select_branch_variable([], 0.0, -1.0, {}, GlobalHistory(), cfg,
+        select_branch_variable([], 0.0, -1.0, {}, VariableHistory(), cfg,
                                lambda *a: None, SolverStats())

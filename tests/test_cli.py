@@ -13,7 +13,7 @@ from mipseries.model import save_instance
 from mipseries.harness import CSV_COLUMNS
 
 from conftest import (MALFORMED_INSTANCES, MALFORMED_MANIFESTS, hard_knapsack,
-                      malformed_instance, report_csv)
+                      malformed_instance, report_csv, version_3_journal)
 
 
 @pytest.fixture
@@ -97,7 +97,7 @@ def test_missing_manifest_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("case", ["coefs_list", "var_not_object", "rhs_null", "obj_text",
                                   "obj_infinity", "rhs_nan_text", "coef_true",
-                                  "lb_nan_continuous", "ub_huge_int"])
+                                  "lb_nan_continuous", "ub_huge_int", "integer_text"])
 def test_malformed_base_instance_is_config_error(tmp_path, capsys, case):
     edit, _ = MALFORMED_INSTANCES[case]
     path = tmp_path / "base.json"
@@ -107,6 +107,26 @@ def test_malformed_base_instance_is_config_error(tmp_path, capsys, case):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--time-limit", "nan", "time limit must be positive and finite"),
+    ("--time-limit", "0", "time limit must be positive and finite"),
+    ("--time-limit", "-1", "time limit must be positive and finite"),
+    ("--time-limit", "inf", "time limit must be positive and finite"),
+    ("--magnitude", "nan", "magnitude must be positive and finite"),
+    ("--magnitude", "inf", "magnitude must be positive and finite"),
+])
+def test_generate_with_bad_limit_or_magnitude_writes_nothing(
+        tmp_path, base_instance_path, capsys, flag, value, message):
+    # a manifest generate writes is one that load_series accepts
+    out = tmp_path / "series"
+    rc = main(["generate", "--base", str(base_instance_path), "--kind", "rhs",
+               "--count", "2", "--out", str(out), flag, value])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
@@ -155,6 +175,15 @@ def _corrupt_checkpoint(tmp_path, base_instance_path, capsys, edit, extra=()):
     capsys.readouterr()
     rc = main(args + list(extra))
     return rc, capsys.readouterr().err
+
+
+def test_checkpoint_of_version_3_is_config_error(tmp_path, base_instance_path, capsys):
+    def edit(lines):
+        lines[:] = version_3_journal(lines)
+
+    rc, err = _corrupt_checkpoint(tmp_path, base_instance_path, capsys, edit)
+    assert rc == 2
+    assert "has version 3, expected 4" in err and "Traceback" not in err
 
 
 def test_checkpoint_missing_field_is_config_error(tmp_path, base_instance_path, capsys):

@@ -18,7 +18,7 @@ from mipseries.model import (Component, SeriesManifest, load_series,
 from mipseries.solver import HEUR_COMPLETESOL, SEP_GOMORY, SolverConfig
 from mipseries.tuner import ON, PARAM_ORDER
 
-from conftest import DET_WPS, hard_knapsack, report_csv
+from conftest import DET_WPS, hard_knapsack, report_csv, version_3_journal
 
 ALL_OFF = frozenset({"hints", "history", "sb", "tuning", "turnoff"})
 ALL_ON = dict.fromkeys(PARAM_ORDER, ON)
@@ -218,7 +218,9 @@ def test_checkpoint_of_another_run_rejected(tmp_path, field, value):
 
 def test_checkpoint_of_unknown_version_rejected(tmp_path):
     manifest, cfg, lines = _one_record_checkpoint(tmp_path)
-    _rejected(manifest, cfg, [{**lines[0], "version": 4}] + lines[1:], "version 4")
+    _rejected(manifest, cfg, [{**lines[0], "version": 5}] + lines[1:], "version 5")
+    # the version-3 layout: each history also held conflict and inference counts
+    _rejected(manifest, cfg, version_3_journal(lines), "version 3")
     # the version-2 layout: one JSON object, the whole state, no newline
     state = {"version": 2, "series_name": "copies", "num_instances": 3,
              "records": [lines[1]["record"]], "pool": {}, "history_store": {},

@@ -13,8 +13,8 @@ from mipseries.reopt import (HistoryStore, PoolEntry, SolutionPool,
                              build_common_hint, clip_and_strip,
                              completesol_params, record_outcome,
                              transfer_histories)
-from mipseries.solver import (BranchingRule, GlobalHistory, SolverConfig,
-                              SolveStatus, VariableHistory, solve)
+from mipseries.solver import (BranchingRule, SolverConfig, SolveStatus,
+                              VariableHistory, solve)
 
 from mipseries.solver.bb import _TreeSolver
 
@@ -113,9 +113,8 @@ def test_assemble_hints_validate_and_order():
 
 def test_transfer_caps_counts_and_preserves_averages():
     hist = {"x0": VariableHistory(pscost_up_sum=30.0, pscost_up_count=10.0,
-                                  pscost_down_sum=3.0, pscost_down_count=3.0,
-                                  conflict_count_up=7.0, inference_count_down=2.0)}
-    store = HistoryStore(histories=hist, global_history=GlobalHistory(
+                                  pscost_down_sum=3.0, pscost_down_count=3.0)}
+    store = HistoryStore(histories=hist, global_history=VariableHistory(
         pscost_up_sum=100.0, pscost_up_count=50.0), source_index=0)
     out, g = transfer_histories(store, _target())
     h = out["x0"]
@@ -124,8 +123,6 @@ def test_transfer_caps_counts_and_preserves_averages():
     assert h.avg_pseudocost("up") == 3.0                   # preserved exactly
     assert h.pscost_down_count == 3.0                      # below cap: unchanged
     assert h.pscost_down_sum == 3.0
-    assert h.conflict_count_up == 7.0                      # copied unmodified
-    assert h.inference_count_down == 2.0
     assert g.pscost_up_count == 4.0
     assert g.pscost_up_sum == pytest.approx(8.0)
 
@@ -136,7 +133,7 @@ def test_transfer_average_exact_on_random_histories():
     for _ in range(50):
         s, c = float(rng.uniform(0, 100)), float(rng.uniform(4.01, 60))
         store = HistoryStore(histories={"x0": VariableHistory(
-            pscost_up_sum=s, pscost_up_count=c)}, global_history=GlobalHistory())
+            pscost_up_sum=s, pscost_up_count=c)}, global_history=VariableHistory())
         out, _ = transfer_histories(store, target)
         assert out["x0"].pscost_up_count == 4.0
         assert abs(out["x0"].avg_pseudocost("up") - s / c) <= 1e-12
@@ -144,7 +141,7 @@ def test_transfer_average_exact_on_random_histories():
 
 def test_transfer_unknown_name_raises():
     store = HistoryStore(histories={"nope": VariableHistory()},
-                         global_history=GlobalHistory())
+                         global_history=VariableHistory())
     with pytest.raises(KeyError):
         transfer_histories(store, _target())
 
@@ -202,7 +199,7 @@ def test_hint_set_invariants_on_random_series():
 def test_history_store_serialization_roundtrip():
     store = HistoryStore(histories={"x0": VariableHistory(pscost_up_sum=1.5,
                                                           pscost_up_count=2.0)},
-                         global_history=GlobalHistory(pscost_down_sum=4.0,
+                         global_history=VariableHistory(pscost_down_sum=4.0,
                                                       pscost_down_count=8.0),
                          source_index=3)
     again = HistoryStore.from_json_dict(store.to_json_dict())
@@ -211,14 +208,14 @@ def test_history_store_serialization_roundtrip():
     assert again.source_index == 3
 
 
-def _random_history(rng, cls):
+def _random_history(rng):
     """Some fields zero or -0.0, others fractional, one sometimes NaN."""
     vals = []
-    for _ in fields(cls):
+    for _ in fields(VariableHistory):
         u = rng.random()
         vals.append(0.0 if u < 0.4 else -0.0 if u < 0.5 else float("nan") if u < 0.52
                     else float(rng.uniform(0, 50)))
-    return cls(*vals)
+    return VariableHistory(*vals)
 
 
 def _reprs(hist):
@@ -229,33 +226,33 @@ def test_history_copy_and_is_empty_match_asdict_versions():
     rng = np.random.default_rng(51)
     empties = 0
     for trial in range(400):
-        cls = VariableHistory if trial % 2 else GlobalHistory
-        h = _random_history(rng, cls)
+        h = _random_history(rng)
         if trial % 4 == 0:   # all zeros, some of them -0.0
-            h = cls(*[-0.0 if rng.random() < 0.3 else 0.0 for _ in fields(cls)])
+            h = VariableHistory(*[-0.0 if rng.random() < 0.3 else 0.0
+                                  for _ in fields(VariableHistory)])
         c = h.copy()
-        assert type(c) is cls and c is not h
-        assert _reprs(c) == _reprs(cls(**asdict(h)))
+        assert type(c) is VariableHistory and c is not h
+        assert _reprs(c) == _reprs(VariableHistory(**asdict(h)))
         assert h.is_empty() == all(v == 0.0 for v in asdict(h).values())
         empties += h.is_empty()
         assert list(h.to_dict()) == list(asdict(h))
         assert [repr(v) for v in h.to_dict().values()] == _reprs(h)
         before = _reprs(h)
-        for f in fields(cls):   # a copy shares no state with its original
+        for f in fields(VariableHistory):   # a copy shares no state with its original
             setattr(c, f.name, 7.0)
         assert _reprs(h) == before
     assert 100 <= empties < 400
 
 
-def test_history_copies_keep_the_global_type_and_share_nothing():
-    g = GlobalHistory(pscost_up_sum=9.0, pscost_up_count=6.0, conflict_count_down=1.0)
+def test_history_copies_share_nothing():
+    g = VariableHistory(pscost_up_sum=9.0, pscost_up_count=6.0)
     store = HistoryStore(histories={"x0": VariableHistory(pscost_down_sum=2.0)},
                          global_history=g, source_index=0)
     out, g2 = transfer_histories(store, _target())
-    assert type(g2) is GlobalHistory and g2 is not g
+    assert g2 is not g
     assert g2.pscost_up_count == 4.0 and g.pscost_up_count == 6.0
     tree = _TreeSolver(_target(), SolverConfig(), 1e6, warm_histories=(out, g2))
-    assert type(tree.global_hist) is GlobalHistory and tree.global_hist is not g2
+    assert tree.global_hist is not g2
     assert tree.global_hist.to_dict() == g2.to_dict()
     assert tree.histories[0] is not out["x0"]
     tree.global_hist.pscost_up_sum += 1.0
@@ -266,12 +263,12 @@ def test_history_copies_keep_the_global_type_and_share_nothing():
 def test_history_store_json_matches_asdict_form():
     rng = np.random.default_rng(52)
     store = HistoryStore(
-        histories={f"x{j}": _random_history(rng, VariableHistory) for j in range(5)},
-        global_history=_random_history(rng, GlobalHistory), source_index=3)
+        histories={f"x{j}": _random_history(rng) for j in range(5)},
+        global_history=_random_history(rng), source_index=3)
     old = {"source_index": 3,
            "histories": {name: asdict(h) for name, h in store.histories.items()},
            "global_history": asdict(store.global_history)}
     assert json.dumps(store.to_json_dict(), sort_keys=True) == \
         json.dumps(old, sort_keys=True)
     back = HistoryStore.from_json_dict(json.loads(json.dumps(store.to_json_dict())))
-    assert type(back.global_history) is GlobalHistory
+    assert type(back.global_history) is VariableHistory
