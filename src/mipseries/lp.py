@@ -40,12 +40,26 @@ tableau has seen REFACTOR_AGE pivots since its last factorization, the basis
 is factorized again and d recomputed.  Each pivot or bound flip is one
 iteration.
 
+The dual loop's start on a carried tableau (the statuses after the reset and
+the wrong-side flips, the fresh reduced costs d with sgn and free, the
+nonbasic values and beta) depends on nothing but the token, the costs and
+the bounds of the token's nonbasic columns.  The first warm start that
+copies a token's own tableau (same rows, age below REFACTOR_AGE) keeps that
+start on the token, read-only, with no tableau copy.  A later warm start
+from the token whose nonbasic bounds and costs equal the kept ones bit for
+bit, signed zeros included, copies the start instead of deriving it; its
+first pass therefore starts from the same arrays and takes the same pivots.
+The children of a node and its strong-branching probes move one bound of a
+column that is basic in the node's token, so they all copy the node's
+start.  Extended rows, a refactorization due, other nonbasic bounds or
+costs, and a basis that is not dual feasible derive the start as before.
+
 `solve_arrays` over a `NodeRows` row carrier is the one entry point.
 """
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -82,7 +96,9 @@ class SimplexBasis:
 
     A token from a solve also carries its final tableau `tab` = B^-1 [A | I]
     and `rhs` = B^-1 b on `rows` (read-only), with `age`, the pivots made on
-    them since the basis was last factorized."""
+    them since the basis was last factorized.  `start` is the dual start
+    kept by the first warm start on that tableau (see the module
+    docstring); `dataclasses.replace` does not copy it."""
 
     basis: np.ndarray
     stat: np.ndarray
@@ -90,10 +106,37 @@ class SimplexBasis:
     rhs: np.ndarray | None = None
     age: int = 0
     rows: NodeRows | None = None
+    start: _DualStart | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def ncols(self) -> int:
         return len(self.stat)
+
+
+@dataclass(frozen=True)
+class _DualStart:
+    """The first pass of the dual loop on a token's own tableau, read-only:
+    the statuses after the warm-start reset and the wrong-side flips, the
+    reduced costs `d`, `sgn` and `free` (see `_Simplex._dual_start`), the
+    nonbasic values `vals` and `beta`.  `key` holds what it was derived from
+    beyond the token: the bounds of the token's nonbasic columns `nonbasic`
+    and the costs, as bytes."""
+
+    nonbasic: np.ndarray
+    key: tuple[bytes, bytes, bytes]
+    stat: np.ndarray
+    d: np.ndarray
+    sgn: np.ndarray
+    free: np.ndarray | None
+    vals: np.ndarray
+    beta: np.ndarray
+
+
+def _start_key(nonbasic: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+               cost: np.ndarray) -> tuple[bytes, bytes, bytes]:
+    """The bytes a dual start depends on beyond its token: equal bytes are
+    equal bits, signed zeros and NaNs included."""
+    return lo[nonbasic].tobytes(), hi[nonbasic].tobytes(), cost.tobytes()
 
 
 @dataclass
@@ -141,7 +184,8 @@ class NodeRows:
     Branch and bound hands a node's rows to its children and extends them
     with each cut round's new rows only.  Rows made by `extend` remember
     (weakly) the rows they extend, so a warm start can carry a tableau
-    taken on those rows over to these.
+    taken on those rows over to these; they take the slack bounds of those
+    rows from them and derive only the new rows' own.
     """
 
     def __init__(self, mat, senses, rhs, slack_int=None, parent=None):
@@ -151,7 +195,12 @@ class NodeRows:
         self.rhs = _frozen(np.array(rhs, dtype=float))
         self.slack_int = _frozen(np.zeros(self.m, dtype=bool) if slack_int is None
                                  else np.array(slack_int, dtype=bool))
-        slo, shi = _slack_bounds(self.senses)
+        if parent is None:
+            slo, shi = _slack_bounds(self.senses)
+        else:   # the parent's rows come first (see `extend`)
+            new_lo, new_hi = _slack_bounds(self.senses[parent.m:])
+            slo = np.concatenate([parent.slack_lo, new_lo])
+            shi = np.concatenate([parent.slack_hi, new_hi])
         self.slack_lo = _frozen(slo)
         self.slack_hi = _frozen(shi)
         self.all_cols = _frozen(np.hstack([self.mat, np.eye(self.m)]))
@@ -221,6 +270,8 @@ class _Simplex:
         self.k = kernels
         self.bland_after = bland_after
         self.iterations = 0
+        self._kept = None      # a start the first dual pass copies
+        self._keep_on = None   # the token the first dual pass keeps its start on
 
     # -- basis management ---------------------------------------------------
 
@@ -233,6 +284,17 @@ class _Simplex:
         self.age = 0   # pivots on self.tab since the basis was factorized
 
     def warm_start(self, token: SimplexBasis) -> bool:
+        own = token.rows is self.rows and token.tab is not None \
+            and token.age < REFACTOR_AGE   # the token's tableau is carried as is
+        kept = token.start if own else None
+        if kept is not None and kept.key == _start_key(kept.nonbasic, self.lo,
+                                                       self.hi, self.cost):
+            self.tab, self.rhs = self._carried_tableau(token)
+            self.age = token.age
+            self.basis = np.array(token.basis, dtype=np.int64)
+            self.stat = kept.stat.copy()
+            self._kept = kept
+            return True
         basis = np.array(token.basis, dtype=np.int64)
         stat = np.array(token.stat, dtype=np.int8)
         if token.ncols > self.ncols or len(basis) > self.m:
@@ -265,6 +327,8 @@ class _Simplex:
         if carried is not None:
             self.tab, self.rhs = carried
             self.age = token.age
+            if own and token.start is None:
+                self._keep_on = token
         else:
             factored = self.rows.factorization(basis)
             if factored is None:
@@ -455,13 +519,25 @@ class _Simplex:
                 degen_streak = 0
                 bland = self.bland_after <= 0
 
-    def _dual_start(self, d: np.ndarray, box: np.ndarray):
-        """(sgn, free) for the dual loop, after every boxed column priced on
-        the wrong side by d has moved to its other bound: sgn is the
-        direction each column moves in the ratio test (+1 up from the lower
-        bound, -1 down from the upper bound, 0 for basic, fixed and free
-        columns), free marks the free nonbasic columns (None if there are
-        none).  None when d does not price the basis dual feasible."""
+    def _dual_start(self, box: np.ndarray):
+        """(d, sgn, free, vals, beta) for a pass of the dual loop, as fresh
+        arrays, after every boxed column priced on the wrong side by the
+        reduced costs d has moved to its other bound: sgn is the direction
+        each column moves in the ratio test (+1 up from the lower bound, -1
+        down from the upper bound, 0 for basic, fixed and free columns),
+        free marks the free nonbasic columns (None if there are none), vals
+        holds the nonbasic values and beta the basic ones.  None when d does
+        not price the basis dual feasible.
+
+        The first pass after a warm start copies the start kept on its
+        token, or keeps the start it derives there (see the module
+        docstring)."""
+        kept, self._kept = self._kept, None
+        if kept is not None:
+            free = None if kept.free is None else kept.free.copy()
+            return kept.d.copy(), kept.sgn.copy(), free, kept.vals.copy(), kept.beta.copy()
+        token, self._keep_on = self._keep_on, None
+        d = self.reduced_costs()
         stat = self.stat
         sgn = _DUAL_DIR[stat]
         wrong = sgn * d < -DCOST_TOL
@@ -472,10 +548,18 @@ class _Simplex:
             sgn[wrong] = -sgn[wrong]
         free = stat == FREE   # nonbasic; a free column never leaves
         if not free.any():
-            return sgn, None
-        if np.any(np.abs(d[free]) > DCOST_TOL):
+            free = None
+        elif np.any(np.abs(d[free]) > DCOST_TOL):
             return None
-        return sgn, free
+        vals = self.nonbasic_values()
+        beta = self.compute_beta(vals)
+        if token is not None:
+            nonbasic = _frozen(np.flatnonzero(stat != BASIC))
+            token.start = _DualStart(
+                nonbasic, _start_key(nonbasic, self.lo, self.hi, self.cost),
+                *(None if a is None else _frozen(a.copy())
+                  for a in (stat, d, sgn, free, vals, beta)))
+        return d, sgn, free, vals, beta
 
     def run_dual(self, iter_limit: int, cutoff: float = INF):
         """Bounded dual simplex from the current basis.  Returns (status,
@@ -502,13 +586,11 @@ class _Simplex:
         restart = True
         while True:
             if restart:
-                d = self.reduced_costs()
-                start = self._dual_start(d, box)
+                start = self._dual_start(box)
                 if start is None:
                     return None
-                sgn, free = start
-                vals = self.vals = self.nonbasic_values()
-                beta = self.compute_beta(vals)
+                d, sgn, free, vals, beta = start
+                self.vals = vals
                 lB = lo[basis]
                 uB = hi[basis]
                 restart = False

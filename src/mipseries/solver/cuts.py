@@ -4,6 +4,10 @@ Cuts are derived in mixed-integer form (continuous terms handled separately
 from integer terms, nonbasic-at-upper columns complemented) so they remain
 valid when continuous variables or fractional data are present.  Slacks are
 substituted out, yielding cut rows over the structural variables only.
+
+One pass per round: `generate_cuts` derives the cut of every candidate row
+at once with (rows x columns) array operations in a loop's arithmetic
+(`_gmi_rows`), then takes the cuts in row order up to the round's cap.
 """
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..lp import AT_LOWER, BASIC, FIXED, FREE, LpResult, LpStatus, NodeRows, SimplexBasis
-from ..model import DEFAULT_INT_TOL, Sense
+from ..model import INF, Sense
 
 MAX_CUTS_PER_ROUND = 20
 MIN_VIOLATION = 1e-6
@@ -78,77 +82,72 @@ class _Columns:
                    stop=(stat == FREE) | ~np.isfinite(shift), integral=integral)
 
 
-def _gmi_from_row(columns: _Columns, r: int,
-                  b0: float) -> tuple[np.ndarray, float] | None:
-    """Derive one cut (w, rhs) meaning w . x >= rhs from tableau row r,
-    whose basic column has the value b0, or None.
+def _gmi_rows(columns: _Columns, rows: np.ndarray, f0: np.ndarray):
+    """Derive the cut w . x >= rhs of each tableau row in `rows`, whose basic
+    value has the fractional part f0 (at least MIN_FRACTIONALITY from 0 and
+    from 1), all at once.
 
-    Whole-row numpy in column order, with the arithmetic of a loop over the
-    columns: each term is the same product, and `const` and the slack rows
-    of w are folded left to right with `np.subtract.reduce` (`add.reduce`
-    may sum pairwise), so w and rhs are the loop's bit for bit.  The loop
-    stops at the first FREE column or infinite shift (None) or raises at
-    the first non-finite integral coefficient (`math.floor`), whichever
-    column comes first; so does this.
+    Returns (W, rhs, ok, raise_on): row i of W and rhs[i] are row i's cut
+    where ok[i]; raise_on[i] is the row's first non-finite integral
+    coefficient before its first stop column, or 0.0 where it has none.
+
+    Each (rows x columns) operation is the arithmetic of a loop over one
+    row's columns: each term is the same product, and `const` and the slack
+    rows of w are folded left to right with `np.subtract.reduce` (`add.reduce`
+    may sum pairwise), with the columns a row does not keep entering the
+    folds as exact +0.0 (x - 0.0 is x, signed zeros included).  So each cut
+    is the loop's bit for bit.  The loop stops at a row's first FREE column
+    or infinite shift (no cut) and raises at its first non-finite integral
+    coefficient (`math.floor`), whichever column comes first; `raise_on`
+    and `ok` say which.
     """
-    rows = columns.rows
-    n = rows.n
-    f0 = b0 - math.floor(b0)
-    if f0 < MIN_FRACTIONALITY or f0 > 1.0 - MIN_FRACTIONALITY:
-        return None
+    node_rows = columns.rows
+    n = node_rows.n
+    f0 = f0[:, None]
+    a = columns.tab[rows]
+    cols = columns.nonbasic & ~(np.abs(a) <= ZERO_COEF)
+    stops = cols & columns.stop
+    stopped = stops.any(axis=1)
+    cols &= ~np.logical_or.accumulate(stops, axis=1)   # before the first stop
+    coef = np.where(columns.at_lower, a, -a)
+    integral = columns.integral
+    bad_cols = cols & integral & ~np.isfinite(coef)
+    bad = bad_cols.any(axis=1)
+    raise_on = np.where(bad, coef[np.arange(len(rows)), bad_cols.argmax(axis=1)], 0.0)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        fj = coef - np.floor(coef)
+        gamma = np.where(integral,
+                         np.where(fj <= f0, fj / f0, (1.0 - fj) / (1.0 - f0)),
+                         np.where(coef > 0, coef / f0, -coef / (1.0 - f0)))
+        keep = cols & (gamma != 0.0)
+        # gamma * z_j in structural space: z_j = x_j - shift at lower, shift
+        # - x_j at upper; a slack's z is s_k = b_k - A_k x at lower, -s_k at
+        # upper.  sg is gamma with the sign of z's x_j (or -A_k x) term.
+        sg = np.where(columns.at_lower, gamma, -gamma)
 
-    a = columns.tab[r]
-    cols = np.flatnonzero(columns.nonbasic & ~(np.abs(a) <= ZERO_COEF))
-    stop = columns.stop[cols]
-    stopped = bool(stop.any())
-    if stopped:
-        cols = cols[:int(stop.argmax())]
-    at_lower = columns.at_lower[cols]
-    shift = columns.shift[cols]
-    coef = np.where(at_lower, a[cols], -a[cols])
+        W = np.where(keep[:, :n], sg[:, :n], 0.0)
+        terms = np.zeros((len(rows), n + node_rows.m + 1))   # terms[:, 0]: the fold's 0.0
+        np.copyto(terms[:, 1:n + 1], sg[:, :n] * columns.shift[:n], where=keep[:, :n])
+        np.copyto(terms[:, n + 1:], -sg[:, n:] * node_rows.rhs, where=keep[:, n:])
+        const = np.subtract.reduce(terms, axis=1)
+        slack_keep = keep[:, n:]
+        slack = np.flatnonzero(slack_keep.any(axis=0))
+        if len(slack):
+            block = np.empty((len(slack) + 1, len(rows), n))
+            block[0] = W
+            np.multiply(sg[:, n + slack].T[:, :, None], node_rows.mat[slack][:, None, :],
+                        out=block[1:])
+            block[1:][~slack_keep[:, slack].T] = 0.0
+            np.subtract.reduce(block, axis=0, out=W)
 
-    struct = cols < n
-    integral = columns.integral[cols]
-    bad = integral & ~np.isfinite(coef)
-    if bad.any():
-        math.floor(coef[bad.argmax()])   # raises, as the loop did here
-    if stopped:
-        return None
-
-    gamma = np.empty(len(cols))
-    c = coef[~integral]
-    gamma[~integral] = np.where(c > 0, c / f0, -c / (1.0 - f0))
-    fj = coef[integral] - np.floor(coef[integral])
-    gamma[integral] = np.where(fj <= f0, fj / f0, (1.0 - fj) / (1.0 - f0))
-    keep = gamma != 0.0
-    # gamma * z_j in structural space: z_j = x_j - shift at lower, shift - x_j
-    # at upper; a slack's z is s_k = b_k - A_k x at lower, -s_k at upper.
-    # sg is gamma with the sign of z's x_j (or -A_k x) term.
-    sg = np.where(at_lower[keep], gamma[keep], -gamma[keep])
-    cols, shift, struct = cols[keep], shift[keep], struct[keep]
-
-    w = np.zeros(n)
-    w[cols[struct]] = sg[struct]
-    terms = np.empty(len(cols) + 1)
-    terms[0] = 0.0
-    slack = cols[~struct] - n
-    terms[1:][struct] = sg[struct] * shift[struct]
-    terms[1:][~struct] = -sg[~struct] * rows.rhs[slack]
-    const = np.subtract.reduce(terms)
-    if len(slack):
-        block = np.empty((len(slack) + 1, n))
-        block[0] = w
-        np.multiply(sg[~struct, None], rows.mat[slack], out=block[1:])
-        np.subtract.reduce(block, axis=0, out=w)
-
-    rhs = 1.0 - const
-    w[np.abs(w) <= ZERO_COEF] = 0.0
-    nz = np.abs(w[w != 0.0])
-    if len(nz) == 0:
-        return None
-    if nz.max() / nz.min() > MAX_DYNAMISM:
-        return None
-    return w, rhs
+        rhs = 1.0 - const
+        W[np.abs(W) <= ZERO_COEF] = 0.0
+        nz = W != 0.0
+        size = np.abs(W)
+        top = np.where(nz, size, -INF).max(axis=1, initial=-INF)
+        least = np.where(nz, size, INF).min(axis=1, initial=INF)
+        ok = ~bad & ~stopped & nz.any(axis=1) & ~(top / least > MAX_DYNAMISM)
+    return W, rhs, ok, raise_on
 
 
 @dataclass(frozen=True)
@@ -174,26 +173,45 @@ def generate_cuts(result: LpResult, is_int: np.ndarray) -> CutBlock:
     the basic values its `primal`'s.  Every returned cut is violated by the
     LP point by more than `MIN_VIOLATION`.  Whether cuts run at a node is
     the caller's decision.
+
+    One pass derives the cuts of every candidate row (`_gmi_rows`); they are
+    then taken in row order, as a loop over the rows took them, until the
+    cap.  A row whose basic value or whose derivation makes `math.floor`
+    raise raises there only if it comes before the cap is reached.
     """
     token, x = result.basis, result.primal
     n = len(x)
     ws, rhss = [], []
     if result.status is LpStatus.OPTIMAL:
-        columns = _Columns.of(token, x, is_int)
-        for r, j0 in enumerate(token.basis.tolist()):
+        basic = token.basis
+        cand = np.flatnonzero(basic < n)
+        cand = cand[is_int[basic[cand]]]
+        b0 = x[basic[cand]]
+        finite = np.isfinite(b0)
+        with np.errstate(invalid="ignore"):
+            f0 = b0 - np.floor(b0)
+        # non-finite basic values raise; the others need a fractional part
+        # within MIN_FRACTIONALITY of neither 0 nor 1
+        live = ~finite | ((f0 >= MIN_FRACTIONALITY) & (f0 <= 1.0 - MIN_FRACTIONALITY))
+        cand, b0, f0, finite = cand[live], b0[live], f0[live], finite[live]
+        derived = np.flatnonzero(finite)
+        W, rhs, ok, raise_on = _gmi_rows(_Columns.of(token, x, is_int),
+                                          cand[derived], f0[derived])
+        # per candidate: the non-finite value math.floor raises on (its
+        # basic value or a coefficient), else 0.0; and its cut, else -1
+        floored = b0.copy()
+        floored[derived] = raise_on
+        raises = ~np.isfinite(floored)
+        cut = np.full(len(cand), -1)
+        cut[derived[ok]] = np.flatnonzero(ok)
+        for i in np.flatnonzero(raises | (cut >= 0)).tolist():
             if len(ws) >= MAX_CUTS_PER_ROUND:
                 break
-            if j0 >= n or not is_int[j0]:
-                continue
-            frac = x[j0] - math.floor(x[j0])
-            if frac <= DEFAULT_INT_TOL or frac >= 1.0 - DEFAULT_INT_TOL:
-                continue
-            derived = _gmi_from_row(columns, r, x[j0])
-            if derived is None:
-                continue
-            w, rhs = derived
-            if float(w @ x) >= rhs - MIN_VIOLATION:
+            if raises[i]:
+                math.floor(floored[i])   # raises, as the loop did here
+            w = W[cut[i]].copy()
+            if float(w @ x) >= rhs[cut[i]] - MIN_VIOLATION:
                 continue
             ws.append(w)
-            rhss.append(rhs)
+            rhss.append(rhs[cut[i]])
     return CutBlock(np.array(ws) if ws else np.zeros((0, n)), np.array(rhss, dtype=float))

@@ -62,6 +62,7 @@ REMOVED = [
     ("mipseries.solver", "VariableHistory.inference_count_up"),
     ("mipseries.solver", "VariableHistory.inference_count_down"),
     ("mipseries.solver.bb", "_hint_assignment"),
+    ("mipseries.solver.cuts", "_gmi_from_row"),
 ]
 
 

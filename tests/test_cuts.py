@@ -1,5 +1,6 @@
 """Cut separation: toggle contracts, violation, brute-force validity, and
-the numpy GMI derivation against a per-column loop kept here as reference."""
+whole `generate_cuts` rounds against a per-row, per-column loop kept here as
+reference."""
 from __future__ import annotations
 
 import math
@@ -8,9 +9,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mipseries.lp import (AT_LOWER, AT_UPPER, BASIC, FIXED, FREE, LpStatus, NodeRows,
-                          SimplexBasis)
-from mipseries.model import LinearRow, Sense, dense_block
+from mipseries.lp import (AT_LOWER, AT_UPPER, BASIC, FIXED, FREE, LpResult, LpStatus,
+                          NodeRows, SimplexBasis)
+from mipseries.model import DEFAULT_INT_TOL, LinearRow, Sense, dense_block
 from mipseries.solver import (SEP_GOMORY, SolverConfig, SolveStatus, generate_cuts,
                               slack_integrality, solve)
 from mipseries.solver import bb
@@ -136,7 +137,8 @@ def test_cut_validity_with_continuous_variables():
 
 
 # ---------------------------------------------------------------------------
-# The numpy GMI derivation against the per-column loop it replaced
+# Whole rounds of the numpy GMI derivation against the row and column loops
+# it replaced
 # ---------------------------------------------------------------------------
 
 def loop_gmi_from_row(snap, r, is_int, row_matrix, row_rhs, slack_int):
@@ -209,29 +211,59 @@ def loop_gmi_from_row(snap, r, is_int, row_matrix, row_rhs, slack_int):
     return w, rhs
 
 
+def loop_generate_cuts(snap, x, is_int):
+    """Reference: one round of cuts, row by row in basis order with the
+    per-round cap, each row's cut from `loop_gmi_from_row` and kept when it
+    cuts `x` off.  `snap` also holds the basis `basis` and the rows `rows`."""
+    n = snap.n_struct
+    rows = snap.rows
+    ws, rhss = [], []
+    for r, j0 in enumerate(snap.basis.tolist()):
+        if len(ws) >= C.MAX_CUTS_PER_ROUND:
+            break
+        if j0 >= n or not is_int[j0]:
+            continue
+        frac = x[j0] - math.floor(x[j0])
+        if frac <= DEFAULT_INT_TOL or frac >= 1.0 - DEFAULT_INT_TOL:
+            continue
+        derived = loop_gmi_from_row(snap, r, is_int, rows.mat, rows.rhs, rows.slack_int)
+        if derived is None:
+            continue
+        w, rhs = derived
+        if float(w @ x) >= rhs - C.MIN_VIOLATION:
+            continue
+        ws.append(w)
+        rhss.append(rhs)
+    return np.array(ws) if ws else np.zeros((0, n)), np.array(rhss, dtype=float)
+
+
 def _bits(a):
     """The IEEE bit patterns, with every NaN mapped to one pattern."""
     a = np.atleast_1d(np.asarray(a, dtype=float))
     return np.where(np.isnan(a), np.nan, a).view(np.uint64)
 
 
-def _assert_same_cut(got, want):
-    if want is None or isinstance(want, type):
+def _assert_same_round(got, want):
+    """`got`, a `CutBlock` or an exception type, is the reference round
+    `want`, (mat, rhs) or an exception type, bit for bit."""
+    if isinstance(want, type):
         assert got is want
         return
-    assert got is not None and not isinstance(got, type)
-    assert np.array_equal(_bits(got[0]), _bits(want[0]))
-    assert np.array_equal(_bits(got[1]), _bits(want[1]))
+    assert not isinstance(got, type)
+    assert got.mat.shape == want[0].shape
+    assert np.array_equal(_bits(got.mat), _bits(want[0]))
+    assert np.array_equal(_bits(got.rhs), _bits(want[1]))
 
 
 def _random_snapshot(rng, nonfinite=False):
     """A tableau state with every column status, integral and fractional
     shifts, infinite shifts, integral coefficients (zero gammas), tiny and
-    signed-zero entries, and slack rows over 16 orders of magnitude.
+    signed-zero entries, and slack rows over 16 orders of magnitude; with
+    `nonfinite`, NaN and infinite entries and basic values too.
 
-    Returns (columns, beta, snap, is_int): `columns` is built from a token
-    and a point, as `generate_cuts` builds it; `snap` holds the same state
-    for `loop_gmi_from_row`, with its rows in `snap.rows`."""
+    Returns (result, snap, is_int): `result` is an OPTIMAL `LpResult` that
+    ended in this state, `snap` holds the same state for
+    `loop_generate_cuts`."""
     n = int(rng.integers(1, 12))
     m = int(rng.integers(1, 8))
     ncol = n + m
@@ -264,6 +296,8 @@ def _random_snapshot(rng, nonfinite=False):
     lo[st == FREE], hi[st == FREE] = -np.inf, np.inf
     beta = rng.integers(-4, 5, m) + rng.random(m)
     beta[rng.random(m) < 0.15] = np.round(beta[0]) + 1e-6   # below MIN_FRACTIONALITY
+    if nonfinite:
+        beta[rng.random(m) < 0.03] = rng.choice([np.nan, np.inf, -np.inf])
     row_matrix = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-8, 9, (m, n))
     row_matrix[rng.random((m, n)) < 0.3] = 0.0
     row_rhs = rng.standard_normal(m) * 10.0 ** rng.integers(-4, 5, m)
@@ -281,42 +315,88 @@ def _random_snapshot(rng, nonfinite=False):
     x[(st == BASIC) | (st == FREE)] = 0.0
     struct_rows = basis < n
     x[basis[struct_rows]] = beta[struct_rows]
-    is_int = rng.random(n) < 0.6
+    # an integer basic column makes its row a candidate
+    is_int = rng.random(n) < np.where(np.isin(np.arange(n), basis), 0.9, 0.6)
     token = SimplexBasis(basis, stat, tab, beta.copy(), 0, rows)
     snap = SimpleNamespace(tab=tab, stat=stat, beta=beta, n_struct=n, rows=rows,
-                           lo=np.concatenate([lo, rows.slack_lo]),
+                           basis=basis, lo=np.concatenate([lo, rows.slack_lo]),
                            hi=np.concatenate([hi, rows.slack_hi]))
-    return C._Columns.of(token, x, is_int), beta, snap, is_int
+    return LpResult(LpStatus.OPTIMAL, x, 0.0, token, 0), snap, is_int
 
 
-def _loop_args(snap, r, is_int):
-    rows = snap.rows
-    return snap, r, is_int, rows.mat, rows.rhs, rows.slack_int
+# Random states seldom cut their own point off; with no violation asked for
+# (-inf), every cut derived is kept, so every derivation is compared.
+# (MIN_VIOLATION, least cuts the 1500 rounds must make)
+VIOLATIONS = [(C.MIN_VIOLATION, 400), (-np.inf, 600)]
 
 
-def test_gmi_matches_column_loop_on_random_snapshots():
-    rng = np.random.default_rng(31)
-    kinds = {"cut": 0, "none": 0}
-    for _ in range(1500):
-        columns, beta, snap, is_int = _random_snapshot(rng)
-        for r in range(len(beta)):
-            want = loop_gmi_from_row(*_loop_args(snap, r, is_int))
-            _assert_same_cut(C._gmi_from_row(columns, r, beta[r]), want)
-            kinds["none" if want is None else "cut"] += 1
-    assert kinds["cut"] > 1000 and kinds["none"] > 1000
+def test_gmi_matches_column_loop_on_random_snapshots(monkeypatch):
+    for min_violation, min_cuts in VIOLATIONS:
+        monkeypatch.setattr(C, "MIN_VIOLATION", min_violation)
+        rng = np.random.default_rng(31)
+        cuts = empty = 0
+        with np.errstate(invalid="ignore"):   # w . x at infinite shifts
+            for _ in range(1500):
+                result, snap, is_int = _random_snapshot(rng)
+                want = loop_generate_cuts(snap, result.primal, is_int)
+                _assert_same_round(generate_cuts(result, is_int), want)
+                cuts += len(want[1])
+                empty += not len(want[1])
+        assert cuts > min_cuts and empty > 300
 
 
-def test_gmi_nonfinite_coefficients_raise_or_stop_like_the_loop():
-    rng = np.random.default_rng(32)
-    seen = set()
-    with np.errstate(invalid="ignore", over="ignore"):
-        for _ in range(1500):
-            columns, beta, snap, is_int = _random_snapshot(rng, True)
-            for r in range(len(beta)):
-                want = outcome(loop_gmi_from_row, *_loop_args(snap, r, is_int))
-                _assert_same_cut(outcome(C._gmi_from_row, columns, r, beta[r]), want)
-                seen.add(want if isinstance(want, type) or want is None else "cut")
-    assert {ValueError, OverflowError, None, "cut"} <= seen
+def test_gmi_nonfinite_coefficients_raise_or_stop_like_the_loop(monkeypatch):
+    for min_violation, _ in VIOLATIONS:
+        monkeypatch.setattr(C, "MIN_VIOLATION", min_violation)
+        rng = np.random.default_rng(32)
+        seen = set()
+        with np.errstate(invalid="ignore", over="ignore"):
+            for _ in range(1500):
+                result, snap, is_int = _random_snapshot(rng, True)
+                want = outcome(loop_generate_cuts, snap, result.primal, is_int)
+                _assert_same_round(outcome(generate_cuts, result, is_int), want)
+                seen.add(want if isinstance(want, type)
+                         else "cuts" if len(want[1]) else "none")
+        assert {ValueError, OverflowError, "none", "cuts"} <= seen
+
+
+def _capped_round(raising_row, value):
+    """An OPTIMAL result with 25 tableau rows, each basic in an integer
+    column at 0.5 and cut off by its cut 0.6 x_25 >= 1, but row
+    `raising_row`, which has the coefficient `value` on the integer column
+    26 as well; and the loop reference's state for it."""
+    m, n = 25, 30
+    tab = np.zeros((m, n + m))
+    tab[np.arange(m), np.arange(m)] = 1.0
+    tab[:, 25] = 0.3
+    tab[raising_row, 26] = value
+    basis = np.arange(m)
+    stat = np.full(n + m, AT_LOWER, dtype=np.int8)
+    stat[basis] = BASIC
+    rows = NodeRows(np.ones((m, n)), (Sense.LE,) * m, np.full(m, 20.0))
+    x = np.concatenate([np.full(m, 0.5), np.zeros(n - m)])
+    lo, hi = np.zeros(n), np.ones(n)
+    token = SimplexBasis(basis, stat, tab, x[:m].copy(), 0, rows)
+    snap = SimpleNamespace(tab=tab, stat=stat, beta=x[:m].copy(), n_struct=n, rows=rows,
+                           basis=basis, lo=np.concatenate([lo, rows.slack_lo]),
+                           hi=np.concatenate([hi, rows.slack_hi]))
+    return LpResult(LpStatus.OPTIMAL, x, 0.0, token, 0), snap
+
+
+@pytest.mark.parametrize("value, exc", [(np.inf, OverflowError), (np.nan, ValueError)])
+def test_a_raising_row_raises_only_before_the_cap(value, exc):
+    is_int = np.ones(30, dtype=bool)
+    # row 20 is the first row after the 20th cut (rows 0-19): the round
+    # stops there
+    result, snap = _capped_round(20, value)
+    want = loop_generate_cuts(snap, result.primal, is_int)
+    assert len(want[1]) == C.MAX_CUTS_PER_ROUND
+    _assert_same_round(generate_cuts(result, is_int), want)
+    # row 5 comes before it: the round raises what the loop raises
+    result, snap = _capped_round(5, value)
+    assert outcome(loop_generate_cuts, snap, result.primal, is_int) is exc
+    with pytest.raises(exc):
+        generate_cuts(result, is_int)
 
 
 _SLACK_BOUNDS = {Sense.LE: (0.0, np.inf), Sense.GE: (-np.inf, 0.0), Sense.EQ: (0.0, 0.0)}
@@ -340,7 +420,7 @@ def _loop_state(inst, token):
                            n_struct=inst.num_vars)
 
 
-def test_generate_cuts_matches_column_loop_on_solved_instances(monkeypatch):
+def test_generate_cuts_matches_column_loop_on_solved_instances():
     # real tableaus: the block equals the loop's cuts, and turning each cut
     # into sparse coefficients and back (as cut rows once were) loses no bit
     rng = np.random.default_rng(33)
@@ -358,15 +438,11 @@ def test_generate_cuts_matches_column_loop_on_solved_instances(monkeypatch):
         assert np.array_equal(_bits(snap.beta[struct]),
                               _bits(res.primal[res.basis.basis[struct]]))
 
-        def loop(columns, r, b0):
-            return loop_gmi_from_row(snap, r, is_int, mat, rhs, slack_int)
+        snap.basis, snap.rows = res.basis.basis, res.basis.rows
+        assert np.array_equal(snap.rows.slack_int, slack_int)
 
         block = generate_cuts(res, is_int)
-        with monkeypatch.context() as mp:
-            mp.setattr(C, "_gmi_from_row", loop)
-            ref = generate_cuts(res, is_int)
-        assert np.array_equal(_bits(block.mat), _bits(ref.mat))
-        assert np.array_equal(_bits(block.rhs), _bits(ref.rhs))
+        _assert_same_round(block, loop_generate_cuts(snap, res.primal, is_int))
         assert block.mat.shape == (len(block), inst.num_vars)
         rows = [LinearRow("c", tuple((int(j), float(w[j])) for j in np.nonzero(w)[0]),
                           Sense.GE, float(b)) for w, b in zip(block.mat, block.rhs)]

@@ -2,13 +2,14 @@
 here: the loops do the plain arithmetic in the plain order, and the numpy
 kernels must match them bit for bit.  Also checks that an instance's
 `NodeRows` and the tree's base rows, extended by the same cuts, hold the same
-rows."""
+rows, and the same slack bounds as those rows built from scratch."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
 from mipseries import kernels as K
+from mipseries.lp import NodeRows
 from mipseries.model import LinearRow, Sense, dense_block
 from mipseries.solver import SolverConfig
 from mipseries.solver.bb import _TreeSolver
@@ -182,6 +183,11 @@ def test_lp_problem_and_tree_build_the_same_node_rows():
         assert list(lp_rows.senses) == list(node_rows.senses)
         assert_bits_equal(lp_rows.rhs, node_rows.rhs)
         assert len(node_rows.slack_int) == len(node_rows.rhs)
+        # extended rows take the slack bounds of the rows they extend
+        scratch = NodeRows(node_rows.mat, node_rows.senses, node_rows.rhs)
+        for built in (lp_rows, node_rows):
+            assert_bits_equal(built.slack_lo, scratch.slack_lo)
+            assert_bits_equal(built.slack_hi, scratch.slack_hi)
     # cut rounds extend a node's rows one round at a time
     stepwise = tree.base_rows.extend(*block(cuts[:1])).extend(
         *block(cuts[1:3])).extend(*block(cuts[3:]))
@@ -189,6 +195,9 @@ def test_lp_problem_and_tree_build_the_same_node_rows():
     for field in ("mat", "rhs", "slack_lo", "slack_hi", "all_cols"):
         assert_bits_equal(getattr(stepwise, field), getattr(at_once, field))
     assert stepwise.senses == at_once.senses
+    scratch = NodeRows(at_once.mat, at_once.senses, at_once.rhs)
+    for field in ("slack_lo", "slack_hi"):
+        assert_bits_equal(getattr(stepwise, field), getattr(scratch, field))
     assert np.array_equal(stepwise.slack_int, at_once.slack_int)
     m = len(at_once.rhs)
     assert_bits_equal(at_once.all_cols, np.hstack([at_once.mat, np.eye(m)]))

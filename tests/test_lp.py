@@ -577,6 +577,88 @@ def test_fuzz_dual_refactorizing_or_stalling_every_pivot(knob, lps, data):
                                      np.where(np.isfinite(hi2), hi2, 4.0)))
 
 
+def _solve_bytes(res):
+    """Everything a warm re-solve hands on, as bytes."""
+    tok = res.basis
+    return (res.status, res.iterations, np.float64(res.objective).tobytes(),
+            res.primal.tobytes(), tok.basis.tobytes(), tok.stat.tobytes(),
+            tok.tab.tobytes(), tok.rhs.tobytes(), tok.age)
+
+
+def _kept_start_used(token, rows, lo, hi, cost):
+    """Whether a warm start from `token` copies the start kept on it."""
+    sx = _Simplex(rows, lo, hi, cost, get_kernels(), 50)
+    assert sx.warm_start(token)
+    return token.start is not None and sx._kept is token.start
+
+
+@FUZZ
+@given(fuzz_lps(), st.data())
+def test_fuzz_kept_dual_start_changes_no_bit(lps, data):
+    # Re-solves from one token, the first of which keeps its dual start on
+    # the token for the others, hand on the bytes that re-solves from fresh
+    # copies of the token, each deriving its own start, hand on.  The re-solves move a
+    # bound of one basic column down or up, as branching does, with or
+    # without a cutoff and under small iteration limits; each copies the
+    # kept start.  A nonbasic bound that differs (-0.0 for +0.0 too),
+    # extended rows and a tableau due for refactorization derive their own.
+    inst, _ = lps
+    rows, lo, hi, cost = relaxation(inst)
+    first = lp_solve(rows, lo, hi, cost)
+    assume(first.status is LpStatus.OPTIMAL)
+    token = first.basis
+    boxed = np.isfinite(lo) & np.isfinite(hi) & (lo < hi)
+    basic = [j for j in sorted(token.basis.tolist()) if j < rows.n and boxed[j]]
+    assume(basic)
+    j = data.draw(st.sampled_from(basic))
+    v = first.primal[j]
+    sides = []
+    if math.ceil(v) - 1 >= lo[j]:
+        hi2 = hi.copy()
+        hi2[j] = math.ceil(v) - 1
+        sides.append((lo, hi2))
+    if math.floor(v) + 1 <= hi[j]:
+        lo2 = lo.copy()
+        lo2[j] = math.floor(v) + 1
+        sides.append((lo2, hi))
+    assume(sides)
+    cutoffs = [np.inf, first.objective + 0.5, first.objective + 2.0]
+    solves = data.draw(st.lists(st.tuples(st.sampled_from(range(len(sides))),
+                                          st.sampled_from(cutoffs),
+                                          st.sampled_from([1000, 0, 1, 2])),
+                                min_size=2, max_size=5))
+
+    def both(rows, lo, hi, iter_limit=1000, cutoff=np.inf):
+        shared = lp_solve(rows, lo, hi, cost, token, iter_limit, cutoff=cutoff)
+        fresh = lp_solve(rows, lo, hi, cost, replace(token), iter_limit, cutoff=cutoff)
+        assert _solve_bytes(shared) == _solve_bytes(fresh)
+
+    for k, (side, cutoff, limit) in enumerate(solves):
+        lo_k, hi_k = sides[side]
+        if k:   # the first re-solve derived the start, the others copy it
+            assert _kept_start_used(token, rows, lo_k, hi_k, cost) \
+                == (token.start is not None)
+        both(rows, lo_k, hi_k, limit, cutoff)
+    assume(token.start is not None)
+
+    # a nonbasic bound moves, or a resting bound of 0.0 turns into -0.0
+    lo_k, hi_k = (a.copy() for a in sides[0])
+    nonbasic = np.flatnonzero((token.stat[:rows.n] == AT_LOWER) & np.isfinite(lo_k))
+    if len(nonbasic):
+        j = int(data.draw(st.sampled_from(nonbasic.tolist())))
+        lo_k[j] = -0.0 if lo_k[j] == 0.0 else lo_k[j] - 1.0
+        assert not _kept_start_used(token, rows, lo_k, hi_k, cost)
+        both(rows, lo_k, hi_k)
+    # rows appended to the token's rows
+    more = rows.extend(np.ones((1, rows.n)), (Sense.LE,), [float(np.sum(first.primal))])
+    assert not _kept_start_used(token, more, *sides[0], cost)
+    both(more, *sides[0])
+    # a token whose tableau is due for refactorization
+    token.age = lp.REFACTOR_AGE
+    assert not _kept_start_used(token, rows, *sides[0], cost)
+    both(rows, *sides[0])
+
+
 def test_dual_enters_a_free_column_and_hands_a_stall_to_the_primal_loop():
     # min x with x in [0, 2] and y free, x + y >= 0, -3 <= y <= 3: the cold
     # solve leaves y nonbasic at 0 (d_y = 0).  The appended row y >= 1 can

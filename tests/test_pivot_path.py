@@ -8,12 +8,15 @@ carried tableau; their LP iterations were re-recorded when node LPs and cut
 re-solves began to stop at the incumbent cutoff, and knap17, knap5 and
 rand26 again when integral objectives began to cut off one objective step
 below the incumbent (fewer nodes, LP iterations, SB LPs and cuts; the same
-primal bounds).  A difference here means the pivot path changed, not just
-its speed.
+primal bounds).  The kernel call counts were recorded when the children and
+strong-branching probes of a node began to copy the dual start kept on the
+node's token instead of deriving it each.  A difference here means the pivot
+path changed, not just its speed.
 """
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ from mipseries.kernels import get_kernels
 from mipseries.lp import (AT_LOWER, AT_UPPER, BASIC, FIXED, FREE, NodeRows,
                           SimplexBasis, _Simplex)
 from mipseries.model import INF, Sense
-from mipseries.solver import SolverConfig, solve
+from mipseries.solver import SolverConfig, bb, solve
 
 from conftest import DET_WPS, lp_solve, make_instance, pinned_mips, relaxation
 
@@ -34,6 +37,16 @@ MIP_PINS = [
     ("rand22", "OPTIMAL", 1, 12, 0, 9, -5.0),
     ("rand26", "OPTIMAL", 2, 79, 14, 16, -3.0),
     ("rand28", "OPTIMAL", 1, 15, 0, 4, -23.0),
+]
+
+# name, accumulate_rowsum calls, subtract_scaled_columns calls
+KERNEL_CALL_PINS = [
+    ("knap17", 160, 536),
+    ("knap5", 55, 245),
+    ("rand6", 22, 19),
+    ("rand22", 11, 13),
+    ("rand26", 18, 34),
+    ("rand28", 13, 13),
 ]
 
 # status, iterations, objective, sha256 prefix of the primal vector's bytes
@@ -83,6 +96,29 @@ def test_bb_work_counters_pinned():
         got.append((name, out.status.name, s.nodes, s.lp_iterations, s.sb_lp_solves,
                     s.separators["gomory"].cuts_generated, out.primal_bound))
     assert got == MIP_PINS
+
+
+def test_bb_kernel_calls_pinned(monkeypatch):
+    # reduced costs and beta are each derived by one kernel call; a dual
+    # start copied from the token derives neither.  The spy is built as the
+    # benchmark's tracer builds its kernel record.
+    got = []
+    for name, inst, rule in pinned_mips():
+        calls = {"rowsum": 0, "colsub": 0}
+
+        def counted(kernel, key):
+            def call(*args):
+                calls[key] += 1
+                return kernel(*args)
+            return call
+
+        k = get_kernels()
+        spy = replace(k, accumulate_rowsum=counted(k.accumulate_rowsum, "rowsum"),
+                      subtract_scaled_columns=counted(k.subtract_scaled_columns, "colsub"))
+        monkeypatch.setattr(bb, "get_kernels", lambda name=None: spy)
+        solve(inst, SolverConfig(det_work_per_second=DET_WPS, branching_rule=rule), 1e6)
+        got.append((name, calls["rowsum"], calls["colsub"]))
+    assert got == KERNEL_CALL_PINS
 
 
 def test_lp_solves_pinned():
