@@ -6,6 +6,14 @@ zero-skipping, and sums folded left to right with `np.subtract.reduce` (a
 BLAS product would sum in another order).  The tableaus are therefore
 bit-identical to the plain loops' (see tests/test_kernels.py).
 
+`eliminate` pivots the tableau with its rhs as the last column,
+[B^-1 A | B^-1 b].  When the pivot column has no zero entry, the loop
+updates every row but the pivot row, each to row_i - f_i * row_r with f_i
+the row's pivot-column entry; so one whole-array update, followed by
+writing the pivot row back, does the loop's arithmetic.  A pivot column with
+a zero (+0.0 or -0.0) gathers and scatters the rows it does update instead:
+x - 0.0 * y is not x when y is infinite or x is -0.0.
+
 The simplex calls the kernels through a `Kernels` record, so a profiler can
 wrap them in one place.
 """
@@ -17,17 +25,19 @@ from typing import Callable
 import numpy as np
 
 
-def eliminate(tab: np.ndarray, rhs: np.ndarray, r: int, j: int) -> None:
-    """Gaussian pivot at (r, j) applied to the tableau and the rhs column."""
-    piv = tab[r, j]
-    tab[r, :] /= piv
-    rhs[r] /= piv
-    f = tab[:, j].copy()
+def eliminate(tab: np.ndarray, r: int, j: int) -> None:
+    """Gaussian pivot at (r, j) on the tableau [B^-1 A | B^-1 b]."""
+    col = tab[:, j]
+    if np.count_nonzero(col) == len(col):   # -0.0 is a zero too
+        prow = tab[r] / col[r]
+        tab -= col[:, None] * prow
+        tab[r] = prow
+        return
+    tab[r] /= col[r]
+    f = col.copy()
     f[r] = 0.0
     rows = f.nonzero()[0]
-    f = f[rows]
-    tab[rows] -= f[:, None] * tab[r]
-    rhs[rows] -= f * rhs[r]
+    tab[rows] -= f[rows, None] * tab[r]
 
 
 def accumulate_rowsum(out: np.ndarray, weights: np.ndarray, tab: np.ndarray) -> None:

@@ -2,7 +2,9 @@
 
 Rows are converted to equalities with one slack each (LE: s >= 0, GE: s <= 0,
 EQ: s fixed at 0), so the tableau is B^-1 [A | I] with the right-hand side
-B^-1 b beside it.
+B^-1 b beside it.  The two are one array, [B^-1 [A | I] | B^-1 b], with the
+right-hand side as its last column, and `tab` and `rhs` are views of it;
+each pivot is one `eliminate` on the whole array.
 
 Cold starts run the primal simplex from the slack basis.  Phase 1 minimizes
 the total bound violation of the basic variables; phase 2 runs the usual
@@ -15,12 +17,12 @@ with the bound-flipping ratio test (Koberstein, *The dual simplex method*,
 2005) whenever the warm basis is dual feasible, as it is after a bound
 change or appended rows.  Boxed columns priced on the wrong side move to
 their other bound first.  The leaving row is the largest bound violation;
-beta and d are updated at each pivot, not recomputed.  Its objective is a
-lower bound on the LP optimum at every pivot, so an ITER_LIMIT result is a
-valid bound.  Before OPTIMAL or INFEASIBLE is reported, beta is recomputed
-from scratch and the verdict checked again.  A streak of degenerate dual
-pivots, or a warm basis that is not dual feasible, hands the basis to the
-primal loop.
+beta, d and the basic costs c_B are updated at each pivot, not recomputed.
+Its objective is a lower bound on the LP optimum at every pivot, so an
+ITER_LIMIT result is a valid bound.  Before OPTIMAL or INFEASIBLE is
+reported, beta is recomputed from scratch and the verdict checked again.  A
+streak of degenerate dual pivots, or a warm basis that is not dual feasible,
+hands the basis to the primal loop.
 
 The dual loop also stops early at an objective cutoff (the objective limit
 SCIP gives its LP solver; Achterberg, *Constraint Integer Programming*,
@@ -95,9 +97,10 @@ class SimplexBasis:
     """Opaque warm-start token: basic column per row plus all column statuses.
 
     A token from a solve also carries its final tableau `tab` = B^-1 [A | I]
-    and `rhs` = B^-1 b on `rows` (read-only), with `age`, the pivots made on
-    them since the basis was last factorized.  `start` is the dual start
-    kept by the first warm start on that tableau (see the module
+    and `rhs` = B^-1 b on `rows` (read-only views of the solve's tableau
+    array; a warm start copies any arrays of those shapes), with `age`, the
+    pivots made on them since the basis was last factorized.  `start` is the
+    dual start kept by the first warm start on that tableau (see the module
     docstring); `dataclasses.replace` does not copy it."""
 
     basis: np.ndarray
@@ -236,6 +239,14 @@ class NodeRows:
         return tab, rhs
 
 
+def _augmented(tab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """A fresh tableau array [tab | rhs]."""
+    aug = np.empty((tab.shape[0], tab.shape[1] + 1))
+    aug[:, :-1] = tab
+    aug[:, -1] = rhs
+    return aug
+
+
 def _nonbasic_status(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Resting status of each column were it nonbasic: FIXED, else the finite
     lower bound, else the finite upper bound, else FREE."""
@@ -275,13 +286,19 @@ class _Simplex:
 
     # -- basis management ---------------------------------------------------
 
+    def _set_tableau(self, aug: np.ndarray) -> None:
+        """Pivot on `aug` = [B^-1 [A | I] | B^-1 b] from now on."""
+        self.aug = aug
+        self.tab = aug[:, :-1]
+        self.rhs = aug[:, -1]
+
     def cold_start(self):
-        self.tab = self.all_cols.copy()   # pivots must not overwrite [A | I]
-        self.rhs = self.b.copy()
+        # a copy: pivots must not overwrite [A | I]
+        self._set_tableau(_augmented(self.all_cols, self.b))
         self.basis = np.arange(self.n, self.ncols, dtype=np.int64)
         self.stat = _nonbasic_status(self.lo, self.hi)
         self.stat[self.basis] = BASIC
-        self.age = 0   # pivots on self.tab since the basis was factorized
+        self.age = 0   # pivots on the tableau since the basis was factorized
 
     def warm_start(self, token: SimplexBasis) -> bool:
         own = token.rows is self.rows and token.tab is not None \
@@ -289,14 +306,14 @@ class _Simplex:
         kept = token.start if own else None
         if kept is not None and kept.key == _start_key(kept.nonbasic, self.lo,
                                                        self.hi, self.cost):
-            self.tab, self.rhs = self._carried_tableau(token)
+            self._set_tableau(self._carried_tableau(token))
             self.age = token.age
             self.basis = np.array(token.basis, dtype=np.int64)
             self.stat = kept.stat.copy()
             self._kept = kept
             return True
         basis = np.array(token.basis, dtype=np.int64)
-        stat = np.array(token.stat, dtype=np.int8)
+        stat = np.asarray(token.stat, dtype=np.int8)
         if token.ncols > self.ncols or len(basis) > self.m:
             return False
         if token.ncols < self.ncols:
@@ -311,21 +328,18 @@ class _Simplex:
         if len(basis) != self.m or (self.m and (basis.min() < 0
                                                 or basis.max() >= self.ncols)):
             return False
-        nonbasic = np.ones(self.ncols, dtype=bool)
-        nonbasic[basis] = False
-        if np.count_nonzero(nonbasic) != self.ncols - self.m:   # a repeated column
-            return False
-        # Columns the token calls basic but that left the basis, and nonbasic
-        # sides that became invalid under the new bounds, go back to rest.
+        # A nonbasic column keeps AT_UPPER below a finite upper bound, and
+        # FREE, unless its bounds are equal; every other one goes back to
+        # rest, which keeps AT_LOWER above a finite lower bound.
         lo, hi = self.lo, self.hi
-        reset = nonbasic & ((stat == BASIC) | (stat == FIXED) | (lo == hi)
-                            | ((stat == AT_LOWER) & (lo == -INF))
-                            | ((stat == AT_UPPER) & (hi == INF)))
-        stat[reset] = _nonbasic_status(lo, hi)[reset]
+        stat = np.where((lo != hi) & ((stat == FREE) | ((stat == AT_UPPER) & (hi < INF))),
+                        stat, _nonbasic_status(lo, hi))
         stat[basis] = BASIC
+        if np.count_nonzero(stat == BASIC) != self.m:   # a repeated column
+            return False
         carried = self._carried_tableau(token)
         if carried is not None:
-            self.tab, self.rhs = carried
+            self._set_tableau(carried)
             self.age = token.age
             if own and token.start is None:
                 self._keep_on = token
@@ -333,32 +347,35 @@ class _Simplex:
             factored = self.rows.factorization(basis)
             if factored is None:
                 return False
-            self.tab, self.rhs = factored
+            self._set_tableau(_augmented(*factored))
             self.age = 0
         self.basis = basis
         self.stat = stat
         return True
 
     def _carried_tableau(self, token: SimplexBasis):
-        """The token's tableau and rhs on these rows, as fresh arrays; None
-        when it has none, is due for refactorization, or was taken on rows
-        these rows do not equal or extend.  Each appended row k, with its
-        slack basic, is row k of [A | I] minus C_B T, where C_B holds the
-        row's entries in the token's basic columns."""
+        """The token's tableau and rhs on these rows, as a fresh tableau
+        array; None when it has none, is due for refactorization, or was
+        taken on rows these rows do not equal or extend.  Each appended row
+        k, with its slack basic, is row k of [A | I] minus C_B T, where C_B
+        holds the row's entries in the token's basic columns."""
         if token.tab is None or token.age >= REFACTOR_AGE:
             return None
         if token.rows is self.rows:
-            return token.tab.copy(), token.rhs.copy()
+            return _augmented(token.tab, token.rhs)
         if not self.rows.extends(token.rows):
             return None
         m0, ncols0 = token.tab.shape
-        tab = np.zeros((self.m, self.ncols))
-        tab[:m0, :ncols0] = token.tab
+        aug = np.zeros((self.m, self.ncols + 1))
+        aug[:m0, :ncols0] = token.tab
+        aug[:m0, -1] = token.rhs
         new = self.all_cols[m0:]
         c_b = new[:, token.basis]
-        np.subtract(new, c_b @ tab[:m0], out=tab[m0:])
-        rhs = np.concatenate([token.rhs, self.b[m0:] - c_b @ token.rhs])
-        return tab, rhs
+        np.subtract(new, c_b @ aug[:m0, :-1], out=aug[m0:, :-1])
+        # BLAS sums over a strided vector in another order: the product
+        # takes a contiguous rhs, whatever the token holds
+        np.subtract(self.b[m0:], c_b @ np.ascontiguousarray(token.rhs), out=aug[m0:, -1])
+        return aug
 
     def _refactor(self) -> None:
         """Replace the tableau by a fresh factorization of the basis; a
@@ -366,7 +383,7 @@ class _Simplex:
         pivots."""
         factored = self.rows.factorization(self.basis)
         if factored is not None:
-            self.tab, self.rhs = factored
+            self._set_tableau(_augmented(*factored))
         self.age = 0
 
     # -- iteration pieces ---------------------------------------------------
@@ -493,7 +510,7 @@ class _Simplex:
                     leave_stat = AT_UPPER
                 else:
                     leave_stat = AT_UPPER if g[r] > 0 else AT_LOWER
-                self.k.eliminate(self.tab, self.rhs, r, j)
+                self.k.eliminate(self.aug, r, j)
                 self.age += 1
                 basis[r] = j
                 stat[j] = BASIC
@@ -540,21 +557,22 @@ class _Simplex:
         d = self.reduced_costs()
         stat = self.stat
         sgn = _DUAL_DIR[stat]
+        # np.count_nonzero: a reduction like any() costs more on short arrays
         wrong = sgn * d < -DCOST_TOL
-        if wrong.any():
-            if np.any(box[wrong] == INF):
+        if np.count_nonzero(wrong):
+            if np.count_nonzero(box[wrong] == INF):
                 return None
             stat[wrong] = np.where(stat[wrong] == AT_LOWER, AT_UPPER, AT_LOWER)
             sgn[wrong] = -sgn[wrong]
         free = stat == FREE   # nonbasic; a free column never leaves
-        if not free.any():
+        if not np.count_nonzero(free):
             free = None
         elif np.any(np.abs(d[free]) > DCOST_TOL):
             return None
         vals = self.nonbasic_values()
         beta = self.compute_beta(vals)
         if token is not None:
-            nonbasic = _frozen(np.flatnonzero(stat != BASIC))
+            nonbasic = _frozen((stat != BASIC).nonzero()[0])
             token.start = _DualStart(
                 nonbasic, _start_key(nonbasic, self.lo, self.hi, self.cost),
                 *(None if a is None else _frozen(a.copy())
@@ -580,7 +598,8 @@ class _Simplex:
         uses it up enters.  One `eliminate` per pivot; d moves by
         theta_d * alpha_r, beta by the flipped columns and the entering one.
         """
-        lo, hi, stat, basis = self.lo, self.hi, self.stat, self.basis
+        lo, hi, stat, basis, cost = self.lo, self.hi, self.stat, self.basis, self.cost
+        m = self.m
         box = hi - lo   # INF unless both bounds are finite
         stall = 0
         restart = True
@@ -593,23 +612,28 @@ class _Simplex:
                 self.vals = vals
                 lB = lo[basis]
                 uB = hi[basis]
+                cB = cost[basis]
+                aug, tab = self.aug, self.tab
                 restart = False
                 fresh = True   # beta recomputed from the tableau, not updated
 
-            if cutoff < INF and self.objective(beta, vals) >= cutoff:
+            # the basis objective, as `objective` computes it
+            if cutoff < INF and float(cB @ beta + cost @ vals) >= cutoff:
                 confirmed = beta if fresh else self.compute_beta(vals)
-                if self.objective(confirmed, vals) >= cutoff:
+                if float(cB @ confirmed + cost @ vals) >= cutoff:
                     return LpStatus.CUTOFF, confirmed
 
             viol = np.maximum(lB - beta, beta - uB)
-            r = int(viol.argmax()) if self.m else 0
-            if not (self.m and viol[r] > FEAS_TOL):
+            r = int(viol.argmax()) if m else 0
+            viol_r = viol[r] if m else 0.0
+            if not viol_r > FEAS_TOL:
                 if fresh:
                     return LpStatus.OPTIMAL, beta
                 beta, fresh = self.compute_beta(vals), True
                 continue
-            below = beta[r] < lB[r]
-            alpha = self.tab[r]
+            lB_r = lB[r]
+            below = beta[r] < lB_r
+            alpha = tab[r]
             # sgn_j * alpha_rj < 0: moving column j raises beta_r (> 0: lowers);
             # a free column moves either way, with a breakpoint at 0
             moves = sgn * alpha
@@ -624,18 +648,18 @@ class _Simplex:
                 np.maximum(ratio, 0.0, out=ratio)
                 ratio /= abs_a
                 i = int(ratio.argmin())
-                if abs_a[i] * box[cand[i]] >= viol[r] \
-                        and np.count_nonzero(ratio == ratio[i]) == 1:
+                if abs_a[i] * box[cand[i]] >= viol_r and (
+                        len(cand) == 1 or np.count_nonzero(ratio == ratio[i]) == 1):
                     k = 0   # the first breakpoint alone is enough
                     cand, ratio = cand[i:i + 1], ratio[i:i + 1]
                 else:
                     order = np.lexsort((-abs_a, ratio))   # stable: lowest index first
                     cand, ratio, abs_a = cand[order], ratio[order], abs_a[order]
                     used = np.cumsum(abs_a * box[cand])
-                    short = viol[r] - used[-1]   # left with every candidate flipped
+                    short = viol_r - used[-1]   # left with every candidate flipped
                     # Within FEAS_TOL of enough, the last breakpoint enters.
                     if short <= 0.0:
-                        k = int((used >= viol[r]).argmax())
+                        k = int((used >= viol_r).argmax())
                     elif short <= FEAS_TOL:
                         k = len(cand) - 1
             if k < 0:
@@ -646,25 +670,25 @@ class _Simplex:
             if self.iterations + 1 + k > iter_limit:
                 return LpStatus.ITER_LIMIT, beta
             q = int(cand[k])
-            theta = d[q] / alpha[q] if ratio[k] > 0.0 else 0.0
+            alpha_q = alpha[q]
+            theta = d[q] / alpha_q if ratio[k] > 0.0 else 0.0
 
             if k:
                 flips = cand[:k]
                 to_upper = sgn[flips] > 0.0
-                self.k.subtract_scaled_columns(beta, self.tab, flips,
-                                               sgn[flips] * box[flips])
+                self.k.subtract_scaled_columns(beta, tab, flips, sgn[flips] * box[flips])
                 vals[flips] = np.where(to_upper, hi[flips], lo[flips])
                 stat[flips] = np.where(to_upper, AT_UPPER, AT_LOWER)
                 sgn[flips] = -sgn[flips]
             leaving = int(basis[r])
-            bound = lB[r] if below else uB[r]
-            step = (beta[r] - bound) / alpha[q]
-            beta -= step * self.tab[:, q]
+            bound = lB_r if below else uB[r]
+            step = (beta[r] - bound) / alpha_q
+            beta -= step * tab[:, q]
             beta[r] = vals[q] + step
             if theta != 0.0:
                 d -= theta * alpha
             d[q] = 0.0
-            self.k.eliminate(self.tab, self.rhs, r, q)
+            self.k.eliminate(aug, r, q)
             self.age += 1
             basis[r] = q
             stat[q] = BASIC
@@ -680,6 +704,7 @@ class _Simplex:
             vals[leaving] = bound
             lB[r] = lo[q]
             uB[r] = hi[q]
+            cB[r] = cost[q]
             fresh = False
 
             self.iterations += 1 + k
@@ -730,6 +755,7 @@ def solve_arrays(rows: NodeRows, lo, hi, cost, warm, iter_limit,
         objective = sx.objective(beta, sx.vals)
     else:
         objective = float(np.dot(cost, primal))
-    token = SimplexBasis(sx.basis.copy(), sx.stat.copy(), _frozen(sx.tab),
-                         _frozen(sx.rhs), sx.age, rows)
+    # sx is dropped here: the token takes its arrays as they are
+    aug = _frozen(sx.aug)
+    token = SimplexBasis(sx.basis, sx.stat, aug[:, :-1], aug[:, -1], sx.age, rows)
     return LpResult(status, primal, objective, token, sx.iterations)

@@ -22,6 +22,12 @@ class PresolveResult:
     changes: dict[str, int]
 
 
+def _terms(row) -> tuple:
+    """The row's (column, coefficient) terms without its zero coefficients:
+    both rules treat a row as if its zero terms were not there."""
+    return tuple((j, a) for j, a in row.coefs if a != 0.0)
+
+
 def _tighten_row_le(coefs, rhs, lower, upper, is_int) -> int:
     """Propagate a <= row once; returns the number of improved bounds."""
     changes = 0
@@ -63,10 +69,11 @@ def _bound_tighten(inst, lower, upper, rhs) -> tuple[int, bool]:
     for _ in range(MAX_SWEEPS):
         sweep = 0
         for i, row in enumerate(inst.rows):
+            coefs = _terms(row)
             if row.sense in (Sense.LE, Sense.EQ):
-                sweep += _tighten_row_le(row.coefs, rhs[i], lower, upper, is_int)
+                sweep += _tighten_row_le(coefs, rhs[i], lower, upper, is_int)
             if row.sense in (Sense.GE, Sense.EQ):
-                neg = tuple((j, -a) for j, a in row.coefs)
+                neg = tuple((j, -a) for j, a in coefs)
                 sweep += _tighten_row_le(neg, -rhs[i], lower, upper, is_int)
         total_changes += sweep
         if np.any(lower > upper + EPS):
@@ -82,12 +89,13 @@ def _coef_tighten(inst, rhs) -> tuple[int, bool]:
     is_int = inst.is_integer()
     changes = 0
     for i, row in enumerate(inst.rows):
-        if not row.coefs:
+        coefs = _terms(row)
+        if not coefs:
             continue
-        if not all(is_int[j] for j, _ in row.coefs):
+        if not all(is_int[j] for j, _ in coefs):
             continue
-        rounded = [round(a) for _, a in row.coefs]
-        if any(abs(a - r) > EPS or r == 0 for (_, a), r in zip(row.coefs, rounded)):
+        rounded = [round(a) for _, a in coefs]
+        if any(abs(a - r) > EPS or r == 0 for (_, a), r in zip(coefs, rounded)):
             continue
         g = 0
         for r in rounded:

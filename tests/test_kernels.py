@@ -63,9 +63,18 @@ def random_tableau(rng, m, ncol):
     return sprinkle_zeros(rng, tab)
 
 
+def check_eliminate(tab, rhs, r, j):
+    """The kernel's pivot of [tab | rhs] against the row loop's of tab and rhs."""
+    aug = np.column_stack([tab, rhs])
+    tab_l, rhs_l = tab.copy(), rhs.copy()
+    loop_eliminate(tab_l, rhs_l, r, j)
+    K.get_kernels("python").eliminate(aug, r, j)
+    assert_bits_equal(aug[:, :-1], tab_l)
+    assert_bits_equal(aug[:, -1], rhs_l)
+
+
 def test_numpy_eliminate_matches_row_loop():
     rng = np.random.default_rng(10)
-    py = K.get_kernels("python")
     for trial in range(400):
         m = 1 if trial % 10 == 0 else int(rng.integers(2, 40))
         ncol = int(rng.integers(1, 80))
@@ -74,12 +83,35 @@ def test_numpy_eliminate_matches_row_loop():
         tab[r, j] = rng.standard_normal() + 3.0
         if trial % 7 == 0:
             tab[:, j] = np.where(np.arange(m) == r, tab[r, j], -0.0)
-        rhs = sprinkle_zeros(rng, rng.standard_normal(m))
-        tab_l, rhs_l = tab.copy(), rhs.copy()
-        loop_eliminate(tab_l, rhs_l, r, j)
-        py.eliminate(tab, rhs, r, j)
-        assert_bits_equal(tab, tab_l)
-        assert_bits_equal(rhs, rhs_l)
+        check_eliminate(tab, sprinkle_zeros(rng, rng.standard_normal(m)), r, j)
+
+
+def test_numpy_eliminate_whole_array_path_matches_row_loop():
+    # a pivot column without a zero takes the one whole-array update; the
+    # other columns and the rhs hold +0.0, -0.0 and 16 orders of magnitude
+    rng = np.random.default_rng(13)
+    for trial in range(300):
+        m = 1 if trial % 10 == 0 else int(rng.integers(2, 40))
+        ncol = int(rng.integers(1, 80))
+        tab = random_tableau(rng, m, ncol)
+        r, j = int(rng.integers(m)), int(rng.integers(ncol))
+        col = rng.standard_normal(m) * 10.0 ** rng.integers(-8, 9, m)
+        col[col == 0.0] = 1.0
+        tab[:, j] = col
+        assert tab[:, j].all()
+        rhs = sprinkle_zeros(rng, rng.standard_normal(m) * 10.0 ** rng.integers(-8, 9, m))
+        check_eliminate(tab, rhs, r, j)
+
+
+def test_numpy_eliminate_skips_a_negative_zero_in_the_pivot_column():
+    # row 1 is left alone, as the loop leaves it: -0.0 - (-0.0 * x) would
+    # turn its -0.0 entries into +0.0
+    tab = np.array([[2.0, 4.0, 1e-8], [-0.0, -0.0, -0.0], [3.0, -0.0, 1e8]])
+    rhs = np.array([2.0, -0.0, 5.0])
+    check_eliminate(tab, rhs, 0, 0)
+    aug = np.column_stack([tab, rhs])
+    K.get_kernels("python").eliminate(aug, 0, 0)
+    assert_bits_equal(aug[1], [-0.0] * 4)
 
 
 def test_numpy_rowsum_matches_row_loop():
@@ -123,12 +155,8 @@ def test_numpy_kernels_signed_zero_cases():
     py = K.get_kernels("python")
     # -0.0 pivot-column entries and weights are skipped like exact zeros
     tab = np.array([[2.0, 4.0, -0.0], [-0.0, 1.0, 0.0], [0.0, -0.0, 3.0]])
-    rhs = np.array([2.0, -0.0, 0.0])
-    tab_l, rhs_l = tab.copy(), rhs.copy()
-    loop_eliminate(tab_l, rhs_l, 0, 0)
-    py.eliminate(tab, rhs, 0, 0)
-    assert_bits_equal(tab, tab_l)
-    assert_bits_equal(rhs, rhs_l)
+    check_eliminate(tab, np.array([2.0, -0.0, 0.0]), 0, 0)
+    tab[0] /= 2.0   # the pivot row as eliminate leaves it
 
     out = np.array([-0.0, 0.0, 1.0])
     py.accumulate_rowsum(out, np.array([-0.0, 0.0, 0.0]), tab)

@@ -659,6 +659,40 @@ def test_fuzz_kept_dual_start_changes_no_bit(lps, data):
     both(rows, *sides[0])
 
 
+def test_token_views_and_contiguous_copies_warm_start_alike():
+    # A solve's token holds tab and rhs as strided views of one tableau
+    # array.  Re-solves from it, on its rows after a bound change and on
+    # rows extended by new ones, hand on the bytes that re-solves from a
+    # token holding contiguous copies hand on (a BLAS product over a strided
+    # vector may sum in another order).
+    rng = np.random.default_rng(14)
+    checked = {"same": 0, "extended": 0}
+    for _ in range(40):
+        inst = _random_lp(rng, n_max=30, m_max=24)
+        rows, lo, hi, cost = relaxation(inst)
+        first = lp_solve(rows, lo, hi, cost)
+        if first.status is not LpStatus.OPTIMAL or rows.m < 2:   # one row is contiguous
+            continue
+        token = first.basis
+        assert not token.tab.flags.c_contiguous and not token.rhs.flags.c_contiguous
+        copied = replace(token, tab=np.ascontiguousarray(token.tab),
+                         rhs=np.ascontiguousarray(token.rhs))
+        basic = [j for j in token.basis.tolist() if j < rows.n]
+        hi2 = hi.copy()
+        if basic:
+            j = basic[int(rng.integers(len(basic)))]
+            hi2[j] = math.floor(first.primal[j] / 2)
+        k = int(rng.integers(1, 4))
+        mat = rng.integers(-3, 4, (k, rows.n)).astype(float)
+        more = rows.extend(mat, (Sense.LE,) * k, mat @ first.primal - 1.0)
+        for kind, (on, lo_k, hi_k) in (("same", (rows, lo, hi2)),
+                                       ("extended", (more, lo, hi))):
+            assert _solve_bytes(lp_solve(on, lo_k, hi_k, cost, token)) \
+                == _solve_bytes(lp_solve(on, lo_k, hi_k, cost, copied))
+            checked[kind] += 1
+    assert min(checked.values()) >= 20
+
+
 def test_dual_enters_a_free_column_and_hands_a_stall_to_the_primal_loop():
     # min x with x in [0, 2] and y free, x + y >= 0, -3 <= y <= 3: the cold
     # solve leaves y nonbasic at 0 (d_y = 0).  The appended row y >= 1 can

@@ -1,9 +1,14 @@
 """Bound propagation and coefficient tightening."""
 from __future__ import annotations
 
-from mipseries.model import Sense
+import json
+
+import numpy as np
+import pytest
+
+from mipseries.model import LinearRow, MipInstance, Sense, load_instance
 from mipseries.solver import (PRE_BOUND_TIGHTEN, PRE_COEF_TIGHTEN,
-                              SolverConfig, run_presolve)
+                              SolveStatus, SolverConfig, run_presolve, solve)
 
 from conftest import make_instance
 
@@ -80,3 +85,39 @@ def test_propagation_runs_to_fixpoint():
     assert res.upper[0] == 3.0
     assert res.upper[1] == 2.0
     assert res.upper[2] == 1.0
+
+
+def zero_term_instances(y_integer, tmp_path):
+    """min -x - y subject to 2x + 0y <= 4, x integer and y in [0, 3], with
+    the zero term, built in code and read from a file, and without it."""
+    ints = frozenset({0, 1} if y_integer else {0})
+
+    def built(coefs):
+        return MipInstance("z", ("x", "y"), np.array([-1.0, -1.0]), np.zeros(2),
+                           np.full(2, 3.0), ints, (LinearRow("r", coefs, Sense.LE, 4.0),))
+
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps({
+        "name": "z",
+        "vars": [{"name": v, "lb": 0, "ub": 3, "integer": j in ints, "obj": -1}
+                 for j, v in enumerate("xy")],
+        "rows": [{"name": "r", "coefs": {"x": 2, "y": 0}, "sense": "LE", "rhs": 4}]}))
+    return built(((0, 2.0), (1, 0.0))), load_instance(path), built(((0, 2.0),))
+
+
+@pytest.mark.parametrize("y_integer", [False, True])
+def test_zero_coefficient_presolves_like_a_missing_term(y_integer, tmp_path):
+    # dividing the row slack by the zero coefficient would give a continuous
+    # y an infinite bound (a feasible MIP reported INFEASIBLE) and make an
+    # integer y raise OverflowError
+    in_code, from_file, without = zero_term_instances(y_integer, tmp_path)
+    assert [len(inst.rows[0].coefs) for inst in (in_code, from_file)] == [2, 2]
+    want = run_presolve(without, SolverConfig())
+    assert not want.infeasible and list(want.upper) == [2.0, 3.0]
+    for inst in (in_code, from_file):
+        res = run_presolve(inst, SolverConfig())
+        assert not res.infeasible and res.changes == want.changes
+        for field in ("lower", "upper", "rhs"):
+            assert np.array_equal(getattr(res, field), getattr(want, field))
+        out = solve(inst, SolverConfig(), 10.0)
+        assert out.status is SolveStatus.OPTIMAL and out.primal_bound == -5.0
