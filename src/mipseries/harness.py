@@ -369,7 +369,7 @@ def _solve_one(state: _SeriesState, manifest: SeriesManifest,
             enabled.add(HEUR_COMPLETESOL)
         if cfg.use_cuts_root or cfg.use_cuts_tree:
             enabled.add(SEP_GOMORY)
-        state.ledger.accumulate(outcome.stats, enabled, t)
+        state.ledger.accumulate(outcome.stats, enabled)
         state.ledger.evaluate(limit, t)
 
     record_outcome(state.pool, state.history_store, outcome, t, inst.var_names)

@@ -35,26 +35,28 @@ pivots as one without a cutoff.  The primal loop has no cutoff.  Only branch
 and bound's node LPs and cut re-solves pass one (the incumbent's pruning
 bound); strong-branching probes and the all-fixed hint LP run to the end.
 
-A token carries the solve's final tableau.  A warm start on the same rows
-copies it; on rows extended from the token's rows it adds the new rows as
-C - C_B T with their slacks basic.  Neither solves the basis system.  Once a
-tableau has seen REFACTOR_AGE pivots since its last factorization, the basis
-is factorized again and d recomputed.  Each pivot or bound flip is one
-iteration.
+Both loops pivot through one helper, which factorizes the basis again once
+a tableau has taken REFACTOR_AGE pivots since its last factorization (the
+dual loop then recomputes d).  Tokens come only from solves, and each
+carries the solve's final tableau, never due for refactorization.  A warm
+start on the token's rows copies that tableau; on rows extended from them
+by `NodeRows.extend` it adds the new rows as C - C_B T with their slacks
+basic; a token of any other rows is a ValueError.  A warm start never
+factorizes a basis.  Each pivot or bound flip is one iteration.
 
 The dual loop's start on a carried tableau (the statuses after the reset and
 the wrong-side flips, the fresh reduced costs d with sgn and free, the
 nonbasic values and beta) depends on nothing but the token, the costs and
 the bounds of the token's nonbasic columns.  The first warm start that
-copies a token's own tableau (same rows, age below REFACTOR_AGE) keeps that
-start on the token, read-only, with no tableau copy.  A later warm start
-from the token whose nonbasic bounds and costs equal the kept ones bit for
-bit, signed zeros included, copies the start instead of deriving it; its
-first pass therefore starts from the same arrays and takes the same pivots.
+copies a token's own tableau (same rows) keeps that start on the token,
+read-only, with no tableau copy.  A later warm start from the token whose
+nonbasic bounds and costs equal the kept ones bit for bit, signed zeros
+included, copies the start instead of deriving it; its first pass therefore
+starts from the same arrays and takes the same pivots.
 The children of a node and its strong-branching probes move one bound of a
 column that is basic in the node's token, so they all copy the node's
-start.  Extended rows, a refactorization due, other nonbasic bounds or
-costs, and a basis that is not dual feasible derive the start as before.
+start.  Extended rows, other nonbasic bounds or costs, and a basis that is
+not dual feasible derive the start as before.
 
 `solve_arrays` over a `NodeRows` row carrier is the one entry point.
 """
@@ -94,21 +96,21 @@ class SimplexTrouble(RuntimeError):
 
 @dataclass
 class SimplexBasis:
-    """Opaque warm-start token: basic column per row plus all column statuses.
-
-    A token from a solve also carries its final tableau `tab` = B^-1 [A | I]
-    and `rhs` = B^-1 b on `rows` (read-only views of the solve's tableau
-    array; a warm start copies any arrays of those shapes), with `age`, the
-    pivots made on them since the basis was last factorized.  `start` is the
-    dual start kept by the first warm start on that tableau (see the module
-    docstring); `dataclasses.replace` does not copy it."""
+    """Warm-start token, as a solve returns it: the basic column per row, all
+    column statuses, and the solve's final tableau `tab` = B^-1 [A | I] and
+    `rhs` = B^-1 b on `rows` (read-only views of the solve's tableau array;
+    a warm start copies any arrays of those shapes), with `age`, the pivots
+    made on them since the basis was last factorized, always below
+    REFACTOR_AGE.  `start` is the dual start kept by the first warm start on
+    that tableau (see the module docstring); `dataclasses.replace` does not
+    copy it."""
 
     basis: np.ndarray
     stat: np.ndarray
-    tab: np.ndarray | None = None
-    rhs: np.ndarray | None = None
-    age: int = 0
-    rows: NodeRows | None = None
+    tab: np.ndarray
+    rhs: np.ndarray
+    age: int
+    rows: NodeRows
     start: _DualStart | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -155,7 +157,7 @@ class LpResult:
     status: LpStatus
     primal: np.ndarray
     objective: float
-    basis: SimplexBasis | None
+    basis: SimplexBasis
     iterations: int
 
 
@@ -257,6 +259,18 @@ def _nonbasic_status(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return stat
 
 
+def _warm_statuses(stat: np.ndarray, basis: np.ndarray, lo: np.ndarray,
+                   hi: np.ndarray) -> np.ndarray:
+    """A warm start's statuses from a token's `stat`, as a fresh array: the
+    `basis` columns are BASIC.  A nonbasic column keeps AT_UPPER below a
+    finite upper bound, and FREE, unless its bounds are equal; every other
+    one goes back to rest, which keeps AT_LOWER above a finite lower bound."""
+    stat = np.where((lo != hi) & ((stat == FREE) | ((stat == AT_UPPER) & (hi < INF))),
+                    stat, _nonbasic_status(lo, hi))
+    stat[basis] = BASIC
+    return stat
+
+
 # Per status code: 0.0 where a nonbasic column in that status may increase
 # (AT_LOWER, FREE) / decrease (AT_UPPER, FREE), -INF where it may not.
 _INCR_PEN = np.array([0.0, -INF, -INF, 0.0, -INF])
@@ -301,70 +315,37 @@ class _Simplex:
         self.age = 0   # pivots on the tableau since the basis was factorized
 
     def warm_start(self, token: SimplexBasis) -> bool:
-        own = token.rows is self.rows and token.tab is not None \
-            and token.age < REFACTOR_AGE   # the token's tableau is carried as is
+        """Start from the token of a solve on these rows or on rows these
+        rows extend; True.  A token of other rows is a ValueError."""
+        own = token.rows is self.rows
+        if not (own or self.rows.extends(token.rows)):
+            raise ValueError("the token was taken on rows these rows neither are nor extend")
+        self._set_tableau(self._carried_tableau(token))
+        self.age = token.age
+        basis = np.array(token.basis, dtype=np.int64)   # pivots change it in place
+        stat = token.stat
+        if not own:   # the appended rows' slacks start basic
+            basis = np.concatenate([basis, np.arange(token.ncols, self.ncols, dtype=np.int64)])
+            stat = np.concatenate([stat, np.full(self.ncols - token.ncols, BASIC, dtype=np.int8)])
+        self.basis = basis
         kept = token.start if own else None
         if kept is not None and kept.key == _start_key(kept.nonbasic, self.lo,
                                                        self.hi, self.cost):
-            self._set_tableau(self._carried_tableau(token))
-            self.age = token.age
-            self.basis = np.array(token.basis, dtype=np.int64)
             self.stat = kept.stat.copy()
             self._kept = kept
-            return True
-        basis = np.array(token.basis, dtype=np.int64)
-        stat = np.asarray(token.stat, dtype=np.int8)
-        if token.ncols > self.ncols or len(basis) > self.m:
-            return False
-        if token.ncols < self.ncols:
-            # Rows were appended since the token was taken: their slacks
-            # start basic, everything else keeps its status.
-            extra = self.ncols - token.ncols
-            if extra != self.m - len(basis):
-                return False
-            new_slacks = np.arange(token.ncols, self.ncols, dtype=np.int64)
-            basis = np.concatenate([basis, new_slacks])
-            stat = np.concatenate([stat, np.full(extra, BASIC, dtype=np.int8)])
-        if len(basis) != self.m or (self.m and (basis.min() < 0
-                                                or basis.max() >= self.ncols)):
-            return False
-        # A nonbasic column keeps AT_UPPER below a finite upper bound, and
-        # FREE, unless its bounds are equal; every other one goes back to
-        # rest, which keeps AT_LOWER above a finite lower bound.
-        lo, hi = self.lo, self.hi
-        stat = np.where((lo != hi) & ((stat == FREE) | ((stat == AT_UPPER) & (hi < INF))),
-                        stat, _nonbasic_status(lo, hi))
-        stat[basis] = BASIC
-        if np.count_nonzero(stat == BASIC) != self.m:   # a repeated column
-            return False
-        carried = self._carried_tableau(token)
-        if carried is not None:
-            self._set_tableau(carried)
-            self.age = token.age
-            if own and token.start is None:
-                self._keep_on = token
         else:
-            factored = self.rows.factorization(basis)
-            if factored is None:
-                return False
-            self._set_tableau(_augmented(*factored))
-            self.age = 0
-        self.basis = basis
-        self.stat = stat
+            self.stat = _warm_statuses(stat, basis, self.lo, self.hi)
+            if own and kept is None:
+                self._keep_on = token
         return True
 
-    def _carried_tableau(self, token: SimplexBasis):
+    def _carried_tableau(self, token: SimplexBasis) -> np.ndarray:
         """The token's tableau and rhs on these rows, as a fresh tableau
-        array; None when it has none, is due for refactorization, or was
-        taken on rows these rows do not equal or extend.  Each appended row
-        k, with its slack basic, is row k of [A | I] minus C_B T, where C_B
-        holds the row's entries in the token's basic columns."""
-        if token.tab is None or token.age >= REFACTOR_AGE:
-            return None
+        array.  On rows extended from the token's, each appended row k, with
+        its slack basic, is row k of [A | I] minus C_B T, where C_B holds the
+        row's entries in the token's basic columns."""
         if token.rows is self.rows:
             return _augmented(token.tab, token.rhs)
-        if not self.rows.extends(token.rows):
-            return None
         m0, ncols0 = token.tab.shape
         aug = np.zeros((self.m, self.ncols + 1))
         aug[:m0, :ncols0] = token.tab
@@ -385,6 +366,18 @@ class _Simplex:
         if factored is not None:
             self._set_tableau(_augmented(*factored))
         self.age = 0
+
+    def _pivot(self, r: int, q: int) -> bool:
+        """Column q enters the basis in row r.  Once the tableau has taken
+        REFACTOR_AGE pivots, the basis is factorized again; True then."""
+        self.k.eliminate(self.aug, r, q)
+        self.basis[r] = q
+        self.stat[q] = BASIC
+        self.age += 1
+        if self.age < REFACTOR_AGE:
+            return False
+        self._refactor()
+        return True
 
     # -- iteration pieces ---------------------------------------------------
 
@@ -425,6 +418,8 @@ class _Simplex:
         nonbasic values, the basic bounds (plain and FEAS_TOL-shifted), the
         basic costs and the penalties that mark the columns that may not
         increase or decrease.  The nonbasic values stay in `self.vals`.
+        Each pass reads the tableau afresh, so a refactorization between
+        passes needs nothing else.
         """
         bland = self.bland_after <= 0
         degen_streak = 0
@@ -510,10 +505,7 @@ class _Simplex:
                     leave_stat = AT_UPPER
                 else:
                     leave_stat = AT_UPPER if g[r] > 0 else AT_LOWER
-                self.k.eliminate(self.aug, r, j)
-                self.age += 1
-                basis[r] = j
-                stat[j] = BASIC
+                self._pivot(r, j)
                 stat[leaving] = leave_stat
                 incr_pen[j] = decr_pen[j] = -INF
                 incr_pen[leaving] = _INCR_PEN[leave_stat]
@@ -613,7 +605,7 @@ class _Simplex:
                 lB = lo[basis]
                 uB = hi[basis]
                 cB = cost[basis]
-                aug, tab = self.aug, self.tab
+                tab = self.tab
                 restart = False
                 fresh = True   # beta recomputed from the tableau, not updated
 
@@ -688,10 +680,7 @@ class _Simplex:
             if theta != 0.0:
                 d -= theta * alpha
             d[q] = 0.0
-            self.k.eliminate(aug, r, q)
-            self.age += 1
-            basis[r] = q
-            stat[q] = BASIC
+            restart = self._pivot(r, q)   # a refactorization: derive a fresh start
             sgn[q] = 0.0
             if free is not None:
                 free[q] = False
@@ -714,15 +703,13 @@ class _Simplex:
                     return None
             else:
                 stall = 0
-            if self.age >= REFACTOR_AGE:
-                self._refactor()
-                restart = True
 
 
 def solve_arrays(rows: NodeRows, lo, hi, cost, warm, iter_limit,
                  kernels, bland_after, cutoff: float = INF) -> LpResult:
     """Solve min cost.x over `rows` within the column bounds lo, hi, from the
-    token `warm` when it is given and fits; deterministic for fixed inputs.
+    token `warm` when it is given (see `_Simplex.warm_start`); deterministic
+    for fixed inputs.
 
     ITER_LIMIT is returned (never raised) when the pivot budget runs out.
     CUTOFF is returned when the dual simplex shows that the optimum is at
@@ -731,10 +718,11 @@ def solve_arrays(rows: NodeRows, lo, hi, cost, warm, iter_limit,
     sx = _Simplex(rows, lo, hi, cost, kernels, bland_after)
     try:
         out = None
-        if warm is not None and sx.warm_start(warm):
-            out = sx.run_dual(iter_limit, cutoff)
-        else:
+        if warm is None:
             sx.cold_start()
+        else:
+            sx.warm_start(warm)
+            out = sx.run_dual(iter_limit, cutoff)
         status, beta = out if out is not None else sx.run(iter_limit)
     except SimplexTrouble:
         # Refactorize from scratch with Bland from the first pivot; if the

@@ -262,28 +262,31 @@ def check_feasibility(inst: MipInstance, point: np.ndarray,
                       int_tol: float = DEFAULT_INT_TOL) -> FeasibilityResult:
     """Check bounds, integrality and rows in that order; report first violation.
 
-    A row's activity is the sum of its terms c * x_j folded left to right in
-    the row's coefficient order, starting from 0, so the amounts equal those
-    of a plain loop over the rows bit for bit.
+    An entry that is NaN or infinite violates its bound by inf.  A row's
+    activity is the sum of its terms c * x_j folded left to right in the
+    row's coefficient order, starting from 0, so the amounts equal those of
+    a plain loop over the rows bit for bit.
     """
     point = np.asarray(point, dtype=float)
     if point.shape != (inst.num_vars,):
         raise ValueError(f"point length {point.shape} != {inst.num_vars} variables")
     ints, idx, neg, filled, le, ge, eq, rhs = _feasibility_data(inst)
 
+    finite = np.isfinite(point)
     below = point < inst.lower - feas_tol
-    bad = below | (point > inst.upper + feas_tol)
+    bad = below | (point > inst.upper + feas_tol) | ~finite
     if bad.any():
         j = int(np.argmax(bad))
-        amount = inst.lower[j] - point[j] if below[j] else point[j] - inst.upper[j]
+        if not finite[j]:
+            amount = INF
+        else:
+            amount = inst.lower[j] - point[j] if below[j] else point[j] - inst.upper[j]
         return FeasibilityResult(False, Violation("bound", j, float(amount)))
 
     vals = point[ints]
-    with np.errstate(invalid="ignore"):   # inf - inf: flagged, then raised below
-        bad = ~(np.abs(vals - np.round(vals)) <= int_tol)
+    bad = np.abs(vals - np.round(vals)) > int_tol
     if bad.any():
         j = int(ints[np.argmax(bad)])
-        # round() raises on NaN and inf, as it did for the first such entry
         frac = abs(point[j] - round(point[j]))
         return FeasibilityResult(False, Violation("integrality", j, float(frac)))
 

@@ -432,8 +432,8 @@ class _TreeSolver:
             lower, upper = pres.lower, pres.upper
             # the model rows, with the presolved rhs, under every node LP
             mat, senses = self.inst.dense_matrix(), self.inst.senses()
-            self.base_rows = NodeRows(mat, senses, pres.rhs, slack_integrality(
-                mat, pres.rhs, senses, self.is_int))
+            self.base_rows = NodeRows(mat, senses, pres.rhs,
+                                      slack_integrality(mat, pres.rhs, self.is_int))
 
         root = _Node(0, -INF, 0, np.array(lower), np.array(upper), None, self.base_rows)
         self.next_id = 0

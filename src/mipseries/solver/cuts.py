@@ -27,7 +27,7 @@ MAX_DYNAMISM = 1e8
 
 
 def slack_integrality(row_matrix: np.ndarray, row_rhs: np.ndarray,
-                      senses, is_int: np.ndarray) -> np.ndarray:
+                      is_int: np.ndarray) -> np.ndarray:
     """Per row: True when the slack takes integer values at every
     integer-feasible point (all-integer support, integral data)."""
     m = row_matrix.shape[0]

@@ -52,7 +52,7 @@ class ComponentLedger:
         for name in sorted(ALL_HEURISTICS):
             self.records[name] = ComponentRecord(name, KIND_HEURISTIC)
 
-    def accumulate(self, stats: SolverStats, enabled: set, instance_index: int) -> None:
+    def accumulate(self, stats: SolverStats, enabled: set) -> None:
         """Add one instance's statistics; instances_enabled only advances for
         components that could act during that solve."""
         for name, rec in self.records.items():

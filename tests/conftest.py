@@ -158,7 +158,7 @@ def relaxation(inst):
     `NodeRows`, with the slack integrality branch and bound gives the model
     rows, and copies of its bounds and objective."""
     mat, rhs, senses = inst.dense_matrix(), inst.rhs_array(), inst.senses()
-    rows = NodeRows(mat, senses, rhs, slack_integrality(mat, rhs, senses, inst.is_integer()))
+    rows = NodeRows(mat, senses, rhs, slack_integrality(mat, rhs, inst.is_integer()))
     return rows, np.array(inst.lower), np.array(inst.upper), np.array(inst.objective)
 
 

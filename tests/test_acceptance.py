@@ -267,25 +267,25 @@ def test_criterion_8_turnoff_thresholds():
     # presolver: exactly at 15 enabled instances, never at 14
     ledger = ComponentLedger()
     for i in range(14):
-        ledger.accumulate(stats(0, 1, 1, 0.0), enabled, i)
+        ledger.accumulate(stats(0, 1, 1, 0.0), enabled)
         ok = ok and ledger.evaluate(limit, i) == set()
-    ledger.accumulate(stats(0, 1, 1, 0.0), enabled, 14)
+    ledger.accumulate(stats(0, 1, 1, 0.0), enabled)
     ok = ok and ledger.evaluate(limit, 14) == {PRE_BOUND_TIGHTEN}
 
     # separator: exactly at 25, never at 24
     ledger = ComponentLedger()
     for i in range(24):
-        ledger.accumulate(stats(1, 0, 1, 0.0), enabled, i)
+        ledger.accumulate(stats(1, 0, 1, 0.0), enabled)
         ok = ok and ledger.evaluate(limit, i) == set()
-    ledger.accumulate(stats(1, 0, 1, 0.0), enabled, 24)
+    ledger.accumulate(stats(1, 0, 1, 0.0), enabled)
     ok = ok and ledger.evaluate(limit, 24) == {SEP_GOMORY}
 
     # heuristic: time per best 0.25 x limit at 25 instances, never at 24
     ledger = ComponentLedger()
     for i in range(24):
-        ledger.accumulate(stats(1, 1, 0, 1.0), enabled, i)
+        ledger.accumulate(stats(1, 1, 0, 1.0), enabled)
         ok = ok and ledger.evaluate(limit, i) == set()
-    ledger.accumulate(stats(1, 1, 1, 1.0), enabled, 24)
+    ledger.accumulate(stats(1, 1, 1, 1.0), enabled)
     ok = ok and ledger.evaluate(limit, 24) == {HEUR_ROUNDING}
     _report(8, "turn-off thresholds at exactly 15/25/25", ok)
 

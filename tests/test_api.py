@@ -14,9 +14,12 @@ import pytest
 import mipseries
 from mipseries import harness, reopt, solver
 from mipseries.harness import RunConfig
+from mipseries.lp import SimplexBasis
 from mipseries.model import DEFAULT_FEAS_TOL, DEFAULT_INT_TOL, MipInstance
 from mipseries.solver import SolverConfig, generate_cuts
+from mipseries.solver.cuts import slack_integrality
 from mipseries.tuner import TunerState, arm_score
+from mipseries.turnoff import ComponentLedger
 
 
 @pytest.mark.parametrize("module", [mipseries, solver], ids=lambda m: m.__name__)
@@ -78,6 +81,13 @@ def test_simplex_has_one_constructor():
     assert not hasattr(_Simplex, "on_rows") and not hasattr(_Simplex, "_load")
 
 
+def test_warm_start_tokens_come_only_whole_from_solves():
+    # a token is a solve's basis, statuses, tableau, age and rows: a hand
+    # building of basis and statuses alone is not one
+    with pytest.raises(TypeError):
+        SimplexBasis([0], [2])
+
+
 def test_same_data_stays_gone():
     assert not hasattr(MipInstance, "same_data")
 
@@ -115,6 +125,8 @@ REMOVED_PARAMETERS = [
     (TunerState, "variant"),
     (TunerState, "tuning_start_index"),
     (arm_score, "total_updates"),
+    (slack_integrality, "senses"),
+    (ComponentLedger.accumulate, "instance_index"),
 ]
 
 

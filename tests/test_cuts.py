@@ -432,7 +432,7 @@ def test_generate_cuts_matches_column_loop_on_solved_instances():
             continue
         is_int = inst.is_integer()
         mat, rhs = inst.dense_matrix(), inst.rhs_array()
-        slack_int = slack_integrality(mat, rhs, inst.senses(), is_int)
+        slack_int = slack_integrality(mat, rhs, is_int)
         snap = _loop_state(inst, res.basis)
         struct = res.basis.basis < inst.num_vars
         assert np.array_equal(_bits(snap.beta[struct]),

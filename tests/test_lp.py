@@ -12,7 +12,7 @@ from scipy.optimize import linprog
 
 from mipseries import lp
 from mipseries.kernels import get_kernels
-from mipseries.lp import AT_LOWER, BASIC, FREE, LpStatus, NodeRows, SimplexBasis, _Simplex
+from mipseries.lp import AT_LOWER, BASIC, FREE, LpStatus, NodeRows, _Simplex
 from mipseries.model import LinearRow, Sense, dense_block
 
 from conftest import lp_solve, lp_vertex_oracle, make_instance, relaxation
@@ -157,12 +157,12 @@ def test_warm_start_after_bound_tightening():
     agreements = 0
     for _ in range(40):
         inst = _random_lp(rng)
-        cold = lp_solve(*relaxation(inst))
+        rows, lo, hi, cost = relaxation(inst)
+        cold = lp_solve(rows, lo, hi, cost)
         if cold.status is not LpStatus.OPTIMAL:
             continue
-        # fresh rows: the warm start factorizes the token's basis
-        rows, lo, hi, cost = relaxation(inst)
         j = int(rng.integers(inst.num_vars))
+        hi = hi.copy()
         hi[j] = max(inst.lower[j], hi[j] - 1.0)
         warm = lp_solve(rows, lo, hi, cost, cold.basis)
         cold2 = lp_solve(rows, lo, hi, cost)
@@ -176,11 +176,10 @@ def test_warm_start_after_bound_tightening():
 def test_warm_start_with_appended_rows():
     inst = make_instance("h", [-1.0, -2.0],
                          [([1.0, 1.0], Sense.LE, 4.0)], [0, 0], [3, 3])
-    first = lp_solve(*relaxation(inst))
+    rows, lo, hi, cost = relaxation(inst)
+    first = lp_solve(rows, lo, hi, cost)
     assert first.status is LpStatus.OPTIMAL
     cut = LinearRow("cut", ((0, 1.0), (1, 1.0)), Sense.LE, 3.0)
-    # fresh rows: the warm start factorizes the token's basis
-    rows, lo, hi, cost = relaxation(inst)
     more = rows.extend(dense_block((cut,), inst.num_vars), (cut.sense,), [cut.rhs])
     warm = lp_solve(more, lo, hi, cost, first.basis)
     cold = lp_solve(more, lo, hi, cost)
@@ -198,8 +197,9 @@ def test_deterministic_repeat():
 
 
 def test_cold_start_run_leaves_constraint_columns_intact():
-    # pivots after a cold start must not overwrite [A | I], which a later
-    # warm start on the same object factorizes
+    # pivots after a cold start must not overwrite [A | I], which a
+    # refactorization on the same rows reads; the pivoted tableau agrees
+    # with a fresh factorization of its basis
     rng = np.random.default_rng(5)
     pivoted = 0
     for _ in range(10):
@@ -210,12 +210,9 @@ def test_cold_start_run_leaves_constraint_columns_intact():
         sx.cold_start()
         sx.run(1000)
         assert np.array_equal(sx.all_cols, np.hstack([mat, np.eye(len(mat))]))
-        token = SimplexBasis(sx.basis.copy(), sx.stat.copy())
-        fresh = _Simplex(rows, lo, hi, cost, get_kernels(), bland_after=50)
-        assert fresh.warm_start(token)
-        assert sx.warm_start(token)
-        assert np.array_equal(sx.tab, fresh.tab)
-        assert np.array_equal(sx.rhs, fresh.rhs)
+        fresh_tab, fresh_rhs = rows.factorization(sx.basis)
+        assert np.allclose(sx.tab, fresh_tab, atol=1e-9)
+        assert np.allclose(sx.rhs, fresh_rhs, atol=1e-9)
         pivoted += sx.iterations > 0
     assert pivoted >= 5
 
@@ -281,9 +278,6 @@ def test_failed_factorization_returns_none():
     assert rows.factorization(np.array([0, 1], dtype=np.int64)) is None
     assert rows.factorization(np.array([2, 3], dtype=np.int64)) is None
     assert rows.factorization(np.array([0, 3], dtype=np.int64)) is not None
-    sx = _Simplex(rows, np.zeros(4), np.full(4, 5.0), np.zeros(4),
-                          get_kernels(), 50)
-    assert not sx.warm_start(SimplexBasis(np.array([0, 1]), np.zeros(6, dtype=np.int8)))
 
 
 def test_warm_start_of_a_zero_row_lp():
@@ -299,21 +293,20 @@ def test_warm_start_of_a_zero_row_lp():
     assert np.array_equal(again.primal, [0.0, 2.0]) and again.objective == -2.0
 
 
-def test_warm_start_rejects_repeated_and_out_of_range_basis_columns():
-    rows = NodeRows(np.array([[1.0, 1.0], [1.0, -1.0]]), (Sense.LE, Sense.LE),
-                    np.array([4.0, 1.0]))
-    lo, hi, cost = np.zeros(2), np.full(2, 3.0), np.array([-1.0, -2.0])
-    stat = np.array([AT_LOWER, AT_LOWER, BASIC, BASIC], dtype=np.int8)
-    factorized = []
-    factorization = rows.factorization
-    rows.factorization = lambda basis: factorized.append(basis) or factorization(basis)
-    for basis in ([2, 2], [2, 4], [-1, 2], [2], [0, 1, 2]):
-        sx = _Simplex(rows, lo, hi, cost, get_kernels(), 50)
-        assert not sx.warm_start(SimplexBasis(np.array(basis, dtype=np.int64), stat))
-    assert factorized == []   # rejected before any basis system is solved
-    sx = _Simplex(rows, lo, hi, cost, get_kernels(), 50)
-    assert sx.warm_start(SimplexBasis(np.array([3, 2], dtype=np.int64), stat))
-    assert len(factorized) == 1
+def test_warm_start_takes_only_tokens_of_its_rows_or_the_rows_they_extend():
+    # a token of rows with equal data, or of rows that extend the token's,
+    # is not a token of these rows
+    inst = make_instance("w", [-1.0, -2.0], [([1.0, 1.0], Sense.LE, 4.0)], [0, 0], [3, 3])
+    rows, lo, hi, cost = relaxation(inst)
+    token = lp_solve(rows, lo, hi, cost).basis
+    more = rows.extend(np.array([[1.0, 0.0]]), (Sense.LE,), [2.0])
+    assert _Simplex(more, lo, hi, cost, get_kernels(), 50).warm_start(token)
+    twin = NodeRows(rows.mat, rows.senses, rows.rhs)
+    for on, tok in ((twin, token), (rows, lp_solve(more, lo, hi, cost).basis)):
+        with pytest.raises(ValueError):
+            _Simplex(on, lo, hi, cost, get_kernels(), 50).warm_start(tok)
+        with pytest.raises(ValueError):
+            lp_solve(on, lo, hi, cost, tok)
 
 
 def _breaks_down(monkeypatch, times):
@@ -481,12 +474,6 @@ def test_fuzz_warm_resolve_after_a_bound_change(lps, data):
         assert sx.warm_start(first.basis)
         status, beta = sx.run_dual(limit)
         assert np.allclose(beta, sx.compute_beta(sx.vals), rtol=0.0, atol=1e-9)
-    # a token past the refactorization age gives the same answers; its
-    # tableau is not read
-    aged = replace(first.basis, age=lp.REFACTOR_AGE,
-                   tab=np.full_like(first.basis.tab, np.nan))
-    _assert_agrees(lp_solve(rows, lo2, hi2, cost, aged),
-                   _with_bounds(oracle_inst, oracle_lo, oracle_hi))
 
 
 @FUZZ
@@ -560,19 +547,22 @@ def test_fuzz_cutoff_stops_only_at_or_above_the_optimum(lps, data):
 @FUZZ
 @given(fuzz_lps(), st.data())
 def test_fuzz_dual_refactorizing_or_stalling_every_pivot(knob, lps, data):
-    # REFACTOR_AGE 1: the dual loop factorizes and reprices after every
-    # pivot, and every warm start factorizes.  DUAL_STALL_AFTER 1: the
-    # first degenerate dual pivot hands the basis to the primal loop.
+    # REFACTOR_AGE 1: the cold primal loop and the dual loop factorize after
+    # every pivot (the dual one also reprices), so every token has age 0.
+    # DUAL_STALL_AFTER 1: the first degenerate dual pivot hands the basis to
+    # the primal loop.
     inst, oracle_inst = lps
     rows, lo, hi, cost = relaxation(inst)
-    first = lp_solve(rows, lo, hi, cost)
-    assume(first.status is LpStatus.OPTIMAL)
     hi2 = hi.copy()
     boxed = np.isfinite(lo) & np.isfinite(hi)
     hi2[boxed] = lo[boxed] + np.floor((hi[boxed] - lo[boxed]) / 2)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp, knob, 1)
+        first = lp_solve(rows, lo, hi, cost)
+        _assert_agrees(first, oracle_inst)
+        assume(first.status is LpStatus.OPTIMAL)
         res = lp_solve(rows, lo, hi2, cost, first.basis)
+        assert first.basis.age < lp.REFACTOR_AGE and res.basis.age < lp.REFACTOR_AGE
     _assert_agrees(res, _with_bounds(oracle_inst, oracle_inst.lower,
                                      np.where(np.isfinite(hi2), hi2, 4.0)))
 
@@ -600,8 +590,8 @@ def test_fuzz_kept_dual_start_changes_no_bit(lps, data):
     # copies of the token, each deriving its own start, hand on.  The re-solves move a
     # bound of one basic column down or up, as branching does, with or
     # without a cutoff and under small iteration limits; each copies the
-    # kept start.  A nonbasic bound that differs (-0.0 for +0.0 too),
-    # extended rows and a tableau due for refactorization derive their own.
+    # kept start.  A nonbasic bound that differs (-0.0 for +0.0 too) and
+    # extended rows derive their own.
     inst, _ = lps
     rows, lo, hi, cost = relaxation(inst)
     first = lp_solve(rows, lo, hi, cost)
@@ -653,10 +643,6 @@ def test_fuzz_kept_dual_start_changes_no_bit(lps, data):
     more = rows.extend(np.ones((1, rows.n)), (Sense.LE,), [float(np.sum(first.primal))])
     assert not _kept_start_used(token, more, *sides[0], cost)
     both(more, *sides[0])
-    # a token whose tableau is due for refactorization
-    token.age = lp.REFACTOR_AGE
-    assert not _kept_start_used(token, rows, *sides[0], cost)
-    both(rows, *sides[0])
 
 
 def test_token_views_and_contiguous_copies_warm_start_alike():
@@ -756,11 +742,12 @@ def test_dual_carries_beta_and_the_bound_through_flips():
 def test_dual_ratio_ties_go_to_the_largest_pivot():
     # min x1 + 2 x2 with x1 + 2 x2 >= 2: both columns reach the row's bound
     # at the same dual step (1/1 = 2/2); the larger |alpha| enters
-    mat, senses = np.array([[1.0, 2.0]]), (Sense.GE,)
+    # from the slack basis, which a solve with no pivots leaves
+    rows = NodeRows(np.array([[1.0, 2.0]]), (Sense.GE,), [2.0])
     lo, hi, cost = np.zeros(2), np.full(2, 5.0), np.array([1.0, 2.0])
-    first = lp_solve(NodeRows(mat, senses, [-1.0]), lo, hi, cost)
-    assert first.status is LpStatus.OPTIMAL and first.iterations == 0
-    res = lp_solve(NodeRows(mat, senses, [2.0]), lo, hi, cost, first.basis)
+    first = lp_solve(rows, lo, hi, cost, iter_limit=0)
+    assert first.status is LpStatus.ITER_LIMIT and first.basis.basis.tolist() == [2]
+    res = lp_solve(rows, lo, hi, cost, first.basis)
     assert res.status is LpStatus.OPTIMAL and res.iterations == 1
     assert res.primal.tolist() == [0.0, 1.0] and res.objective == 2.0
 

@@ -23,7 +23,7 @@ import pytest
 
 from mipseries.kernels import get_kernels
 from mipseries.lp import (AT_LOWER, AT_UPPER, BASIC, FIXED, FREE, NodeRows,
-                          SimplexBasis, _Simplex)
+                          _Simplex, _warm_statuses)
 from mipseries.model import INF, Sense
 from mipseries.solver import SolverConfig, bb, solve
 
@@ -189,5 +189,5 @@ def test_start_statuses_match_column_loops():
 
         basis = rng.choice(sx.ncols, size=m, replace=False).astype(np.int64)
         stat = rng.integers(0, 5, sx.ncols).astype(np.int8)
-        if sx.warm_start(SimplexBasis(basis, stat)):
-            assert np.array_equal(sx.stat, loop_warm_statuses(basis, stat, sx.lo, sx.hi))
+        assert np.array_equal(_warm_statuses(stat, basis, sx.lo, sx.hi),
+                              loop_warm_statuses(basis, stat, sx.lo, sx.hi))

@@ -42,5 +42,9 @@ def test_tracer_wraps_a_solve_without_changing_it():
     assert spans["bb.node"]["count"] == plain.stats.nodes
     assert tracer.counters["lp.node.pivots"] + tracer.counters["lp.sb.pivots"] \
         + tracer.counters["lp.cut.pivots"] == plain.stats.lp_iterations
+    # the hit ratio the benchmark reports counts warm starts that return
+    # True; every warm start does
+    attempts = tracer.counters["lp.warm_start_attempts"]
+    assert tracer.counters["lp.warm_start_hits"] == attempts > 0
     after = solve(inst, cfg, 1e6)   # uninstalled again
     assert _fingerprint(after) == _fingerprint(plain)
