@@ -12,7 +12,13 @@ updates every row but the pivot row, each to row_i - f_i * row_r with f_i
 the row's pivot-column entry; so one whole-array update, followed by
 writing the pivot row back, does the loop's arithmetic.  A pivot column with
 a zero (+0.0 or -0.0) gathers and scatters the rows it does update instead:
-x - 0.0 * y is not x when y is infinite or x is -0.0.
+x - 0.0 * y is not x when y is infinite or x is -0.0.  The zero test calls
+numpy's C `count_nonzero` (`count_nonzero` below), which counts -0.0 as a
+zero and NaN as a nonzero, like the public function it stands in for.
+
+Rows and columns are gathered with `ndarray.take`, which makes the same
+copy as fancy indexing with less overhead per call (about 0.5 against 1.4
+us on a 20 x 47 tableau, numpy 2.4 on an x86-64 VM).
 
 The simplex calls the kernels through a `Kernels` record, so a profiler can
 wrap them in one place.
@@ -25,10 +31,25 @@ from typing import Callable
 import numpy as np
 
 
+def _c_count_nonzero() -> Callable:
+    """numpy's C `count_nonzero` over a whole array, which skips the public
+    function's argument dispatch (0.08 against 0.31 us a call, numpy 2.4 on
+    an x86-64 VM); the public `np.count_nonzero` where numpy has no such
+    entry point."""
+    try:
+        from numpy._core.multiarray import count_nonzero
+    except ImportError:
+        return np.count_nonzero
+    return count_nonzero
+
+
+count_nonzero = _c_count_nonzero()
+
+
 def eliminate(tab: np.ndarray, r: int, j: int) -> None:
     """Gaussian pivot at (r, j) on the tableau [B^-1 A | B^-1 b]."""
     col = tab[:, j]
-    if np.count_nonzero(col) == len(col):   # -0.0 is a zero too
+    if count_nonzero(col) == len(col):   # -0.0 is a zero too
         prow = tab[r] / col[r]
         tab -= col[:, None] * prow
         tab[r] = prow
@@ -47,7 +68,7 @@ def accumulate_rowsum(out: np.ndarray, weights: np.ndarray, tab: np.ndarray) -> 
         return
     terms = np.empty((len(rows) + 1, tab.shape[1]))
     terms[0] = out
-    np.multiply(weights[rows, None], tab[rows], out=terms[1:])
+    np.multiply(weights[rows][:, None], tab.take(rows, 0), out=terms[1:])
     np.subtract.reduce(terms, axis=0, out=out)
 
 
@@ -58,7 +79,7 @@ def subtract_scaled_columns(beta: np.ndarray, tab: np.ndarray,
         return
     terms = np.empty((len(cols) + 1, tab.shape[0]))
     terms[0] = beta
-    np.multiply(vals[:, None], tab[:, cols].T, out=terms[1:])
+    np.multiply(vals[:, None], tab.take(cols, 1).T, out=terms[1:])
     np.subtract.reduce(terms, axis=0, out=beta)
 
 

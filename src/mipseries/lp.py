@@ -59,6 +59,15 @@ start.  Extended rows, other nonbasic bounds or costs, and a basis that is
 not dual feasible derive the start as before.
 
 `solve_arrays` over a `NodeRows` row carrier is the one entry point.
+
+The tableaus are small (about 20 x 50 entries on the benchmark workloads)
+and a dual re-solve takes a few pivots, so a pass costs mostly the fixed
+overhead of its few dozen numpy calls, not their arithmetic.  The loops keep
+that overhead low without changing a bit: they compare arrays against 0-d
+array constants rather than Python floats, count with numpy's C
+`count_nonzero` (`kernels.count_nonzero`), and test the cutoff with
+`ndarray.dot`, which returns matmul's value up to the sign of a zero and so
+gives the same comparison.
 """
 from __future__ import annotations
 
@@ -68,7 +77,7 @@ from enum import Enum
 
 import numpy as np
 
-from .kernels import Kernels
+from .kernels import Kernels, count_nonzero
 from .model import INF, Sense
 
 PIVOT_TOL = 1e-9
@@ -164,6 +173,12 @@ class LpResult:
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+# 0-d arrays: a ufunc takes one as an operand faster than a Python float
+_ZERO = _frozen(np.array(0.0))
+_PIVOT_TOL = _frozen(np.array(PIVOT_TOL))
+_MINUS_PIVOT_TOL = _frozen(np.array(-PIVOT_TOL))
 
 
 def _slack_bounds(senses) -> tuple[np.ndarray, np.ndarray]:
@@ -278,6 +293,9 @@ _DECR_PEN = np.array([-INF, 0.0, -INF, 0.0, -INF])
 # Per status code: the direction in which a nonbasic column in that status
 # enters the dual ratio test, up from AT_LOWER and down from AT_UPPER.
 _DUAL_DIR = np.array([1.0, -1.0, 0.0, 0.0, 0.0])
+# Per status code: True where a column's value is 0 in the basis point's
+# nonbasic values (BASIC, whose value beta holds, and FREE).
+_AT_ZERO = np.array([False, False, True, True, False])
 
 
 class _Simplex:
@@ -322,7 +340,7 @@ class _Simplex:
             raise ValueError("the token was taken on rows these rows neither are nor extend")
         self._set_tableau(self._carried_tableau(token))
         self.age = token.age
-        basis = np.array(token.basis, dtype=np.int64)   # pivots change it in place
+        basis = token.basis.copy()   # pivots change it in place
         stat = token.stat
         if not own:   # the appended rows' slacks start basic
             basis = np.concatenate([basis, np.arange(token.ncols, self.ncols, dtype=np.int64)])
@@ -351,6 +369,8 @@ class _Simplex:
         aug[:m0, :ncols0] = token.tab
         aug[:m0, -1] = token.rhs
         new = self.all_cols[m0:]
+        # fancy indexing, not take(): it lays c_b out in Fortran order, and
+        # the BLAS product below sums in an order that follows the layout
         c_b = new[:, token.basis]
         np.subtract(new, c_b @ aug[:m0, :-1], out=aug[m0:, :-1])
         # BLAS sums over a strided vector in another order: the product
@@ -384,7 +404,7 @@ class _Simplex:
     def nonbasic_values(self) -> np.ndarray:
         stat = self.stat
         vals = np.where(stat == AT_UPPER, self.hi, self.lo)
-        vals[(stat == BASIC) | (stat == FREE)] = 0.0
+        vals[_AT_ZERO[stat]] = 0.0
         return vals
 
     def compute_beta(self, vals: np.ndarray) -> np.ndarray:
@@ -438,7 +458,7 @@ class _Simplex:
             below = beta < lB_tol
             above = beta > uB_tol
             infeas = below | above
-            phase1 = np.count_nonzero(infeas) > 0
+            phase1 = count_nonzero(infeas) > 0
 
             if phase1:
                 w = np.subtract(above, below, dtype=float)   # +1 above, -1 below
@@ -470,12 +490,12 @@ class _Simplex:
             # towards (an infinite one gives a step of INF).  Either way that
             # is uB exactly where up ^ infeas.
             g = -delta * self.tab[:, j]
-            up = g > PIVOT_TOL
-            down = g < -PIVOT_TOL
+            up = g > _PIVOT_TOL
+            down = g < _MINUS_PIVOT_TOL
             ok = (up > above) | (down > below)   # a > b is a & ~b
             t.fill(INF)
             np.divide(np.where(up ^ infeas, uB, lB) - beta, g, out=t, where=ok)
-            np.maximum(t, 0.0, out=t)
+            np.maximum(t, _ZERO, out=t)
 
             t_rows = float(t[t.argmin()]) if self.m else INF
             t_flip = hi[j] - lo[j]   # INF unless both bounds are finite
@@ -549,15 +569,15 @@ class _Simplex:
         d = self.reduced_costs()
         stat = self.stat
         sgn = _DUAL_DIR[stat]
-        # np.count_nonzero: a reduction like any() costs more on short arrays
+        # count_nonzero: a reduction like any() costs more on short arrays
         wrong = sgn * d < -DCOST_TOL
-        if np.count_nonzero(wrong):
-            if np.count_nonzero(box[wrong] == INF):
+        if count_nonzero(wrong):
+            if count_nonzero(box[wrong] == INF):
                 return None
             stat[wrong] = np.where(stat[wrong] == AT_LOWER, AT_UPPER, AT_LOWER)
             sgn[wrong] = -sgn[wrong]
         free = stat == FREE   # nonbasic; a free column never leaves
-        if not np.count_nonzero(free):
+        if not count_nonzero(free):
             free = None
         elif np.any(np.abs(d[free]) > DCOST_TOL):
             return None
@@ -609,10 +629,11 @@ class _Simplex:
                 restart = False
                 fresh = True   # beta recomputed from the tableau, not updated
 
-            # the basis objective, as `objective` computes it
-            if cutoff < INF and float(cB @ beta + cost @ vals) >= cutoff:
+            # the basis objective, as `objective` computes it up to the sign
+            # of a zero (ndarray.dot skips matmul's ufunc dispatch)
+            if cutoff < INF and float(cB.dot(beta) + cost.dot(vals)) >= cutoff:
                 confirmed = beta if fresh else self.compute_beta(vals)
-                if float(cB @ confirmed + cost @ vals) >= cutoff:
+                if float(cB.dot(confirmed) + cost.dot(vals)) >= cutoff:
                     return LpStatus.CUTOFF, confirmed
 
             viol = np.maximum(lB - beta, beta - uB)
@@ -629,21 +650,21 @@ class _Simplex:
             # sgn_j * alpha_rj < 0: moving column j raises beta_r (> 0: lowers);
             # a free column moves either way, with a breakpoint at 0
             moves = sgn * alpha
-            eligible = moves < -PIVOT_TOL if below else moves > PIVOT_TOL
+            eligible = moves < _MINUS_PIVOT_TOL if below else moves > _PIVOT_TOL
             if free is not None:
                 eligible |= free & (np.abs(alpha) > PIVOT_TOL)
             cand = eligible.nonzero()[0]
-            k = -1   # breakpoints passed (flipped) before the entering one
+            k = -1   # breakpoints passed (flipped) before the entering one q
             if len(cand):
                 abs_a = np.abs(alpha[cand])
                 ratio = (sgn * d)[cand]
-                np.maximum(ratio, 0.0, out=ratio)
+                np.maximum(ratio, _ZERO, out=ratio)
                 ratio /= abs_a
                 i = int(ratio.argmin())
                 if abs_a[i] * box[cand[i]] >= viol_r and (
-                        len(cand) == 1 or np.count_nonzero(ratio == ratio[i]) == 1):
-                    k = 0   # the first breakpoint alone is enough
-                    cand, ratio = cand[i:i + 1], ratio[i:i + 1]
+                        len(cand) == 1 or count_nonzero(ratio == ratio[i]) == 1):
+                    # the first breakpoint alone is enough
+                    k, q, ratio_q = 0, int(cand[i]), ratio[i]
                 else:
                     order = np.lexsort((-abs_a, ratio))   # stable: lowest index first
                     cand, ratio, abs_a = cand[order], ratio[order], abs_a[order]
@@ -654,6 +675,8 @@ class _Simplex:
                         k = int((used >= viol_r).argmax())
                     elif short <= FEAS_TOL:
                         k = len(cand) - 1
+                    if k >= 0:
+                        q, ratio_q = int(cand[k]), ratio[k]
             if k < 0:
                 if fresh:
                     return LpStatus.INFEASIBLE, beta
@@ -661,17 +684,17 @@ class _Simplex:
                 continue
             if self.iterations + 1 + k > iter_limit:
                 return LpStatus.ITER_LIMIT, beta
-            q = int(cand[k])
             alpha_q = alpha[q]
-            theta = d[q] / alpha_q if ratio[k] > 0.0 else 0.0
+            theta = d[q] / alpha_q if ratio_q > 0.0 else 0.0
 
             if k:
                 flips = cand[:k]
-                to_upper = sgn[flips] > 0.0
-                self.k.subtract_scaled_columns(beta, tab, flips, sgn[flips] * box[flips])
+                sgn_f = sgn[flips]
+                to_upper = sgn_f > _ZERO
+                self.k.subtract_scaled_columns(beta, tab, flips, sgn_f * box[flips])
                 vals[flips] = np.where(to_upper, hi[flips], lo[flips])
                 stat[flips] = np.where(to_upper, AT_UPPER, AT_LOWER)
-                sgn[flips] = -sgn[flips]
+                sgn[flips] = -sgn_f
             leaving = int(basis[r])
             bound = lB_r if below else uB[r]
             step = (beta[r] - bound) / alpha_q

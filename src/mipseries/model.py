@@ -3,21 +3,24 @@
 Instances are interchanged as JSON files with explicit variable/row objects,
 minimization only.  `MipInstance` is the one place that checks and
 normalizes instance data, whether it comes from a file or is built in code:
-it rounds integer bounds inward and rejects non-finite costs, rhs values and
-coefficients, bad or crossed bounds, duplicate names and indices out of
-range.  The file loader only converts JSON types to numbers and prefixes the
-validator's message with the file path.  All types are immutable after
-construction and safe to share read-only across threads.
+it rounds integer bounds inward, turns each row's sense into a `Sense`, and
+rejects non-finite costs, rhs values and coefficients, bad or crossed
+bounds, duplicate names, indices out of range and unknown senses.  The file
+loader only converts JSON types to numbers and prefixes the validator's
+message with the file path.  All types are immutable after construction and
+safe to share read-only across threads.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
+
+from .kernels import count_nonzero
 
 INF = float("inf")
 
@@ -102,6 +105,17 @@ class MipInstance:
                 raise InstanceError(f"{self.name}: {what} length {arr.shape} != {n}")
         if not all(0 <= j < n for j in self.integer_mask):
             raise InstanceError(f"{self.name}: integer index out of range")
+        # Sense is a str enum, so "LE" passes for Sense.LE in an equality
+        # test; the solver and check_feasibility compare senses by identity.
+        rows = []
+        for row in self.rows:
+            try:
+                sense = Sense(row.sense)
+            except ValueError:
+                raise InstanceError(f"{self.name}: row '{row.name}': "
+                                    f"bad sense {row.sense!r}") from None
+            rows.append(row if row.sense is sense else replace(row, sense=sense))
+        self.rows = tuple(rows)
         # Integer variables keep integral bounds; rounding inward is lossless
         # for the integer feasible set.  NaN and infinities pass through to
         # the checks; + 0.0 turns a -0.0 into 0.0.
@@ -275,7 +289,7 @@ def check_feasibility(inst: MipInstance, point: np.ndarray,
     finite = np.isfinite(point)
     below = point < inst.lower - feas_tol
     bad = below | (point > inst.upper + feas_tol) | ~finite
-    if bad.any():
+    if count_nonzero(bad):
         j = int(np.argmax(bad))
         if not finite[j]:
             amount = INF
@@ -284,8 +298,8 @@ def check_feasibility(inst: MipInstance, point: np.ndarray,
         return FeasibilityResult(False, Violation("bound", j, float(amount)))
 
     vals = point[ints]
-    bad = np.abs(vals - np.round(vals)) > int_tol
-    if bad.any():
+    bad = np.abs(vals - vals.round()) > int_tol
+    if count_nonzero(bad):
         j = int(ints[np.argmax(bad)])
         frac = abs(point[j] - round(point[j]))
         return FeasibilityResult(False, Violation("integrality", j, float(frac)))
@@ -299,7 +313,7 @@ def check_feasibility(inst: MipInstance, point: np.ndarray,
     act = np.subtract.reduce(terms, axis=0)
     bad = ((le & (act > rhs + feas_tol)) | (ge & (act < rhs - feas_tol))
            | (eq & (np.abs(act - rhs) > feas_tol)))
-    if bad.any():
+    if count_nonzero(bad):
         i = int(np.argmax(bad))
         a, b = float(act[i]), inst.rows[i].rhs
         amount = a - b if le[i] else b - a if ge[i] else abs(a - b)

@@ -87,12 +87,17 @@ class _TreeSolver:
         self.inst = inst
         self.cfg = cfg
         self.kernels = get_kernels()
+        self.cost = inst.objective
         self.clock = clock if clock is not None else SolveClock(cfg.det_work_per_second)
         self.deadline = time_limit
         self.stats = fresh_stats()
         self.is_int = inst.is_integer()
         self.int_idx = inst.integer_indices()
         self.int_indices = self.int_idx.tolist()
+        # a fractional part f is fractional when frac_lo < f < frac_hi; 0-d
+        # arrays, which a ufunc takes faster than Python floats
+        self.frac_lo = np.array(cfg.int_tol)
+        self.frac_hi = np.array(1.0 - cfg.int_tol)
         self.step = objective_step(inst)
         self.hints = list(hints) if hints else []
         self.preset_bounds = preset_bounds
@@ -125,8 +130,8 @@ class _TreeSolver:
 
     def _lp(self, rows, lo, hi, warm=None, iter_limit=LP_ITER_LIMIT,
             bland_after=BLAND_AFTER, cutoff=INF):
-        res = solve_arrays(rows, lo, hi, np.asarray(self.inst.objective),
-                           warm, iter_limit, self.kernels, bland_after, cutoff=cutoff)
+        res = solve_arrays(rows, lo, hi, self.cost, warm, iter_limit, self.kernels,
+                           bland_after, cutoff=cutoff)
         self.clock.charge(res.iterations + 1)
         self.stats.lp_iterations += res.iterations
         return res
@@ -176,20 +181,30 @@ class _TreeSolver:
             return b
         return max(b, g * math.ceil((b - 1e-6 * max(1.0, abs(b))) / g))
 
-    def _prune_cutoff(self) -> float:
-        scale = max(1.0, abs(self.pb) if math.isfinite(self.pb) else 1.0)
-        cutoff = self.pb - 1e-9 * scale
+    @property
+    def pb(self) -> float:
+        """The primal bound: the incumbent's objective, INF before one."""
+        return self._pb
+
+    @pb.setter
+    def pb(self, value: float) -> None:
+        self._pb = value
+        scale = max(1.0, abs(value) if math.isfinite(value) else 1.0)
+        cutoff = value - 1e-9 * scale
         if self.step:
-            cutoff = min(cutoff, self.pb - self.step + 1e-6 * scale)
-        return cutoff
+            cutoff = min(cutoff, value - self.step + 1e-6 * scale)
+        self._cutoff = cutoff
+
+    def _prune_cutoff(self) -> float:
+        """The bound at or above which a node is pruned, set with `pb`."""
+        return self._cutoff
 
     def _fractional(self, x) -> list[Candidate]:
         """The integer variables with a fractional value, in index order."""
         vals = x[self.int_idx]
         raise_on_nonfinite(vals, math.floor)
         f = vals - np.floor(vals)
-        tol = self.cfg.int_tol
-        pick = (tol < f) & (f < 1.0 - tol)
+        pick = (self.frac_lo < f) & (f < self.frac_hi)
         return [Candidate(j, v) for j, v in zip(self.int_idx[pick].tolist(),
                                                 vals[pick].tolist())]
 
@@ -243,8 +258,8 @@ class _TreeSolver:
     def _complete_one_hint(self, assignment, node):
         """Fix the hinted integers and complete with one LP or a sub-MIP.
         Infeasible fixings are dropped, never repaired."""
-        lo = np.array(node.lower)
-        hi = np.array(node.upper)
+        lo = node.lower.copy()
+        hi = node.upper.copy()
         for name, value in assignment.items():
             try:
                 j = self.inst.var_index(name)
@@ -370,8 +385,8 @@ class _TreeSolver:
             return []
 
         def solve_child(j, direction, new_bound):
-            lo = np.array(node.lower)
-            hi = np.array(node.upper)
+            lo = node.lower.copy()
+            hi = node.upper.copy()
             if direction == "down":
                 hi[j] = new_bound
             else:
@@ -384,11 +399,11 @@ class _TreeSolver:
             self.cfg, solve_child, self.stats)
 
         down = _Node(self.next_id + 1, obj, node.depth + 1,
-                     np.array(node.lower), np.array(node.upper),
+                     node.lower.copy(), node.upper.copy(),
                      res.basis, node.rows)
         down.upper[j] = math.floor(xj)
         up = _Node(self.next_id + 2, obj, node.depth + 1,
-                   np.array(node.lower), np.array(node.upper),
+                   node.lower.copy(), node.upper.copy(),
                    res.basis, node.rows)
         up.lower[j] = math.ceil(xj)
         self.next_id += 2

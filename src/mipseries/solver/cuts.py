@@ -7,7 +7,11 @@ substituted out, yielding cut rows over the structural variables only.
 
 One pass per round: `generate_cuts` derives the cut of every candidate row
 at once with (rows x columns) array operations in a loop's arithmetic
-(`_gmi_rows`), then takes the cuts in row order up to the round's cap.
+(`_gmi_rows`), then takes the cuts in row order up to the round's cap.  The
+arrays are small, so the pass is written for few numpy calls: row-wise
+any() as `np.logical_or.reduce`, indices as `.nonzero()[0]`, row gathers as
+`take`, masked products as ufuncs with `where=`, and one `errstate` for the
+whole derivation.
 """
 from __future__ import annotations
 
@@ -16,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..lp import AT_LOWER, BASIC, FIXED, FREE, LpResult, LpStatus, NodeRows, SimplexBasis
+from ..kernels import count_nonzero
+from ..lp import AT_LOWER, FREE, LpResult, LpStatus, NodeRows, SimplexBasis
 from ..model import INF, Sense
 
 MAX_CUTS_PER_ROUND = 20
@@ -47,6 +52,13 @@ def slack_integrality(row_matrix: np.ndarray, row_rhs: np.ndarray,
     return out
 
 
+# Per status code: True for a nonbasic column, neither BASIC nor FIXED.
+_NONBASIC = np.array([True, True, False, True, False])
+# 0-d arrays: a ufunc takes one as an operand faster than a Python float
+_ZERO = np.array(0.0)
+_INF = np.array(INF)
+
+
 @dataclass
 class _Columns:
     """An OPTIMAL result's tableau and rows with the column data of its GMI
@@ -69,15 +81,16 @@ class _Columns:
            is_int: np.ndarray) -> "_Columns":
         """The columns of a solve that ended in `token` at `primal`: a
         nonbasic structural column's shift is its value there (the solve
-        copied the bound), a nonbasic slack's is its bound in `token.rows`."""
+        copied the bound), a nonbasic slack's is its bound in `token.rows`.
+        An infinite `primal` entry makes inf - inf, an invalid operation the
+        caller's `errstate` silences."""
         stat, rows = token.stat, token.rows
         at_lower = stat == AT_LOWER
         shift = np.concatenate([
             primal, np.where(at_lower[rows.n:], rows.slack_lo, rows.slack_hi)])
-        with np.errstate(invalid="ignore"):   # inf - inf at infinite shifts
-            integral = np.concatenate([
-                is_int & (np.abs(primal - np.round(primal)) <= 1e-9), rows.slack_int])
-        return cls(token.tab, rows, nonbasic=(stat != BASIC) & (stat != FIXED),
+        integral = np.concatenate([
+            is_int & (np.abs(primal - primal.round()) <= 1e-9), rows.slack_int])
+        return cls(token.tab, rows, nonbasic=_NONBASIC[stat],
                    at_lower=at_lower, shift=shift,
                    stop=(stat == FREE) | ~np.isfinite(shift), integral=integral)
 
@@ -85,7 +98,9 @@ class _Columns:
 def _gmi_rows(columns: _Columns, rows: np.ndarray, f0: np.ndarray):
     """Derive the cut w . x >= rhs of each tableau row in `rows`, whose basic
     value has the fractional part f0 (at least MIN_FRACTIONALITY from 0 and
-    from 1), all at once.
+    from 1), all at once.  Invalid, overflowing and dividing-by-zero
+    operations happen at non-finite entries; the caller's `errstate`
+    silences them.
 
     Returns (W, rhs, ok, raise_on): row i of W and rhs[i] are row i's cut
     where ok[i]; raise_on[i] is the row's first non-finite integral
@@ -99,54 +114,61 @@ def _gmi_rows(columns: _Columns, rows: np.ndarray, f0: np.ndarray):
     is the loop's bit for bit.  The loop stops at a row's first FREE column
     or infinite shift (no cut) and raises at its first non-finite integral
     coefficient (`math.floor`), whichever column comes first; `raise_on`
-    and `ok` say which.
+    and `ok` say which.  Row-wise any() is `np.logical_or.reduce`, which
+    skips the method's dispatch.
     """
     node_rows = columns.rows
     n = node_rows.n
     f0 = f0[:, None]
-    a = columns.tab[rows]
+    a = columns.tab.take(rows, 0)
     cols = columns.nonbasic & ~(np.abs(a) <= ZERO_COEF)
     stops = cols & columns.stop
-    stopped = stops.any(axis=1)
+    stopped = np.logical_or.reduce(stops, axis=1)
     cols &= ~np.logical_or.accumulate(stops, axis=1)   # before the first stop
     coef = np.where(columns.at_lower, a, -a)
     integral = columns.integral
     bad_cols = cols & integral & ~np.isfinite(coef)
-    bad = bad_cols.any(axis=1)
-    raise_on = np.where(bad, coef[np.arange(len(rows)), bad_cols.argmax(axis=1)], 0.0)
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        fj = coef - np.floor(coef)
-        gamma = np.where(integral,
-                         np.where(fj <= f0, fj / f0, (1.0 - fj) / (1.0 - f0)),
-                         np.where(coef > 0, coef / f0, -coef / (1.0 - f0)))
-        keep = cols & (gamma != 0.0)
-        # gamma * z_j in structural space: z_j = x_j - shift at lower, shift
-        # - x_j at upper; a slack's z is s_k = b_k - A_k x at lower, -s_k at
-        # upper.  sg is gamma with the sign of z's x_j (or -A_k x) term.
-        sg = np.where(columns.at_lower, gamma, -gamma)
+    bad = np.logical_or.reduce(bad_cols, axis=1)
+    raise_on = np.zeros(len(rows))
+    if count_nonzero(bad):
+        first = bad_cols.argmax(axis=1)
+        raise_on[bad] = coef[bad, first[bad]]
+    fj = coef - np.floor(coef)
+    g0 = 1.0 - f0
+    gamma = np.where(integral,
+                     np.where(fj <= f0, fj / f0, (1.0 - fj) / g0),
+                     np.where(coef > 0, coef / f0, -coef / g0))
+    keep = cols & (gamma != 0.0)
+    # gamma * z_j in structural space: z_j = x_j - shift at lower, shift
+    # - x_j at upper; a slack's z is s_k = b_k - A_k x at lower, -s_k at
+    # upper.  sg is gamma with the sign of z's x_j (or -A_k x) term.
+    sg = np.where(columns.at_lower, gamma, -gamma)
 
-        W = np.where(keep[:, :n], sg[:, :n], 0.0)
-        terms = np.zeros((len(rows), n + node_rows.m + 1))   # terms[:, 0]: the fold's 0.0
-        np.copyto(terms[:, 1:n + 1], sg[:, :n] * columns.shift[:n], where=keep[:, :n])
-        np.copyto(terms[:, n + 1:], -sg[:, n:] * node_rows.rhs, where=keep[:, n:])
-        const = np.subtract.reduce(terms, axis=1)
-        slack_keep = keep[:, n:]
-        slack = np.flatnonzero(slack_keep.any(axis=0))
-        if len(slack):
-            block = np.empty((len(slack) + 1, len(rows), n))
-            block[0] = W
-            np.multiply(sg[:, n + slack].T[:, :, None], node_rows.mat[slack][:, None, :],
-                        out=block[1:])
-            block[1:][~slack_keep[:, slack].T] = 0.0
-            np.subtract.reduce(block, axis=0, out=W)
+    keep_x, keep_s = keep[:, :n], keep[:, n:]
+    W = np.where(keep_x, sg[:, :n], _ZERO)
+    terms = np.zeros((len(rows), n + node_rows.m + 1))   # terms[:, 0]: the fold's 0.0
+    np.multiply(sg[:, :n], columns.shift[:n], out=terms[:, 1:n + 1], where=keep_x)
+    np.multiply(-sg[:, n:], node_rows.rhs, out=terms[:, n + 1:], where=keep_s)
+    const = np.subtract.reduce(terms, axis=1)
+    slack = np.logical_or.reduce(keep_s, axis=0).nonzero()[0]
+    if len(slack):
+        block = np.zeros((len(slack) + 1, len(rows), n))
+        block[0] = W
+        np.multiply(sg.take(n + slack, 1).T[:, :, None],
+                    node_rows.mat.take(slack, 0)[:, None, :],
+                    out=block[1:], where=keep_s.take(slack, 1).T[:, :, None])
+        np.subtract.reduce(block, axis=0, out=W)
 
-        rhs = 1.0 - const
-        W[np.abs(W) <= ZERO_COEF] = 0.0
-        nz = W != 0.0
-        size = np.abs(W)
-        top = np.where(nz, size, -INF).max(axis=1, initial=-INF)
-        least = np.where(nz, size, INF).min(axis=1, initial=INF)
-        ok = ~bad & ~stopped & nz.any(axis=1) & ~(top / least > MAX_DYNAMISM)
+    rhs = 1.0 - const
+    # |w_j| <= ZERO_COEF is zeroed; the rest (NaN included) is nonzero, and
+    # the largest |w_j| of a row with a nonzero is a nonzero's
+    size = np.abs(W)
+    tiny = size <= ZERO_COEF
+    W[tiny] = 0.0
+    nz = ~tiny
+    top = size.max(axis=1, initial=-INF)
+    least = np.where(nz, size, _INF).min(axis=1, initial=INF)
+    ok = ~(bad | stopped) & np.logical_or.reduce(nz, axis=1) & ~(top / least > MAX_DYNAMISM)
     return W, rhs, ok, raise_on
 
 
@@ -176,42 +198,44 @@ def generate_cuts(result: LpResult, is_int: np.ndarray) -> CutBlock:
 
     One pass derives the cuts of every candidate row (`_gmi_rows`); they are
     then taken in row order, as a loop over the rows took them, until the
-    cap.  A row whose basic value or whose derivation makes `math.floor`
-    raise raises there only if it comes before the cap is reached.
+    cap, and the block gathers the rows taken from that pass's arrays.  A
+    row whose basic value or whose derivation makes `math.floor` raise
+    raises there only if it comes before the cap is reached.
     """
     token, x = result.basis, result.primal
     n = len(x)
-    ws, rhss = [], []
-    if result.status is LpStatus.OPTIMAL:
-        basic = token.basis
-        cand = np.flatnonzero(basic < n)
-        cand = cand[is_int[basic[cand]]]
-        b0 = x[basic[cand]]
-        finite = np.isfinite(b0)
-        with np.errstate(invalid="ignore"):
-            f0 = b0 - np.floor(b0)
+    if result.status is not LpStatus.OPTIMAL:
+        return CutBlock(np.zeros((0, n)), np.zeros(0))
+    basic = token.basis
+    cand = (basic < n).nonzero()[0]
+    cand = cand[is_int[basic[cand]]]
+    b0 = x[basic[cand]]
+    finite = np.isfinite(b0)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        f0 = b0 - np.floor(b0)
         # non-finite basic values raise; the others need a fractional part
         # within MIN_FRACTIONALITY of neither 0 nor 1
         live = ~finite | ((f0 >= MIN_FRACTIONALITY) & (f0 <= 1.0 - MIN_FRACTIONALITY))
         cand, b0, f0, finite = cand[live], b0[live], f0[live], finite[live]
-        derived = np.flatnonzero(finite)
+        derived = finite.nonzero()[0]
         W, rhs, ok, raise_on = _gmi_rows(_Columns.of(token, x, is_int),
                                           cand[derived], f0[derived])
-        # per candidate: the non-finite value math.floor raises on (its
-        # basic value or a coefficient), else 0.0; and its cut, else -1
-        floored = b0.copy()
-        floored[derived] = raise_on
-        raises = ~np.isfinite(floored)
-        cut = np.full(len(cand), -1)
-        cut[derived[ok]] = np.flatnonzero(ok)
-        for i in np.flatnonzero(raises | (cut >= 0)).tolist():
-            if len(ws) >= MAX_CUTS_PER_ROUND:
-                break
-            if raises[i]:
-                math.floor(floored[i])   # raises, as the loop did here
-            w = W[cut[i]].copy()
-            if float(w @ x) >= rhs[cut[i]] - MIN_VIOLATION:
-                continue
-            ws.append(w)
-            rhss.append(rhs[cut[i]])
-    return CutBlock(np.array(ws) if ws else np.zeros((0, n)), np.array(rhss, dtype=float))
+    # per candidate: the non-finite value math.floor raises on (its basic
+    # value or a coefficient), else 0.0; and its cut, else -1
+    floored = b0.copy()
+    floored[derived] = raise_on
+    raises = ~np.isfinite(floored)
+    cut = np.full(len(cand), -1)
+    cut[derived[ok]] = ok.nonzero()[0]
+    taken = []
+    for i in (raises | (cut >= 0)).nonzero()[0].tolist():
+        if len(taken) >= MAX_CUTS_PER_ROUND:
+            break
+        if raises[i]:
+            math.floor(floored[i])   # raises, as the loop did here
+        c = int(cut[i])
+        # ndarray.dot is matmul's w @ x up to the sign of a zero
+        if float(W[c].dot(x)) >= rhs[c] - MIN_VIOLATION:
+            continue
+        taken.append(c)
+    return CutBlock(W[taken], rhs[taken])

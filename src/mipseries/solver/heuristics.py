@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 
+from ..kernels import count_nonzero
 from ..model import (DEFAULT_FEAS_TOL, DEFAULT_INT_TOL, MipInstance,
                      check_feasibility)
 
@@ -12,9 +13,9 @@ from ..model import (DEFAULT_FEAS_TOL, DEFAULT_INT_TOL, MipInstance,
 def raise_on_nonfinite(values: np.ndarray, scalar_op) -> None:
     """Raise what `scalar_op` (math.floor, round) raises on the first NaN or
     inf in `values`, as a loop applying it entry by entry would."""
-    bad = ~np.isfinite(values)
-    if bad.any():
-        scalar_op(float(values[bad.argmax()]))
+    finite = np.isfinite(values)
+    if count_nonzero(finite) < len(finite):
+        scalar_op(float(values[finite.argmin()]))
 
 
 def round_to_feasible(inst: MipInstance, point: np.ndarray,

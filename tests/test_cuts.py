@@ -345,6 +345,43 @@ def test_gmi_matches_column_loop_on_random_snapshots(monkeypatch):
         assert cuts > min_cuts and empty > 300
 
 
+def loop_columns(token, primal, is_int):
+    """Reference: `_Columns.of`'s column data, one column at a time."""
+    rows, n = token.rows, token.rows.n
+    out = {name: [] for name in ("nonbasic", "at_lower", "shift", "stop", "integral")}
+    for j, st in enumerate(token.stat.tolist()):
+        at_lower = st == AT_LOWER
+        if j < n:
+            shift = float(primal[j])
+            integral = bool(is_int[j]) and math.isfinite(shift) \
+                and abs(shift - round(shift)) <= 1e-9
+        else:
+            shift = float(rows.slack_lo[j - n] if at_lower else rows.slack_hi[j - n])
+            integral = bool(rows.slack_int[j - n])
+        out["nonbasic"].append(st != BASIC and st != FIXED)
+        out["at_lower"].append(at_lower)
+        out["shift"].append(shift)
+        out["stop"].append(st == FREE or not math.isfinite(shift))
+        out["integral"].append(integral)
+    return out
+
+
+def test_column_data_matches_column_loop_with_signed_zeros_and_nonfinite_points():
+    rng = np.random.default_rng(34)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 2.0, -3.0, 0.5, 1e-10])
+    for _ in range(300):
+        result, _, is_int = _random_snapshot(rng, nonfinite=rng.random() < 0.5)
+        x = result.primal.copy()
+        pick = rng.random(len(x)) < 0.4
+        x[pick] = rng.choice(specials, int(pick.sum()))
+        with np.errstate(invalid="ignore"):
+            got = C._Columns.of(result.basis, x, is_int)
+        want = loop_columns(result.basis, x, is_int)
+        for name in ("nonbasic", "at_lower", "stop", "integral"):
+            assert getattr(got, name).tolist() == want[name], name
+        assert np.array_equal(_bits(got.shift), _bits(want["shift"]))
+
+
 def test_gmi_nonfinite_coefficients_raise_or_stop_like_the_loop(monkeypatch):
     for min_violation, _ in VIOLATIONS:
         monkeypatch.setattr(C, "MIN_VIOLATION", min_violation)

@@ -182,3 +182,19 @@ def test_round_to_feasible_matches_loop(monkeypatch):
         else:
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert raised == {ValueError, OverflowError}
+
+
+@pytest.mark.parametrize("values, exc", [
+    ([1.0, np.nan, np.inf], ValueError),
+    ([np.inf, 2.0, np.nan], OverflowError),
+    ([-0.0, -np.inf, np.nan, np.inf], OverflowError),
+    ([0.5, -0.0, 2.5], None),
+])
+def test_raise_on_nonfinite_raises_what_the_first_nonfinite_entry_raises(values, exc):
+    # a loop applying math.floor entry by entry stops at the first NaN or inf
+    def loop(vals):
+        for v in vals:
+            math.floor(v)
+
+    assert outcome(loop, values) is exc
+    assert outcome(heuristics.raise_on_nonfinite, np.array(values), math.floor) is exc

@@ -5,6 +5,8 @@ kernels must match them bit for bit.  Also checks that an instance's
 rows, and the same slack bounds as those rows built from scratch."""
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,11 @@ def assert_bits_equal(a, b):
     """Equal values, and equal signs on the zeros (0.0 == -0.0 otherwise)."""
     assert np.array_equal(a, b)
     assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def nan_bits(a):
+    """The IEEE bit patterns, with every NaN mapped to one pattern."""
+    return np.where(np.isnan(a), np.nan, a).view(np.uint64)
 
 
 def sprinkle_zeros(rng, a, p_zero=0.25, p_negzero=0.1):
@@ -112,6 +119,57 @@ def test_numpy_eliminate_skips_a_negative_zero_in_the_pivot_column():
     aug = np.column_stack([tab, rhs])
     K.get_kernels("python").eliminate(aug, 0, 0)
     assert_bits_equal(aug[1], [-0.0] * 4)
+
+
+def test_numpy_eliminate_zero_test_on_nonfinite_pivot_columns():
+    # NaN and +-inf in the pivot column are nonzeros, as `f != 0.0` says in
+    # the loop; +0.0 and -0.0 are zeros.  Entries compare as bit patterns,
+    # every NaN mapped to one pattern (the loop and a whole-array update may
+    # carry a NaN's sign differently).
+    rng = np.random.default_rng(15)
+    specials = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-300, -2.5])
+    for trial in range(300):
+        m = int(rng.integers(2, 12))
+        ncol = int(rng.integers(2, 20))
+        tab = random_tableau(rng, m, ncol)
+        tab[rng.random((m, ncol)) < 0.05] = rng.choice(specials[:4])
+        r, j = int(rng.integers(m)), int(rng.integers(ncol))
+        col = rng.choice(specials, m)
+        if trial % 2:   # no zero: the whole-array update
+            col[(col == 0.0)] = np.inf
+        col[r] = rng.standard_normal() + 3.0
+        tab[:, j] = col
+        rhs = sprinkle_zeros(rng, rng.standard_normal(m))
+        aug = np.column_stack([tab, rhs])
+        tab_l, rhs_l = tab.copy(), rhs.copy()
+        with np.errstate(invalid="ignore"):
+            loop_eliminate(tab_l, rhs_l, r, j)
+            K.get_kernels("python").eliminate(aug, r, j)
+        assert np.array_equal(nan_bits(aug), nan_bits(np.column_stack([tab_l, rhs_l])))
+
+
+@pytest.mark.parametrize("a", [
+    np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-300, -3.0]),
+    np.array([-0.0] * 5),
+    np.zeros(0),
+    np.array([True, False, True]),
+    np.array([[1.0, -0.0], [np.nan, 0.0]]),
+])
+def test_count_nonzero_counts_like_numpys_public_function(a):
+    assert K.count_nonzero(a) == np.count_nonzero(a)
+    assert K._c_count_nonzero()(a) == np.count_nonzero(a)
+
+
+def test_count_nonzero_is_numpys_c_function_where_numpy_has_one():
+    multiarray = pytest.importorskip("numpy._core.multiarray")
+    assert K.count_nonzero is multiarray.count_nonzero is not np.count_nonzero
+
+
+def test_count_nonzero_falls_back_to_the_public_function(monkeypatch):
+    # a numpy without the C entry point (None in sys.modules makes its
+    # import fail) gets np.count_nonzero
+    monkeypatch.setitem(sys.modules, "numpy._core.multiarray", None)
+    assert K._c_count_nonzero() is np.count_nonzero
 
 
 def test_numpy_rowsum_matches_row_loop():

@@ -15,6 +15,7 @@ from mipseries.model import (INF, Component, FeasibilityResult, InstanceError,
                              generate_series_files, instance_from_dict,
                              load_instance, load_series, objective_value,
                              perturb_series, save_instance)
+from mipseries.solver import SolverConfig, SolveStatus, solve
 
 from conftest import (MALFORMED_INSTANCES, MALFORMED_MANIFESTS, MINIMAL, instance_dict,
                       make_instance, malformed_instance, same_data)
@@ -337,6 +338,46 @@ def test_instance_built_in_code_rejects_nonfinite_data(tmp_path, field, value, m
     with pytest.raises(InstanceError) as loaded:
         load_instance(path)
     assert str(loaded.value) == f"{path}: {built.value}"
+
+
+def _two_integers(sense, rhs, c):
+    """x, y integer in [0, 3] with the one row x + y (sense) rhs, the
+    sense given as a plain string."""
+    row = LinearRow("r", ((0, 1.0), (1, 1.0)), sense, rhs)
+    return MipInstance("plain", ("x", "y"), np.array(c), np.zeros(2), np.full(2, 3.0),
+                       frozenset({0, 1}), (row,))
+
+
+@pytest.mark.parametrize("sense", ["LE", "GE", "EQ"])
+def test_row_sense_given_as_a_string_becomes_a_sense(sense):
+    inst = _two_integers(sense, 2.0, [1.0, 1.0])
+    assert inst.rows[0].sense is Sense(sense)
+
+
+@pytest.mark.parametrize("sense, rhs, point, feasible", [
+    ("LE", 1.0, [1.0, 1.0], False),
+    ("LE", 2.0, [1.0, 1.0], True),
+    ("GE", 3.0, [1.0, 1.0], False),
+    ("GE", 2.0, [3.0, 3.0], True),
+])
+def test_row_sense_given_as_a_string_is_checked(sense, rhs, point, feasible):
+    inst = _two_integers(sense, rhs, [1.0, 1.0])
+    assert check_feasibility(inst, np.array(point)).feasible is feasible
+
+
+@pytest.mark.parametrize("sense, c, optimum", [
+    ("LE", [1.0, 1.0], 0.0),     # min x + y, x + y <= 2
+    ("GE", [-1.0, -1.0], -6.0),  # min -x - y, x + y >= 2
+])
+def test_row_sense_given_as_a_string_is_solved(sense, c, optimum):
+    out = solve(_two_integers(sense, 2.0, c), SolverConfig(), INF)
+    assert out.status is SolveStatus.OPTIMAL and out.primal_bound == optimum
+
+
+@pytest.mark.parametrize("sense", ["bogus", "le", None, 1])
+def test_unknown_row_sense_is_rejected(sense):
+    with pytest.raises(InstanceError, match=re.escape(f"plain: row 'r': bad sense {sense!r}")):
+        _two_integers(sense, 2.0, [1.0, 1.0])
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))

@@ -8,6 +8,12 @@ pinned, so a change that alters any pivot, node, cut, score or checkpoint
 byte on this path fails here.  The digests depend on the platform's
 floating-point arithmetic and were recorded on x86-64 Linux.
 
+`test_lp_and_cut_results_are_pinned` runs the same two arms and pins one
+sha256 over every `solve_arrays` result (status, iterations, objective,
+primal point, and the token's basis, statuses, tableau, rhs and age) and
+every `generate_cuts` block, in call order.  A change that claims to alter
+only how fast the LP or the cut round runs keeps it.
+
 The checkpoint digests were last re-recorded when the journal went to
 version 4: histories lost their conflict and inference counts, so every
 history in the journal is four fields shorter and a variable whose only
@@ -25,6 +31,7 @@ from mipseries.harness import (RunConfig, run_series, write_report_csv,
                                write_report_summary)
 from mipseries.model import (LinearRow, MipInstance, Sense, generate_series_files,
                              load_series)
+from mipseries.solver import bb
 
 ALL_OFF = frozenset({"hints", "history", "sb", "tuning", "turnoff"})
 
@@ -40,6 +47,8 @@ PINNED = {
         "checkpoint.json": "32e72a7bb5b03c26ab001e62bc2de006c05a261b920142695287b28c3b89f57b",
     },
 }
+
+PINNED_LP_AND_CUTS = "de3483158ddcdb479cd66bcacdb8763e9fe7021efba1071ee7b997531c28f987"
 
 
 def _mixed_knapsack(seed=3, n_int=14, n_cont=4, m=4):
@@ -62,8 +71,8 @@ def _digest(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("arm", ["reuse", "scratch"])
-def test_series_outputs_are_pinned(tmp_path, arm):
+def _run_arm(tmp_path, arm):
+    """Run one arm of the pinned series; the outputs go to `tmp_path`."""
     manifest_path = generate_series_files(
         _mixed_knapsack(), {"RHS", "OBJECTIVE"}, 10, seed=7, magnitude=0.1,
         out_dir=tmp_path / "series", time_limit=0.06)
@@ -74,6 +83,39 @@ def test_series_outputs_are_pinned(tmp_path, arm):
         disable=ALL_OFF if arm == "scratch" else frozenset()))
     write_report_csv(report, tmp_path / "report.csv")
     write_report_summary(report, tmp_path / "summary.json")
+
+
+@pytest.mark.parametrize("arm", ["reuse", "scratch"])
+def test_series_outputs_are_pinned(tmp_path, arm):
+    _run_arm(tmp_path, arm)
     got = {name: _digest(tmp_path / name)
            for name in ("report.csv", "summary.json", "checkpoint.json")}
     assert got == PINNED[arm]
+
+
+def test_lp_and_cut_results_are_pinned(tmp_path, monkeypatch):
+    h = hashlib.sha256()
+
+    def feed(*arrays):
+        for a in arrays:
+            h.update(np.ascontiguousarray(a).tobytes())
+
+    def solve_arrays(*args, **kwargs):
+        res = real_solve_arrays(*args, **kwargs)
+        tok = res.basis
+        h.update(f"{res.status.value} {res.iterations} {tok.age}".encode())
+        feed(np.float64(res.objective), res.primal, tok.basis, tok.stat, tok.tab, tok.rhs)
+        return res
+
+    def generate_cuts(*args, **kwargs):
+        cuts = real_generate_cuts(*args, **kwargs)
+        h.update(f"cuts {cuts.mat.shape}".encode())
+        feed(cuts.mat, cuts.rhs)
+        return cuts
+
+    real_solve_arrays, real_generate_cuts = bb.solve_arrays, bb.generate_cuts
+    monkeypatch.setattr(bb, "solve_arrays", solve_arrays)
+    monkeypatch.setattr(bb, "generate_cuts", generate_cuts)
+    for arm in ("reuse", "scratch"):
+        _run_arm(tmp_path / arm, arm)
+    assert h.hexdigest() == PINNED_LP_AND_CUTS

@@ -302,6 +302,21 @@ def test_integer_scans_match_loops():
                       for exc in (ValueError, OverflowError)}
 
 
+def test_fractional_band_edges_match_the_loop():
+    # fractional parts at, a hair inside and a hair outside int_tol and
+    # 1 - int_tol, and a few int_tol further in, on both signs
+    tol = SolverConfig().int_tol
+    parts = [tol, 1.0 - tol, 2.0 * tol, 5.0 * tol, 1.0 - 5.0 * tol, 0.5]
+    parts += [float(np.nextafter(p, side)) for p in (tol, 1.0 - tol) for side in (0.0, 1.0)]
+    x = np.array([k + p for k in (-3.0, 0.0, 2.0) for p in parts])
+    n = len(x)
+    inst = make_instance("band", np.zeros(n), [], np.full(n, -10.0), np.full(n, 10.0),
+                         range(n))
+    got = _TreeSolver(inst, SolverConfig(), 1e6)._fractional(x)
+    want = loop_fractional(list(range(n)), x, tol)
+    assert got == want and 0 < len(got) < n
+
+
 def test_incumbent_rounding_turns_negative_zero_positive():
     inst = make_instance("z", [1.0, 1.0], [([1.0, 1.0], Sense.GE, 0.0)],
                          [-1, -1], [1, 1], ints=(0, 1))
