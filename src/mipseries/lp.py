@@ -181,17 +181,21 @@ _PIVOT_TOL = _frozen(np.array(PIVOT_TOL))
 _MINUS_PIVOT_TOL = _frozen(np.array(-PIVOT_TOL))
 
 
+# a row's slack s = b - a.x lies in these bounds, by the row's sense
+_SLACK_BOUNDS = {Sense.LE: (0.0, INF), Sense.GE: (-INF, 0.0), Sense.EQ: (0.0, 0.0)}
+
+
 def _slack_bounds(senses) -> tuple[np.ndarray, np.ndarray]:
+    """The slack bounds of rows of these senses; TypeError for anything but
+    a `Sense` member, a plain "LE" included (it equals and hashes as
+    Sense.LE, so the table alone would take it)."""
     m = len(senses)
-    lo = np.zeros(m)
-    hi = np.zeros(m)
+    lo = np.empty(m)
+    hi = np.empty(m)
     for i, s in enumerate(senses):
-        if s is Sense.LE:
-            lo[i], hi[i] = 0.0, INF
-        elif s is Sense.GE:
-            lo[i], hi[i] = -INF, 0.0
-        else:
-            lo[i], hi[i] = 0.0, 0.0
+        if type(s) is not Sense:
+            raise TypeError(f"row {i}: sense {s!r} is not a Sense")
+        lo[i], hi[i] = _SLACK_BOUNDS[s]
     return lo, hi
 
 

@@ -5,10 +5,10 @@ minimization only.  `MipInstance` is the one place that checks and
 normalizes instance data, whether it comes from a file or is built in code:
 it rounds integer bounds inward, turns each row's sense into a `Sense`, and
 rejects non-finite costs, rhs values and coefficients, bad or crossed
-bounds, duplicate names, indices out of range and unknown senses.  The file
-loader only converts JSON types to numbers and prefixes the validator's
-message with the file path.  All types are immutable after construction and
-safe to share read-only across threads.
+bounds, duplicate names, indices out of range, a row that names a variable
+twice and unknown senses.  The file loader only converts JSON types to
+numbers and prefixes the validator's message with the file path.  All types
+are immutable after construction and safe to share read-only across threads.
 """
 from __future__ import annotations
 
@@ -88,11 +88,12 @@ class MipInstance:
     upper: np.ndarray
     integer_mask: frozenset[int]
     rows: tuple[LinearRow, ...]
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.objective = np.asarray(self.objective, dtype=float)
-        # copies: the integer bounds are rounded below
+        # copies: the caller's arrays stay theirs and writable, and the
+        # integer bounds are rounded below
+        self.objective = np.array(self.objective, dtype=float)
         self.lower = np.array(self.lower, dtype=float)
         self.upper = np.array(self.upper, dtype=float)
         n = len(self.var_names)
@@ -129,7 +130,8 @@ class MipInstance:
     def _validate(self):
         """InstanceError, naming the variable or row, for a cost, rhs or
         coefficient that is not finite, a NaN bound, a lower bound of +inf,
-        an upper bound of -inf, crossed bounds, or a row index out of range."""
+        an upper bound of -inf, crossed bounds, a row index out of range or
+        a row that names a variable twice."""
         for vname, c, lb, ub in zip(self.var_names, self.objective.tolist(),
                                     self.lower.tolist(), self.upper.tolist()):
             if not math.isfinite(c):
@@ -147,10 +149,15 @@ class MipInstance:
             if not math.isfinite(row.rhs):
                 raise InstanceError(
                     f"{self.name}: row '{row.name}': rhs is not finite: {row.rhs}")
+            seen = set()
             for j, c in row.coefs:
                 if not 0 <= j < n:
                     raise InstanceError(
                         f"{self.name}: row '{row.name}' references variable index {j} >= {n}")
+                if j in seen:
+                    raise InstanceError(f"{self.name}: row '{row.name}' names "
+                                        f"'{self.var_names[j]}' twice")
+                seen.add(j)
                 if not math.isfinite(c):
                     raise InstanceError(f"{self.name}: row '{row.name}': coefficient "
                                         f"of '{self.var_names[j]}' is not finite: {c}")
@@ -246,29 +253,15 @@ def objective_value(inst: MipInstance, point: np.ndarray) -> float:
     return float(inst.objective @ point)
 
 
-def _feasibility_data(inst: MipInstance):
-    """Cached arrays for check_feasibility: the integer indices, the rows as
-    coefficient slots (slot k of row i holds its k-th coefficient, negated,
-    and its variable index; `filled` marks real slots), the sense masks and
-    the right-hand sides."""
-    data = inst._cache.get("feasibility")
-    if data is None:
-        m = inst.num_rows
-        width = max((len(row.coefs) for row in inst.rows), default=0)
-        idx = np.zeros((width, m), dtype=np.int64)
-        neg = np.zeros((width, m))
-        filled = np.zeros((width, m), dtype=bool)
-        for i, row in enumerate(inst.rows):
-            for k, (j, c) in enumerate(row.coefs):
-                idx[k, i], neg[k, i], filled[k, i] = j, -c, True
+def _sense_masks(inst: MipInstance):
+    """The LE, GE and EQ row masks of `inst` (cached)."""
+    masks = inst._cache.get("sense_masks")
+    if masks is None:
         senses = inst.senses()
-        data = (inst.integer_indices(), idx, neg, filled,
-                np.array([s is Sense.LE for s in senses], dtype=bool),
-                np.array([s is Sense.GE for s in senses], dtype=bool),
-                np.array([s is Sense.EQ for s in senses], dtype=bool),
-                inst.rhs_array())
-        inst._cache["feasibility"] = data
-    return data
+        masks = tuple(np.array([s is sense for s in senses], dtype=bool)
+                      for sense in (Sense.LE, Sense.GE, Sense.EQ))
+        inst._cache["sense_masks"] = masks
+    return masks
 
 
 def check_feasibility(inst: MipInstance, point: np.ndarray,
@@ -277,14 +270,15 @@ def check_feasibility(inst: MipInstance, point: np.ndarray,
     """Check bounds, integrality and rows in that order; report first violation.
 
     An entry that is NaN or infinite violates its bound by inf.  A row's
-    activity is the sum of its terms c * x_j folded left to right in the
-    row's coefficient order, starting from 0, so the amounts equal those of
-    a plain loop over the rows bit for bit.
+    activity is read from `inst.dense_matrix()`, the matrix the LP reads:
+    its terms c * x_j folded left to right in column order, starting from
+    0, so the amounts equal those of a plain loop over the row's columns
+    bit for bit (an absent column adds a signed zero, which can change only
+    the sign of an activity that is exactly zero).
     """
     point = np.asarray(point, dtype=float)
     if point.shape != (inst.num_vars,):
         raise ValueError(f"point length {point.shape} != {inst.num_vars} variables")
-    ints, idx, neg, filled, le, ge, eq, rhs = _feasibility_data(inst)
 
     finite = np.isfinite(point)
     below = point < inst.lower - feas_tol
@@ -297,6 +291,7 @@ def check_feasibility(inst: MipInstance, point: np.ndarray,
             amount = inst.lower[j] - point[j] if below[j] else point[j] - inst.upper[j]
         return FeasibilityResult(False, Violation("bound", j, float(amount)))
 
+    ints = inst.integer_indices()
     vals = point[ints]
     bad = np.abs(vals - vals.round()) > int_tol
     if count_nonzero(bad):
@@ -304,13 +299,15 @@ def check_feasibility(inst: MipInstance, point: np.ndarray,
         frac = abs(point[j] - round(point[j]))
         return FeasibilityResult(False, Violation("integrality", j, float(frac)))
 
+    rhs = inst.rhs_array()
     if not len(rhs):
         return FeasibilityResult(True)
     # 0 - (-t1) - (-t2) ... is 0 + t1 + t2 ... exactly; subtract.reduce
     # folds in order (add.reduce may sum pairwise)
-    terms = np.zeros((len(idx) + 1, len(rhs)))
-    np.multiply(neg, point[idx], out=terms[1:], where=filled)
-    act = np.subtract.reduce(terms, axis=0)
+    terms = np.zeros((len(rhs), inst.num_vars + 1))
+    np.multiply(inst.dense_matrix(), -point, out=terms[:, 1:])
+    act = np.subtract.reduce(terms, axis=1)
+    le, ge, eq = _sense_masks(inst)
     bad = ((le & (act > rhs + feas_tol)) | (ge & (act < rhs - feas_tol))
            | (eq & (np.abs(act - rhs) > feas_tol)))
     if count_nonzero(bad):

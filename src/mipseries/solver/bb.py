@@ -93,7 +93,6 @@ class _TreeSolver:
         self.stats = fresh_stats()
         self.is_int = inst.is_integer()
         self.int_idx = inst.integer_indices()
-        self.int_indices = self.int_idx.tolist()
         # a fractional part f is fractional when frac_lo < f < frac_hi; 0-d
         # arrays, which a ufunc takes faster than Python floats
         self.frac_lo = np.array(cfg.int_tol)
@@ -104,7 +103,7 @@ class _TreeSolver:
         self.preset_rows = preset_rows
 
         self.histories: dict[int, VariableHistory] = {
-            j: VariableHistory() for j in self.int_indices}
+            j: VariableHistory() for j in self.int_idx.tolist()}
         self.global_hist = VariableHistory()
         if warm_histories is not None:
             by_name, global_hist = warm_histories
@@ -137,17 +136,23 @@ class _TreeSolver:
         return res
 
     def _node_lp(self, rows, lo, hi, warm):
-        """A node LP or cut re-solve: CUTOFF once its dual bound reaches the
-        pruning bound; ITER_LIMIT only, never CUTOFF, is retried."""
-        res = self._lp(rows, lo, hi, warm, cutoff=self._prune_cutoff())
+        """A node LP or cut re-solve, OPTIMAL; None when it prunes the node
+        (INFEASIBLE, or CUTOFF once its dual bound reaches the pruning
+        bound).  ITER_LIMIT only, never CUTOFF, is retried."""
+        res = self._lp(rows, lo, hi, warm, cutoff=self._cutoff)
         if res.status is LpStatus.CUTOFF:
             self.stats.lp_cutoffs += 1
-        elif res.status is LpStatus.ITER_LIMIT:
+            return None
+        if res.status is LpStatus.ITER_LIMIT:
             # One cold retry with Bland from the first pivot.
             res = self._lp(rows, lo, hi, None,
                            iter_limit=10 * LP_ITER_LIMIT, bland_after=0)
             if res.status is LpStatus.ITER_LIMIT:
                 raise _PivotBudgetExhausted()
+        if res.status is LpStatus.INFEASIBLE:
+            return None
+        if res.status is LpStatus.UNBOUNDED:
+            raise UnboundedRelaxationError(self.inst.name)
         return res
 
     def _push(self, node: _Node):
@@ -188,16 +193,13 @@ class _TreeSolver:
 
     @pb.setter
     def pb(self, value: float) -> None:
+        # `_cutoff`: the bound at or above which a node is pruned
         self._pb = value
         scale = max(1.0, abs(value) if math.isfinite(value) else 1.0)
         cutoff = value - 1e-9 * scale
         if self.step:
             cutoff = min(cutoff, value - self.step + 1e-6 * scale)
         self._cutoff = cutoff
-
-    def _prune_cutoff(self) -> float:
-        """The bound at or above which a node is pruned, set with `pb`."""
-        return self._cutoff
 
     def _fractional(self, x) -> list[Candidate]:
         """The integer variables with a fractional value, in index order."""
@@ -230,7 +232,7 @@ class _TreeSolver:
                 return False
         point = rounded
         obj = objective_value(self.inst, point)
-        if obj >= self._prune_cutoff():
+        if obj >= self._cutoff:
             return False
         self.pb = obj
         self.incumbent = Solution(point, obj, SolutionStatus.FEASIBLE)
@@ -271,8 +273,7 @@ class _TreeSolver:
             if v < lo[j] - self.cfg.int_tol or v > hi[j] + self.cfg.int_tol:
                 return None
             lo[j] = hi[j] = v
-        unfixed = [j for j in self.int_indices if lo[j] != hi[j]]
-        if not unfixed:
+        if (lo[self.int_idx] == hi[self.int_idx]).all():
             res = self._lp(self.base_rows, lo, hi)
             if res.status is not LpStatus.OPTIMAL:
                 return None
@@ -338,12 +339,10 @@ class _TreeSolver:
             sstats.cuts_generated += len(new_cuts)
             node.rows = node.rows.extend(new_cuts.mat, new_cuts.senses, new_cuts.rhs)
             res = self._node_lp(node.rows, node.lower, node.upper, res.basis)
-            if res.status is LpStatus.INFEASIBLE or res.status is LpStatus.CUTOFF:
+            if res is None:
                 return None
-            if res.status is LpStatus.UNBOUNDED:
-                raise UnboundedRelaxationError(self.inst.name)
             obj = max(obj, res.objective)
-            if obj >= self._prune_cutoff():
+            if obj >= self._cutoff:
                 return None
         return res, obj
 
@@ -354,18 +353,16 @@ class _TreeSolver:
         at_root = node.nid == 0
         run_cuts = self.cfg.use_cuts_root if at_root else self.cfg.use_cuts_tree
         res = self._node_lp(node.rows, node.lower, node.upper, node.basis)
-        if res.status is LpStatus.INFEASIBLE or res.status is LpStatus.CUTOFF:
+        if res is None:
             return []
-        if res.status is LpStatus.UNBOUNDED:
-            raise UnboundedRelaxationError(self.inst.name)
         obj = max(res.objective, node.bound)
         node.bound = obj
-        if obj >= self._prune_cutoff():
+        if obj >= self._cutoff:
             return []
 
         if at_root:
             self._run_completesol(node)
-            if obj >= self._prune_cutoff():
+            if obj >= self._cutoff:
                 return []
 
         if run_cuts:
@@ -381,7 +378,7 @@ class _TreeSolver:
             return []
 
         self._run_rounding(res.primal, node)
-        if obj >= self._prune_cutoff():
+        if obj >= self._cutoff:
             return []
 
         def solve_child(j, direction, new_bound):
@@ -470,7 +467,7 @@ class _TreeSolver:
                     status = SolveStatus.OPTIMAL
                     break
                 node = self._select()
-                if node.bound >= self._prune_cutoff():
+                if node.bound >= self._cutoff:
                     continue
                 children = self._process_node(node)
                 self.plunge_queue.extend(children)

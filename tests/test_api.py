@@ -66,6 +66,8 @@ REMOVED = [
     ("mipseries.solver", "VariableHistory.inference_count_down"),
     ("mipseries.solver.bb", "_hint_assignment"),
     ("mipseries.solver.cuts", "_gmi_from_row"),
+    ("mipseries.model", "_feasibility_data"),
+    ("mipseries.solver.bb", "_TreeSolver._prune_cutoff"),
 ]
 
 
@@ -127,6 +129,7 @@ REMOVED_PARAMETERS = [
     (arm_score, "total_updates"),
     (slack_integrality, "senses"),
     (ComponentLedger.accumulate, "instance_index"),
+    (MipInstance, "_cache"),
 ]
 
 

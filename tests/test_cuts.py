@@ -302,7 +302,7 @@ def _random_snapshot(rng, nonfinite=False):
     row_matrix[rng.random((m, n)) < 0.3] = 0.0
     row_rhs = rng.standard_normal(m) * 10.0 ** rng.integers(-4, 5, m)
     row_rhs[rng.random(m) < 0.3] = rng.integers(-5, 6)
-    senses = rng.choice([Sense.LE, Sense.GE, Sense.EQ], size=m)
+    senses = [(Sense.LE, Sense.GE, Sense.EQ)[k] for k in rng.integers(0, 3, m)]
     rows = NodeRows(row_matrix, senses, row_rhs, rng.random(m) < 0.5)
     # A nonbasic slack mostly rests at its finite bound (0); 4% of them at
     # the infinite one, which stops a derivation.
@@ -326,8 +326,18 @@ def _random_snapshot(rng, nonfinite=False):
 
 # Random states seldom cut their own point off; with no violation asked for
 # (-inf), every cut derived is kept, so every derivation is compared.
-# (MIN_VIOLATION, least cuts the 1500 rounds must make)
-VIOLATIONS = [(C.MIN_VIOLATION, 400), (-np.inf, 600)]
+# (MIN_VIOLATION, least cuts the 1500 rounds must make; they make 444 and 600)
+VIOLATIONS = [(C.MIN_VIOLATION, 400), (-np.inf, 550)]
+
+
+def _slack_kinds(snap):
+    """The LE slacks, GE slacks and nonbasic slacks at an infinite bound
+    of a snapshot, counted."""
+    rows, ss = snap.rows, snap.stat[snap.n_struct:]
+    at_inf = (((ss == AT_LOWER) & (rows.slack_lo == -np.inf))
+              | ((ss == AT_UPPER) & (rows.slack_hi == np.inf)))
+    return np.array([np.sum(rows.slack_hi == np.inf), np.sum(rows.slack_lo == -np.inf),
+                     np.sum(at_inf)])
 
 
 def test_gmi_matches_column_loop_on_random_snapshots(monkeypatch):
@@ -335,6 +345,7 @@ def test_gmi_matches_column_loop_on_random_snapshots(monkeypatch):
         monkeypatch.setattr(C, "MIN_VIOLATION", min_violation)
         rng = np.random.default_rng(31)
         cuts = empty = 0
+        kinds = np.zeros(3, dtype=int)
         with np.errstate(invalid="ignore"):   # w . x at infinite shifts
             for _ in range(1500):
                 result, snap, is_int = _random_snapshot(rng)
@@ -342,7 +353,11 @@ def test_gmi_matches_column_loop_on_random_snapshots(monkeypatch):
                 _assert_same_round(generate_cuts(result, is_int), want)
                 cuts += len(want[1])
                 empty += not len(want[1])
+                kinds += _slack_kinds(snap)
         assert cuts > min_cuts and empty > 300
+        # they read 1979, 1956 and 32
+        le, ge, at_inf = kinds.tolist()
+        assert le > 1700 and ge > 1700 and at_inf > 25
 
 
 def loop_columns(token, primal, is_int):

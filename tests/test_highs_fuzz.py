@@ -6,8 +6,13 @@ orders of magnitude, fractional costs and EQ rows that no integer point
 meets.  Each is solved under every branching rule with cuts on and off;
 node LPs, cut re-solves and strong-branching probes then warm-start on GE
 and EQ rows, on the rows of their node and on rows a cut round extended.
+Some instances list each row's columns out of order, and some are made by
+`dataclasses.replace` from an instance whose derived arrays were already
+read.
 """
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,8 +64,17 @@ def fuzz_mips(draw):
                               2.0 * sum(z[j] for j in ints) + 1.0))
     fractional = draw(st.sampled_from([False] * 7 + [True] * 3))
     cost = [draw(st.integers(-5, 5)) / (4.0 if fractional else 1.0) for _ in range(n)]
-    return MipInstance("fuzz", tuple(f"x{j}" for j in range(n)), np.array(cost),
-                       np.array(lo), np.array(hi), frozenset(ints), tuple(rows))
+    build = draw(st.sampled_from(["in order"] * 3 + ["shuffled", "replaced"]))
+    if build == "shuffled":
+        rows = [replace(row, coefs=tuple(draw(st.permutations(row.coefs)))) for row in rows]
+    names = tuple(f"x{j}" for j in range(n))
+    if build == "replaced":
+        other = MipInstance("other", names, -np.array(cost), np.array(lo), np.array(hi),
+                            frozenset(ints), tuple(rows[:1]))
+        check_feasibility(other, np.array(z))   # reads its matrix, rhs and masks
+        return replace(other, name="fuzz", objective=np.array(cost), rows=tuple(rows))
+    return MipInstance("fuzz", names, np.array(cost), np.array(lo), np.array(hi),
+                       frozenset(ints), tuple(rows))
 
 
 def highs(inst: MipInstance):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -278,6 +279,25 @@ def test_failed_factorization_returns_none():
     assert rows.factorization(np.array([0, 1], dtype=np.int64)) is None
     assert rows.factorization(np.array([2, 3], dtype=np.int64)) is None
     assert rows.factorization(np.array([0, 3], dtype=np.int64)) is not None
+
+
+def test_node_rows_take_slack_bounds_from_the_sense():
+    rows = NodeRows(np.ones((3, 2)), (Sense.LE, Sense.GE, Sense.EQ), np.zeros(3))
+    assert rows.slack_lo.tolist() == [0.0, -math.inf, 0.0]
+    assert rows.slack_hi.tolist() == [math.inf, 0.0, 0.0]
+    more = rows.extend(np.ones((1, 2)), (Sense.GE,), [1.0])
+    assert more.slack_lo.tolist()[3:] == [-math.inf] and more.slack_hi.tolist()[3:] == [0.0]
+
+
+@pytest.mark.parametrize("sense", ["bogus", "LE", None])
+def test_node_rows_reject_a_sense_that_is_not_a_sense_member(sense):
+    # not EQ's slack bounds [0, 0] but an error; "LE" equals Sense.LE (a
+    # str enum), so only the type tells them apart
+    with pytest.raises(TypeError, match=re.escape(f"row 1: sense {sense!r} is not a Sense")):
+        NodeRows(np.ones((2, 2)), (Sense.LE, sense), np.zeros(2))
+    rows = NodeRows(np.ones((1, 2)), (Sense.LE,), np.zeros(1))
+    with pytest.raises(TypeError):
+        rows.extend(np.ones((1, 2)), (sense,), [0.0])
 
 
 def test_warm_start_of_a_zero_row_lp():

@@ -1,6 +1,7 @@
 """Instance/series loading, validation, feasibility and the series generator."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -99,8 +100,13 @@ def test_integer_bounds_rounded_in_code_as_in_a_file(tmp_path):
     assert same_data(load_instance(path), built)
     # the rounding writes into a copy: the caller's array keeps its values and stays writable
     lo = np.array([0.2, 0.2])
-    MipInstance("r", ("x0", "x1"), [1.0, 1.0], lo, [2.7, 2.7], frozenset({0}), ())
+    cost = np.array([1.0, 1.0])
+    inst = MipInstance("r", ("x0", "x1"), cost, lo, [2.7, 2.7], frozenset({0}), ())
     assert lo.tolist() == [0.2, 0.2] and lo.flags.writeable
+    # the costs too: the instance neither freezes nor shares the caller's array
+    assert cost.flags.writeable and not np.shares_memory(cost, inst.objective)
+    cost[0] = 5.0
+    assert inst.objective.tolist() == [1.0, 1.0]
 
 
 @pytest.mark.parametrize("lb", [0, 0.0, -0.0, -0.5, 1e-10])
@@ -143,7 +149,8 @@ def test_non_finite_entries_violate_their_bounds(point, index, amount):
 
 
 def loop_check_feasibility(inst, point, feas_tol=1e-6, int_tol=1e-6):
-    """check_feasibility as a plain loop over columns and rows."""
+    """check_feasibility as a plain loop over columns and rows; a row's
+    terms are summed in column order."""
     point = np.asarray(point, dtype=float)
     for j in range(inst.num_vars):
         if not math.isfinite(point[j]):
@@ -157,7 +164,7 @@ def loop_check_feasibility(inst, point, feas_tol=1e-6, int_tol=1e-6):
         if frac > int_tol:
             return FeasibilityResult(False, Violation("integrality", j, float(frac)))
     for i, row in enumerate(inst.rows):
-        act = float(sum(c * point[j] for j, c in row.coefs))
+        act = float(sum(c * point[j] for j, c in sorted(row.coefs)))
         if row.sense is Sense.LE and act > row.rhs + feas_tol:
             return FeasibilityResult(False, Violation("row", i, float(act - row.rhs)))
         if row.sense is Sense.GE and act < row.rhs - feas_tol:
@@ -168,16 +175,16 @@ def loop_check_feasibility(inst, point, feas_tol=1e-6, int_tol=1e-6):
 
 
 def _random_rows_instance(rng, k):
-    """Rows with unsorted and repeated indices, empty rows, all three senses;
+    """Rows with unsorted distinct indices, empty rows, all three senses;
     some columns free or half-bounded, about half of them integer."""
     n, m = int(rng.integers(1, 9)), int(rng.integers(0, 7))
     lo = rng.choice([0.0, -2.0, -INF], n)
     hi = np.maximum(lo, rng.choice([1.0, 3.0, 0.0, INF], n))
     rows = []
     for i in range(m):
-        size = int(rng.integers(0, 2 * n + 1))
+        size = int(rng.integers(0, n + 1))
         coefs = tuple((int(j), float(c)) for j, c in
-                      zip(rng.integers(0, n, size), rng.normal(0.0, 1e3 ** rng.random(), size)))
+                      zip(rng.permutation(n)[:size], rng.normal(0.0, 1e3 ** rng.random(), size)))
         sense = (Sense.LE, Sense.GE, Sense.EQ)[int(rng.integers(0, 3))]
         rows.append(LinearRow(f"r{i}", coefs, sense, float(rng.normal(0.0, 5.0))))
     ints = frozenset(int(j) for j in np.nonzero(rng.random(n) < 0.5)[0])
@@ -378,6 +385,28 @@ def test_row_sense_given_as_a_string_is_solved(sense, c, optimum):
 def test_unknown_row_sense_is_rejected(sense):
     with pytest.raises(InstanceError, match=re.escape(f"plain: row 'r': bad sense {sense!r}")):
         _two_integers(sense, 2.0, [1.0, 1.0])
+
+
+def test_row_naming_a_variable_twice_is_rejected():
+    # a dense matrix would read this row as x <= 2, a sum over its terms
+    # as 2x <= 2
+    row = LinearRow("r", ((0, 1.0), (0, 1.0)), Sense.LE, 2.0)
+    with pytest.raises(InstanceError, match=re.escape("one: row 'r' names 'x' twice")):
+        MipInstance("one", ("x",), np.array([-1.0]), np.zeros(1), np.full(1, 3.0),
+                    frozenset({0}), (row,))
+
+
+def test_replace_derives_the_arrays_of_the_new_rows():
+    base = _two_integers(Sense.LE, 4.0, [-1.0, -1.0])
+    assert base.rhs_array().tolist() == [4.0]          # fill the cache
+    assert check_feasibility(base, np.array([3.0, 1.0])).feasible
+    tight = dataclasses.replace(
+        base, rows=(LinearRow("r", ((0, 1.0), (1, 1.0)), Sense.LE, 1.0),))
+    assert tight.rhs_array().tolist() == [1.0]
+    assert not check_feasibility(tight, np.array([3.0, 1.0])).feasible
+    out = solve(tight, SolverConfig(), INF)
+    assert out.status is SolveStatus.OPTIMAL and out.primal_bound == -1.0
+    assert solve(base, SolverConfig(), INF).primal_bound == -4.0
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))

@@ -442,7 +442,7 @@ def _record_lp_calls(monkeypatch, force_inf=False):
                    INF if force_inf else cutoff)
         calls.append(SimpleNamespace(
             caller=lp_frame.f_back.f_code.co_name, cutoff=cutoff,
-            prune=lp_frame.f_locals["self"]._prune_cutoff(),
+            prune=lp_frame.f_locals["self"]._cutoff,
             retry=warm is None and bland_after == 0, status=res.status))
         return res
 
@@ -501,7 +501,7 @@ def test_cutoff_saves_pivots_and_changes_nothing_else_on_the_pinned_mips(monkeyp
 # -- the objective step ----------------------------------------------------
 
 def _with_objective(inst, cost):
-    return replace(inst, objective=np.asarray(cost, dtype=float), _cache={})
+    return replace(inst, objective=np.asarray(cost, dtype=float))
 
 
 @pytest.mark.parametrize("cost, ints, step", [
