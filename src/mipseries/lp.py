@@ -103,6 +103,11 @@ class SimplexTrouble(RuntimeError):
     """Internal: phase-1 ray without a breakpoint (numerical breakdown)."""
 
 
+class NonFiniteLpError(RuntimeError):
+    """An OPTIMAL or ITER_LIMIT solve ended at a point with a NaN or an
+    infinite entry: nothing can be read from it."""
+
+
 @dataclass
 class SimplexBasis:
     """Warm-start token, as a solve returns it: the basic column per row, all
@@ -741,6 +746,9 @@ def solve_arrays(rows: NodeRows, lo, hi, cost, warm, iter_limit,
     ITER_LIMIT is returned (never raised) when the pivot budget runs out.
     CUTOFF is returned when the dual simplex shows that the optimum is at
     least `cutoff`; the primal loop runs to the end whatever the cutoff.
+    An OPTIMAL or ITER_LIMIT result always has a finite point: a solve that
+    ends at a NaN or inf raises `NonFiniteLpError`.  The points of the other
+    statuses are not read by any caller and are not checked.
     """
     sx = _Simplex(rows, lo, hi, cost, kernels, bland_after)
     try:
@@ -769,6 +777,8 @@ def solve_arrays(rows: NodeRows, lo, hi, cost, warm, iter_limit,
     elif status is LpStatus.CUTOFF:
         objective = sx.objective(beta, sx.vals)
     else:
+        if count_nonzero(np.isfinite(primal)) < sx.n:
+            raise NonFiniteLpError(f"{status.value} solve ended at a non-finite point")
         objective = float(np.dot(cost, primal))
     # sx is dropped here: the token takes its arrays as they are
     aug = _frozen(sx.aug)

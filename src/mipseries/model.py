@@ -77,7 +77,7 @@ def dense_block(rows, n: int) -> np.ndarray:
     return mat
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class MipInstance:
     """Full problem data: minimize obj subject to rows, bounds and integrality."""
 
@@ -93,9 +93,8 @@ class MipInstance:
     def __post_init__(self):
         # copies: the caller's arrays stay theirs and writable, and the
         # integer bounds are rounded below
-        self.objective = np.array(self.objective, dtype=float)
-        self.lower = np.array(self.lower, dtype=float)
-        self.upper = np.array(self.upper, dtype=float)
+        for name in ("objective", "lower", "upper"):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
         n = len(self.var_names)
         if len(set(self.var_names)) != n:
             raise InstanceError(f"{self.name}: duplicate variable names")
@@ -116,7 +115,7 @@ class MipInstance:
                 raise InstanceError(f"{self.name}: row '{row.name}': "
                                     f"bad sense {row.sense!r}") from None
             rows.append(row if row.sense is sense else replace(row, sense=sense))
-        self.rows = tuple(rows)
+        object.__setattr__(self, "rows", tuple(rows))
         # Integer variables keep integral bounds; rounding inward is lossless
         # for the integer feasible set.  NaN and infinities pass through to
         # the checks; + 0.0 turns a -0.0 into 0.0.

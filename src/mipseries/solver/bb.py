@@ -33,7 +33,7 @@ from .config import (HEUR_COMPLETESOL, HEUR_ROUNDING, SEP_GOMORY,
                      BranchingRule, SolveOutcome, SolverConfig, SolveStatus,
                      fresh_stats)
 from .cuts import generate_cuts, slack_integrality
-from .heuristics import raise_on_nonfinite, round_to_feasible
+from .heuristics import round_to_feasible
 from .history import VariableHistory
 from .presolve import run_presolve
 
@@ -204,7 +204,6 @@ class _TreeSolver:
     def _fractional(self, x) -> list[Candidate]:
         """The integer variables with a fractional value, in index order."""
         vals = x[self.int_idx]
-        raise_on_nonfinite(vals, math.floor)
         f = vals - np.floor(vals)
         pick = (self.frac_lo < f) & (f < self.frac_hi)
         return [Candidate(j, v) for j, v in zip(self.int_idx[pick].tolist(),
@@ -212,11 +211,9 @@ class _TreeSolver:
 
     def _rounded(self, point) -> np.ndarray:
         """A float copy of `point` with its integer entries rounded half to
-        even, as Python's round(): NaN and inf raise, -0.0 becomes +0.0."""
+        even, as Python's round(); -0.0 becomes +0.0."""
         point = np.array(point, dtype=float)
-        vals = point[self.int_idx]
-        raise_on_nonfinite(vals, round)
-        point[self.int_idx] = np.round(vals) + 0.0
+        point[self.int_idx] = np.round(point[self.int_idx]) + 0.0
         return point
 
     def _try_incumbent(self, point: np.ndarray, checked: bool = False) -> bool:

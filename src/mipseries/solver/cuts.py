@@ -15,12 +15,10 @@ whole derivation.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..kernels import count_nonzero
 from ..lp import AT_LOWER, FREE, LpResult, LpStatus, NodeRows, SimplexBasis
 from ..model import INF, Sense
 
@@ -102,20 +100,18 @@ def _gmi_rows(columns: _Columns, rows: np.ndarray, f0: np.ndarray):
     operations happen at non-finite entries; the caller's `errstate`
     silences them.
 
-    Returns (W, rhs, ok, raise_on): row i of W and rhs[i] are row i's cut
-    where ok[i]; raise_on[i] is the row's first non-finite integral
-    coefficient before its first stop column, or 0.0 where it has none.
+    Returns (W, rhs, ok): row i of W and rhs[i] are row i's cut where
+    ok[i].  A row gives no cut when it meets a FREE column or an infinite
+    shift, when its cut is not finite (a non-finite coefficient makes it
+    so), when it has no nonzero or when its dynamism exceeds MAX_DYNAMISM.
 
     Each (rows x columns) operation is the arithmetic of a loop over one
     row's columns: each term is the same product, and `const` and the slack
     rows of w are folded left to right with `np.subtract.reduce` (`add.reduce`
     may sum pairwise), with the columns a row does not keep entering the
     folds as exact +0.0 (x - 0.0 is x, signed zeros included).  So each cut
-    is the loop's bit for bit.  The loop stops at a row's first FREE column
-    or infinite shift (no cut) and raises at its first non-finite integral
-    coefficient (`math.floor`), whichever column comes first; `raise_on`
-    and `ok` say which.  Row-wise any() is `np.logical_or.reduce`, which
-    skips the method's dispatch.
+    is the loop's bit for bit.  Row-wise any() is `np.logical_or.reduce`,
+    which skips the method's dispatch.
     """
     node_rows = columns.rows
     n = node_rows.n
@@ -127,12 +123,6 @@ def _gmi_rows(columns: _Columns, rows: np.ndarray, f0: np.ndarray):
     cols &= ~np.logical_or.accumulate(stops, axis=1)   # before the first stop
     coef = np.where(columns.at_lower, a, -a)
     integral = columns.integral
-    bad_cols = cols & integral & ~np.isfinite(coef)
-    bad = np.logical_or.reduce(bad_cols, axis=1)
-    raise_on = np.zeros(len(rows))
-    if count_nonzero(bad):
-        first = bad_cols.argmax(axis=1)
-        raise_on[bad] = coef[bad, first[bad]]
     fj = coef - np.floor(coef)
     g0 = 1.0 - f0
     gamma = np.where(integral,
@@ -161,15 +151,17 @@ def _gmi_rows(columns: _Columns, rows: np.ndarray, f0: np.ndarray):
 
     rhs = 1.0 - const
     # |w_j| <= ZERO_COEF is zeroed; the rest (NaN included) is nonzero, and
-    # the largest |w_j| of a row with a nonzero is a nonzero's
+    # the largest |w_j| of a row with a nonzero is a nonzero's: NaN or inf
+    # when any w_j is
     size = np.abs(W)
     tiny = size <= ZERO_COEF
     W[tiny] = 0.0
     nz = ~tiny
     top = size.max(axis=1, initial=-INF)
     least = np.where(nz, size, _INF).min(axis=1, initial=INF)
-    ok = ~(bad | stopped) & np.logical_or.reduce(nz, axis=1) & ~(top / least > MAX_DYNAMISM)
-    return W, rhs, ok, raise_on
+    ok = (~stopped & np.logical_or.reduce(nz, axis=1) & np.isfinite(top)
+          & np.isfinite(rhs) & ~(top / least > MAX_DYNAMISM))
+    return W, rhs, ok
 
 
 @dataclass(frozen=True)
@@ -199,8 +191,7 @@ def generate_cuts(result: LpResult, is_int: np.ndarray) -> CutBlock:
     One pass derives the cuts of every candidate row (`_gmi_rows`); they are
     then taken in row order, as a loop over the rows took them, until the
     cap, and the block gathers the rows taken from that pass's arrays.  A
-    row whose basic value or whose derivation makes `math.floor` raise
-    raises there only if it comes before the cap is reached.
+    row with a non-finite basic value or a non-finite cut gives no cut.
     """
     token, x = result.basis, result.primal
     n = len(x)
@@ -210,30 +201,16 @@ def generate_cuts(result: LpResult, is_int: np.ndarray) -> CutBlock:
     cand = (basic < n).nonzero()[0]
     cand = cand[is_int[basic[cand]]]
     b0 = x[basic[cand]]
-    finite = np.isfinite(b0)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         f0 = b0 - np.floor(b0)
-        # non-finite basic values raise; the others need a fractional part
-        # within MIN_FRACTIONALITY of neither 0 nor 1
-        live = ~finite | ((f0 >= MIN_FRACTIONALITY) & (f0 <= 1.0 - MIN_FRACTIONALITY))
-        cand, b0, f0, finite = cand[live], b0[live], f0[live], finite[live]
-        derived = finite.nonzero()[0]
-        W, rhs, ok, raise_on = _gmi_rows(_Columns.of(token, x, is_int),
-                                          cand[derived], f0[derived])
-    # per candidate: the non-finite value math.floor raises on (its basic
-    # value or a coefficient), else 0.0; and its cut, else -1
-    floored = b0.copy()
-    floored[derived] = raise_on
-    raises = ~np.isfinite(floored)
-    cut = np.full(len(cand), -1)
-    cut[derived[ok]] = ok.nonzero()[0]
+        # a fractional part within MIN_FRACTIONALITY of neither 0 nor 1; a
+        # non-finite basic value's is NaN, in neither band
+        live = (f0 >= MIN_FRACTIONALITY) & (f0 <= 1.0 - MIN_FRACTIONALITY)
+        W, rhs, ok = _gmi_rows(_Columns.of(token, x, is_int), cand[live], f0[live])
     taken = []
-    for i in (raises | (cut >= 0)).nonzero()[0].tolist():
+    for c in ok.nonzero()[0].tolist():
         if len(taken) >= MAX_CUTS_PER_ROUND:
             break
-        if raises[i]:
-            math.floor(floored[i])   # raises, as the loop did here
-        c = int(cut[i])
         # ndarray.dot is matmul's w @ x up to the sign of a zero
         if float(W[c].dot(x)) >= rhs[c] - MIN_VIOLATION:
             continue

@@ -24,17 +24,23 @@ class PresolveResult:
 
 def _terms(row) -> tuple:
     """The row's (column, coefficient) terms without its zero coefficients:
-    both rules treat a row as if its zero terms were not there."""
-    return tuple((j, a) for j, a in row.coefs if a != 0.0)
+    both rules treat a row as if its zero terms were not there.  The
+    coefficients are Python floats."""
+    return tuple((j, float(a)) for j, a in row.coefs if a != 0.0)
 
 
-def _tighten_row_le(coefs, rhs, lower, upper, is_int) -> int:
-    """Propagate a <= row once; returns the number of improved bounds."""
+def _tighten_row_le(coefs, rhs: float, lower, upper, is_int) -> int:
+    """Propagate a <= row once; returns the number of improved bounds.
+
+    The arithmetic is on Python floats, which overflow to +-inf without a
+    warning.  An implied bound of +inf above (-inf below) tightens nothing;
+    one of -inf above (+inf below) crosses the other bound, which proves
+    the row infeasible."""
     changes = 0
     # minimal activity contribution per term
     contrib_lo = []
     for j, a in coefs:
-        lo = lower[j] if a > 0 else upper[j]
+        lo = float(lower[j] if a > 0 else upper[j])
         contrib_lo.append(a * lo if math.isfinite(lo) else -INF)
     total = sum(contrib_lo) if all(math.isfinite(v) for v in contrib_lo) else None
     for k, (j, a) in enumerate(coefs):
@@ -48,14 +54,14 @@ def _tighten_row_le(coefs, rhs, lower, upper, is_int) -> int:
         slack = rhs - rest
         if a > 0:
             new_ub = slack / a
-            if is_int[j]:
+            if is_int[j] and math.isfinite(new_ub):
                 new_ub = math.floor(new_ub + EPS)
             if new_ub < upper[j] - EPS:
                 upper[j] = new_ub
                 changes += 1
         else:
             new_lb = slack / a
-            if is_int[j]:
+            if is_int[j] and math.isfinite(new_lb):
                 new_lb = math.ceil(new_lb - EPS)
             if new_lb > lower[j] + EPS:
                 lower[j] = new_lb
@@ -71,10 +77,10 @@ def _bound_tighten(inst, lower, upper, rhs) -> tuple[int, bool]:
         for i, row in enumerate(inst.rows):
             coefs = _terms(row)
             if row.sense in (Sense.LE, Sense.EQ):
-                sweep += _tighten_row_le(coefs, rhs[i], lower, upper, is_int)
+                sweep += _tighten_row_le(coefs, float(rhs[i]), lower, upper, is_int)
             if row.sense in (Sense.GE, Sense.EQ):
                 neg = tuple((j, -a) for j, a in coefs)
-                sweep += _tighten_row_le(neg, -rhs[i], lower, upper, is_int)
+                sweep += _tighten_row_le(neg, -float(rhs[i]), lower, upper, is_int)
         total_changes += sweep
         if np.any(lower > upper + EPS):
             return total_changes, True

@@ -10,7 +10,7 @@ import pytest
 
 from mipseries.harness import CSV_COLUMNS
 from mipseries.kernels import get_kernels
-from mipseries.lp import NodeRows, solve_arrays
+from mipseries.lp import NodeRows, _Simplex, solve_arrays
 from mipseries.model import DEFAULT_INT_TOL, INF, LinearRow, MipInstance, Sense
 from mipseries.solver import BranchingRule
 from mipseries.solver.bb import BLAND_AFTER, LP_ITER_LIMIT
@@ -362,10 +362,18 @@ def awkward_values(rng, size):
     return v
 
 
-def outcome(fn, *args):
-    """fn(*args), or the type of the ValueError or OverflowError it raised
-    (what math.floor and round() raise on NaN and inf)."""
-    try:
-        return fn(*args)
-    except (ValueError, OverflowError) as exc:
-        return type(exc)
+def poison_lp(mp, status, methods=("run", "run_dual"), when=lambda iter_limit: True):
+    """Patch the simplex loops `methods` of `_Simplex` with `mp` so that a
+    loop that ends with a result, when `when(iter_limit)` holds, reports
+    `status` with every basic value NaN instead.  Returns the list of the
+    iteration limits of the loops it poisoned, in call order."""
+    poisoned = []
+    for name in methods:
+        def patched(self, iter_limit, *args, _real=getattr(_Simplex, name)):
+            out = _real(self, iter_limit, *args)
+            if out is None or not when(iter_limit):
+                return out
+            poisoned.append(iter_limit)
+            return status, np.full_like(out[1], np.nan)
+        mp.setattr(_Simplex, name, patched)
+    return poisoned

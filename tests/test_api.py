@@ -68,6 +68,7 @@ REMOVED = [
     ("mipseries.solver.cuts", "_gmi_from_row"),
     ("mipseries.model", "_feasibility_data"),
     ("mipseries.solver.bb", "_TreeSolver._prune_cutoff"),
+    ("mipseries.solver.heuristics", "raise_on_nonfinite"),
 ]
 
 

@@ -5,10 +5,14 @@ import math
 
 import pytest
 
-from mipseries.lp import LpResult, LpStatus
+from mipseries.lp import LpResult, LpStatus, NonFiniteLpError
 from mipseries.solver import (BranchingRule, Candidate, SolverConfig,
                               SolverStats, VariableHistory,
-                              select_branch_variable, update_pseudocost)
+                              select_branch_variable, solve, update_pseudocost)
+from mipseries.solver import branching
+from mipseries.solver.bb import STRONG_BRANCH_ITER_LIMIT
+
+from conftest import DET_WPS, hard_knapsack, poison_lp
 
 
 def test_update_pseudocost_examples():
@@ -146,3 +150,22 @@ def test_no_fractional_candidate_is_contract_violation():
     with pytest.raises(ValueError):
         select_branch_variable([], 0.0, -1.0, {}, VariableHistory(), cfg,
                                lambda *a: None, SolverStats())
+
+
+def test_a_probe_that_ends_at_a_non_finite_point_updates_no_pseudocost(monkeypatch):
+    updates = []
+    real_update = branching.update_pseudocost
+    monkeypatch.setattr(branching, "update_pseudocost",
+                        lambda *args: updates.append(args) or real_update(*args))
+    cfg = SolverConfig(branching_rule=BranchingRule.FULLSTRONG, use_cuts_root=False,
+                       use_cuts_tree=False, enabled_heuristics=frozenset(),
+                       det_work_per_second=DET_WPS)
+    solve(hard_knapsack(), cfg, 1e9)
+    assert updates   # the probes update pseudocosts when they end finite
+    updates.clear()
+    # every strong-branching probe ends at NaN points
+    poisoned = poison_lp(monkeypatch, LpStatus.OPTIMAL,
+                         when=lambda iter_limit: iter_limit == STRONG_BRANCH_ITER_LIMIT)
+    with pytest.raises(NonFiniteLpError):
+        solve(hard_knapsack(), cfg, 1e9)
+    assert poisoned == [STRONG_BRANCH_ITER_LIMIT] and updates == []

@@ -4,6 +4,7 @@ reference."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +19,7 @@ from mipseries.solver import bb
 from mipseries.solver import cuts as C
 
 from conftest import (DET_WPS, enumerate_integer_points, lp_solve, make_instance,
-                      outcome, random_feasible_mip, relaxation)
+                      random_feasible_mip, relaxation)
 
 
 def _fractional_instance():
@@ -141,13 +142,23 @@ def test_cut_validity_with_continuous_variables():
 # it replaced
 # ---------------------------------------------------------------------------
 
+# Why `loop_gmi_from_row` gave no cut for a non-finite row, counted: its
+# basic value, an integral coefficient, or the cut itself was not finite.
+NONFINITE = Counter()
+
+
 def loop_gmi_from_row(snap, r, is_int, row_matrix, row_rhs, slack_int):
-    """Reference: one cut (w, rhs) from tableau row r, column by column.
-    `snap` holds the tableau `tab`, the statuses `stat`, the bounds `lo` and
-    `hi` of every column (slacks last), the basic values `beta` and the
-    structural column count `n_struct`."""
+    """Reference: one cut (w, rhs) from tableau row r, column by column, or
+    None.  `snap` holds the tableau `tab`, the statuses `stat`, the bounds
+    `lo` and `hi` of every column (slacks last), the basic values `beta` and
+    the structural column count `n_struct`.  A non-finite basic value, a
+    non-finite integral coefficient or a cut with a non-finite entry or rhs
+    gives no cut."""
     n = snap.n_struct
     b0 = snap.beta[r]
+    if not math.isfinite(b0):
+        NONFINITE["basic"] += 1
+        return None
     f0 = b0 - math.floor(b0)
     if f0 < C.MIN_FRACTIONALITY or f0 > 1.0 - C.MIN_FRACTIONALITY:
         return None
@@ -178,6 +189,9 @@ def loop_gmi_from_row(snap, r, is_int, row_matrix, row_rhs, slack_int):
             integral = bool(slack_int[j - n])
 
         if integral:
+            if not math.isfinite(coef):
+                NONFINITE["coef"] += 1
+                return None
             fj = coef - math.floor(coef)
             gamma = fj / f0 if fj <= f0 else (1.0 - fj) / (1.0 - f0)
         else:
@@ -202,6 +216,9 @@ def loop_gmi_from_row(snap, r, is_int, row_matrix, row_rhs, slack_int):
                 const -= gamma * row_rhs[k]
 
     rhs = 1.0 - const
+    if not (np.isfinite(w).all() and math.isfinite(rhs)):
+        NONFINITE["cut"] += 1
+        return None
     w[np.abs(w) <= C.ZERO_COEF] = 0.0
     nz = np.abs(w[w != 0.0])
     if len(nz) == 0:
@@ -223,7 +240,8 @@ def loop_generate_cuts(snap, x, is_int):
             break
         if j0 >= n or not is_int[j0]:
             continue
-        frac = x[j0] - math.floor(x[j0])
+        # a non-finite value's fractional part is NaN, in neither band below
+        frac = x[j0] - math.floor(x[j0]) if math.isfinite(x[j0]) else math.nan
         if frac <= DEFAULT_INT_TOL or frac >= 1.0 - DEFAULT_INT_TOL:
             continue
         derived = loop_gmi_from_row(snap, r, is_int, rows.mat, rows.rhs, rows.slack_int)
@@ -244,12 +262,8 @@ def _bits(a):
 
 
 def _assert_same_round(got, want):
-    """`got`, a `CutBlock` or an exception type, is the reference round
-    `want`, (mat, rhs) or an exception type, bit for bit."""
-    if isinstance(want, type):
-        assert got is want
-        return
-    assert not isinstance(got, type)
+    """The `CutBlock` `got` is the reference round `want`, (mat, rhs), bit
+    for bit."""
     assert got.mat.shape == want[0].shape
     assert np.array_equal(_bits(got.mat), _bits(want[0]))
     assert np.array_equal(_bits(got.rhs), _bits(want[1]))
@@ -397,31 +411,39 @@ def test_column_data_matches_column_loop_with_signed_zeros_and_nonfinite_points(
         assert np.array_equal(_bits(got.shift), _bits(want["shift"]))
 
 
-def test_gmi_nonfinite_coefficients_raise_or_stop_like_the_loop(monkeypatch):
+def test_gmi_nonfinite_rows_give_no_cut_like_the_loop(monkeypatch):
     for min_violation, _ in VIOLATIONS:
         monkeypatch.setattr(C, "MIN_VIOLATION", min_violation)
         rng = np.random.default_rng(32)
-        seen = set()
+        NONFINITE.clear()
+        cuts = 0
         with np.errstate(invalid="ignore", over="ignore"):
             for _ in range(1500):
                 result, snap, is_int = _random_snapshot(rng, True)
-                want = outcome(loop_generate_cuts, snap, result.primal, is_int)
-                _assert_same_round(outcome(generate_cuts, result, is_int), want)
-                seen.add(want if isinstance(want, type)
-                         else "cuts" if len(want[1]) else "none")
-        assert {ValueError, OverflowError, "none", "cuts"} <= seen
+                want = loop_generate_cuts(snap, result.primal, is_int)
+                got = generate_cuts(result, is_int)
+                _assert_same_round(got, want)
+                assert np.isfinite(got.mat).all() and np.isfinite(got.rhs).all()
+                cuts += len(got)
+        # every kind of non-finite row occurs, and finite rows still cut:
+        # each pass meets 91 non-finite basic values, 377 non-finite
+        # integral coefficients and 332 non-finite cuts; the two passes
+        # make 316 and 403 cuts
+        assert min(NONFINITE[kind] for kind in ("basic", "coef", "cut")) > 20, NONFINITE
+        assert cuts > 100
 
 
-def _capped_round(raising_row, value):
+def _capped_round(nonfinite_row, value):
     """An OPTIMAL result with 25 tableau rows, each basic in an integer
-    column at 0.5 and cut off by its cut 0.6 x_25 >= 1, but row
-    `raising_row`, which has the coefficient `value` on the integer column
-    26 as well; and the loop reference's state for it."""
+    column at 0.5 and cut off by its cut 0.6 x_25 + (i + 1)/32 x_26 >= 1 (row
+    i), but row `nonfinite_row`, which has the coefficient `value` on the
+    integer column 27 as well; and the loop reference's state for it."""
     m, n = 25, 30
     tab = np.zeros((m, n + m))
     tab[np.arange(m), np.arange(m)] = 1.0
     tab[:, 25] = 0.3
-    tab[raising_row, 26] = value
+    tab[:, 26] = (np.arange(m) + 1) / 64
+    tab[nonfinite_row, 27] = value
     basis = np.arange(m)
     stat = np.full(n + m, AT_LOWER, dtype=np.int8)
     stat[basis] = BASIC
@@ -435,20 +457,18 @@ def _capped_round(raising_row, value):
     return LpResult(LpStatus.OPTIMAL, x, 0.0, token, 0), snap
 
 
-@pytest.mark.parametrize("value, exc", [(np.inf, OverflowError), (np.nan, ValueError)])
-def test_a_raising_row_raises_only_before_the_cap(value, exc):
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_a_nonfinite_row_gives_no_cut_before_or_after_the_cap(value):
     is_int = np.ones(30, dtype=bool)
     # row 20 is the first row after the 20th cut (rows 0-19): the round
-    # stops there
-    result, snap = _capped_round(20, value)
-    want = loop_generate_cuts(snap, result.primal, is_int)
-    assert len(want[1]) == C.MAX_CUTS_PER_ROUND
-    _assert_same_round(generate_cuts(result, is_int), want)
-    # row 5 comes before it: the round raises what the loop raises
-    result, snap = _capped_round(5, value)
-    assert outcome(loop_generate_cuts, snap, result.primal, is_int) is exc
-    with pytest.raises(exc):
-        generate_cuts(result, is_int)
+    # stops there; row 5 comes before it, and row 20 cuts in its place
+    for nonfinite_row, cut_rows in ((20, list(range(20))),
+                                    (5, [*range(5), *range(6, 21)])):
+        result, snap = _capped_round(nonfinite_row, value)
+        want = loop_generate_cuts(snap, result.primal, is_int)
+        got = generate_cuts(result, is_int)
+        _assert_same_round(got, want)
+        assert (got.mat[:, 26] * 32 - 1).tolist() == cut_rows
 
 
 _SLACK_BOUNDS = {Sense.LE: (0.0, np.inf), Sense.GE: (-np.inf, 0.0), Sense.EQ: (0.0, 0.0)}

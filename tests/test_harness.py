@@ -13,12 +13,13 @@ from mipseries import harness
 from mipseries.harness import (RunConfig, ScoreRecord, _SeriesState, _error_record,
                                _journal_line, improvement_table, run_series,
                                write_report_csv, write_report_summary)
+from mipseries.lp import LpStatus
 from mipseries.model import (Component, SeriesManifest, load_series,
                              generate_series_files, save_instance)
 from mipseries.solver import HEUR_COMPLETESOL, SEP_GOMORY, SolverConfig
 from mipseries.tuner import ON, PARAM_ORDER
 
-from conftest import DET_WPS, hard_knapsack, report_csv, version_3_journal
+from conftest import DET_WPS, hard_knapsack, poison_lp, report_csv, version_3_journal
 
 ALL_OFF = frozenset({"hints", "history", "sb", "tuning", "turnoff"})
 ALL_ON = dict.fromkeys(PARAM_ORDER, ON)
@@ -468,6 +469,40 @@ def test_instance_failure_recorded_and_series_continues(tmp_path):
     for param in ("HINT", "CUTS", "ROOT_CUTS"):
         arm = upto_error.tuner_summary[param]
         assert (arm["n_on"], arm["n_off"], arm["q_off"]) == (0, 1, -2.0), param
+
+
+def test_a_non_finite_lp_point_fails_only_its_instance(tmp_path, monkeypatch):
+    manifest = _identical_series(tmp_path, n=3)
+    run_cfg = RunConfig(seed=0, det_work_per_second=DET_WPS)
+    real_solve = harness.solve
+
+    def run_failing(fail):
+        """The series run with `fail(mp)` called as instance 1 starts."""
+        calls = []
+
+        def solve(*args, **kwargs):
+            calls.append(None)
+            with pytest.MonkeyPatch.context() as mp:
+                if len(calls) == 2:
+                    fail(mp)
+                return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "solve", solve)
+        return run_series(manifest, run_cfg)
+
+    def boom(mp):
+        raise RuntimeError("boom")
+
+    # instance 1's simplex loops all end at NaN points
+    report = run_failing(lambda mp: poison_lp(mp, LpStatus.OPTIMAL))
+    assert [r.status for r in report.records] == ["OPTIMAL", "ERROR", "OPTIMAL"]
+    assert report.records[1].error.startswith("NonFiniteLpError: OPTIMAL solve")
+    # instance 0 is solved as with no failure, instance 2 as after any
+    # other failure of instance 1
+    assert report.records[0] == run_failing(lambda mp: None).records[0]
+    other = run_failing(boom)
+    assert other.records[1].error == "RuntimeError: boom"
+    assert report.records[2] == other.records[2]
 
 
 def test_checkpoint_records_serialize_like_asdict():

@@ -16,7 +16,7 @@ from mipseries.kernels import get_kernels
 from mipseries.lp import AT_LOWER, BASIC, FREE, LpStatus, NodeRows, _Simplex
 from mipseries.model import LinearRow, Sense, dense_block
 
-from conftest import lp_solve, lp_vertex_oracle, make_instance, relaxation
+from conftest import lp_solve, lp_vertex_oracle, make_instance, poison_lp, relaxation
 
 
 def test_single_var_lower_bounded_row():
@@ -35,6 +35,25 @@ def test_two_var_box_vertex():
     assert res.objective == pytest.approx(-1.0)
     # independent check: enumerate the vertices of the 2-D polytope
     assert lp_vertex_oracle(inst) == pytest.approx(-1.0)
+
+
+@pytest.mark.parametrize("status", [LpStatus.OPTIMAL, LpStatus.ITER_LIMIT])
+@pytest.mark.parametrize("method", ["run", "run_dual"])
+def test_non_finite_lp_point_raises(monkeypatch, method, status):
+    # x and y are both basic at the optimum (4/3, 4/3); a y <= 1 re-solve
+    # from its token runs the dual loop
+    inst = make_instance("nf", [-1.0, -1.0],
+                         [([1.0, 2.0], Sense.LE, 4.0), ([2.0, 1.0], Sense.LE, 4.0)],
+                         [0, 0], [10, 10])
+    rows, lo, hi, cost = relaxation(inst)
+    first = lp_solve(rows, lo, hi, cost)
+    assert first.status is LpStatus.OPTIMAL
+    hi[1] = 1.0
+    warm = first.basis if method == "run_dual" else None
+    poisoned = poison_lp(monkeypatch, status, methods=(method,))
+    with pytest.raises(lp.NonFiniteLpError, match=f"^{status.value} solve"):
+        lp_solve(rows, lo, hi, cost, warm)
+    assert len(poisoned) == 1
 
 
 def test_infeasible_rows():

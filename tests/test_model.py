@@ -409,6 +409,21 @@ def test_replace_derives_the_arrays_of_the_new_rows():
     assert solve(base, SolverConfig(), INF).primal_bound == -4.0
 
 
+def test_fields_cannot_be_assigned_after_validation():
+    base = _two_integers(Sense.LE, 4.0, [-1.0, -1.0])
+    assert base.rhs_array().tolist() == [4.0]          # fill the cache
+    twice = (LinearRow("r", ((0, 1.0), (0, 1.0)), Sense.LE, 1.0),)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        base.rows = twice
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        base.lower = np.zeros(2)
+    assert base.rhs_array().tolist() == [4.0]
+    assert check_feasibility(base, np.array([3.0, 1.0])).feasible
+    # replace() validates the new rows
+    with pytest.raises(InstanceError, match="names 'x' twice"):
+        dataclasses.replace(base, rows=twice)
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
 def test_malformed_manifest_field_is_series_error(tmp_path, case):
     save_instance(instance_from_dict(MINIMAL), tmp_path / "i0.json")

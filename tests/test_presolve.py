@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mipseries.model import LinearRow, MipInstance, Sense, load_instance
-from mipseries.solver import (PRE_BOUND_TIGHTEN, PRE_COEF_TIGHTEN,
+from mipseries.solver import (PRE_BOUND_TIGHTEN, PRE_COEF_TIGHTEN, BranchingRule,
                               SolveStatus, SolverConfig, run_presolve, solve)
 
 from conftest import make_instance
@@ -121,3 +121,25 @@ def test_zero_coefficient_presolves_like_a_missing_term(y_integer, tmp_path):
             assert np.array_equal(getattr(res, field), getattr(want, field))
         out = solve(inst, SolverConfig(), 10.0)
         assert out.status is SolveStatus.OPTIMAL and out.primal_bound == -5.0
+
+
+def test_an_implied_bound_beyond_float_range_tightens_nothing():
+    # 1e10 / 1e-300 overflows to inf: x's implied upper bound is +inf, which
+    # tightens nothing (math.floor of it would raise OverflowError)
+    inst = make_instance("ovf", [-1.0, -1.0], [([1e-300, 1.0], Sense.LE, 1e10)],
+                         [0, 0], [4, 4], ints=(0, 1))
+    res = run_presolve(inst, SolverConfig())
+    assert not res.infeasible and res.upper.tolist() == [4.0, 4.0]
+    for rule in BranchingRule:
+        out = solve(inst, SolverConfig(branching_rule=rule), 10.0)
+        assert out.status is SolveStatus.OPTIMAL and out.primal_bound == -8.0
+
+
+@pytest.mark.parametrize("sign, sense", [(1.0, Sense.LE), (-1.0, Sense.GE)])
+def test_an_implied_bound_of_minus_infinity_proves_infeasibility(sign, sense):
+    # 1e-300 x <= -1e10 (or its mirror) implies x <= -1e10 / 1e-300, which
+    # overflows to -inf: below x's lower bound 0
+    inst = make_instance("neg", [1.0], [([sign * 1e-300], sense, sign * -1e10)],
+                         [0], [4], ints=(0,))
+    assert run_presolve(inst, SolverConfig()).infeasible
+    assert solve(inst, SolverConfig(), 10.0).status is SolveStatus.INFEASIBLE
