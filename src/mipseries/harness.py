@@ -18,18 +18,17 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .model import MipInstance, SeriesManifest
-from .reopt import (HistoryStore, PoolEntry, SolutionPool, assemble_hints,
-                    branching_policy, completesol_params, record_outcome,
-                    transfer_histories)
+from .reopt import (PoolEntry, SolutionPool, assemble_hints, branching_policy,
+                    completesol_params, record_outcome, transfer_histories)
 from .solver import (ALL_HEURISTICS, ALL_PRESOLVERS, HEUR_COMPLETESOL,
                      HEUR_ROUNDING, SEP_GOMORY, BranchingRule, SolveStatus,
-                     SolverConfig, solve)
+                     SolverConfig, VariableHistory, solve)
 from .solver.config import check_det_clock
 from .tuner import ON, PARAM_ORDER, TUNING_START_INDEX, Param, TunerState
 from .turnoff import ComponentLedger
 
 GEOMEAN_SHIFT = 10.0
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 BATCH_SIZE = 10
 
 TECHNIQUES = ("hints", "history", "sb", "tuning", "turnoff")
@@ -191,11 +190,18 @@ class SeriesReport:
 
 
 class _SeriesState:
+    """What the next solve reads, and nothing more: the archived solutions
+    hints are built from, the capped histories the next solve starts from
+    (None until a solve gives them), the tuner, the component ledger, and
+    the records so far.  A technique that is off keeps nothing: its part is
+    None."""
+
     def __init__(self, run_cfg: RunConfig):
-        self.pool = SolutionPool()
-        self.history_store = HistoryStore()
-        self.tuner = None if "tuning" in run_cfg.disable else TunerState(seed=run_cfg.seed)
-        self.ledger = ComponentLedger()
+        off = run_cfg.disable
+        self.pool = None if "hints" in off else SolutionPool()
+        self.warm: tuple[dict, VariableHistory] | None = None
+        self.tuner = None if "tuning" in off else TunerState(seed=run_cfg.seed)
+        self.ledger = None if "turnoff" in off else ComponentLedger()
         self.records: list[ScoreRecord] = []
 
     def select_values(self, t: int) -> dict:
@@ -218,17 +224,26 @@ class _SeriesState:
 
 # A checkpoint is a JSON-lines journal.  The first line is the header: the
 # version, the series and the run settings its records depend on.  Then one
-# line per finished instance holds its record, its pool entry (or null), and
-# the history store and ledger after it.  The tuner is not stored: a resume
-# replays it over the records.
+# line per finished instance holds its record, its archived solution, and
+# the capped histories and ledger after it.  A part is null while there is
+# nothing to keep, and always for a technique that is off.  The tuner is not
+# stored: a resume replays it over the records.
+
+_PART_OF = {"pool_entry": "hints", "warm": "history", "ledger": "turnoff"}
+
 
 def _journal_line(state: _SeriesState, record: ScoreRecord) -> dict:
-    entry = state.pool.get(record.instance_index)
+    entry = None if state.pool is None else state.pool.get(record.instance_index)
+    warm = None
+    if state.warm is not None:
+        by_name, global_hist = state.warm
+        warm = {"histories": {name: h.to_dict() for name, h in by_name.items()},
+                "global_history": global_hist.to_dict()}
     return {"record": dict(vars(record)),      # flat: no deep copy
             "pool_entry": None if entry is None else
                           {"objective": entry.objective, "values": entry.values},
-            "history_store": state.history_store.to_json_dict(),
-            "ledger": state.ledger.to_json_dict()}
+            "warm": warm,
+            "ledger": None if state.ledger is None else state.ledger.to_json_dict()}
 
 
 def _write_checkpoint(path, line: dict) -> None:
@@ -281,13 +296,19 @@ def _load_checkpoint(path, manifest: SeriesManifest, run_cfg: RunConfig) -> _Ser
                 raise ValueError(f"line {t + 2}: the replayed tuner values differ "
                                  "from the record's")
             state.credit(record)
+            for part, technique in _PART_OF.items():
+                if technique in run_cfg.disable and line[part] is not None:
+                    raise ValueError(f"line {t + 2} holds a {part}, but {technique} is off")
             if line["pool_entry"] is not None:
                 state.pool.set(t, PoolEntry(t, **line["pool_entry"]))
             state.records.append(record)
-        if lines:
-            state.history_store = HistoryStore.from_json_dict(line["history_store"])
+        if lines and line["warm"] is not None:
+            state.warm = ({name: VariableHistory(**h)
+                           for name, h in line["warm"]["histories"].items()},
+                          VariableHistory(**line["warm"]["global_history"]))
+        if lines and state.ledger is not None:
             state.ledger = ComponentLedger.from_json_dict(line["ledger"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"checkpoint {path} is malformed: "
                          f"{type(exc).__name__}: {exc}") from exc
     os.truncate(path, len(raw) - len(torn))
@@ -308,23 +329,18 @@ def _solve_one(state: _SeriesState, manifest: SeriesManifest,
                run_cfg: RunConfig, inst: MipInstance, t: int) -> ScoreRecord:
     changing = manifest.changing_components
     limit = manifest.time_limit_per_instance
-    use = {tech: tech not in run_cfg.disable for tech in TECHNIQUES}
-
-    rule = branching_policy(t, changing) if use["sb"] else BranchingRule.RELIABILITY
+    rule = (BranchingRule.RELIABILITY if "sb" in run_cfg.disable
+            else branching_policy(t, changing))
 
     values = state.select_values(t)
-    disabled = state.ledger.disabled_components() if use["turnoff"] else set()
+    disabled = set() if state.ledger is None else state.ledger.disabled_components()
 
     # hint completion is the only reader of hints
     hints = ()
-    if (use["hints"] and t >= 1 and values[Param.HINT] == ON
+    if (state.pool is not None and t >= 1 and values[Param.HINT] == ON
             and HEUR_COMPLETESOL not in disabled):
         hints = assemble_hints(state.pool, inst, changing, run_cfg.alpha_pct)
     hints_provided = len(hints) > 0
-
-    warm = None
-    if use["history"] and t >= 1 and state.history_store.source_index is not None:
-        warm = transfer_histories(state.history_store, inst)
 
     cuts = SEP_GOMORY not in disabled
     cs_node_limit, cs_max_improving = completesol_params(changing)
@@ -340,7 +356,7 @@ def _solve_one(state: _SeriesState, manifest: SeriesManifest,
 
     try:
         outcome = solve(inst, cfg, limit, hints=[h.assignment for h in hints],
-                        warm_histories=warm)
+                        warm_histories=state.warm)
     except Exception as exc:   # instance-level failure: record it, move on
         outcome, record = None, _error_record(t, f"{type(exc).__name__}: {exc}", values)
     else:
@@ -360,7 +376,7 @@ def _solve_one(state: _SeriesState, manifest: SeriesManifest,
     if outcome is None:
         return record
 
-    if use["turnoff"]:
+    if state.ledger is not None:
         enabled = set()
         enabled |= cfg.enabled_presolvers
         if HEUR_ROUNDING in cfg.enabled_heuristics:
@@ -372,7 +388,10 @@ def _solve_one(state: _SeriesState, manifest: SeriesManifest,
         state.ledger.accumulate(outcome.stats, enabled)
         state.ledger.evaluate(limit, t)
 
-    record_outcome(state.pool, state.history_store, outcome, t, inst.var_names)
+    if state.pool is not None:
+        record_outcome(state.pool, outcome, t, inst.var_names)
+    if "history" not in run_cfg.disable:
+        state.warm = transfer_histories(outcome)
     return record
 
 
@@ -397,7 +416,6 @@ def run_series(manifest: SeriesManifest, run_cfg: RunConfig) -> SeriesReport:
     records = state.records
     provided = sum(1 for r in records if r.hints_provided)
     converted = sum(1 for r in records if r.hint_converted)
-    use_turnoff = "turnoff" not in run_cfg.disable
     return SeriesReport(
         series_name=manifest.series_name,
         records=records,
@@ -407,7 +425,7 @@ def run_series(manifest: SeriesManifest, run_cfg: RunConfig) -> SeriesReport:
         mean_total_score=(sum(r.total_score for r in records) / len(records))
                          if records else 0.0,
         tuner_summary={} if state.tuner is None else state.tuner.summary(),
-        turnoff_summary=state.ledger.summary() if use_turnoff else [],
+        turnoff_summary=[] if state.ledger is None else state.ledger.summary(),
         hints_provided_count=provided,
         hints_converted_count=converted)
 

@@ -761,13 +761,16 @@ def solve_arrays(rows: NodeRows, lo, hi, cost, warm, iter_limit,
         status, beta = out if out is not None else sx.run(iter_limit)
     except SimplexTrouble:
         # Refactorize from scratch with Bland from the first pivot; if the
-        # breakdown persists, report the pivot budget as exhausted.
+        # breakdown persists, report the pivot budget as exhausted.  The
+        # pivots of both attempts are reported.
+        spent = sx.iterations
         sx = _Simplex(rows, lo, hi, cost, kernels, bland_after=0)
         sx.cold_start()
         try:
             status, beta = sx.run(iter_limit)
         except SimplexTrouble:
             status, beta = LpStatus.ITER_LIMIT, sx.compute_beta(sx.vals)
+        sx.iterations += spent
 
     primal = sx.primal_point(beta, sx.vals)[:sx.n]
     if status is LpStatus.INFEASIBLE:

@@ -1,14 +1,15 @@
 """Cross-instance information reuse.
 
 Builds solution hints from archived best solutions (common partial solution
-plus clipped previous solutions), transfers branching histories with the
-pseudocost count capped at 4, and picks the per-instance branching rule
-(full strong branching on the first instance, pseudocost rule afterwards
-when neither objective nor bounds change).
+plus clipped previous solutions), caps a finished solve's branching
+histories once, each pseudocost count at 4, into the pair the next solve
+starts from, and picks the per-instance branching rule (full strong
+branching on the first instance, pseudocost rule afterwards when neither
+objective nor bounds change).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import DEFAULT_INT_TOL, Component, MipInstance, Solution
 from .solver import BranchingRule, SolveOutcome, VariableHistory
@@ -58,31 +59,6 @@ class SolutionPool:
         if not self._by_index:
             return None
         return self._by_index[min(self._by_index)]
-
-
-@dataclass
-class HistoryStore:
-    """Histories of the most recently recorded solve, source for transfers."""
-
-    histories: dict = field(default_factory=dict)
-    global_history: VariableHistory = field(default_factory=VariableHistory)
-    source_index: int | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "source_index": self.source_index,
-            "histories": {name: h.to_dict() for name, h in self.histories.items()},
-            "global_history": self.global_history.to_dict(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "HistoryStore":
-        return cls(
-            histories={name: VariableHistory(**h)
-                       for name, h in data["histories"].items()},
-            global_history=VariableHistory(**data["global_history"]),
-            source_index=data["source_index"],
-        )
 
 
 def solution_values_by_name(sol: Solution, var_names) -> dict:
@@ -168,16 +144,12 @@ def _capped(hist: VariableHistory) -> VariableHistory:
     return h
 
 
-def transfer_histories(prev: SolveOutcome | HistoryStore,
-                       target: MipInstance) -> tuple[dict, VariableHistory]:
-    """Copy histories to the next instance, capping each pseudocost count at 4
+def transfer_histories(prev: SolveOutcome) -> tuple[dict, VariableHistory]:
+    """The histories the next instance starts from: a solve's histories, by
+    variable name, and its global history, each pseudocost count capped at 4
     while preserving the average exactly (sums rescaled by powers of two)."""
-    histories, global_hist = prev.histories, prev.global_history
-    out = {}
-    for name, hist in histories.items():
-        target.var_index(name)   # KeyError on variable-name mismatch
-        out[name] = _capped(hist)
-    return out, _capped(global_hist)
+    return ({name: _capped(h) for name, h in prev.histories.items()},
+            _capped(prev.global_history))
 
 
 def branching_policy(instance_index: int, changing) -> BranchingRule:
@@ -191,15 +163,10 @@ def branching_policy(instance_index: int, changing) -> BranchingRule:
     return BranchingRule.RELIABILITY
 
 
-def record_outcome(pool: SolutionPool, store: HistoryStore,
-                   outcome: SolveOutcome, instance_index: int,
+def record_outcome(pool: SolutionPool, outcome: SolveOutcome, instance_index: int,
                    var_names) -> None:
-    """Archive the best solution (if any) and the outcome histories;
-    idempotent per index."""
+    """Archive the best solution, if any; idempotent per index."""
     if outcome.best_solution is not None:
         pool.set(instance_index, PoolEntry(
             instance_index, float(outcome.best_solution.objective),
             solution_values_by_name(outcome.best_solution, var_names)))
-    store.histories = {name: h.copy() for name, h in outcome.histories.items()}
-    store.global_history = outcome.global_history.copy()
-    store.source_index = instance_index

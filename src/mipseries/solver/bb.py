@@ -266,6 +266,8 @@ class _TreeSolver:
                 return None
             if not self.is_int[j]:
                 continue
+            if not math.isfinite(value):
+                return None
             v = float(round(value))
             if v < lo[j] - self.cfg.int_tol or v > hi[j] + self.cfg.int_tol:
                 return None

@@ -71,6 +71,8 @@ class SolverConfig:
         check_det_clock(self.det_work_per_second)
         if self.completesol_node_limit < 0:
             raise ValueError("completesol_node_limit must be >= 0")
+        if self.completesol_max_improving is not None and self.completesol_max_improving < 0:
+            raise ValueError("completesol_max_improving must be >= 0")
         if self.node_limit is not None and self.node_limit < 0:
             raise ValueError("node_limit must be >= 0")
 

@@ -101,18 +101,24 @@ MALFORMED_MANIFESTS = {
 }
 
 
-def version_3_journal(lines):
-    """Parsed checkpoint journal `lines` in the version-3 layout, whose
-    histories also held conflict and inference counts."""
-    counts = dict.fromkeys(["conflict_count_up", "conflict_count_down",
-                            "inference_count_up", "inference_count_down"], 0.0)
-    old = [{**lines[0], "version": 3}]
-    for line in lines[1:]:
-        store = line["history_store"]
-        old.append({**line, "history_store": {
-            **store, "global_history": {**store["global_history"], **counts},
-            "histories": {name: {**h, **counts}
-                          for name, h in store["histories"].items()}}})
+def older_journal(lines, version):
+    """Parsed checkpoint journal `lines` in the layout of version 3 or 4.
+    Each line then held the raw histories of the last solve, as a history
+    store with that solve's index, and a pool entry and ledger whatever the
+    techniques; version 3's histories also held conflict and inference
+    counts."""
+    counts = {} if version == 4 else dict.fromkeys(
+        ["conflict_count_up", "conflict_count_down",
+         "inference_count_up", "inference_count_down"], 0.0)
+    old = [{**lines[0], "version": version}]
+    for t, line in enumerate(lines[1:]):
+        warm = line["warm"] or {"histories": {}, "global_history": {}}
+        old.append({"record": line["record"], "pool_entry": line["pool_entry"],
+                    "ledger": line["ledger"] or {}, "history_store": {
+                        "source_index": t,
+                        "global_history": {**warm["global_history"], **counts},
+                        "histories": {name: {**h, **counts}
+                                      for name, h in warm["histories"].items()}}})
     return old
 
 

@@ -14,9 +14,8 @@ import pytest
 from mipseries.harness import (RunConfig, gap_score, run_series, shifted_geomean,
                                time_score, write_report_csv, read_report_csv)
 from mipseries.model import Component, load_series, save_instance
-from mipseries.reopt import (HistoryStore, PoolEntry, SolutionPool,
-                             assemble_hints, build_common_hint, record_outcome,
-                             transfer_histories)
+from mipseries.reopt import (PoolEntry, SolutionPool, assemble_hints,
+                             build_common_hint, record_outcome, transfer_histories)
 from mipseries.solver import BranchingRule, SolverConfig, SolveStatus, solve
 from mipseries.tuner import OFF, ON, Param, ParamArm, TunerState, Variant, arm_score
 from mipseries.turnoff import ComponentLedger
@@ -145,16 +144,16 @@ def _run_copy_series(with_hints: bool, with_history: bool):
                        completesol_node_limit=5000,
                        completesol_max_improving=None)
     pool = SolutionPool()
-    store = HistoryStore()
+    warm = None
     outcomes = []
     for t in range(5):
         hints = assemble_hints(pool, inst, {Component.RHS}) \
             if (with_hints and t >= 1) else ()
-        warm = transfer_histories(store, inst) \
-            if (with_history and t >= 1 and store.source_index is not None) else None
         out = solve(inst, cfg, 1e9, hints=[h.assignment for h in hints],
                     warm_histories=warm)
-        record_outcome(pool, store, out, t, inst.var_names)
+        record_outcome(pool, out, t, inst.var_names)
+        if with_history:
+            warm = transfer_histories(out)
         outcomes.append(out)
     return outcomes
 
@@ -166,7 +165,7 @@ def test_criterion_5_history_transfer_effect():
     ok_sb = nodes1 >= 20 and sb[1] < sb[0]
 
     # transfer invariants on the first outcome's histories
-    capped, g = transfer_histories(outcomes[0], hard_knapsack())
+    capped, g = transfer_histories(outcomes[0])
     ok_caps = True
     for name, h in outcomes[0].histories.items():
         th = capped[name]

@@ -60,6 +60,7 @@ REMOVED = [
     ("mipseries.model", "_as_float"),
     ("mipseries.solver", "GlobalHistory"),
     ("mipseries.solver.history", "GlobalHistory"),
+    ("mipseries.reopt", "HistoryStore"),
     ("mipseries.solver", "VariableHistory.conflict_count_up"),
     ("mipseries.solver", "VariableHistory.conflict_count_down"),
     ("mipseries.solver", "VariableHistory.inference_count_up"),
@@ -131,6 +132,8 @@ REMOVED_PARAMETERS = [
     (slack_integrality, "senses"),
     (ComponentLedger.accumulate, "instance_index"),
     (MipInstance, "_cache"),
+    (reopt.transfer_histories, "target"),
+    (reopt.record_outcome, "store"),
 ]
 
 

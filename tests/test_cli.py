@@ -13,7 +13,7 @@ from mipseries.model import save_instance
 from mipseries.harness import CSV_COLUMNS
 
 from conftest import (MALFORMED_INSTANCES, MALFORMED_MANIFESTS, hard_knapsack,
-                      malformed_instance, report_csv, version_3_journal)
+                      malformed_instance, older_journal, report_csv)
 
 
 @pytest.fixture
@@ -177,13 +177,15 @@ def _corrupt_checkpoint(tmp_path, base_instance_path, capsys, edit, extra=()):
     return rc, capsys.readouterr().err
 
 
-def test_checkpoint_of_version_3_is_config_error(tmp_path, base_instance_path, capsys):
+@pytest.mark.parametrize("version", [3, 4])
+def test_checkpoint_of_an_older_version_is_config_error(tmp_path, base_instance_path,
+                                                        capsys, version):
     def edit(lines):
-        lines[:] = version_3_journal(lines)
+        lines[:] = older_journal(lines, version)
 
     rc, err = _corrupt_checkpoint(tmp_path, base_instance_path, capsys, edit)
     assert rc == 2
-    assert "has version 3, expected 4" in err and "Traceback" not in err
+    assert f"has version {version}, expected 5" in err and "Traceback" not in err
 
 
 def test_checkpoint_missing_field_is_config_error(tmp_path, base_instance_path, capsys):

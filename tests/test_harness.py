@@ -19,7 +19,7 @@ from mipseries.model import (Component, SeriesManifest, load_series,
 from mipseries.solver import HEUR_COMPLETESOL, SEP_GOMORY, SolverConfig
 from mipseries.tuner import ON, PARAM_ORDER
 
-from conftest import DET_WPS, hard_knapsack, poison_lp, report_csv, version_3_journal
+from conftest import DET_WPS, hard_knapsack, older_journal, poison_lp, report_csv
 
 ALL_OFF = frozenset({"hints", "history", "sb", "tuning", "turnoff"})
 ALL_ON = dict.fromkeys(PARAM_ORDER, ON)
@@ -178,6 +178,50 @@ def test_checkpoint_resume_after_tuner_draws_equals_uninterrupted(tmp_path):
             assert len(_journal(ckpt)) == 1 + 16    # the torn line is gone
 
 
+@pytest.mark.parametrize("disable", [frozenset(), ALL_OFF]
+                         + [frozenset({tech}) for tech in harness.TECHNIQUES],
+                         ids=lambda d: "+".join(sorted(d)) or "none")
+def test_resume_after_any_line_equals_uninterrupted(tmp_path, disable):
+    # the journal is append-only, so its first k lines are what a run
+    # stopped after k instances leaves behind
+    manifest = load_series(generate_series_files(
+        hard_knapsack(n=20, m=4), {"RHS"}, 16, seed=1, magnitude=0.1,
+        out_dir=tmp_path / "s", time_limit=0.06))
+    cfg = RunConfig(seed=1, det_work_per_second=1e4, disable=disable,
+                    checkpoint_path=tmp_path / "ckpt.json")
+    straight = run_series(manifest, cfg)
+    header, *lines = _journal(cfg.checkpoint_path)
+    for k in range(len(lines)):
+        _write_journal(cfg.checkpoint_path, [header] + lines[:k])
+        resumed = run_series(manifest, cfg)
+        assert [vars(r) for r in resumed.records] == \
+            [vars(r) for r in straight.records], k
+        assert resumed.summary_dict() == straight.summary_dict(), k
+        assert _journal(cfg.checkpoint_path) == [header] + lines, k
+
+
+@pytest.mark.parametrize("technique, part", [
+    ("hints", "pool_entry"), ("history", "warm"), ("turnoff", "ledger")])
+def test_journal_keeps_nothing_for_a_technique_that_is_off(tmp_path, technique, part):
+    manifest = _identical_series(tmp_path, n=3)
+    journals = {}
+    for disable in (frozenset(), frozenset({technique})):
+        cfg = RunConfig(det_work_per_second=DET_WPS, disable=disable,
+                        checkpoint_path=tmp_path / f"ckpt{len(disable)}.json")
+        assert all(r.status == "OPTIMAL" for r in run_series(manifest, cfg).records)
+        journals[disable] = _journal(cfg.checkpoint_path)[1:]
+    assert all(line[part] is not None for line in journals[frozenset()])
+    assert all(line[part] is None for line in journals[frozenset({technique})])
+    # a line that holds the part anyway is refused
+    cfg = RunConfig(det_work_per_second=DET_WPS, disable={technique},
+                    checkpoint_path=tmp_path / "mixed.json")
+    header = {**_journal(tmp_path / "ckpt1.json")[0]}
+    lines = journals[frozenset({technique})]
+    lines[0][part] = journals[frozenset()][0][part]
+    _rejected(manifest, cfg, [header] + lines,
+              f"line 2 holds a {part}, but {technique} is off")
+
+
 @pytest.mark.parametrize("content", [b"", b'{"alpha_pct": 90.0, "det_w'],
                          ids=["empty", "torn_header"])
 def test_checkpoint_without_a_whole_line_starts_over(tmp_path, content):
@@ -219,9 +263,11 @@ def test_checkpoint_of_another_run_rejected(tmp_path, field, value):
 
 def test_checkpoint_of_unknown_version_rejected(tmp_path):
     manifest, cfg, lines = _one_record_checkpoint(tmp_path)
-    _rejected(manifest, cfg, [{**lines[0], "version": 5}] + lines[1:], "version 5")
-    # the version-3 layout: each history also held conflict and inference counts
-    _rejected(manifest, cfg, version_3_journal(lines), "version 3")
+    _rejected(manifest, cfg, [{**lines[0], "version": 6}] + lines[1:], "version 6")
+    # the version-4 layout held the raw histories in a history store, and
+    # version 3's histories also held conflict and inference counts
+    _rejected(manifest, cfg, older_journal(lines, 4), "version 4")
+    _rejected(manifest, cfg, older_journal(lines, 3), "version 3")
     # the version-2 layout: one JSON object, the whole state, no newline
     state = {"version": 2, "series_name": "copies", "num_instances": 3,
              "records": [lines[1]["record"]], "pool": {}, "history_store": {},
@@ -347,6 +393,15 @@ def test_bad_deterministic_clock_rejected(clock):
     for config in (RunConfig, SolverConfig):
         with pytest.raises(ValueError, match="det_work_per_second"):
             config(det_work_per_second=clock)
+
+
+@pytest.mark.parametrize("field", ["completesol_node_limit", "completesol_max_improving",
+                                   "node_limit"])
+def test_negative_solver_limits_rejected(field):
+    # a negative cap used to turn hint completion off without a word
+    with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+        SolverConfig(**{field: -1})
+    SolverConfig(**{field: 0})
 
 
 @pytest.mark.parametrize("alpha", [-1.0, 100.5, math.nan, math.inf])

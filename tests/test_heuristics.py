@@ -1,6 +1,8 @@
 """Rounding and hint completion."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -43,12 +45,12 @@ def test_rounding_clamps_to_bounds():
 
 
 def _complete(inst, hint, **kw):
-    """A root-only solve in which only hint completion can find incumbents:
-    (outcome, completesol stats)."""
+    """A root-only solve in which only hint completion can find incumbents,
+    given `hint` unless it is None: (outcome, completesol stats)."""
     cfg = SolverConfig(det_work_per_second=DET_WPS, node_limit=1,
                        enabled_heuristics=frozenset({"completesol"}),
                        use_cuts_root=False, use_cuts_tree=False, **kw)
-    out = solve(inst, cfg, 10.0, hints=[hint])
+    out = solve(inst, cfg, 10.0, hints=[] if hint is None else [hint])
     return out, out.stats.heuristics["completesol"]
 
 
@@ -71,6 +73,16 @@ def test_complete_hint_out_of_bounds_value_rejected():
     out, cs = _complete(_knap(), {"x0": 2})
     assert cs.calls == 1 and cs.solutions_found == 0
     assert out.best_solution is None
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_complete_hint_non_finite_value_dropped(value):
+    # round() used to raise ValueError on NaN and OverflowError on inf
+    out, cs = _complete(_knap(), {"x1": 0, "x0": value})
+    assert cs.calls == 1 and cs.solutions_found == 0
+    plain, _ = _complete(_knap(), None)
+    assert (out.status, out.primal_bound, out.dual_bound, out.best_solution) == \
+        (plain.status, plain.primal_bound, plain.dual_bound, plain.best_solution)
 
 
 def test_complete_hint_partial_runs_submip():

@@ -350,40 +350,45 @@ def test_warm_start_takes_only_tokens_of_its_rows_or_the_rows_they_extend():
 
 def _breaks_down(monkeypatch, times):
     """Make the primal loop break down after at most two pivots on its
-    first `times` calls; returns the list of calls."""
+    first `times` calls; returns the list of calls (the Bland trigger of
+    each) and the list of the pivots each broken-down run had made."""
     real_run = _Simplex.run
-    calls = []
+    calls, spent = [], []
 
     def run(self, iter_limit):
         calls.append(self.bland_after)
         if len(calls) > times:
             return real_run(self, iter_limit)
         real_run(self, min(iter_limit, 2))
+        spent.append(self.iterations)
         raise lp.SimplexTrouble("injected breakdown")
 
     monkeypatch.setattr(_Simplex, "run", run)
-    return calls
+    return calls, spent
 
 
 def test_simplex_trouble_recovers_with_a_cold_bland_solve(monkeypatch):
     # a breakdown of the first run is answered by a fresh cold solve with
-    # Bland from the first pivot: the result is that solve's, bit for bit
+    # Bland from the first pivot: the result is that solve's, bit for bit,
+    # and the pivots of both runs are reported
     rng = np.random.default_rng(17)
-    optimal = 0
+    optimal = pivoted = 0
     for _ in range(30):
         rows, lo, hi, cost = relaxation(_random_lp(rng, bounded=False))
         clean = lp_solve(rows, lo, hi, cost, bland_after=0)
         with monkeypatch.context() as mp:
-            calls = _breaks_down(mp, times=1)
+            calls, spent = _breaks_down(mp, times=1)
             res = lp_solve(rows, lo, hi, cost)
         assert calls == [50, 0]
-        assert res.status is clean.status and res.iterations == clean.iterations
+        assert res.status is clean.status
+        assert res.iterations == clean.iterations + spent[0]
+        pivoted += spent[0] > 0
         assert np.array_equal(res.primal, clean.primal)
         assert res.objective == clean.objective
         assert np.array_equal(res.basis.basis, clean.basis.basis)
         assert np.array_equal(res.basis.stat, clean.basis.stat)
         optimal += res.status is LpStatus.OPTIMAL
-    assert optimal >= 10
+    assert optimal >= 10 and pivoted >= 10
 
 
 def test_simplex_trouble_that_persists_reports_the_budget_spent(monkeypatch):
@@ -393,13 +398,13 @@ def test_simplex_trouble_that_persists_reports_the_budget_spent(monkeypatch):
     for _ in range(20):
         rows, lo, hi, cost = relaxation(_random_lp(rng))
         with monkeypatch.context() as mp:
-            calls = _breaks_down(mp, times=2)
+            calls, spent = _breaks_down(mp, times=2)
             res = lp_solve(rows, lo, hi, cost)
         assert calls == [50, 0]
         assert res.status is LpStatus.ITER_LIMIT
         assert np.all(np.isfinite(res.primal)) and np.isfinite(res.objective)
         assert res.basis is not None
-        assert res.iterations <= 2
+        assert res.iterations == sum(spent) <= 4
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,16 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from mipseries.model import Component, Sense
-from mipseries.reopt import (HistoryStore, PoolEntry, SolutionPool,
-                             assemble_hints, branching_policy,
-                             build_common_hint, clip_and_strip,
+from mipseries.harness import (RunConfig, _error_record, _journal_line,
+                               _load_checkpoint, _write_checkpoint)
+from mipseries.model import Component, Sense, SeriesManifest
+from mipseries.reopt import (PoolEntry, SolutionPool, assemble_hints,
+                             branching_policy, build_common_hint, clip_and_strip,
                              completesol_params, record_outcome,
                              transfer_histories)
-from mipseries.solver import (BranchingRule, SolverConfig, SolveStatus,
-                              VariableHistory, solve)
+from mipseries.solver import (BranchingRule, SolveOutcome, SolverConfig, SolveStatus,
+                              VariableHistory, fresh_stats, solve)
+from mipseries.tuner import ON, PARAM_ORDER
 
 from mipseries.solver.bb import _TreeSolver
 
@@ -111,12 +113,18 @@ def test_assemble_hints_validate_and_order():
     assert hints[1].provenance == "CLIPPED_PREV(11)"   # most recent first
 
 
+def _outcome(histories, global_history=None) -> SolveOutcome:
+    """A finished solve that left these histories, and nothing else."""
+    return SolveOutcome(SolveStatus.OPTIMAL, 0.0, 0.0, None, fresh_stats(), histories,
+                        VariableHistory() if global_history is None else global_history,
+                        0.0)
+
+
 def test_transfer_caps_counts_and_preserves_averages():
     hist = {"x0": VariableHistory(pscost_up_sum=30.0, pscost_up_count=10.0,
                                   pscost_down_sum=3.0, pscost_down_count=3.0)}
-    store = HistoryStore(histories=hist, global_history=VariableHistory(
-        pscost_up_sum=100.0, pscost_up_count=50.0), source_index=0)
-    out, g = transfer_histories(store, _target())
+    out, g = transfer_histories(_outcome(hist, VariableHistory(
+        pscost_up_sum=100.0, pscost_up_count=50.0)))
     h = out["x0"]
     assert h.pscost_up_count == 4.0
     assert h.pscost_up_sum == pytest.approx(12.0)
@@ -129,21 +137,19 @@ def test_transfer_caps_counts_and_preserves_averages():
 
 def test_transfer_average_exact_on_random_histories():
     rng = np.random.default_rng(2)
-    target = _target()
     for _ in range(50):
         s, c = float(rng.uniform(0, 100)), float(rng.uniform(4.01, 60))
-        store = HistoryStore(histories={"x0": VariableHistory(
-            pscost_up_sum=s, pscost_up_count=c)}, global_history=VariableHistory())
-        out, _ = transfer_histories(store, target)
+        out, _ = transfer_histories(_outcome({"x0": VariableHistory(
+            pscost_up_sum=s, pscost_up_count=c)}))
         assert out["x0"].pscost_up_count == 4.0
         assert abs(out["x0"].avg_pseudocost("up") - s / c) <= 1e-12
 
 
 def test_transfer_unknown_name_raises():
-    store = HistoryStore(histories={"nope": VariableHistory()},
-                         global_history=VariableHistory())
+    # the solve that starts from the histories checks their names
+    warm = transfer_histories(_outcome({"nope": VariableHistory()}))
     with pytest.raises(KeyError):
-        transfer_histories(store, _target())
+        _TreeSolver(_target(), SolverConfig(), 1e6, warm_histories=warm)
 
 
 def test_branching_policy_table():
@@ -167,18 +173,18 @@ def test_record_outcome_idempotent_and_pool_growth():
     cfg = SolverConfig(det_work_per_second=DET_WPS)
     out = solve(inst, cfg, 1e6)
     assert out.status is SolveStatus.OPTIMAL
-    pool, store = SolutionPool(), HistoryStore()
-    record_outcome(pool, store, out, 0, inst.var_names)
-    assert len(pool) == 1 and store.source_index == 0
-    record_outcome(pool, store, out, 0, inst.var_names)
+    pool = SolutionPool()
+    record_outcome(pool, out, 0, inst.var_names)
+    assert len(pool) == 1
+    record_outcome(pool, out, 0, inst.var_names)
     assert len(pool) == 1                                  # overwrite, not append
 
     # outcome without a feasible solution leaves the pool unchanged
     inf = make_instance("i", [1.0], [([1.0], Sense.GE, 9.0)], [0], [5], ints=(0,))
     out_inf = solve(inf, cfg, 1e6)
     assert out_inf.best_solution is None
-    record_outcome(pool, store, out_inf, 1, inf.var_names)
-    assert len(pool) == 1 and store.source_index == 1
+    record_outcome(pool, out_inf, 1, inf.var_names)
+    assert len(pool) == 1 and pool.get(1) is None
 
 
 def test_hint_set_invariants_on_random_series():
@@ -196,16 +202,30 @@ def test_hint_set_invariants_on_random_series():
         assert len(hints) <= 10
 
 
-def test_history_store_serialization_roundtrip():
-    store = HistoryStore(histories={"x0": VariableHistory(pscost_up_sum=1.5,
-                                                          pscost_up_count=2.0)},
-                         global_history=VariableHistory(pscost_down_sum=4.0,
-                                                      pscost_down_count=8.0),
-                         source_index=3)
-    again = HistoryStore.from_json_dict(store.to_json_dict())
-    assert vars(again.histories["x0"]) == vars(store.histories["x0"])
-    assert vars(again.global_history) == vars(store.global_history)
-    assert again.source_index == 3
+def _journal_roundtrip(tmp_path, warm):
+    """The histories a resume reads back from a journal line written with
+    `warm` as the state's capped histories."""
+    manifest = SeriesManifest("s", (tmp_path / "i.json",), 1.0, frozenset({Component.RHS}))
+    cfg = RunConfig(disable=frozenset({"tuning"}), checkpoint_path=tmp_path / "ck.json")
+    state = _load_checkpoint(cfg.checkpoint_path, manifest, cfg)   # writes the header
+    state.warm = warm
+    line = _journal_line(state, _error_record(0, "E: x", dict.fromkeys(PARAM_ORDER, ON)))
+    _write_checkpoint(cfg.checkpoint_path, line)
+    return line["warm"], _load_checkpoint(cfg.checkpoint_path, manifest, cfg).warm
+
+
+def test_transferred_histories_journal_roundtrip(tmp_path):
+    hist = {"x0": VariableHistory(pscost_up_sum=1.5, pscost_up_count=9.0),
+            "x1": VariableHistory(pscost_down_sum=0.1, pscost_down_count=3.0)}
+    warm = transfer_histories(_outcome(hist, VariableHistory(pscost_down_sum=4.0,
+                                                             pscost_down_count=8.0)))
+    _, (by_name, g) = _journal_roundtrip(tmp_path, warm)
+    assert {name: vars(h) for name, h in by_name.items()} == \
+        {name: vars(h) for name, h in warm[0].items()}
+    assert vars(g) == vars(warm[1])
+    # read back capped, with the exact average
+    assert by_name["x0"].pscost_up_count == 4.0 and by_name["x0"].avg_pseudocost("up") == 1.5 / 9.0
+    assert g.pscost_down_count == 4.0 and g.pscost_down_sum == 2.0
 
 
 def _random_history(rng):
@@ -246,10 +266,9 @@ def test_history_copy_and_is_empty_match_asdict_versions():
 
 def test_history_copies_share_nothing():
     g = VariableHistory(pscost_up_sum=9.0, pscost_up_count=6.0)
-    store = HistoryStore(histories={"x0": VariableHistory(pscost_down_sum=2.0)},
-                         global_history=g, source_index=0)
-    out, g2 = transfer_histories(store, _target())
-    assert g2 is not g
+    x0 = VariableHistory(pscost_down_sum=2.0)
+    out, g2 = transfer_histories(_outcome({"x0": x0}, g))
+    assert g2 is not g and out["x0"] is not x0
     assert g2.pscost_up_count == 4.0 and g.pscost_up_count == 6.0
     tree = _TreeSolver(_target(), SolverConfig(), 1e6, warm_histories=(out, g2))
     assert tree.global_hist is not g2
@@ -260,15 +279,14 @@ def test_history_copies_share_nothing():
     assert g2.pscost_up_sum == 6.0 and out["x0"].pscost_down_sum == 2.0
 
 
-def test_history_store_json_matches_asdict_form():
+def test_journal_histories_match_asdict_form(tmp_path):
     rng = np.random.default_rng(52)
-    store = HistoryStore(
-        histories={f"x{j}": _random_history(rng) for j in range(5)},
-        global_history=_random_history(rng), source_index=3)
-    old = {"source_index": 3,
-           "histories": {name: asdict(h) for name, h in store.histories.items()},
-           "global_history": asdict(store.global_history)}
-    assert json.dumps(store.to_json_dict(), sort_keys=True) == \
-        json.dumps(old, sort_keys=True)
-    back = HistoryStore.from_json_dict(json.loads(json.dumps(store.to_json_dict())))
-    assert type(back.global_history) is VariableHistory
+    warm = ({f"x{j}": _random_history(rng) for j in range(5)}, _random_history(rng))
+    written, (by_name, g) = _journal_roundtrip(tmp_path, warm)
+    old = {"histories": {name: asdict(h) for name, h in warm[0].items()},
+           "global_history": asdict(warm[1])}
+    assert json.dumps(written, sort_keys=True) == json.dumps(old, sort_keys=True)
+    assert type(g) is VariableHistory
+    assert {name: _reprs(h) for name, h in by_name.items()} == \
+        {name: _reprs(h) for name, h in warm[0].items()}
+    assert _reprs(g) == _reprs(warm[1])

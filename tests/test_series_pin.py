@@ -15,10 +15,11 @@ every `generate_cuts` block, in call order.  A change that claims to alter
 only how fast the LP or the cut round runs keeps it.
 
 The checkpoint digests were last re-recorded when the journal went to
-version 4: histories lost their conflict and inference counts, so every
-history in the journal is four fields shorter and a variable whose only
-record was a conflict count is no longer listed.  The pseudocosts in it,
-and the report and summary digests, stayed byte-identical.
+version 5: a line holds the capped histories the next instance starts from
+in place of the raw ones with their source index, and null for the pool
+entry, histories and ledger of a technique that is off, so the scratch
+arm's journal holds records and nulls only.  The report and summary
+digests, and the LP and cut digest, stayed byte-identical.
 """
 from __future__ import annotations
 
@@ -39,12 +40,12 @@ PINNED = {
     "reuse": {
         "report.csv": "b03d6918142f08d113220a9a1abb60afdf60ef99a602132fe164e18d7986407e",
         "summary.json": "b4818775f7e872d8835883cfda5d7820c905b11a2aedf4bd9d9885d6bdbe15c0",
-        "checkpoint.json": "e32cff87dda849e1c0817f00106c02a79994ceee77d004c3a6a6d9a7636f015a",
+        "checkpoint.json": "f3ac7a951875168f77bce7cbac85c77b2054eaf4a4a120d8491a1e110eee0703",
     },
     "scratch": {
         "report.csv": "bd19f0a2e81fb71ea6be876c5b2f9c8fbf39098648416f670289d303ebf45dfb",
         "summary.json": "a4a6e8ae28b7521f0e9ba94470c5e1775eadff317bb0fe8b446bb3f37df01a92",
-        "checkpoint.json": "32e72a7bb5b03c26ab001e62bc2de006c05a261b920142695287b28c3b89f57b",
+        "checkpoint.json": "ea36ca65d8531d9ac3a10285c457e31197b7c16a07cfc5b028ada1f48fbbdb5c",
     },
 }
 

@@ -185,7 +185,7 @@ def test_warm_histories_affect_initial_branching():
     first = solve(inst, cfg, 1e6)
     assert first.stats.sb_lp_solves > 0
     from mipseries.reopt import transfer_histories
-    warm = transfer_histories(first, inst)
+    warm = transfer_histories(first)
     second = solve(inst, cfg, 1e6, warm_histories=warm)
     assert second.stats.sb_lp_solves < first.stats.sb_lp_solves
     assert second.primal_bound == pytest.approx(first.primal_bound, abs=1e-9)
