@@ -25,7 +25,7 @@ from .solver import (ALL_HEURISTICS, ALL_PRESOLVERS, HEUR_COMPLETESOL,
                      SolverConfig, VariableHistory, solve)
 from .solver.config import check_det_clock
 from .tuner import ON, PARAM_ORDER, TUNING_START_INDEX, Param, TunerState
-from .turnoff import ComponentLedger
+from .turnoff import ComponentLedger, ComponentRecord
 
 GEOMEAN_SHIFT = 10.0
 CHECKPOINT_VERSION = 5
@@ -108,6 +108,68 @@ def _record_from_json(data) -> ScoreRecord:
             raise ValueError(f"record field {f.name!r} is {value!r}, expected "
                              + " or ".join(k.__name__ for k in kinds))
     return record
+
+
+def _finite(value, what: str, nonnegative: bool = False) -> float:
+    """A journal's JSON number (an int or a float, not a bool) as a float;
+    ValueError naming `what` unless it is finite (and >= 0 when
+    `nonnegative`)."""
+    if type(value) not in (int, float) or not math.isfinite(value) \
+            or (nonnegative and value < 0):
+        raise ValueError(f"{what} is {value!r}, expected a finite"
+                         + (" non-negative" if nonnegative else "") + " number")
+    return float(value)
+
+
+def _pool_entry_from_json(data, index: int, var_names, where: str) -> PoolEntry:
+    """An archived solution: a finite objective and a finite value on each
+    of the instance's variable names."""
+    entry = PoolEntry(index, **data)     # TypeError on a missing or unknown field
+    if type(entry.values) is not dict or entry.values.keys() != set(var_names):
+        raise ValueError(f"{where}: the pool entry's values do not name the "
+                         "instance's variables")
+    entry.objective = _finite(entry.objective, f"{where}: pool entry objective")
+    entry.values = {name: _finite(v, f"{where}: pool entry value {name!r}")
+                    for name, v in entry.values.items()}
+    return entry
+
+
+def _history_from_json(data, what: str) -> VariableHistory:
+    """A history with finite sums and finite non-negative counts."""
+    hist = VariableHistory(**data)       # TypeError on a missing or unknown field
+    for name, value in vars(hist).items():
+        setattr(hist, name, _finite(value, f"{what} field {name!r}",
+                                    nonnegative=name.endswith("_count")))
+    return hist
+
+
+def _warm_from_json(data, where: str) -> tuple[dict, VariableHistory]:
+    return ({name: _history_from_json(h, f"{where}: history of {name!r}")
+             for name, h in data["histories"].items()},
+            _history_from_json(data["global_history"], f"{where}: global history"))
+
+
+def _ledger_from_json(data, where: str) -> ComponentLedger:
+    """The component ledger: each known component once, under its own name
+    and kind, with finite non-negative amounts and non-negative integer
+    instance counts."""
+    known = ComponentLedger().records
+    ledger = ComponentLedger.from_json_dict(data)   # TypeError on a missing or unknown field
+    if data.keys() != known.keys():
+        raise ValueError(f"{where}: the ledger holds {sorted(data)}, "
+                         f"expected {sorted(known)}")
+    for name, rec in ledger.records.items():
+        if (rec.name, rec.kind) != (name, known[name].kind):
+            raise ValueError(f"{where}: ledger record {name!r} has name {rec.name!r} "
+                             f"and kind {rec.kind!r}, expected {known[name].kind!r}")
+        for f in fields(ComponentRecord)[2:]:   # after name and kind
+            value, what = getattr(rec, f.name), f"{where}: ledger record {name!r} field {f.name!r}"
+            if f.type == "float":
+                setattr(rec, f.name, _finite(value, what, nonnegative=True))
+            elif not ((type(value) is int and value >= 0)
+                      or (value is None and f.type == "int | None")):
+                raise ValueError(f"{what} is {value!r}, expected a non-negative integer")
+    return ledger
 
 
 def _batch_means(totals: list[float]) -> list[tuple[str, int, float]]:
@@ -256,7 +318,9 @@ def _load_checkpoint(path, manifest: SeriesManifest, run_cfg: RunConfig) -> _Ser
     """The state the journal at `path` ends in, with the file cut back to its
     last whole line (a torn last line is dropped).  A missing file, or one
     without a whole line, starts a new journal that holds only the header;
-    a first line that parses must still be a header of this version."""
+    a first line that parses must still be a header of this version.  Each
+    part a resume reads is typed like a record; one of another kind is a
+    ValueError naming its line and field."""
     path = Path(path)
     header = {"version": CHECKPOINT_VERSION, "series_name": manifest.series_name,
               "num_instances": len(manifest), "seed": run_cfg.seed,
@@ -300,14 +364,14 @@ def _load_checkpoint(path, manifest: SeriesManifest, run_cfg: RunConfig) -> _Ser
                 if technique in run_cfg.disable and line[part] is not None:
                     raise ValueError(f"line {t + 2} holds a {part}, but {technique} is off")
             if line["pool_entry"] is not None:
-                state.pool.set(t, PoolEntry(t, **line["pool_entry"]))
+                state.pool.set(t, _pool_entry_from_json(
+                    line["pool_entry"], t, manifest.load(t).var_names, f"line {t + 2}"))
             state.records.append(record)
+        last = f"line {len(lines) + 1}"
         if lines and line["warm"] is not None:
-            state.warm = ({name: VariableHistory(**h)
-                           for name, h in line["warm"]["histories"].items()},
-                          VariableHistory(**line["warm"]["global_history"]))
+            state.warm = _warm_from_json(line["warm"], last)
         if lines and state.ledger is not None:
-            state.ledger = ComponentLedger.from_json_dict(line["ledger"])
+            state.ledger = _ledger_from_json(line["ledger"], last)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"checkpoint {path} is malformed: "
                          f"{type(exc).__name__}: {exc}") from exc

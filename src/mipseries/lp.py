@@ -56,7 +56,11 @@ starts from the same arrays and takes the same pivots.
 The children of a node and its strong-branching probes move one bound of a
 column that is basic in the node's token, so they all copy the node's
 start.  Extended rows, other nonbasic bounds or costs, and a basis that is
-not dual feasible derive the start as before.
+not dual feasible derive the start as before.  Branch and bound's
+reduced-cost fixing moves bounds of nonbasic columns of the node's token
+before any warm start from it, so the first warm start on the token after
+a fixing derives its start from the fixed bounds and keeps it, and the
+probes and children after it copy that one.
 
 `solve_arrays` over a `NodeRows` row carrier is the one entry point.
 

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from mipseries.harness import CSV_COLUMNS
 from mipseries.kernels import get_kernels
@@ -214,6 +215,22 @@ def hard_knapsack(seed=17, n=14, m=3):
                        np.zeros(n), np.ones(n), frozenset(range(n)), rows)
 
 
+def mixed_knapsack(seed=3, n_int=14, n_cont=4, m=4):
+    """Integer knapsack columns with bounds 0..3 plus a few continuous ones."""
+    rng = np.random.default_rng(seed)
+    n = n_int + n_cont
+    c = -rng.integers(4, 25, n).astype(float)
+    c[n_int:] = -rng.uniform(1.0, 6.0, n_cont).round(3)
+    A = rng.integers(1, 15, (m, n)).astype(float)
+    A[:, n_int:] = rng.uniform(0.5, 9.0, (m, n_cont)).round(3)
+    upper = np.concatenate([rng.integers(1, 4, n_int), np.full(n_cont, 2.5)])
+    b = (A @ upper * 0.4).round()
+    rows = tuple(LinearRow(f"r{i}", tuple((j, A[i, j]) for j in range(n)),
+                           Sense.LE, float(b[i])) for i in range(m))
+    return MipInstance(f"mixknap{seed}", tuple(f"x{j}" for j in range(n)), c,
+                       np.zeros(n), upper.astype(float), frozenset(range(n_int)), rows)
+
+
 def random_feasible_mip(rng, max_vars=12, max_rows=10):
     """Random pure-integer instance made feasible by construction: the rhs is
     derived from a sampled lattice point."""
@@ -262,6 +279,19 @@ def pinned_mips():
         if inst.num_vars >= 10 and inst.num_rows >= 6 and found < 4:
             found += 1
             yield f"rand{i}", inst, BranchingRule.RELIABILITY
+
+
+def highs(inst: MipInstance):
+    """(milp status, optimum or None) from HiGHS (`scipy.optimize.milp`):
+    0 is optimal, 2 infeasible."""
+    A, b = inst.dense_matrix(), inst.rhs_array()
+    row_lo = np.where([s is not Sense.LE for s in inst.senses()], b, -np.inf)
+    row_hi = np.where([s is not Sense.GE for s in inst.senses()], b, np.inf)
+    res = milp(inst.objective, integrality=inst.is_integer().astype(int),
+               bounds=Bounds(inst.lower, inst.upper),
+               constraints=LinearConstraint(A, row_lo, row_hi),
+               options={"mip_rel_gap": 0.0})
+    return res.status, (float(res.fun) if res.status == 0 else None)
 
 
 def enumerate_mip(inst, tol=1e-9):

@@ -205,6 +205,25 @@ def test_checkpoint_wrong_typed_record_is_config_error(tmp_path, base_instance_p
     assert "error:" in err and field in err and "Traceback" not in err
 
 
+def _first_value(entry, value):
+    entry["values"][next(iter(entry["values"]))] = value
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: _first_value(lines[1]["pool_entry"], "a"),
+     "line 2: pool entry value"),
+    (lambda lines: lines[-1]["warm"]["global_history"].update(pscost_up_sum="zz"),
+     "line 3: global history field 'pscost_up_sum' is 'zz'"),
+    (lambda lines: lines[-1]["ledger"]["rounding"].update(instances_enabled="a"),
+     "line 3: ledger record 'rounding' field 'instances_enabled' is 'a'"),
+], ids=["pool-value", "history-sum", "ledger-count"])
+def test_checkpoint_with_a_bad_part_is_config_error(tmp_path, base_instance_path, capsys,
+                                                    edit, message):
+    rc, err = _corrupt_checkpoint(tmp_path, base_instance_path, capsys, edit)
+    assert rc == 2
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("extra, field", [(["--seed", "1"], "seed"),
                                           (["--disable", "sb"], "disable")],
                          ids=["seed", "disable"])

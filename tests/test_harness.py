@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import re
 from dataclasses import asdict, replace
 
 import pytest
@@ -319,6 +320,93 @@ def test_checkpoint_with_wrong_typed_field_rejected(tmp_path, where, field, valu
     else:
         lines[0][field] = value
         _rejected(manifest, cfg, lines, f"its {field} is {value!r}")
+
+
+def _set(line, path, value):
+    """Set the leaf of a parsed journal line at `path` (a key tuple);
+    `...` as the value deletes it."""
+    *parents, leaf = path
+    for key in parents:
+        line = line[key]
+    if value is ...:
+        del line[leaf]
+    else:
+        line[leaf] = value
+
+
+BAD_PARTS = {
+    # pool entries
+    "value-str": ("pool_entry", ("values", "x0"), "a",
+                  "line 2: pool entry value 'x0' is 'a', expected a finite number"),
+    "value-nan": ("pool_entry", ("values", "x0"), math.nan, "pool entry value 'x0' is nan"),
+    "value-null": ("pool_entry", ("values", "x0"), None, "pool entry value 'x0' is None"),
+    "value-bool": ("pool_entry", ("values", "x0"), True, "pool entry value 'x0' is True"),
+    "value-unknown-name": ("pool_entry", ("values", "zz"), 1.0,
+                           "line 2: the pool entry's values do not name"),
+    "value-missing-name": ("pool_entry", ("values", "x13"), ...,
+                           "line 2: the pool entry's values do not name"),
+    "values-list": ("pool_entry", ("values",), [1.0],
+                    "line 2: the pool entry's values do not name"),
+    "objective-str": ("pool_entry", ("objective",), "a", "line 2: pool entry objective is 'a'"),
+    "objective-inf": ("pool_entry", ("objective",), math.inf, "pool entry objective is inf"),
+    # histories
+    "sum-str": ("warm", ("histories", "x0", "pscost_up_sum"), "zz",
+                "line 2: history of 'x0' field 'pscost_up_sum' is 'zz', "
+                "expected a finite number"),
+    "sum-inf": ("warm", ("histories", "x0", "pscost_up_sum"), math.inf,
+                "field 'pscost_up_sum' is inf"),
+    "count-negative": ("warm", ("histories", "x0", "pscost_down_count"), -1.0,
+                       "history of 'x0' field 'pscost_down_count' is -1.0, "
+                       "expected a finite non-negative"),
+    "global-null": ("warm", ("global_history", "pscost_up_count"), None,
+                    "line 2: global history field 'pscost_up_count' is None"),
+    "global-list": ("warm", ("global_history", "pscost_down_sum"), [],
+                    "global history field 'pscost_down_sum' is []"),
+    "global-dict": ("warm", ("global_history", "pscost_down_sum"), {},
+                    "global history field 'pscost_down_sum' is {}"),
+    # ledger records
+    "ledger-count-str": ("ledger", ("gomory", "instances_enabled"), "a",
+                         "line 2: ledger record 'gomory' field 'instances_enabled' is 'a', "
+                         "expected a non-negative integer"),
+    "ledger-count-float": ("ledger", ("gomory", "instances_observed"), 2.0,
+                           "field 'instances_observed' is 2.0"),
+    "ledger-count-negative": ("ledger", ("gomory", "instances_observed"), -1,
+                              "field 'instances_observed' is -1"),
+    "ledger-count-bool": ("ledger", ("gomory", "instances_observed"), True,
+                          "field 'instances_observed' is True"),
+    "ledger-disabled-at-str": ("ledger", ("gomory", "disabled_at"), "a",
+                               "field 'disabled_at' is 'a'"),
+    "ledger-amount-str": ("ledger", ("gomory", "cuts"), "a",
+                          "line 2: ledger record 'gomory' field 'cuts' is 'a', "
+                          "expected a finite non-negative"),
+    "ledger-amount-negative": ("ledger", ("gomory", "cuts"), -1.0, "field 'cuts' is -1.0"),
+    "ledger-amount-nan": ("ledger", ("gomory", "time"), math.nan, "field 'time' is nan"),
+    "ledger-kind": ("ledger", ("rounding", "kind"), "separator",
+                    "line 2: ledger record 'rounding' has name 'rounding' and kind 'separator'"),
+    "ledger-name": ("ledger", ("rounding", "name"), "gomory",
+                    "ledger record 'rounding' has name 'gomory'"),
+    "ledger-unknown": ("ledger", ("zz",), {"name": "zz", "kind": "heuristic"},
+                       "line 2: the ledger holds"),
+    "ledger-missing": ("ledger", ("rounding",), ..., "line 2: the ledger holds"),
+}
+
+
+@pytest.mark.parametrize("part, path, value, match", BAD_PARTS.values(), ids=BAD_PARTS.keys())
+def test_checkpoint_with_a_bad_part_rejected(tmp_path, part, path, value, match):
+    manifest, cfg, lines = _one_record_checkpoint(tmp_path)
+    _set(lines[1][part], path, value)
+    _rejected(manifest, cfg, lines, re.escape(match))
+
+
+def test_checkpoint_numbers_of_the_right_kind_resume(tmp_path):
+    # integral JSON numbers in float fields and a zero count read as floats
+    manifest, cfg, lines = _one_record_checkpoint(tmp_path)
+    uninterrupted = run_series(manifest, RunConfig(det_work_per_second=DET_WPS))
+    _set(lines[1]["pool_entry"], ("values", "x0"), int(lines[1]["pool_entry"]["values"]["x0"]))
+    _set(lines[1]["ledger"], ("gomory", "time"), 0)
+    _write_journal(cfg.checkpoint_path, lines)
+    report = run_series(manifest, cfg)
+    assert [vars(r) for r in report.records] == [vars(r) for r in uninterrupted.records]
 
 
 def test_reports_and_improvement_table(tmp_path):

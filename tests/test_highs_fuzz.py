@@ -18,13 +18,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from mipseries.model import LinearRow, MipInstance, Sense, check_feasibility
 from mipseries.solver import (BranchingRule, SolverConfig, SolveStatus,
                               UnboundedRelaxationError, solve)
 
-from conftest import DET_WPS
+from conftest import DET_WPS, highs
 
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -75,18 +74,6 @@ def fuzz_mips(draw):
         return replace(other, name="fuzz", objective=np.array(cost), rows=tuple(rows))
     return MipInstance("fuzz", names, np.array(cost), np.array(lo), np.array(hi),
                        frozenset(ints), tuple(rows))
-
-
-def highs(inst: MipInstance):
-    """(milp status, optimum or None): 0 is optimal, 2 infeasible."""
-    A, b = inst.dense_matrix(), inst.rhs_array()
-    row_lo = np.where([s is not Sense.LE for s in inst.senses()], b, -np.inf)
-    row_hi = np.where([s is not Sense.GE for s in inst.senses()], b, np.inf)
-    res = milp(inst.objective, integrality=inst.is_integer().astype(int),
-               bounds=Bounds(inst.lower, inst.upper),
-               constraints=LinearConstraint(A, row_lo, row_hi),
-               options={"mip_rel_gap": 0.0})
-    return res.status, (float(res.fun) if res.status == 0 else None)
 
 
 @FUZZ

@@ -10,8 +10,12 @@ rand26 again when integral objectives began to cut off one objective step
 below the incumbent (fewer nodes, LP iterations, SB LPs and cuts; the same
 primal bounds).  The kernel call counts were recorded when the children and
 strong-branching probes of a node began to copy the dual start kept on the
-node's token instead of deriving it each.  A difference here means the pivot
-path changed, not just its speed.
+node's token instead of deriving it each.  knap17 and knap5 were re-recorded
+when nodes began to fix integer columns by reduced cost once an incumbent
+exists: fewer nodes on knap17, fewer LP iterations, SB LPs and cuts on both,
+the same primal bounds; one more `accumulate_rowsum` call per node that
+fixes (its reduced costs) and fewer `subtract_scaled_columns` calls.  A
+difference here means the pivot path changed, not just its speed.
 """
 from __future__ import annotations
 
@@ -31,8 +35,8 @@ from conftest import DET_WPS, lp_solve, make_instance, pinned_mips, relaxation
 
 # name, status, nodes, lp_iterations, sb_lp_solves, cuts generated, primal bound
 MIP_PINS = [
-    ("knap17", "OPTIMAL", 87, 1060, 118, 196, -124.0),
-    ("knap5", "OPTIMAL", 25, 523, 96, 58, -126.0),
+    ("knap17", "OPTIMAL", 84, 1019, 116, 186, -124.0),
+    ("knap5", "OPTIMAL", 25, 502, 96, 57, -126.0),
     ("rand6", "OPTIMAL", 1, 25, 0, 4, -11.0),
     ("rand22", "OPTIMAL", 1, 12, 0, 9, -5.0),
     ("rand26", "OPTIMAL", 2, 79, 14, 16, -3.0),
@@ -41,8 +45,8 @@ MIP_PINS = [
 
 # name, accumulate_rowsum calls, subtract_scaled_columns calls
 KERNEL_CALL_PINS = [
-    ("knap17", 160, 536),
-    ("knap5", 55, 245),
+    ("knap17", 194, 512),
+    ("knap5", 65, 239),
     ("rand6", 22, 19),
     ("rand22", 11, 13),
     ("rand26", 18, 34),
@@ -100,7 +104,8 @@ def test_bb_work_counters_pinned():
 
 def test_bb_kernel_calls_pinned(monkeypatch):
     # reduced costs and beta are each derived by one kernel call; a dual
-    # start copied from the token derives neither.  The spy is built as the
+    # start copied from the token derives neither.  Reduced-cost fixing
+    # derives a node's reduced costs with one more call.  The spy is built as the
     # benchmark's tracer builds its kernel record.
     got = []
     for name, inst, rule in pinned_mips():

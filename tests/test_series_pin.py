@@ -20,6 +20,11 @@ in place of the raw ones with their source index, and null for the pool
 entry, histories and ledger of a technique that is off, so the scratch
 arm's journal holds records and nulls only.  The report and summary
 digests, and the LP and cut digest, stayed byte-identical.
+
+Every digest was re-recorded when branch and bound began to fix integer
+columns by reduced cost at each node once an incumbent exists: the fixed
+bounds change the node LPs, probes and cuts that follow, and so the work
+units behind the times and scores in the reports and journals.
 """
 from __future__ import annotations
 
@@ -30,42 +35,27 @@ import pytest
 
 from mipseries.harness import (RunConfig, run_series, write_report_csv,
                                write_report_summary)
-from mipseries.model import (LinearRow, MipInstance, Sense, generate_series_files,
-                             load_series)
+from mipseries.model import generate_series_files, load_series
 from mipseries.solver import bb
+
+from conftest import mixed_knapsack
 
 ALL_OFF = frozenset({"hints", "history", "sb", "tuning", "turnoff"})
 
 PINNED = {
     "reuse": {
-        "report.csv": "b03d6918142f08d113220a9a1abb60afdf60ef99a602132fe164e18d7986407e",
-        "summary.json": "b4818775f7e872d8835883cfda5d7820c905b11a2aedf4bd9d9885d6bdbe15c0",
-        "checkpoint.json": "f3ac7a951875168f77bce7cbac85c77b2054eaf4a4a120d8491a1e110eee0703",
+        "report.csv": "23db1b71019eda846241c969e898b2ccda6aab45f866a9d24a69c0c31d02629a",
+        "summary.json": "c259324cad79c5ffce8dc9a48744da724a953ab7e916950b558bbb39ea1f53be",
+        "checkpoint.json": "037a0ab1b581bb7105feb38369a44b7819592d4ea6487727845d8ca65038c442",
     },
     "scratch": {
-        "report.csv": "bd19f0a2e81fb71ea6be876c5b2f9c8fbf39098648416f670289d303ebf45dfb",
-        "summary.json": "a4a6e8ae28b7521f0e9ba94470c5e1775eadff317bb0fe8b446bb3f37df01a92",
-        "checkpoint.json": "ea36ca65d8531d9ac3a10285c457e31197b7c16a07cfc5b028ada1f48fbbdb5c",
+        "report.csv": "0f048ef3d1a4887e1d8045479569601c2867db9a87be2b221f3c7bd87079c41e",
+        "summary.json": "35bd774dcdf848e8115dbd136747009fe5c4c3de475a571d2637123e1c5c9ad1",
+        "checkpoint.json": "d9ec1918eace5996e36e0299a324f3f1dd74bbd6a25754972c94a98c272981d1",
     },
 }
 
-PINNED_LP_AND_CUTS = "de3483158ddcdb479cd66bcacdb8763e9fe7021efba1071ee7b997531c28f987"
-
-
-def _mixed_knapsack(seed=3, n_int=14, n_cont=4, m=4):
-    """Integer knapsack columns with bounds 0..3 plus a few continuous ones."""
-    rng = np.random.default_rng(seed)
-    n = n_int + n_cont
-    c = -rng.integers(4, 25, n).astype(float)
-    c[n_int:] = -rng.uniform(1.0, 6.0, n_cont).round(3)
-    A = rng.integers(1, 15, (m, n)).astype(float)
-    A[:, n_int:] = rng.uniform(0.5, 9.0, (m, n_cont)).round(3)
-    upper = np.concatenate([rng.integers(1, 4, n_int), np.full(n_cont, 2.5)])
-    b = (A @ upper * 0.4).round()
-    rows = tuple(LinearRow(f"r{i}", tuple((j, A[i, j]) for j in range(n)),
-                           Sense.LE, float(b[i])) for i in range(m))
-    return MipInstance(f"mixknap{seed}", tuple(f"x{j}" for j in range(n)), c,
-                       np.zeros(n), upper.astype(float), frozenset(range(n_int)), rows)
+PINNED_LP_AND_CUTS = "7fdbf9c75c3db2c46a68a8f1882efecd81f8227cf7f3b657731b58cb15899df3"
 
 
 def _digest(path) -> str:
@@ -75,7 +65,7 @@ def _digest(path) -> str:
 def _run_arm(tmp_path, arm):
     """Run one arm of the pinned series; the outputs go to `tmp_path`."""
     manifest_path = generate_series_files(
-        _mixed_knapsack(), {"RHS", "OBJECTIVE"}, 10, seed=7, magnitude=0.1,
+        mixed_knapsack(), {"RHS", "OBJECTIVE"}, 10, seed=7, magnitude=0.1,
         out_dir=tmp_path / "series", time_limit=0.06)
     manifest = load_series(manifest_path)
     ckpt = tmp_path / "checkpoint.json"

@@ -8,9 +8,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from mipseries.lp import LpStatus
+from mipseries.lp import BASIC, FIXED, LpStatus
 from mipseries.model import INF, Sense, check_feasibility
 from mipseries.solver import (BranchingRule, Candidate, SolverConfig, SolveStatus,
                               solve)
@@ -548,3 +550,178 @@ def test_time_limited_dual_bound_is_a_rounded_up_step_multiple():
         assert raw <= db <= opt
         rounded += db > raw
     assert rounded
+
+
+# -- reduced-cost fixing ---------------------------------------------------
+
+# min -v.x s.t. w.x <= 17, x binary.  The root LP is x3 = x1 = x2 = 1 and
+# x0 = 2/3 (basic), x4 = 0, objective -127/3 with dual price 17/9: d_4 =
+# 28/9 ~ 3.11 at the lower bound, d_1 = -10/3, d_2 = -5/9 and d_3 = -19/3
+# at the upper one.  The optimum is -39 (x0, x2, x3); x0, x1, x3 is -38.
+RC_VALUES = [17.0, 9.0, 10.0, 12.0, 12.0]
+RC_WEIGHTS = [9.0, 3.0, 5.0, 3.0, 8.0]
+RC_BEST = [1.0, 0.0, 1.0, 1.0, 0.0]
+RC_WORSE = [1.0, 1.0, 0.0, 1.0, 0.0]
+
+
+def _rc_knapsack(capacity=17.0, upper=1.0, ints=range(5)):
+    n = len(RC_VALUES)
+    return make_instance("rck", [-v for v in RC_VALUES],
+                         [(RC_WEIGHTS, Sense.LE, capacity)],
+                         np.zeros(n), np.full(n, upper), ints=ints)
+
+
+def _root_probes_and_children(inst, hint):
+    """The bounds of every strong-branching probe and of both children of
+    the root, under full strong branching with a full hint and neither
+    cuts nor rounding, so the hint supplies the root's incumbent."""
+    probes, children = [], []
+
+    class Spy(_TreeSolver):
+        def _lp(self, rows, lo, hi, *args, **kwargs):
+            if sys._getframe(1).f_code.co_name == "solve_child":
+                probes.append((lo.copy(), hi.copy()))
+            return super()._lp(rows, lo, hi, *args, **kwargs)
+
+        def _push(self, node):
+            if node.nid:
+                children.append((node.lower.copy(), node.upper.copy()))
+            super()._push(node)
+
+    cfg = _cfg(branching_rule=BranchingRule.FULLSTRONG, use_cuts_root=False,
+               use_cuts_tree=False, enabled_heuristics=frozenset({"completesol"}),
+               node_limit=1)
+    hints = [{name: v for name, v in zip(inst.var_names, hint)}]
+    tree = Spy(inst, cfg, 1e6, hints=hints)
+    tree.solve()
+    assert tree.pb == -float(np.dot(RC_VALUES, hint))
+    assert len(probes) >= 2 and len(children) == 2
+    return probes + children
+
+
+def test_a_column_priced_past_the_gap_is_fixed_in_the_probes_and_children():
+    # incumbent -39: gap = -40 + 3.9e-5 + 127/3 ~ 2.33 < d_4, so x4 is
+    # fixed at 0; -d_1 and -d_3 exceed it too, so x1 and x3 are fixed at 1
+    for lo, hi in _root_probes_and_children(_rc_knapsack(), RC_BEST):
+        assert hi[4] == 0.0 and lo[4] == 0.0
+        assert lo[1] == lo[3] == 1.0
+        assert lo[2] == 0.0 and hi[2] == 1.0
+
+
+def test_the_same_column_stays_free_under_an_incumbent_one_unit_worse():
+    # incumbent -38: gap ~ 3.33 > d_4 = 3.11 and >= -d_1 = 3.33 (a hair
+    # above it), so only x3 (-d_3 = 6.33) is fixed
+    for lo, hi in _root_probes_and_children(_rc_knapsack(), RC_WORSE):
+        assert (lo[4], hi[4]) == (0.0, 1.0)
+        assert (lo[1], hi[1]) == (0.0, 1.0)
+        assert lo[3] == 1.0
+
+
+def _root_lp(inst):
+    """A tree on `inst` and its root LP result, with a node holding copies
+    of the instance bounds."""
+    tree = _TreeSolver(inst, _cfg(), 1e6)
+    rows, lo, hi, _ = relaxation(inst)
+    res = tree._lp(rows, lo, hi)
+    assert res.status is LpStatus.OPTIMAL
+    return tree, res, SimpleNamespace(lower=lo, upper=hi), rows
+
+
+def _reduced_costs(res, rows, cost):
+    """d = c - A^T y with y solving B^T y = c_B, by numpy's dense solve."""
+    basis = res.basis.basis
+    full = np.concatenate([cost, np.zeros(rows.m)])
+    y = np.linalg.solve(rows.all_cols[:, basis].T, full[basis])
+    return cost - rows.mat.T @ y
+
+
+def _set_incumbent(tree, value):
+    tree.pb = value
+    tree.incumbent = bb.Solution(np.zeros(tree.inst.num_vars), value,
+                                 bb.SolutionStatus.FEASIBLE)
+
+
+def test_a_general_integer_gets_the_floor_of_gap_over_its_reduced_cost():
+    # x in [0, 3]: the LP takes 3 each of x3, x1, x2 and x0 = 16/9, x4 = 0
+    inst = _rc_knapsack(capacity=49.0, upper=3.0)
+    tree, res, node, rows = _root_lp(inst)
+    d = _reduced_costs(res, rows, inst.objective)
+    _set_incumbent(tree, -115.0)   # cutoff -116 (the step is 1)
+    gap = tree._cutoff - res.objective
+    assert 7.0 < gap < 8.0
+    tree._fix_by_reduced_cost(res, node)
+    tol = tree.cfg.feas_tol
+    want_hi = np.array([3.0, 3.0, 3.0, 3.0, math.floor(gap / d[4] + tol)])
+    want_lo = np.zeros(5)
+    for j in (1, 2, 3):
+        want_lo[j] = max(0.0, 3.0 - math.floor(gap / -d[j] + tol))
+    assert want_hi[4] == 2.0 and want_lo[1] == 1.0 and want_lo[3] == 2.0
+    assert want_lo[2] == 0.0
+    assert node.upper.tolist() == want_hi.tolist()
+    assert node.lower.tolist() == want_lo.tolist()
+
+
+def _fixing(inst, incumbent):
+    """The root LP result of `inst` and its bounds before and after one
+    fixing pass under an incumbent of that objective (None: no incumbent)."""
+    tree, res, node, _ = _root_lp(inst)
+    if incumbent is not None:
+        _set_incumbent(tree, incumbent)
+    before = node.lower.copy(), node.upper.copy()
+    tree._fix_by_reduced_cost(res, node)
+    return res, before, (node.lower, node.upper)
+
+
+def test_nothing_is_tightened_without_cause():
+    inst = _rc_knapsack(capacity=49.0, upper=3.0)
+    # basic x0 keeps its bounds under the incumbent that tightens x1, x3, x4
+    res, (lo0, hi0), (lo, hi) = _fixing(inst, -115.0)
+    assert res.basis.stat[0] == BASIC
+    assert (lo[0], hi[0]) == (lo0[0], hi0[0]) and hi[4] < hi0[4]
+    # no incumbent; an incumbent whose cutoff -123.5 is below the LP bound
+    for incumbent in (None, -122.5):
+        res, (lo0, hi0), (lo, hi) = _fixing(inst, incumbent)
+        assert lo.tolist() == lo0.tolist() and hi.tolist() == hi0.tolist()
+    assert res.objective > -123.5
+    # continuous x4: priced as before, left alone (no step: cutoff -116)
+    _, _, (lo, hi) = _fixing(_rc_knapsack(capacity=49.0, upper=3.0, ints=range(4)), -116.0)
+    assert hi[4] == 3.0 and lo[3] == 2.0
+    # x4 fixed at 1 by its bounds: FIXED, with d_4 > 0
+    fixed = replace(inst, lower=np.array([0.0, 0.0, 0.0, 0.0, 1.0]),
+                    upper=np.array([3.0, 3.0, 3.0, 3.0, 1.0]))
+    res, _, (lo, hi) = _fixing(fixed, -110.0)
+    assert res.basis.stat[4] == FIXED
+    assert lo[4] == hi[4] == 1.0 and lo[3] > 0.0
+
+
+def _second_best(inst):
+    """The best feasible lattice point whose objective is above the
+    optimum, and the optimum; None when every feasible point ties."""
+    pts = enumerate_integer_points(inst)
+    vals = pts @ inst.objective
+    opt = vals.min()
+    worse = vals > opt + 1e-9
+    if not worse.any():
+        return None
+    return pts[worse][vals[worse].argmin()], float(opt)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2 ** 32 - 1))
+def test_a_suboptimal_hint_still_gives_the_optimum_under_every_configuration(seed):
+    # over-fixing would cut the optimum off in some configuration
+    inst = random_feasible_mip(np.random.default_rng(seed), max_vars=8, max_rows=6)
+    found = _second_best(inst)
+    assume(found is not None)
+    point, opt = found
+    hint = {name: float(v) for name, v in zip(inst.var_names, point)}
+    for rule in BranchingRule:
+        for root in (True, False):
+            for tree in (True, False):
+                out = solve(inst, _cfg(branching_rule=rule, use_cuts_root=root,
+                                       use_cuts_tree=tree), 1e6, hints=[hint])
+                assert out.status is SolveStatus.OPTIMAL
+                assert out.primal_bound == pytest.approx(opt, abs=1e-6), \
+                    f"{inst.name} {rule} cuts=({root},{tree})"
+                assert out.stats.heuristics["completesol"].best_solutions_found == 1
