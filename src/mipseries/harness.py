@@ -100,13 +100,36 @@ _JSON_TYPES = {"int": (int,), "float": (float,), "str": (str,), "bool": (bool,),
                "str | None": (str, type(None))}
 
 
-def _record_from_json(data) -> ScoreRecord:
+# The statuses and rules a record may hold: a solve's, or a failed one's.
+_RECORD_STATUSES = tuple(s.value for s in SolveStatus) + ("ERROR",)
+_RECORD_RULES = tuple(r.value for r in BranchingRule) + ("-",)
+
+
+def _record_from_json(data, where: str) -> ScoreRecord:
+    """A record with each field of its JSON type, a known status and rule,
+    an error message exactly when the status is ERROR, hints provided only
+    where a solve gets them (after instance 0, with the hint value ON) and
+    converted only where provided."""
     record = ScoreRecord(**data)     # TypeError on a missing or unknown field
     for f in fields(ScoreRecord):
         value, kinds = getattr(record, f.name), _JSON_TYPES[f.type]
         if type(value) not in kinds:     # exact, so a bool is not an int
-            raise ValueError(f"record field {f.name!r} is {value!r}, expected "
+            raise ValueError(f"{where}: record field {f.name!r} is {value!r}, expected "
                              + " or ".join(k.__name__ for k in kinds))
+    for name, known in (("status", _RECORD_STATUSES), ("rule", _RECORD_RULES)):
+        if getattr(record, name) not in known:
+            raise ValueError(f"{where}: record field {name!r} is "
+                             f"{getattr(record, name)!r}, expected one of {known}")
+    if (record.error is None) != (record.status != "ERROR"):
+        raise ValueError(f"{where}: record field 'error' is {record.error!r}, "
+                         f"but field 'status' is {record.status!r}")
+    if record.hints_provided and (record.instance_index < 1 or record.hint_value != ON):
+        raise ValueError(f"{where}: record field 'hints_provided' is True, but instance "
+                         f"{record.instance_index} with hint value "
+                         f"{record.hint_value!r} gets no hints")
+    if record.hint_converted and not record.hints_provided:
+        raise ValueError(f"{where}: record field 'hint_converted' is True, "
+                         "but no hints were provided")
     return record
 
 
@@ -350,7 +373,7 @@ def _load_checkpoint(path, manifest: SeriesManifest, run_cfg: RunConfig) -> _Ser
                          f"for {len(manifest)} instances")
     try:
         for t, line in enumerate(map(json.loads, lines)):
-            record = _record_from_json(line["record"])
+            record = _record_from_json(line["record"], f"line {t + 2}")
             if record.instance_index != t:
                 raise ValueError(f"line {t + 2} holds instance "
                                  f"{record.instance_index}, expected {t}")

@@ -10,7 +10,9 @@ Cold starts run the primal simplex from the slack basis.  Phase 1 minimizes
 the total bound violation of the basic variables; phase 2 runs the usual
 bounded-variable pivoting, and Bland's rule is engaged after a
 degenerate-pivot streak to guarantee termination.  Each pass recomputes the
-basic values beta and the reduced costs d from the tableau.
+basic values beta and the reduced costs d from the tableau.  A phase-1 ray
+without a breakpoint is a numerical breakdown; the loop then ends as
+ITER_LIMIT, its budget spent, and the caller decides whether to solve again.
 
 Warm starts, from the token of an earlier solve, run the bounded dual simplex
 with the bound-flipping ratio test (Koberstein, *The dual simplex method*,
@@ -62,7 +64,12 @@ before any warm start from it, so the first warm start on the token after
 a fixing derives its start from the fixed bounds and keeps it, and the
 probes and children after it copy that one.
 
-`solve_arrays` over a `NodeRows` row carrier is the one entry point.
+`solve_arrays` over a `NodeRows` row carrier is the one entry point.  It is
+one attempt of one loop, or of the dual loop and then the primal loop from
+the basis the dual loop left.  An OPTIMAL result carries the reduced costs d
+that the loop ending it held: the primal loop's last pass derives them from
+the tableau, and the dual loop's are the ones it updated at each pivot
+(derived afresh after a refactorization).
 
 The tableaus are small (about 20 x 50 entries on the benchmark workloads)
 and a dual re-solve takes a few pivots, so a pass costs mostly the fixed
@@ -101,10 +108,6 @@ class LpStatus(Enum):
     UNBOUNDED = "UNBOUNDED"
     ITER_LIMIT = "ITER_LIMIT"
     CUTOFF = "CUTOFF"
-
-
-class SimplexTrouble(RuntimeError):
-    """Internal: phase-1 ray without a breakpoint (numerical breakdown)."""
 
 
 class NonFiniteLpError(RuntimeError):
@@ -167,16 +170,19 @@ class LpResult:
     """What `solve_arrays` returns.  `basis` is the warm-start token, with
     the final tableau, basis, statuses and rows; `primal` is the final
     basis's point, each nonbasic column at its bound.  Cut generation reads
-    an OPTIMAL result's token and point.  A CUTOFF result's `objective` is
-    the dual simplex objective at which it stopped: a lower bound on the LP
-    optimum that is >= the cutoff; its `primal` is that basis's point, which
-    need not be feasible."""
+    an OPTIMAL result's token and point.  `reduced_costs` holds an OPTIMAL
+    result's structural reduced costs, as the loop that ended the solve
+    held them (see the module docstring); None for every other status.  A
+    CUTOFF result's `objective` is the dual simplex objective at which it
+    stopped: a lower bound on the LP optimum that is >= the cutoff; its
+    `primal` is that basis's point, which need not be feasible."""
 
     status: LpStatus
     primal: np.ndarray
     objective: float
     basis: SimplexBasis
     iterations: int
+    reduced_costs: np.ndarray | None
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -326,6 +332,7 @@ class _Simplex:
         self.k = kernels
         self.bland_after = bland_after
         self.iterations = 0
+        self.d = None          # the reduced costs a loop ended OPTIMAL with
         self._kept = None      # a start the first dual pass copies
         self._keep_on = None   # the token the first dual pass keeps its start on
 
@@ -444,7 +451,8 @@ class _Simplex:
 
     def run(self, iter_limit: int):
         """Primal simplex; returns (status, beta) with beta valid for
-        OPTIMAL/ITER_LIMIT.
+        OPTIMAL/ITER_LIMIT, and leaves the last pass's reduced costs in
+        `self.d` on OPTIMAL.
 
         Everything that changes only where a pivot or bound flip changes a
         column is kept current across pivots, one entry at a time: the
@@ -492,6 +500,7 @@ class _Simplex:
             if not score[j] > DCOST_TOL:
                 if phase1:
                     return LpStatus.INFEASIBLE, beta
+                self.d = d
                 return LpStatus.OPTIMAL, beta
             if self.iterations >= iter_limit:
                 return LpStatus.ITER_LIMIT, beta
@@ -514,9 +523,9 @@ class _Simplex:
             t_flip = hi[j] - lo[j]   # INF unless both bounds are finite
 
             if t_rows == INF and t_flip == INF:
-                if phase1:
-                    raise SimplexTrouble("phase-1 ray without breakpoint")
-                return LpStatus.UNBOUNDED, beta
+                # a phase-1 ray without a breakpoint is a numerical
+                # breakdown: the loop reports its budget as spent
+                return (LpStatus.ITER_LIMIT if phase1 else LpStatus.UNBOUNDED), beta
 
             if t_flip <= t_rows:
                 if stat[j] == AT_LOWER:
@@ -606,8 +615,9 @@ class _Simplex:
 
     def run_dual(self, iter_limit: int, cutoff: float = INF):
         """Bounded dual simplex from the current basis.  Returns (status,
-        beta) like `run`, or None when the basis is not dual feasible or the
-        dual loop stalls; the basis is then left for the primal loop.
+        beta) like `run`, with its updated reduced costs in `self.d` on
+        OPTIMAL, or None when the basis is not dual feasible or the dual
+        loop stalls; the basis is then left for the primal loop.
 
         Before each pass it returns (CUTOFF, fresh beta) once the basis
         objective, confirmed on a fresh beta, is at least `cutoff` (see the
@@ -654,6 +664,7 @@ class _Simplex:
             viol_r = viol[r] if m else 0.0
             if not viol_r > FEAS_TOL:
                 if fresh:
+                    self.d = d
                     return LpStatus.OPTIMAL, beta
                 beta, fresh = self.compute_beta(vals), True
                 continue
@@ -747,34 +758,23 @@ def solve_arrays(rows: NodeRows, lo, hi, cost, warm, iter_limit,
     token `warm` when it is given (see `_Simplex.warm_start`); deterministic
     for fixed inputs.
 
-    ITER_LIMIT is returned (never raised) when the pivot budget runs out.
-    CUTOFF is returned when the dual simplex shows that the optimum is at
+    ITER_LIMIT is returned (never raised) when the pivot budget runs out
+    or the primal loop breaks down; there is no retry here.  An OPTIMAL
+    result carries its structural reduced costs, any other None.  CUTOFF
+    is returned when the dual simplex shows that the optimum is at
     least `cutoff`; the primal loop runs to the end whatever the cutoff.
     An OPTIMAL or ITER_LIMIT result always has a finite point: a solve that
     ends at a NaN or inf raises `NonFiniteLpError`.  The points of the other
     statuses are not read by any caller and are not checked.
     """
     sx = _Simplex(rows, lo, hi, cost, kernels, bland_after)
-    try:
-        out = None
-        if warm is None:
-            sx.cold_start()
-        else:
-            sx.warm_start(warm)
-            out = sx.run_dual(iter_limit, cutoff)
-        status, beta = out if out is not None else sx.run(iter_limit)
-    except SimplexTrouble:
-        # Refactorize from scratch with Bland from the first pivot; if the
-        # breakdown persists, report the pivot budget as exhausted.  The
-        # pivots of both attempts are reported.
-        spent = sx.iterations
-        sx = _Simplex(rows, lo, hi, cost, kernels, bland_after=0)
+    out = None
+    if warm is None:
         sx.cold_start()
-        try:
-            status, beta = sx.run(iter_limit)
-        except SimplexTrouble:
-            status, beta = LpStatus.ITER_LIMIT, sx.compute_beta(sx.vals)
-        sx.iterations += spent
+    else:
+        sx.warm_start(warm)
+        out = sx.run_dual(iter_limit, cutoff)
+    status, beta = out if out is not None else sx.run(iter_limit)
 
     primal = sx.primal_point(beta, sx.vals)[:sx.n]
     if status is LpStatus.INFEASIBLE:
@@ -790,4 +790,5 @@ def solve_arrays(rows: NodeRows, lo, hi, cost, warm, iter_limit,
     # sx is dropped here: the token takes its arrays as they are
     aug = _frozen(sx.aug)
     token = SimplexBasis(sx.basis, sx.stat, aug[:, :-1], aug[:, -1], sx.age, rows)
-    return LpResult(status, primal, objective, token, sx.iterations)
+    d = sx.d[:sx.n] if status is LpStatus.OPTIMAL else None
+    return LpResult(status, primal, objective, token, sx.iterations, d)

@@ -18,9 +18,9 @@ the all-fixed hint LP still run without a cutoff.
 Once an incumbent exists, every node fixes by reduced cost (Crowder,
 Johnson and Padberg, *Operations Research*, 1983; Achterberg 2007).  After
 the node's last LP (its cut round and the rounding heuristic done, before
-strong branching), the reduced costs d of that LP's token bound how far a
-nonbasic integer column can move from its bound inside the gap = pruning
-bound - that LP's objective: an integer column at its lower bound with
+strong branching), the reduced costs d that LP's result carries bound how
+far a nonbasic integer column can move from its bound inside the gap =
+pruning bound - that LP's objective: an integer column at its lower bound with
 d_j > DCOST_TOL gets upper = min(upper, lower + floor(gap / d_j + feas_tol)),
 one at its upper bound with d_j < -DCOST_TOL the mirror image.  The node's
 bound arrays carry the result into its probes and both children, so root
@@ -152,7 +152,10 @@ class _TreeSolver:
     def _node_lp(self, rows, lo, hi, warm):
         """A node LP or cut re-solve, OPTIMAL; None when it prunes the node
         (INFEASIBLE, or CUTOFF once its dual bound reaches the pruning
-        bound).  ITER_LIMIT only, never CUTOFF, is retried."""
+        bound).  ITER_LIMIT only, never CUTOFF, is retried: a spent budget
+        or a breakdown of the primal loop, which `solve_arrays` reports
+        alike.  This is the one recovery from either; probes and the
+        all-fixed hint LP take ITER_LIMIT as it comes."""
         res = self._lp(rows, lo, hi, warm, cutoff=self._cutoff)
         if res.status is LpStatus.CUTOFF:
             self.stats.lp_cutoffs += 1
@@ -262,12 +265,8 @@ class _TreeSolver:
         gap = self._cutoff - res.objective   # both finite here
         if not gap > 0.0:
             return
-        tok = res.basis
-        n = len(self.cost)
-        c_b = np.concatenate([self.cost, np.zeros(len(tok.basis))])[tok.basis]
-        d = self.cost.copy()
-        self.kernels.accumulate_rowsum(d, c_b, tok.tab[:, :n])
-        stat = tok.stat[:n]
+        d = res.reduced_costs
+        stat = res.basis.stat[:len(d)]
         lo, hi = node.lower, node.upper
         at_lo = (self.is_int & (stat == AT_LOWER) & (d > DCOST_TOL)).nonzero()[0]
         at_hi = (self.is_int & (stat == AT_UPPER) & (d < -DCOST_TOL)).nonzero()[0]

@@ -10,6 +10,7 @@ import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from mipseries.harness import CSV_COLUMNS
+from mipseries import lp
 from mipseries.kernels import get_kernels
 from mipseries.lp import NodeRows, _Simplex, solve_arrays
 from mipseries.model import DEFAULT_INT_TOL, INF, LinearRow, MipInstance, Sense
@@ -413,3 +414,11 @@ def poison_lp(mp, status, methods=("run", "run_dual"), when=lambda iter_limit: T
             return status, np.full_like(out[1], np.nan)
         mp.setattr(_Simplex, name, patched)
     return poisoned
+
+
+def blind_ratio_test(mp):
+    """Patch the pivot tolerances with `mp` so that no row blocks a move in
+    the primal ratio test: a phase-1 move along an unbounded column is then
+    a ray without a breakpoint."""
+    mp.setattr(lp, "_PIVOT_TOL", np.array(np.inf))
+    mp.setattr(lp, "_MINUS_PIVOT_TOL", np.array(-np.inf))

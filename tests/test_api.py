@@ -70,6 +70,7 @@ REMOVED = [
     ("mipseries.model", "_feasibility_data"),
     ("mipseries.solver.bb", "_TreeSolver._prune_cutoff"),
     ("mipseries.solver.heuristics", "raise_on_nonfinite"),
+    ("mipseries.lp", "SimplexTrouble"),
 ]
 
 

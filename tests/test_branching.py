@@ -37,8 +37,8 @@ def _fake_child_solver(objectives):
         calls.append((j, direction, bound))
         val = objectives[(j, direction)]
         if val == "infeasible":
-            return LpResult(LpStatus.INFEASIBLE, None, math.inf, None, 1)
-        return LpResult(LpStatus.OPTIMAL, None, val, None, 1)
+            return LpResult(LpStatus.INFEASIBLE, None, math.inf, None, 1, None)
+        return LpResult(LpStatus.OPTIMAL, None, val, None, 1, None)
 
     return solve_child, calls
 

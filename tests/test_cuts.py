@@ -335,7 +335,7 @@ def _random_snapshot(rng, nonfinite=False):
     snap = SimpleNamespace(tab=tab, stat=stat, beta=beta, n_struct=n, rows=rows,
                            basis=basis, lo=np.concatenate([lo, rows.slack_lo]),
                            hi=np.concatenate([hi, rows.slack_hi]))
-    return LpResult(LpStatus.OPTIMAL, x, 0.0, token, 0), snap, is_int
+    return LpResult(LpStatus.OPTIMAL, x, 0.0, token, 0, None), snap, is_int
 
 
 # Random states seldom cut their own point off; with no violation asked for
@@ -454,7 +454,7 @@ def _capped_round(nonfinite_row, value):
     snap = SimpleNamespace(tab=tab, stat=stat, beta=x[:m].copy(), n_struct=n, rows=rows,
                            basis=basis, lo=np.concatenate([lo, rows.slack_lo]),
                            hi=np.concatenate([hi, rows.slack_hi]))
-    return LpResult(LpStatus.OPTIMAL, x, 0.0, token, 0), snap
+    return LpResult(LpStatus.OPTIMAL, x, 0.0, token, 0, None), snap
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])

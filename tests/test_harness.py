@@ -1,6 +1,8 @@
 """Series orchestration: wiring, ablations, determinism, checkpoint resume."""
 from __future__ import annotations
 
+import copy
+import functools
 import itertools
 import json
 import math
@@ -9,6 +11,8 @@ import re
 from dataclasses import asdict, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mipseries import harness
 from mipseries.harness import (RunConfig, ScoreRecord, _SeriesState, _error_record,
@@ -309,6 +313,11 @@ def test_checkpoint_record_the_tuner_did_not_choose_rejected(tmp_path, field):
     ("record", "hint_converted", 1),       # bool
     ("record", "error", 5),                # str or None
     ("record", "total_score", "x"),        # no longer a field
+    ("record", "status", "a"),             # a SolveStatus value or ERROR
+    ("record", "status", "optimal"),
+    ("record", "rule", "a"),               # a BranchingRule value or -
+    ("record", "error", "a"),              # a message only with status ERROR
+    ("record", "status", "ERROR"),         # ... and always with it
     ("tuner", "seed", "1"),                # the header's seed seeds the tuner
     ("tuner", "seed", False),
 ])
@@ -316,7 +325,8 @@ def test_checkpoint_with_wrong_typed_field_rejected(tmp_path, where, field, valu
     manifest, cfg, lines = _one_record_checkpoint(tmp_path)
     if where == "record":
         lines[1]["record"][field] = value
-        _rejected(manifest, cfg, lines, f"'{field}'")
+        _rejected(manifest, cfg, lines, f"'{field}'" if field == "total_score"
+                  else f"line 2: record field .*'{field}'")
     else:
         lines[0][field] = value
         _rejected(manifest, cfg, lines, f"its {field} is {value!r}")
@@ -407,6 +417,60 @@ def test_checkpoint_numbers_of_the_right_kind_resume(tmp_path):
     _write_journal(cfg.checkpoint_path, lines)
     report = run_series(manifest, cfg)
     assert [vars(r) for r in report.records] == [vars(r) for r in uninterrupted.records]
+
+
+# What a damaged leaf of a journal may hold instead of its value.
+DAMAGE = ["a", -1, 1e308, -1e308, None, [], {}, True, 2.5]
+
+
+def _leaves(obj, path=()):
+    """The paths to the leaves of a parsed JSON value: its scalars and its
+    empty lists and objects."""
+    if isinstance(obj, (dict, list)) and obj:
+        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        for key, value in items:
+            yield from _leaves(value, path + (key,))
+    else:
+        yield path
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
+@pytest.fixture(scope="module")
+def cut_journal(tmp_path_factory):
+    """A 3-instance series, its config, the journal left when instance 2
+    starts and the records of the uninterrupted run."""
+    tmp_path = tmp_path_factory.mktemp("damaged")
+    manifest = _identical_series(tmp_path, n=3)
+    uninterrupted = run_series(manifest, RunConfig(det_work_per_second=DET_WPS))
+    cfg = RunConfig(det_work_per_second=DET_WPS, checkpoint_path=tmp_path / "ckpt.json")
+    return manifest, cfg, _stop_after(manifest, cfg, 2), [vars(r) for r in uninterrupted.records]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_a_journal_with_one_damaged_leaf_resumes_or_refuses(cut_journal, data):
+    # One leaf of the journal, header included, is replaced.  The resume
+    # gives the uninterrupted records or raises ValueError (exit 2), and no
+    # other exception.  A number replacing a number is an edit of the right
+    # type, which a journal cannot tell from the real value: its records
+    # may differ.
+    manifest, cfg, lines, uninterrupted = cut_journal
+    path = data.draw(st.sampled_from(
+        [(k,) + leaf for k, line in enumerate(lines) for leaf in _leaves(line)]))
+    value = data.draw(st.sampled_from(DAMAGE))
+    damaged = copy.deepcopy(lines)
+    old = functools.reduce(lambda node, key: node[key], path, damaged)
+    _set(damaged, path, value)
+    _write_journal(cfg.checkpoint_path, damaged)
+    try:
+        report = run_series(manifest, cfg)
+    except ValueError:
+        return
+    if not (_is_number(old) and _is_number(value)):
+        assert [vars(r) for r in report.records] == uninterrupted
 
 
 def test_reports_and_improvement_table(tmp_path):

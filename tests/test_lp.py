@@ -13,10 +13,11 @@ from scipy.optimize import linprog
 
 from mipseries import lp
 from mipseries.kernels import get_kernels
-from mipseries.lp import AT_LOWER, BASIC, FREE, LpStatus, NodeRows, _Simplex
+from mipseries.lp import AT_LOWER, AT_UPPER, BASIC, FREE, LpStatus, NodeRows, _Simplex
 from mipseries.model import LinearRow, Sense, dense_block
 
-from conftest import lp_solve, lp_vertex_oracle, make_instance, poison_lp, relaxation
+from conftest import (blind_ratio_test, lp_solve, lp_vertex_oracle, make_instance,
+                      poison_lp, relaxation)
 
 
 def test_single_var_lower_bounded_row():
@@ -348,63 +349,34 @@ def test_warm_start_takes_only_tokens_of_its_rows_or_the_rows_they_extend():
             lp_solve(on, lo, hi, cost, tok)
 
 
-def _breaks_down(monkeypatch, times):
-    """Make the primal loop break down after at most two pivots on its
-    first `times` calls; returns the list of calls (the Bland trigger of
-    each) and the list of the pivots each broken-down run had made."""
+def test_a_phase_one_ray_ends_the_solve_as_iter_limit(monkeypatch):
+    # x0 + x1 + x2 >= 10 is violated at the slack basis.  With no row
+    # blocking, phase 1 flips the boxed x0 and x1 to their upper bounds (two
+    # iterations) and then finds a ray along x2, which has no upper bound:
+    # a breakdown, reported as the budget spent, with no second attempt
+    inst = make_instance("ray", [1.0, 1.0, 1.0], [([1.0, 1.0, 1.0], Sense.GE, 10.0)],
+                         [0, 0, 0], [1, 1, np.inf])
+    rows, lo, hi, cost = relaxation(inst)
+    runs = []
     real_run = _Simplex.run
-    calls, spent = [], []
 
     def run(self, iter_limit):
-        calls.append(self.bland_after)
-        if len(calls) > times:
-            return real_run(self, iter_limit)
-        real_run(self, min(iter_limit, 2))
-        spent.append(self.iterations)
-        raise lp.SimplexTrouble("injected breakdown")
+        runs.append(self.bland_after)
+        return real_run(self, iter_limit)
 
-    monkeypatch.setattr(_Simplex, "run", run)
-    return calls, spent
-
-
-def test_simplex_trouble_recovers_with_a_cold_bland_solve(monkeypatch):
-    # a breakdown of the first run is answered by a fresh cold solve with
-    # Bland from the first pivot: the result is that solve's, bit for bit,
-    # and the pivots of both runs are reported
-    rng = np.random.default_rng(17)
-    optimal = pivoted = 0
-    for _ in range(30):
-        rows, lo, hi, cost = relaxation(_random_lp(rng, bounded=False))
-        clean = lp_solve(rows, lo, hi, cost, bland_after=0)
-        with monkeypatch.context() as mp:
-            calls, spent = _breaks_down(mp, times=1)
-            res = lp_solve(rows, lo, hi, cost)
-        assert calls == [50, 0]
-        assert res.status is clean.status
-        assert res.iterations == clean.iterations + spent[0]
-        pivoted += spent[0] > 0
-        assert np.array_equal(res.primal, clean.primal)
-        assert res.objective == clean.objective
-        assert np.array_equal(res.basis.basis, clean.basis.basis)
-        assert np.array_equal(res.basis.stat, clean.basis.stat)
-        optimal += res.status is LpStatus.OPTIMAL
-    assert optimal >= 10 and pivoted >= 10
-
-
-def test_simplex_trouble_that_persists_reports_the_budget_spent(monkeypatch):
-    # when the cold Bland solve breaks down too, the pivot budget is
-    # reported as spent: ITER_LIMIT with a finite point and a token
-    rng = np.random.default_rng(18)
-    for _ in range(20):
-        rows, lo, hi, cost = relaxation(_random_lp(rng))
-        with monkeypatch.context() as mp:
-            calls, spent = _breaks_down(mp, times=2)
-            res = lp_solve(rows, lo, hi, cost)
-        assert calls == [50, 0]
-        assert res.status is LpStatus.ITER_LIMIT
-        assert np.all(np.isfinite(res.primal)) and np.isfinite(res.objective)
-        assert res.basis is not None
-        assert res.iterations == sum(spent) <= 4
+    with monkeypatch.context() as mp:
+        blind_ratio_test(mp)
+        mp.setattr(_Simplex, "run", run)
+        res = lp_solve(rows, lo, hi, cost)
+    assert runs == [50]
+    assert res.status is LpStatus.ITER_LIMIT
+    assert res.iterations == 2
+    assert res.primal.tolist() == [1.0, 1.0, 0.0] and res.objective == 2.0
+    assert res.reduced_costs is None
+    assert res.basis.stat.tolist() == [AT_UPPER, AT_UPPER, AT_LOWER, BASIC]
+    # the same solve with the tolerances in place
+    res = lp_solve(rows, lo, hi, cost)
+    assert res.status is LpStatus.OPTIMAL and res.objective == 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +429,20 @@ def _with_bounds(inst, lo, hi):
                          lo, hi)
 
 
+def _assert_reduced_costs(res, cost):
+    """An OPTIMAL result carries cost - c_B T over the structural columns
+    of its token's tableau T; any other carries None."""
+    if res.status is not LpStatus.OPTIMAL:
+        assert res.reduced_costs is None
+        return
+    tok, n = res.basis, len(cost)
+    c_b = np.concatenate([cost, np.zeros(len(tok.basis))])[tok.basis]
+    assert res.reduced_costs.shape == (n,)
+    assert np.allclose(res.reduced_costs, cost - c_b @ tok.tab[:, :n], rtol=0.0, atol=1e-9)
+
+
 def _assert_agrees(res, oracle_inst):
+    _assert_reduced_costs(res, oracle_inst.objective)
     ref = lp_vertex_oracle(oracle_inst)
     if ref is None:
         assert res.status is LpStatus.INFEASIBLE
@@ -512,6 +497,7 @@ def test_fuzz_warm_resolve_after_a_bound_change(lps, data):
     # fresh computation gives
     for limit in range(6):
         res = lp_solve(rows, lo2, hi2, cost, first.basis, iter_limit=limit)
+        _assert_reduced_costs(res, cost)
         if res.status is LpStatus.ITER_LIMIT and ref is not None:
             assert res.objective <= ref + 1e-6
         sx = _Simplex(rows, lo2, hi2, cost, get_kernels(), 50)
@@ -575,6 +561,7 @@ def test_fuzz_cutoff_stops_only_at_or_above_the_optimum(lps, data):
         + data.draw(st.sampled_from([-1e-9, 0.0, 1e-9]))
     plain = lp_solve(rows, lo2, hi2, cost, first.basis)
     res = lp_solve(rows, lo2, hi2, cost, first.basis, cutoff=cutoff)
+    _assert_reduced_costs(res, cost)
     if res.status is LpStatus.CUTOFF:
         assert optimum >= cutoff - 1e-6
         assert cutoff <= res.objective <= optimum + 1e-6

@@ -13,9 +13,11 @@ strong-branching probes of a node began to copy the dual start kept on the
 node's token instead of deriving it each.  knap17 and knap5 were re-recorded
 when nodes began to fix integer columns by reduced cost once an incumbent
 exists: fewer nodes on knap17, fewer LP iterations, SB LPs and cuts on both,
-the same primal bounds; one more `accumulate_rowsum` call per node that
-fixes (its reduced costs) and fewer `subtract_scaled_columns` calls.  A
-difference here means the pivot path changed, not just its speed.
+the same primal bounds, and fewer `subtract_scaled_columns` calls.  Their
+`accumulate_rowsum` counts were re-recorded again, one call fewer per node
+that fixes, when the fixing began to read the reduced costs its LP result
+carries instead of deriving them.  A difference here means the pivot path
+changed, not just its speed.
 """
 from __future__ import annotations
 
@@ -45,8 +47,8 @@ MIP_PINS = [
 
 # name, accumulate_rowsum calls, subtract_scaled_columns calls
 KERNEL_CALL_PINS = [
-    ("knap17", 194, 512),
-    ("knap5", 65, 239),
+    ("knap17", 153, 512),
+    ("knap5", 54, 239),
     ("rand6", 22, 19),
     ("rand22", 11, 13),
     ("rand26", 18, 34),
@@ -105,8 +107,8 @@ def test_bb_work_counters_pinned():
 def test_bb_kernel_calls_pinned(monkeypatch):
     # reduced costs and beta are each derived by one kernel call; a dual
     # start copied from the token derives neither.  Reduced-cost fixing
-    # derives a node's reduced costs with one more call.  The spy is built as the
-    # benchmark's tracer builds its kernel record.
+    # reads the reduced costs of the node's LP result and calls no kernel.
+    # The spy is built as the benchmark's tracer builds its kernel record.
     got = []
     for name, inst, rule in pinned_mips():
         calls = {"rowsum": 0, "colsub": 0}

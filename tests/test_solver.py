@@ -19,9 +19,10 @@ from mipseries.solver import (BranchingRule, Candidate, SolverConfig, SolveStatu
 from mipseries.solver import bb
 from mipseries.solver.bb import _TreeSolver
 
-from conftest import (DET_WPS, awkward_values, enumerate_integer_points,
-                      enumerate_mip, hard_knapsack, lp_solve, make_instance,
-                      pinned_mips, random_feasible_mip, relaxation)
+from conftest import (DET_WPS, awkward_values, blind_ratio_test,
+                      enumerate_integer_points, enumerate_mip, hard_knapsack, highs,
+                      lp_solve, make_instance, pinned_mips, random_feasible_mip,
+                      relaxation)
 
 
 def _cfg(**kw):
@@ -468,6 +469,38 @@ def test_only_node_lps_and_cut_resolves_pass_the_cutoff(monkeypatch):
     assert any(c.status is LpStatus.CUTOFF for c in calls)
     for caller in ("solve_child", "_complete_one_hint"):
         assert any(c.caller == caller and c.prune < INF for c in calls), caller
+
+
+def test_a_root_lp_that_breaks_down_is_solved_again_cold_with_bland(monkeypatch):
+    # The root LP starts with the cover row violated, and phase 1 takes the
+    # continuous y first; with no row blocking (the pivot tolerances at
+    # infinity, for that one solve) y is a ray without a breakpoint.  The
+    # solve ends ITER_LIMIT, and `_node_lp` solves the LP again from the
+    # slack basis with Bland from the first pivot and 10x the budget.
+    inst = make_instance(
+        "cover", [3.0, 4.0, 5.0, 7.0, 20.0],
+        [([2.0, 3.0, 4.0, 5.0, 10.0], Sense.GE, 11.0),
+         ([1.0, 1.0, 1.0, 1.0, 0.0], Sense.LE, 3.0)],
+        [0, 0, 0, 0, 0], [5, 5, 5, 5, INF], ints=range(4))
+    calls = []
+    real = bb.solve_arrays
+
+    def spy(rows, lo, hi, cost, warm, iter_limit, kernels, bland_after, cutoff=INF):
+        with monkeypatch.context() as mp:
+            if not calls:
+                blind_ratio_test(mp)
+            res = real(rows, lo, hi, cost, warm, iter_limit, kernels, bland_after, cutoff)
+        calls.append((warm is None, iter_limit, bland_after, res.status, res.iterations))
+        return res
+
+    monkeypatch.setattr(bb, "solve_arrays", spy)
+    out = solve(inst, _cfg(), 1e6)
+    assert calls[0] == (True, bb.LP_ITER_LIMIT, bb.BLAND_AFTER, LpStatus.ITER_LIMIT, 0)
+    assert calls[1][:4] == (True, 10 * bb.LP_ITER_LIMIT, 0, LpStatus.OPTIMAL)
+    assert out.stats.lp_iterations == sum(c[4] for c in calls)
+    assert out.status is SolveStatus.OPTIMAL
+    status, opt = highs(inst)
+    assert status == 0 and out.primal_bound == pytest.approx(opt, abs=1e-6)
 
 
 def test_cutoff_saves_pivots_and_changes_nothing_else_on_the_pinned_mips(monkeypatch):
