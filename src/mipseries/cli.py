@@ -28,7 +28,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      choices=TECHNIQUES,
                      help="disable a reuse technique (repeatable)")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--det-clock", type=float, default=None, metavar="PIVOTS_PER_SEC",
+    run.add_argument("--det-clock", type=float, default=None, metavar="WORK_PER_SEC",
                      help="deterministic clock: work units per second")
     run.add_argument("--checkpoint", default=None, help="checkpoint file (resume if present)")
     run.add_argument("--alpha", type=float, default=90.0,

@@ -5,10 +5,11 @@ minimization only.  `MipInstance` is the one place that checks and
 normalizes instance data, whether it comes from a file or is built in code:
 it rounds integer bounds inward, turns each row's sense into a `Sense`, and
 rejects non-finite costs, rhs values and coefficients, bad or crossed
-bounds, duplicate names, indices out of range, a row that names a variable
-twice and unknown senses.  The file loader only converts JSON types to
-numbers and prefixes the validator's message with the file path.  All types
-are immutable after construction and safe to share read-only across threads.
+bounds, integer bounds that hold no integer, duplicate names, indices out
+of range, a row that names a variable twice and unknown senses.  The file
+loader only converts JSON types to numbers and prefixes the validator's
+message with the file path.  All types are immutable after construction and
+safe to share read-only across threads.
 """
 from __future__ import annotations
 
@@ -116,15 +117,21 @@ class MipInstance:
                                     f"bad sense {row.sense!r}") from None
             rows.append(row if row.sense is sense else replace(row, sense=sense))
         object.__setattr__(self, "rows", tuple(rows))
+        self._validate()
         # Integer variables keep integral bounds; rounding inward is lossless
-        # for the integer feasible set.  NaN and infinities pass through to
-        # the checks; + 0.0 turns a -0.0 into 0.0.
+        # for the integer feasible set.  Infinities pass through; + 0.0 turns
+        # a -0.0 into 0.0.
         ints = sorted(self.integer_mask)
-        self.lower[ints] = np.ceil(self.lower[ints] - 1e-9) + 0.0
-        self.upper[ints] = np.floor(self.upper[ints] + 1e-9) + 0.0
+        given_lo, given_hi = self.lower[ints], self.upper[ints]
+        self.lower[ints] = np.ceil(given_lo - 1e-9) + 0.0
+        self.upper[ints] = np.floor(given_hi + 1e-9) + 0.0
+        empty = np.flatnonzero(self.lower[ints] > self.upper[ints])
+        if len(empty):
+            k = int(empty[0])
+            raise InstanceError(f"{self.name}: variable '{self.var_names[ints[k]]}': no "
+                                f"integer value in [{float(given_lo[k])}, {float(given_hi[k])}]")
         for arr in (self.objective, self.lower, self.upper):
             arr.setflags(write=False)
-        self._validate()
 
     def _validate(self):
         """InstanceError, naming the variable or row, for a cost, rhs or

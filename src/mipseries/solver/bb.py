@@ -48,12 +48,13 @@ from .config import (HEUR_COMPLETESOL, HEUR_ROUNDING, SEP_GOMORY,
                      fresh_stats)
 from .cuts import generate_cuts, slack_integrality
 from .heuristics import round_to_feasible
-from .history import VariableHistory
+from .history import VariableHistory, update_pseudocost
 from .presolve import run_presolve
 
 LP_ITER_LIMIT = 20000           # pivots per node LP; the cold retry gets 10x
 BLAND_AFTER = 50                # degenerate pivots before Bland's rule
 STRONG_BRANCH_ITER_LIMIT = 500  # pivots per strong-branching probe
+INFEASIBLE_GAIN_SCALE = 1e6     # an infeasible probe's gain, per unit of |dual bound|
 CUT_ROUNDS_ROOT = 3
 CUT_ROUNDS_TREE = 1
 PLUNGE_LIMIT = 3                # depth-first steps before best-bound again
@@ -423,28 +424,43 @@ class _TreeSolver:
             return []
         self._fix_by_reduced_cost(res, node)
 
-        def solve_child(j, direction, new_bound):
-            lo = node.lower.copy()
-            hi = node.upper.copy()
-            if direction == "down":
-                hi[j] = new_bound
+        def child_bounds(j, v, up):
+            """The node's bounds with x_j >= ceil(v) when `up`, else x_j <= floor(v)."""
+            lo, hi = node.lower.copy(), node.upper.copy()
+            if up:
+                lo[j] = math.ceil(v)
             else:
-                lo[j] = new_bound
-            return self._lp(node.rows, lo, hi, res.basis,
-                            iter_limit=STRONG_BRANCH_ITER_LIMIT)
+                hi[j] = math.floor(v)
+            return lo, hi
 
-        j, xj = select_branch_variable(
-            candidates, obj, self.db_final, self.histories, self.global_hist,
-            self.cfg, solve_child, self.stats)
+        def solve_child(cand):
+            """Probe both children of `cand`, down then up; learn pseudocosts
+            from the OPTIMAL ones.  Returns (gain_down, gain_up)."""
+            gains = []
+            for direction, frac in (("down", cand.frac_down), ("up", cand.frac_up)):
+                lo, hi = child_bounds(cand.index, cand.value, direction == "up")
+                child = self._lp(node.rows, lo, hi, res.basis,
+                                 iter_limit=STRONG_BRANCH_ITER_LIMIT)
+                self.stats.sb_lp_solves += 1
+                if child.status is LpStatus.INFEASIBLE:
+                    db = self.db_final
+                    scale = abs(db) if math.isfinite(db) else 1.0
+                    gains.append(INFEASIBLE_GAIN_SCALE * max(1.0, scale))
+                    continue
+                gain = max(child.objective - obj, 0.0)
+                gains.append(gain)
+                if child.status is LpStatus.OPTIMAL and frac > 0:
+                    update_pseudocost(self.histories[cand.index], direction, gain, frac)
+                    update_pseudocost(self.global_hist, direction, gain, frac)
+            return gains[0], gains[1]
+
+        j, xj = select_branch_variable(candidates, self.histories, self.global_hist,
+                                       self.cfg.branching_rule, solve_child)
 
         down = _Node(self.next_id + 1, obj, node.depth + 1,
-                     node.lower.copy(), node.upper.copy(),
-                     res.basis, node.rows)
-        down.upper[j] = math.floor(xj)
+                     *child_bounds(j, xj, False), res.basis, node.rows)
         up = _Node(self.next_id + 2, obj, node.depth + 1,
-                   node.lower.copy(), node.upper.copy(),
-                   res.basis, node.rows)
-        up.lower[j] = math.ceil(xj)
+                   *child_bounds(j, xj, True), res.basis, node.rows)
         self.next_id += 2
         self._push(down)
         self._push(up)

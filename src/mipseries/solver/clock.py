@@ -1,8 +1,8 @@
 """Solve-time accounting: wall clock or deterministic work units.
 
 In deterministic mode "time" is the number of charged work units (LP pivots
-plus small fixed charges) divided by a work-per-second constant, so runs are
-machine-independent and bit-reproducible.
+and bound flips plus small fixed charges) divided by a work-per-second
+constant, so runs are machine-independent and bit-reproducible.
 """
 from __future__ import annotations
 

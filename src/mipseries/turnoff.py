@@ -78,22 +78,16 @@ class ComponentLedger:
             if rec.disabled:
                 continue
             if rec.kind == KIND_PRESOLVER:
-                if rec.instances_enabled >= PRESOLVER_INSTANCE_THRESHOLD and rec.changes == 0:
-                    rec.disabled_at = instance_index
-                    newly.add(name)
+                idle = rec.instances_enabled >= PRESOLVER_INSTANCE_THRESHOLD and rec.changes == 0
             elif rec.kind == KIND_SEPARATOR:
-                if rec.instances_enabled >= SEPARATOR_INSTANCE_THRESHOLD and rec.cuts == 0:
-                    rec.disabled_at = instance_index
-                    newly.add(name)
+                idle = rec.instances_enabled >= SEPARATOR_INSTANCE_THRESHOLD and rec.cuts == 0
             else:
-                if rec.instances_enabled >= HEURISTIC_INSTANCE_THRESHOLD:
-                    if rec.best_solutions == 0:
-                        rec.disabled_at = instance_index
-                        newly.add(name)
-                    elif rec.time / rec.best_solutions > \
-                            HEURISTIC_TIME_PER_BEST_FRACTION * time_limit:
-                        rec.disabled_at = instance_index
-                        newly.add(name)
+                idle = rec.instances_enabled >= HEURISTIC_INSTANCE_THRESHOLD and (
+                    rec.best_solutions == 0 or rec.time / rec.best_solutions
+                    > HEURISTIC_TIME_PER_BEST_FRACTION * time_limit)
+            if idle:
+                rec.disabled_at = instance_index
+                newly.add(name)
         return newly
 
     def disabled_components(self) -> set:

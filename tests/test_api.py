@@ -16,7 +16,7 @@ from mipseries import harness, reopt, solver
 from mipseries.harness import RunConfig
 from mipseries.lp import SimplexBasis
 from mipseries.model import DEFAULT_FEAS_TOL, DEFAULT_INT_TOL, MipInstance
-from mipseries.solver import SolverConfig, generate_cuts
+from mipseries.solver import SolverConfig, generate_cuts, select_branch_variable
 from mipseries.solver.cuts import slack_integrality
 from mipseries.tuner import TunerState, arm_score
 from mipseries.turnoff import ComponentLedger
@@ -71,6 +71,7 @@ REMOVED = [
     ("mipseries.solver.bb", "_TreeSolver._prune_cutoff"),
     ("mipseries.solver.heuristics", "raise_on_nonfinite"),
     ("mipseries.lp", "SimplexTrouble"),
+    ("mipseries.solver.branching", "_strong_branch"),
 ]
 
 
@@ -135,6 +136,10 @@ REMOVED_PARAMETERS = [
     (MipInstance, "_cache"),
     (reopt.transfer_histories, "target"),
     (reopt.record_outcome, "store"),
+    (select_branch_variable, "cfg"),
+    (select_branch_variable, "stats"),
+    (select_branch_variable, "node_obj"),
+    (select_branch_variable, "db"),
 ]
 
 

@@ -47,6 +47,19 @@ def test_crossed_bounds():
         instance_from_dict(bad)
 
 
+def test_integer_bounds_without_an_integer_are_reported_as_given():
+    message = re.escape("variable 'x0': no integer value in [0.2, 0.8]")
+    with pytest.raises(InstanceError, match=message):
+        make_instance("f", [1.0], [], [0.2], [0.8], ints=(0,))
+    with pytest.raises(InstanceError, match=message):
+        instance_from_dict(instance_dict("f", [1.0], [], [0.2], [0.8], ints=(0,)))
+    # crossed bounds are reported before any rounding
+    with pytest.raises(InstanceError, match=re.escape("crossed bounds (lb=0.8 > ub=0.2)")):
+        make_instance("f", [1.0], [], [0.8], [0.2], ints=(0,))
+    # the same bounds on a continuous column are fine
+    assert make_instance("f", [1.0], [], [0.2], [0.8]).lower[0] == 0.2
+
+
 def test_duplicate_names_rejected():
     bad = json.loads(json.dumps(MINIMAL))
     bad["vars"].append(dict(bad["vars"][0]))

@@ -42,6 +42,9 @@ def test_tracer_wraps_a_solve_without_changing_it():
     assert spans["bb.node"]["count"] == plain.stats.nodes
     assert tracer.counters["lp.node.pivots"] + tracer.counters["lp.sb.pivots"] \
         + tracer.counters["lp.cut.pivots"] == plain.stats.lp_iterations
+    # reliability branching probes, and every probe runs inside the wrapped
+    # select_branch_variable: one run elsewhere would count as a node LP
+    assert tracer.counters["lp.sb.solves"] == plain.stats.sb_lp_solves > 0
     # the hit ratio the benchmark reports counts warm starts that return
     # True; every warm start does
     attempts = tracer.counters["lp.warm_start_attempts"]
