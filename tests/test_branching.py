@@ -212,9 +212,7 @@ def test_probes_that_end_at_the_iteration_limit_teach_nothing(monkeypatch):
     assert all(h.is_empty() for h in tree.histories.values())
 
 
-@pytest.mark.parametrize("db, scale", [(None, 1.0), (-0.5, 1.0), (-5.0, 5.0)])
-def test_infeasible_child_scores_large_gain_without_history_update(monkeypatch, db, scale):
-    # with no dual bound yet (-inf at the root) or |db| < 1 the scale is 1
+def _check_infeasible_child(monkeypatch, db, scale):
     tree, root, probes, gains = _root_probes(monkeypatch, db)
     statuses = {(j, d): res.status for j, d, res in probes}
     assert statuses[(1, "up")] is LpStatus.INFEASIBLE
@@ -226,6 +224,16 @@ def test_infeasible_child_scores_large_gain_without_history_update(monkeypatch, 
     assert tree.histories[1].pscost_down_count == 1.0
     assert tree.global_hist.pscost_up_count == 1.0   # x2 up only
     assert tree.global_hist.pscost_down_count == 2.0
+
+
+def test_infeasible_child_scores_large_gain_without_history_update(monkeypatch):
+    _check_infeasible_child(monkeypatch, -5.0, 5.0)
+
+
+@pytest.mark.parametrize("db", [None, -0.5])
+def test_infeasible_gain_scale_is_one_without_a_large_dual_bound(monkeypatch, db):
+    # with no dual bound yet (-inf at the root) or |db| < 1 the scale is 1
+    _check_infeasible_child(monkeypatch, db, 1.0)
 
 
 def test_a_probe_that_ends_at_a_non_finite_point_updates_no_pseudocost(monkeypatch):
