@@ -5,8 +5,11 @@ minimization only.  `MipInstance` is the one place that checks and
 normalizes instance data, whether it comes from a file or is built in code:
 it rounds integer bounds inward, turns each row's sense into a `Sense`, and
 rejects non-finite costs, rhs values and coefficients, bad or crossed
-bounds, integer bounds that hold no integer, duplicate names, indices out
-of range, a row that names a variable twice and unknown senses.  The file
+bounds, integer bounds that hold no integer, variable names that are not
+distinct strings, indices that are not integers in range, a row that
+names a variable twice and unknown senses.  It derives its arrays (integer
+mask and indices, name index, dense matrix, rhs, senses and row-sense
+masks) once, at construction, and hands them out read-only.  The file
 loader only converts JSON types to numbers and prefixes the validator's
 message with the file path.  All types are immutable after construction and
 safe to share read-only across threads.
@@ -71,16 +74,27 @@ class LinearRow:
 def dense_block(rows, n: int) -> np.ndarray:
     """The coefficients of `rows` as a dense (len(rows), n) matrix; a
     repeated variable index keeps its last coefficient."""
-    mat = np.zeros((len(rows), n))
-    for i, row in enumerate(rows):
+    lines = []
+    for row in rows:
+        line = [0.0] * n
         for j, c in row.coefs:
-            mat[i, j] = c
-    return mat
+            line[j] = c
+        lines.append(line)
+    return np.array(lines, dtype=float).reshape(len(rows), n)
+
+
+def _is_integer(j) -> bool:
+    """True for a Python or numpy integer, not a bool."""
+    return isinstance(j, (int, np.integer)) and not isinstance(j, bool)
 
 
 @dataclass(eq=False, frozen=True)
 class MipInstance:
-    """Full problem data: minimize obj subject to rows, bounds and integrality."""
+    """Full problem data: minimize obj subject to rows, bounds and integrality.
+
+    Construction validates the data and derives, once and read-only,
+    everything the accessors return and the LE, GE and EQ row masks that
+    `check_feasibility` reads."""
 
     name: str
     var_names: tuple[str, ...]
@@ -89,34 +103,12 @@ class MipInstance:
     upper: np.ndarray
     integer_mask: frozenset[int]
     rows: tuple[LinearRow, ...]
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         # copies: the caller's arrays stay theirs and writable, and the
         # integer bounds are rounded below
         for name in ("objective", "lower", "upper"):
             object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
-        n = len(self.var_names)
-        if len(set(self.var_names)) != n:
-            raise InstanceError(f"{self.name}: duplicate variable names")
-        for arr, what in ((self.objective, "objective"),
-                          (self.lower, "lower bounds"),
-                          (self.upper, "upper bounds")):
-            if arr.shape != (n,):
-                raise InstanceError(f"{self.name}: {what} length {arr.shape} != {n}")
-        if not all(0 <= j < n for j in self.integer_mask):
-            raise InstanceError(f"{self.name}: integer index out of range")
-        # Sense is a str enum, so "LE" passes for Sense.LE in an equality
-        # test; the solver and check_feasibility compare senses by identity.
-        rows = []
-        for row in self.rows:
-            try:
-                sense = Sense(row.sense)
-            except ValueError:
-                raise InstanceError(f"{self.name}: row '{row.name}': "
-                                    f"bad sense {row.sense!r}") from None
-            rows.append(row if row.sense is sense else replace(row, sense=sense))
-        object.__setattr__(self, "rows", tuple(rows))
         self._validate()
         # Integer variables keep integral bounds; rounding inward is lossless
         # for the integer feasible set.  Infinities pass through; + 0.0 turns
@@ -130,14 +122,50 @@ class MipInstance:
             k = int(empty[0])
             raise InstanceError(f"{self.name}: variable '{self.var_names[ints[k]]}': no "
                                 f"integer value in [{float(given_lo[k])}, {float(given_hi[k])}]")
-        for arr in (self.objective, self.lower, self.upper):
+        is_int = np.zeros(self.num_vars, dtype=bool)
+        is_int[ints] = True
+        senses = tuple(row.sense for row in self.rows)
+        derived = {
+            "_is_int": is_int,
+            "_int_idx": np.flatnonzero(is_int),
+            "_dense": dense_block(self.rows, self.num_vars),
+            "_rhs": np.array([row.rhs for row in self.rows], dtype=float),
+            "_senses": senses,
+            "_sense_rows": tuple(np.array([s is sense for s in senses], dtype=bool)
+                                 for sense in (Sense.LE, Sense.GE, Sense.EQ)),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+        for arr in (self.objective, self.lower, self.upper, is_int, self._int_idx,
+                    self._dense, self._rhs, *self._sense_rows):
             arr.setflags(write=False)
 
     def _validate(self):
-        """InstanceError, naming the variable or row, for a cost, rhs or
-        coefficient that is not finite, a NaN bound, a lower bound of +inf,
-        an upper bound of -inf, crossed bounds, a row index out of range or
-        a row that names a variable twice."""
+        """InstanceError, naming the variable or row, for a name that is not
+        a string or is repeated, an array of the wrong length, an index in
+        `integer_mask` or a row that is not a Python or numpy integer (a bool
+        is not) in range, a cost, rhs or coefficient that is not finite,
+        a NaN bound, a lower bound of +inf, an upper bound of -inf, crossed
+        bounds, a bad row sense or a row that names a variable twice.  On
+        the way it turns each row's sense into a `Sense` and builds the
+        name index."""
+        n = len(self.var_names)
+        index = {}
+        for j, vname in enumerate(self.var_names):
+            if not isinstance(vname, str):
+                raise InstanceError(f"{self.name}: variable #{j}: name {vname!r} "
+                                    f"is not a string")
+            if index.setdefault(vname, j) != j:
+                raise InstanceError(f"{self.name}: duplicate variable name '{vname}'")
+        for arr, what in ((self.objective, "objective"),
+                          (self.lower, "lower bounds"),
+                          (self.upper, "upper bounds")):
+            if arr.shape != (n,):
+                raise InstanceError(f"{self.name}: {what} length {arr.shape} != {n}")
+        for j in self.integer_mask:
+            if not (_is_integer(j) and 0 <= j < n):
+                raise InstanceError(f"{self.name}: integer index {j!r} is not a "
+                                    f"variable index in [0, {n})")
         for vname, c, lb, ub in zip(self.var_names, self.objective.tolist(),
                                     self.lower.tolist(), self.upper.tolist()):
             if not math.isfinite(c):
@@ -150,23 +178,32 @@ class MipInstance:
                 raise InstanceError(f"{where}: bad upper bound {ub}")
             if lb > ub:
                 raise InstanceError(f"{where}: crossed bounds (lb={lb} > ub={ub})")
-        n = self.num_vars
+        rows = []
         for row in self.rows:
+            where = f"{self.name}: row '{row.name}'"
+            # Sense is a str enum, so "LE" passes for Sense.LE in an equality
+            # test; the solver and check_feasibility compare senses by identity.
+            try:
+                sense = Sense(row.sense)
+            except ValueError:
+                raise InstanceError(f"{where}: bad sense {row.sense!r}") from None
+            rows.append(row if row.sense is sense else replace(row, sense=sense))
             if not math.isfinite(row.rhs):
-                raise InstanceError(
-                    f"{self.name}: row '{row.name}': rhs is not finite: {row.rhs}")
+                raise InstanceError(f"{where}: rhs is not finite: {row.rhs}")
             seen = set()
             for j, c in row.coefs:
-                if not 0 <= j < n:
-                    raise InstanceError(
-                        f"{self.name}: row '{row.name}' references variable index {j} >= {n}")
+                # type(j) is int: the common case, without a call
+                if not ((type(j) is int or _is_integer(j)) and 0 <= j < n):
+                    raise InstanceError(f"{where}: variable index {j!r} is not an "
+                                        f"integer in [0, {n})")
                 if j in seen:
-                    raise InstanceError(f"{self.name}: row '{row.name}' names "
-                                        f"'{self.var_names[j]}' twice")
+                    raise InstanceError(f"{where} names '{self.var_names[j]}' twice")
                 seen.add(j)
                 if not math.isfinite(c):
-                    raise InstanceError(f"{self.name}: row '{row.name}': coefficient "
-                                        f"of '{self.var_names[j]}' is not finite: {c}")
+                    raise InstanceError(f"{where}: coefficient of "
+                                        f"'{self.var_names[j]}' is not finite: {c}")
+        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "_name_to_idx", index)
 
     @property
     def num_vars(self) -> int:
@@ -177,50 +214,25 @@ class MipInstance:
         return len(self.rows)
 
     def var_index(self, name: str) -> int:
-        idx = self._cache.get("name_to_idx")
-        if idx is None:
-            idx = {nm: j for j, nm in enumerate(self.var_names)}
-            self._cache["name_to_idx"] = idx
-        return idx[name]
+        return self._name_to_idx[name]
 
     def is_integer(self) -> np.ndarray:
         """Boolean mask over variables, True for integer-constrained ones."""
-        mask = self._cache.get("is_int")
-        if mask is None:
-            mask = np.zeros(self.num_vars, dtype=bool)
-            mask[list(self.integer_mask)] = True
-            mask.setflags(write=False)
-            self._cache["is_int"] = mask
-        return mask
+        return self._is_int
 
     def integer_indices(self) -> np.ndarray:
-        """Indices of the integer variables, ascending (read-only, cached)."""
-        idx = self._cache.get("int_idx")
-        if idx is None:
-            idx = np.flatnonzero(self.is_integer())
-            idx.setflags(write=False)
-            self._cache["int_idx"] = idx
-        return idx
+        """Indices of the integer variables, ascending."""
+        return self._int_idx
 
     def dense_matrix(self) -> np.ndarray:
-        """Row-major dense constraint matrix (m x n), built lazily."""
-        mat = self._cache.get("dense")
-        if mat is None:
-            mat = dense_block(self.rows, self.num_vars)
-            mat.setflags(write=False)
-            self._cache["dense"] = mat
-        return mat
+        """Row-major dense constraint matrix (m x n)."""
+        return self._dense
 
     def rhs_array(self) -> np.ndarray:
-        b = self._cache.get("rhs")
-        if b is None:
-            b = np.array([row.rhs for row in self.rows])
-            b.setflags(write=False)
-            self._cache["rhs"] = b
-        return b
+        return self._rhs
 
     def senses(self) -> tuple[Sense, ...]:
-        return tuple(row.sense for row in self.rows)
+        return self._senses
 
 
 @dataclass
@@ -257,17 +269,6 @@ def objective_value(inst: MipInstance, point: np.ndarray) -> float:
     if point.shape != (inst.num_vars,):
         raise ValueError(f"point length {point.shape} != {inst.num_vars} variables")
     return float(inst.objective @ point)
-
-
-def _sense_masks(inst: MipInstance):
-    """The LE, GE and EQ row masks of `inst` (cached)."""
-    masks = inst._cache.get("sense_masks")
-    if masks is None:
-        senses = inst.senses()
-        masks = tuple(np.array([s is sense for s in senses], dtype=bool)
-                      for sense in (Sense.LE, Sense.GE, Sense.EQ))
-        inst._cache["sense_masks"] = masks
-    return masks
 
 
 def check_feasibility(inst: MipInstance, point: np.ndarray,
@@ -313,7 +314,7 @@ def check_feasibility(inst: MipInstance, point: np.ndarray,
     terms = np.zeros((len(rhs), inst.num_vars + 1))
     np.multiply(inst.dense_matrix(), -point, out=terms[:, 1:])
     act = np.subtract.reduce(terms, axis=1)
-    le, ge, eq = _sense_masks(inst)
+    le, ge, eq = inst._sense_rows
     bad = ((le & (act > rhs + feas_tol)) | (ge & (act < rhs - feas_tol))
            | (eq & (np.abs(act - rhs) > feas_tol)))
     if count_nonzero(bad):
@@ -397,14 +398,10 @@ def instance_from_dict(data: dict, path: str = "<memory>") -> MipInstance:
         try:
             rname = r["name"]
             coefs = r["coefs"]
-            rsense = Sense(r["sense"])
+            rsense = r["sense"]
             rhs = _number(r["rhs"], InstanceError, f"{path}: row #{i}: rhs")
         except KeyError as exc:
             raise InstanceError(f"{path}: row #{i}: missing key {exc}") from None
-        except InstanceError:
-            raise
-        except ValueError:
-            raise InstanceError(f"{path}: row #{i}: bad sense {r.get('sense')!r}") from None
         if not isinstance(coefs, dict):
             raise InstanceError(f"{path}: row '{rname}': coefs must be an object")
         pairs = []
@@ -545,15 +542,10 @@ def load_series(path) -> SeriesManifest:
 
     manifest = SeriesManifest(series_name, abs_paths, time_limit, changing)
     first = manifest.load(0)
-    order_matters = Component.MATRIX not in changing
+    names = tuple if Component.MATRIX not in changing else frozenset
     for i in range(1, len(manifest)):
         inst = manifest.load(i)
-        if order_matters:
-            if inst.var_names != first.var_names:
-                raise SeriesError(
-                    f"{path}: variable set mismatch between "
-                    f"'{first.name}' and '{inst.name}'")
-        elif set(inst.var_names) != set(first.var_names):
+        if names(inst.var_names) != names(first.var_names):
             raise SeriesError(
                 f"{path}: variable set mismatch between "
                 f"'{first.name}' and '{inst.name}'")

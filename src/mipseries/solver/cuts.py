@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..lp import AT_LOWER, FREE, LpResult, LpStatus, NodeRows, SimplexBasis
+from ..lp import (AT_LOWER, AT_UPPER, BASIC, FIXED, FREE, LpResult, LpStatus, NodeRows,
+                  SimplexBasis)
 from ..model import INF, Sense
 
 MAX_CUTS_PER_ROUND = 20
@@ -51,7 +52,8 @@ def slack_integrality(row_matrix: np.ndarray, row_rhs: np.ndarray,
 
 
 # Per status code: True for a nonbasic column, neither BASIC nor FIXED.
-_NONBASIC = np.array([True, True, False, True, False])
+_NONBASIC = np.ones(max(AT_LOWER, AT_UPPER, BASIC, FREE, FIXED) + 1, dtype=bool)
+_NONBASIC[[BASIC, FIXED]] = False
 # 0-d arrays: a ufunc takes one as an operand faster than a Python float
 _ZERO = np.array(0.0)
 _INF = np.array(INF)

@@ -85,6 +85,8 @@ MALFORMED_INSTANCES = {
                     "variable 'x': integer must be true or false, got 1"),
     "integer_null": (lambda d: d["vars"][0].update(integer=None),
                      "variable 'x': integer must be true or false, got None"),
+    "sense_unknown": (lambda d: d["rows"][0].update(sense="XX"),
+                      "mini: row 'c0': bad sense 'XX'"),
 }
 
 

@@ -72,6 +72,7 @@ REMOVED = [
     ("mipseries.solver.heuristics", "raise_on_nonfinite"),
     ("mipseries.lp", "SimplexTrouble"),
     ("mipseries.solver.branching", "_strong_branch"),
+    ("mipseries.model", "_sense_masks"),
 ]
 
 

@@ -2,11 +2,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import mipseries
 from mipseries.cli import main
 from mipseries.model import save_instance
 
@@ -258,6 +261,10 @@ def test_bad_clock_or_alpha_is_config_error(tmp_path, base_instance_path, capsys
 
 def test_cross_process_byte_identical_reports(tmp_path, base_instance_path):
     manifest = _generate(tmp_path, base_instance_path)
+    # the child imports the same mipseries as this process, installed or not
+    src = str(Path(mipseries.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     outs = []
     for name in ("p1", "p2"):
         out_dir = tmp_path / name
@@ -265,7 +272,7 @@ def test_cross_process_byte_identical_reports(tmp_path, base_instance_path):
             [sys.executable, "-m", "mipseries.cli", "run", "--manifest",
              str(manifest), "--out", str(out_dir), "--det-clock", "1000000",
              "--seed", "3"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         outs.append((out_dir / "report.csv").read_bytes())
     assert outs[0] == outs[1]

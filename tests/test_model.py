@@ -411,7 +411,7 @@ def test_row_naming_a_variable_twice_is_rejected():
 
 def test_replace_derives_the_arrays_of_the_new_rows():
     base = _two_integers(Sense.LE, 4.0, [-1.0, -1.0])
-    assert base.rhs_array().tolist() == [4.0]          # fill the cache
+    assert base.rhs_array().tolist() == [4.0]
     assert check_feasibility(base, np.array([3.0, 1.0])).feasible
     tight = dataclasses.replace(
         base, rows=(LinearRow("r", ((0, 1.0), (1, 1.0)), Sense.LE, 1.0),))
@@ -424,7 +424,7 @@ def test_replace_derives_the_arrays_of_the_new_rows():
 
 def test_fields_cannot_be_assigned_after_validation():
     base = _two_integers(Sense.LE, 4.0, [-1.0, -1.0])
-    assert base.rhs_array().tolist() == [4.0]          # fill the cache
+    assert base.rhs_array().tolist() == [4.0]
     twice = (LinearRow("r", ((0, 1.0), (0, 1.0)), Sense.LE, 1.0),)
     with pytest.raises(dataclasses.FrozenInstanceError):
         base.rows = twice
@@ -435,6 +435,85 @@ def test_fields_cannot_be_assigned_after_validation():
     # replace() validates the new rows
     with pytest.raises(InstanceError, match="names 'x' twice"):
         dataclasses.replace(base, rows=twice)
+
+
+def _three_senses():
+    """x, y integer in [0, 3] under one LE, one GE and one EQ row."""
+    rows = tuple(LinearRow(f"r{i}", ((0, 1.0), (1, float(i + 1))), sense, 4.0)
+                 for i, sense in enumerate((Sense.LE, Sense.GE, Sense.EQ)))
+    return MipInstance("three", ("x", "y"), np.array([1.0, 1.0]), np.zeros(2),
+                       np.full(2, 3.0), frozenset({1}), rows)
+
+
+def test_derived_arrays_are_read_only_and_built_once():
+    inst = _three_senses()
+    accessors = (inst.is_integer, inst.integer_indices, inst.dense_matrix,
+                 inst.rhs_array, inst.senses)
+    for get in accessors:
+        assert get() is get()
+    assert inst.var_index("y") == 1
+    le, ge, eq = inst._sense_rows
+    assert le.tolist() == [True, False, False] and ge.tolist() == [False, True, False]
+    assert eq.tolist() == [False, False, True]
+    assert inst.senses() == (Sense.LE, Sense.GE, Sense.EQ)
+    assert inst.dense_matrix().tolist() == [[1.0, 1.0], [1.0, 2.0], [1.0, 3.0]]
+    assert inst.integer_indices().tolist() == [1]
+    for arr in (inst.objective, inst.lower, inst.upper, inst.is_integer(),
+                inst.integer_indices(), inst.dense_matrix(), inst.rhs_array(), le, ge, eq):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+
+
+def test_instance_without_rows_derives_empty_arrays():
+    inst = MipInstance("none", ("x",), np.array([1.0]), np.zeros(1), np.ones(1),
+                       frozenset(), ())
+    assert inst.dense_matrix().shape == (0, 1) and inst.rhs_array().shape == (0,)
+    assert inst.senses() == () and all(m.shape == (0,) for m in inst._sense_rows)
+    assert inst.integer_indices().shape == (0,) and not inst.is_integer().any()
+    assert check_feasibility(inst, np.array([0.5])).feasible
+
+
+@pytest.mark.parametrize("index", [1.5, 1.0, True, np.float64(1.0), -1, 2, "1", None])
+def test_row_index_that_is_not_a_variable_index_fails_when_built(index):
+    # the row used to build and fail inside presolve at the first solve
+    row = LinearRow("r", ((0, 1.0), (index, 1.0)), Sense.LE, 2.0)
+    message = re.escape(f"two: row 'r': variable index {index!r} is not an integer in [0, 2)")
+    with pytest.raises(InstanceError, match=message):
+        MipInstance("two", ("x", "y"), np.array([-1.0, -1.0]), np.zeros(2), np.ones(2),
+                    frozenset({0, 1}), (row,))
+
+
+@pytest.mark.parametrize("index", [1.0, True, np.float64(0.0), np.bool_(True), -1, 2])
+def test_integer_index_that_is_not_a_variable_index_is_an_instance_error(index):
+    message = re.escape(f"two: integer index {index!r} is not a variable index in [0, 2)")
+    with pytest.raises(InstanceError, match=message):
+        MipInstance("two", ("x", "y"), np.zeros(2), np.zeros(2), np.ones(2),
+                    frozenset({index}), ())
+
+
+def test_numpy_integer_indices_are_accepted():
+    c, lo, hi = np.array([-1.0, -2.0]), np.zeros(2), np.full(2, 3.0)
+    plain = MipInstance("p", ("x", "y"), c, lo, hi, frozenset({0, 1}),
+                        (LinearRow("r", ((0, 1.0), (1, 2.0)), Sense.LE, 4.0),))
+    numpy = MipInstance("p", ("x", "y"), c, lo, hi, frozenset({np.int64(0), np.int32(1)}),
+                        (LinearRow("r", ((np.int64(0), 1.0), (np.intp(1), 2.0)), Sense.LE, 4.0),))
+    for get in ("is_integer", "integer_indices", "dense_matrix", "rhs_array"):
+        assert np.array_equal(getattr(numpy, get)(), getattr(plain, get)())
+    assert numpy.integer_indices().dtype == plain.integer_indices().dtype
+    assert solve(numpy, SolverConfig(), INF).primal_bound == solve(plain, SolverConfig(), INF).primal_bound
+
+
+@pytest.mark.parametrize("names, message", [
+    (("x", 1), "variable #1: name 1 is not a string"),
+    ((b"x", "y"), "variable #0: name b'x' is not a string"),
+    ((["x"], "y"), "variable #0: name ['x'] is not a string"),
+    (("x", "x"), "duplicate variable name 'x'"),
+])
+def test_variable_names_must_be_distinct_strings(names, message):
+    # ("x", 1) used to build and make save_instance fail on sorting its keys
+    with pytest.raises(InstanceError, match=re.escape(f"n: {message}")):
+        MipInstance("n", names, np.zeros(2), np.zeros(2), np.ones(2), frozenset(), ())
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
