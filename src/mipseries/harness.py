@@ -24,7 +24,7 @@ from .solver import (ALL_HEURISTICS, ALL_PRESOLVERS, HEUR_COMPLETESOL,
                      HEUR_ROUNDING, SEP_GOMORY, BranchingRule, SolveStatus,
                      SolverConfig, VariableHistory, solve)
 from .solver.config import check_det_clock
-from .tuner import ON, PARAM_ORDER, TUNING_START_INDEX, Param, TunerState
+from .tuner import ON, PARAM_ORDER, TUNING_START_INDEX, Param, TunerState, left_sum
 from .turnoff import ComponentLedger, ComponentRecord
 
 GEOMEAN_SHIFT = 10.0
@@ -68,7 +68,7 @@ def shifted_geomean(times) -> float:
     times = list(times)
     if not times:
         raise ValueError("shifted_geomean of an empty list")
-    return math.exp(sum(math.log(t + GEOMEAN_SHIFT) for t in times)
+    return math.exp(left_sum(math.log(t + GEOMEAN_SHIFT) for t in times)
                     / len(times)) - GEOMEAN_SHIFT
 
 
@@ -202,7 +202,7 @@ def _batch_means(totals: list[float]) -> list[tuple[str, int, float]]:
     for start in range(0, len(totals), BATCH_SIZE):
         chunk = totals[start:start + BATCH_SIZE]
         out.append((f"{start + 1}-{start + len(chunk)}", len(chunk),
-                    sum(chunk) / len(chunk)))
+                    left_sum(chunk) / len(chunk)))
     return out
 
 
@@ -509,7 +509,7 @@ def run_series(manifest: SeriesManifest, run_cfg: RunConfig) -> SeriesReport:
         batch_averages=batch_averages(records),
         shifted_geomean_time=shifted_geomean([r.solve_time for r in records])
                              if records else 0.0,
-        mean_total_score=(sum(r.total_score for r in records) / len(records))
+        mean_total_score=(left_sum(r.total_score for r in records) / len(records))
                          if records else 0.0,
         tuner_summary={} if state.tuner is None else state.tuner.summary(),
         turnoff_summary=[] if state.ledger is None else state.ledger.summary(),
@@ -579,8 +579,8 @@ def improvement_table(report_csv, baseline_csv) -> dict:
                 "improvement_pct": improvement_pct(base_mean, new_mean)}
                for (label, _, new_mean), (_, _, base_mean)
                in zip(_batch_means(new_totals), _batch_means(base_totals))]
-    base_avg = sum(base_totals) / len(base_totals) if base_totals else 0.0
-    new_avg = sum(new_totals) / len(new_totals) if new_totals else 0.0
+    base_avg = left_sum(base_totals) / len(base_totals) if base_totals else 0.0
+    new_avg = left_sum(new_totals) / len(new_totals) if new_totals else 0.0
     return {
         "batches": batches,
         "overall": {

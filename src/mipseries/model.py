@@ -4,15 +4,16 @@ Instances are interchanged as JSON files with explicit variable/row objects,
 minimization only.  `MipInstance` is the one place that checks and
 normalizes instance data, whether it comes from a file or is built in code:
 it rounds integer bounds inward, turns each row's sense into a `Sense`, and
-rejects non-finite costs, rhs values and coefficients, bad or crossed
-bounds, integer bounds that hold no integer, variable names that are not
-distinct strings, indices that are not integers in range, a row that
-names a variable twice and unknown senses.  It derives its arrays (integer
-mask and indices, name index, dense matrix, rhs, senses and row-sense
-masks) once, at construction, and hands them out read-only.  The file
-loader only converts JSON types to numbers and prefixes the validator's
-message with the file path.  All types are immutable after construction and
-safe to share read-only across threads.
+rejects non-finite costs, rhs values and coefficients that are not finite
+real numbers (a bool or a string is none), bad or crossed bounds, integer
+bounds that hold no integer, variable names that are not distinct strings,
+indices that are not integers in range, a row that names a variable twice
+and unknown senses.  It derives its arrays (integer mask and indices, name
+index, dense matrix, rhs, senses and row-sense masks) once, at
+construction, and hands them out read-only.  The file loader only converts
+JSON types to numbers and prefixes the validator's message with the file
+path.  All types are immutable after construction and safe to share
+read-only across threads.
 """
 from __future__ import annotations
 
@@ -83,9 +84,35 @@ def dense_block(rows, n: int) -> np.ndarray:
     return np.array(lines, dtype=float).reshape(len(rows), n)
 
 
+def integral_rows(mat: np.ndarray, is_int: np.ndarray) -> np.ndarray:
+    """Per row of `mat`: True when the row has a nonzero and each nonzero
+    lies on an integer column (`is_int`) within 1e-9 of a nonzero integer,
+    so that its activity is an integer at every integer-feasible point.  A
+    coefficient such as 1e-10 is not integral: it rounds to 0."""
+    nonzero = mat != 0
+    rounded = np.round(mat)
+    integral = is_int & (np.abs(mat - rounded) <= 1e-9) & (rounded != 0)
+    return (np.logical_or.reduce(nonzero, axis=1)
+            & np.logical_and.reduce(integral | ~nonzero, axis=1))
+
+
 def _is_integer(j) -> bool:
     """True for a Python or numpy integer, not a bool."""
     return isinstance(j, (int, np.integer)) and not isinstance(j, bool)
+
+
+def _not_a_finite_number(value) -> str | None:
+    """None for a finite Python or numpy real number, else what is wrong
+    with `value`: a bool, a string, an integer beyond float range or any
+    other object is not a number; an infinity or a NaN is not finite."""
+    if type(value) is not float and (   # float: the common case, without a call
+            isinstance(value, bool)
+            or not isinstance(value, (int, float, np.integer, np.floating))):
+        return f"is not a number: {value!r}"
+    try:
+        return None if math.isfinite(value) else f"is not finite: {value}"
+    except OverflowError:   # an integer beyond float range, as in a file
+        return f"is not a number: {value!r}"
 
 
 @dataclass(eq=False, frozen=True)
@@ -144,7 +171,8 @@ class MipInstance:
         """InstanceError, naming the variable or row, for a name that is not
         a string or is repeated, an array of the wrong length, an index in
         `integer_mask` or a row that is not a Python or numpy integer (a bool
-        is not) in range, a cost, rhs or coefficient that is not finite,
+        is not) in range, a cost that is not finite, an rhs or coefficient
+        that is not a finite Python or numpy real number (a bool is not),
         a NaN bound, a lower bound of +inf, an upper bound of -inf, crossed
         bounds, a bad row sense or a row that names a variable twice.  On
         the way it turns each row's sense into a `Sense` and builds the
@@ -188,8 +216,9 @@ class MipInstance:
             except ValueError:
                 raise InstanceError(f"{where}: bad sense {row.sense!r}") from None
             rows.append(row if row.sense is sense else replace(row, sense=sense))
-            if not math.isfinite(row.rhs):
-                raise InstanceError(f"{where}: rhs is not finite: {row.rhs}")
+            bad = _not_a_finite_number(row.rhs)
+            if bad:
+                raise InstanceError(f"{where}: rhs {bad}")
             seen = set()
             for j, c in row.coefs:
                 # type(j) is int: the common case, without a call
@@ -199,9 +228,10 @@ class MipInstance:
                 if j in seen:
                     raise InstanceError(f"{where} names '{self.var_names[j]}' twice")
                 seen.add(j)
-                if not math.isfinite(c):
+                bad = _not_a_finite_number(c)
+                if bad:
                     raise InstanceError(f"{where}: coefficient of "
-                                        f"'{self.var_names[j]}' is not finite: {c}")
+                                        f"'{self.var_names[j]}' {bad}")
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "_name_to_idx", index)
 
@@ -319,7 +349,7 @@ def check_feasibility(inst: MipInstance, point: np.ndarray,
            | (eq & (np.abs(act - rhs) > feas_tol)))
     if count_nonzero(bad):
         i = int(np.argmax(bad))
-        a, b = float(act[i]), inst.rows[i].rhs
+        a, b = float(act[i]), float(rhs[i])
         amount = a - b if le[i] else b - a if ge[i] else abs(a - b)
         return FeasibilityResult(False, Violation("row", i, float(amount)))
     return FeasibilityResult(True)
@@ -593,30 +623,21 @@ def perturb_instance(base: MipInstance, kinds: frozenset[Component],
         rows = new_rows
 
     if Component.BOUNDS in kinds:
-        changed = False
-        shrinkable = []
-        for j in range(base.num_vars):
-            if not (math.isfinite(lower[j]) and math.isfinite(upper[j])):
-                continue
+        # a share `magnitude` of the columns with a finite, nonempty range
+        # (at least one) lowers its upper bound: an integer column by 1 to
+        # max(1, round(magnitude x width)) steps, a continuous one by up to
+        # min(magnitude, 1) of its width
+        movable = [j for j in range(base.num_vars)
+                   if math.isfinite(lower[j]) and math.isfinite(upper[j])
+                   and upper[j] > lower[j]]
+        count = min(max(1, round(magnitude * len(movable))), len(movable))
+        for j in sorted(rng.choice(movable, size=count, replace=False).tolist()):
             width = upper[j] - lower[j]
-            if width <= 0:
-                continue
-            shrinkable.append(j)
             if j in base.integer_mask:
-                cap = max(1, int(round(magnitude * max(1.0, width))))
-                step = min(int(rng.integers(0, cap + 1)), int(width))
-                if step:
-                    upper[j] -= step
-                    changed = True
+                cap = max(1, int(round(magnitude * width)))
+                upper[j] -= min(int(rng.integers(1, cap + 1)), int(width))
             else:
-                shrink = width * magnitude * rng.uniform(0.0, 1.0)
-                if shrink > 0:
-                    upper[j] -= shrink
-                    changed = True
-        if not changed and shrinkable:
-            j = shrinkable[0]
-            upper[j] -= 1.0 if j in base.integer_mask else \
-                (upper[j] - lower[j]) * min(magnitude, 0.5)
+                upper[j] -= width * min(magnitude, 1.0) * rng.uniform(0.0, 1.0)
 
     return MipInstance(name=name, var_names=base.var_names, objective=obj,
                        lower=lower, upper=upper, integer_mask=base.integer_mask,

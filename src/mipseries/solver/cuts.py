@@ -21,7 +21,7 @@ import numpy as np
 
 from ..lp import (AT_LOWER, AT_UPPER, BASIC, FIXED, FREE, LpResult, LpStatus, NodeRows,
                   SimplexBasis)
-from ..model import INF, Sense
+from ..model import INF, Sense, integral_rows
 
 MAX_CUTS_PER_ROUND = 20
 MIN_VIOLATION = 1e-6
@@ -33,22 +33,10 @@ MAX_DYNAMISM = 1e8
 def slack_integrality(row_matrix: np.ndarray, row_rhs: np.ndarray,
                       is_int: np.ndarray) -> np.ndarray:
     """Per row: True when the slack takes integer values at every
-    integer-feasible point (all-integer support, integral data)."""
-    m = row_matrix.shape[0]
-    out = np.zeros(m, dtype=bool)
-    for i in range(m):
-        support = np.nonzero(row_matrix[i])[0]
-        if len(support) == 0:
-            continue
-        if not np.all(is_int[support]):
-            continue
-        coefs = row_matrix[i, support]
-        if np.any(np.abs(coefs - np.round(coefs)) > 1e-9):
-            continue
-        if abs(row_rhs[i] - round(row_rhs[i])) > 1e-9:
-            continue
-        out[i] = True
-    return out
+    integer-feasible point: the row is integral (`integral_rows`) and its
+    rhs lies within 1e-9 of an integer."""
+    return (integral_rows(row_matrix, is_int)
+            & (np.abs(row_rhs - np.round(row_rhs)) <= 1e-9))
 
 
 # Per status code: True for a nonbasic column, neither BASIC nor FIXED.

@@ -1,4 +1,8 @@
-"""Root presolve: single-row bound propagation and GCD coefficient tightening."""
+"""Root presolve: single-row bound propagation and GCD coefficient tightening.
+
+Both rules read the rows the LP reads, `inst.dense_matrix()` with
+`inst.senses()`, and treat a zero coefficient as no term.
+"""
 from __future__ import annotations
 
 import math
@@ -6,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..model import INF, MipInstance, Sense
+from ..model import MipInstance, Sense, integral_rows
 from .config import PRE_BOUND_TIGHTEN, PRE_COEF_TIGHTEN, SolverConfig
 
 MAX_SWEEPS = 10
@@ -22,106 +26,102 @@ class PresolveResult:
     changes: dict[str, int]
 
 
-def _terms(row) -> tuple:
-    """The row's (column, coefficient) terms without its zero coefficients:
-    both rules treat a row as if its zero terms were not there.  The
-    coefficients are Python floats."""
-    return tuple((j, float(a)) for j, a in row.coefs if a != 0.0)
+def _le_rows(inst, rhs) -> list:
+    """The rows as one list of <= rows (a, b) in row order: an LE row as it
+    is, a GE row negated, an EQ row both ways, its LE side first."""
+    rows = []
+    for a, b, sense in zip(inst.dense_matrix(), rhs.tolist(), inst.senses()):
+        if sense is not Sense.GE:
+            rows.append((a, b))
+        if sense is not Sense.LE:
+            rows.append((-a, -b))
+    return rows
 
 
-def _tighten_row_le(coefs, rhs: float, lower, upper, is_int) -> int:
-    """Propagate a <= row once; returns the number of improved bounds.
+def _tighten_le(a, b, lower, upper, is_int) -> int:
+    """Propagate the row a x <= b once into `lower` and `upper`; returns the
+    number of improved bounds.
 
-    The arithmetic is on Python floats, which overflow to +-inf without a
-    warning.  An implied bound of +inf above (-inf below) tightens nothing;
-    one of -inf above (+inf below) crosses the other bound, which proves
-    the row infeasible."""
-    changes = 0
-    # minimal activity contribution per term
-    contrib_lo = []
-    for j, a in coefs:
-        lo = float(lower[j] if a > 0 else upper[j])
-        contrib_lo.append(a * lo if math.isfinite(lo) else -INF)
-    total = sum(contrib_lo) if all(math.isfinite(v) for v in contrib_lo) else None
-    for k, (j, a) in enumerate(coefs):
-        if total is not None:
-            rest = total - contrib_lo[k]
-        else:
-            vals = [v for i, v in enumerate(contrib_lo) if i != k]
-            if any(not math.isfinite(v) for v in vals):
-                continue
-            rest = sum(vals)
-        slack = rhs - rest
-        if a > 0:
-            new_ub = slack / a
-            if is_int[j] and math.isfinite(new_ub):
-                new_ub = math.floor(new_ub + EPS)
-            if new_ub < upper[j] - EPS:
-                upper[j] = new_ub
-                changes += 1
-        else:
-            new_lb = slack / a
-            if is_int[j] and math.isfinite(new_lb):
-                new_lb = math.ceil(new_lb - EPS)
-            if new_lb > lower[j] + EPS:
-                lower[j] = new_lb
-                changes += 1
-    return changes
+    A term's minimal activity is a_j times lower_j (a_j > 0) or upper_j
+    (a_j < 0); it is unbounded when it is not finite (an infinite bound or
+    an overflow).  With no unbounded term, each term's rest of the row is
+    the sum of all minimal activities less its own; with one, only that
+    term has a rest, the sum of the others; with more, no term has one.
+    Sums fold left to right from 0.0 in column order.  A term's implied
+    bound (b - rest) / a_j is rounded inward, with a 1e-9 tolerance, on an
+    integer column, and replaces the old bound when it improves it by more
+    than 1e-9.  An implied bound of +inf above (-inf below) tightens
+    nothing; one of -inf above (+inf below) crosses the other bound, which
+    proves the row infeasible.  Invalid, overflowing and dividing-by-zero
+    operations happen at non-finite entries and zero coefficients; the
+    caller's `errstate` silences them."""
+    term = a != 0
+    up = a > 0
+    act = a * np.where(up, lower, upper)
+    finite = np.isfinite(act)
+    unbounded = term & ~finite
+    n_unbounded = np.count_nonzero(unbounded)
+    if n_unbounded > 1:
+        return 0
+    # 0 - (-t0) - (-t1) ... is 0 + t0 + t1 ... exactly, and subtract.reduce
+    # folds in order (add.reduce may sum pairwise); a zero or unbounded
+    # term enters as +0.0, which changes no sum
+    neg = np.zeros(len(a) + 1)
+    np.negative(act, out=neg[1:], where=term & finite)
+    rest = np.subtract.reduce(neg) + neg[1:]
+    bound = (b - rest) / a
+    # + 0.0 turns np.ceil's -0.0 (of -0.5, say) into 0.0, as MipInstance
+    # rounds integer bounds
+    rounded = np.where(up, np.floor(bound + EPS), np.ceil(bound - EPS) + 0.0)
+    new = np.where(is_int & np.isfinite(bound), rounded, bound)
+    tighter = (unbounded if n_unbounded else term) & np.where(
+        up, new < upper - EPS, new > lower + EPS)
+    np.copyto(upper, new, where=tighter & up)
+    np.copyto(lower, new, where=tighter & ~up)
+    return int(np.count_nonzero(tighter))
 
 
 def _bound_tighten(inst, lower, upper, rhs) -> tuple[int, bool]:
     is_int = inst.is_integer()
+    rows = _le_rows(inst, rhs)
     total_changes = 0
-    for _ in range(MAX_SWEEPS):
-        sweep = 0
-        for i, row in enumerate(inst.rows):
-            coefs = _terms(row)
-            if row.sense in (Sense.LE, Sense.EQ):
-                sweep += _tighten_row_le(coefs, float(rhs[i]), lower, upper, is_int)
-            if row.sense in (Sense.GE, Sense.EQ):
-                neg = tuple((j, -a) for j, a in coefs)
-                sweep += _tighten_row_le(neg, -float(rhs[i]), lower, upper, is_int)
-        total_changes += sweep
-        if np.any(lower > upper + EPS):
-            return total_changes, True
-        if sweep == 0:
-            break
+    with np.errstate(all="ignore"):
+        for _ in range(MAX_SWEEPS):
+            sweep = 0
+            for a, b in rows:
+                sweep += _tighten_le(a, b, lower, upper, is_int)
+            total_changes += sweep
+            if np.any(lower > upper + EPS):
+                return total_changes, True
+            if sweep == 0:
+                break
     return total_changes, False
 
 
 def _coef_tighten(inst, rhs) -> tuple[int, bool]:
-    """GCD-based rhs reduction on rows whose support is all-integer with
-    integral coefficients; valid for every integer-feasible point."""
-    is_int = inst.is_integer()
+    """GCD-based rhs reduction on the integral rows (`integral_rows`); valid
+    for every integer-feasible point, whose activity on such a row the gcd
+    g of its coefficients divides: an LE rhs rounds down and a GE rhs up to
+    a multiple of g, and an EQ rhs that is none proves infeasibility."""
+    mat, senses = inst.dense_matrix(), inst.senses()
     changes = 0
-    for i, row in enumerate(inst.rows):
-        coefs = _terms(row)
-        if not coefs:
-            continue
-        if not all(is_int[j] for j, _ in coefs):
-            continue
-        rounded = [round(a) for _, a in coefs]
-        if any(abs(a - r) > EPS or r == 0 for (_, a), r in zip(coefs, rounded)):
-            continue
-        g = 0
-        for r in rounded:
-            g = math.gcd(g, abs(int(r)))
+    for i in np.flatnonzero(integral_rows(mat, inst.is_integer())).tolist():
+        g = math.gcd(*map(int, np.round(mat[i]).tolist()))
         if g <= 1:
             continue
         b = rhs[i]
-        if row.sense is Sense.LE:
+        if senses[i] is Sense.LE:
             nb = g * math.floor(b / g + EPS)
             if nb < b - EPS:
                 rhs[i] = nb
                 changes += 1
-        elif row.sense is Sense.GE:
+        elif senses[i] is Sense.GE:
             nb = g * math.ceil(b / g - EPS)
             if nb > b + EPS:
                 rhs[i] = nb
                 changes += 1
-        else:
-            if abs(b / g - round(b / g)) > EPS:
-                return changes, True
+        elif abs(b / g - round(b / g)) > EPS:
+            return changes, True
     return changes, False
 
 

@@ -25,6 +25,16 @@ CANDIDATE_BAND_FRACTION = 0.1
 TUNING_START_INDEX = 1      # instance 0 is solved untuned
 
 
+def left_sum(values) -> float:
+    """The floats in `values` added left to right from 0.0: the sum Python
+    3.10 and 3.11 give with `sum()`, which from 3.12 on compensates, so
+    that scores and reports do not depend on the interpreter."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 class Param(Enum):
     HINT = "HINT"
     CUTS = "CUTS"
@@ -75,8 +85,8 @@ class ParamState:
     def sigma(self) -> float:
         if len(self.samples) < 2:
             return 0.0
-        mean = sum(self.samples) / len(self.samples)
-        var = sum((s - mean) ** 2 for s in self.samples) / (len(self.samples) - 1)
+        mean = left_sum(self.samples) / len(self.samples)
+        var = left_sum((s - mean) ** 2 for s in self.samples) / (len(self.samples) - 1)
         return math.sqrt(var)
 
 

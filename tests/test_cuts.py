@@ -30,6 +30,25 @@ def _fractional_instance():
                          [0, 0, 0], [10, 10, 10], ints=(0, 1, 2))
 
 
+@pytest.mark.parametrize("coefs, rhs, ints, integral", [
+    ([2.0, 3.0], 5.0, (0, 1), True),
+    ([2.0 + 1e-10, -3.0], -5.0, (0, 1), True),
+    ([2.0, 0.0], 5.0, (0,), True),
+    ([2.0, 3.0], 4.5, (0, 1), False),
+    ([2.0, 1.5], 5.0, (0, 1), False),
+    ([2.0, 3.0], 5.0, (0,), False),
+    ([0.0, 0.0], 0.0, (0, 1), False),
+    # 1e-10 x0 lies within 1e-9 of the integer 0, but the slack 3 - 1e-10 x0
+    # - 2 x1 is no integer at x0 = 1: a zero-rounding coefficient is not
+    # integral (presolve's GCD rule takes the same view)
+    ([1e-10, 2.0], 3.0, (0, 1), False),
+])
+def test_slack_integrality(coefs, rhs, ints, integral):
+    is_int = np.isin(np.arange(2), ints)
+    got = slack_integrality(np.array([coefs]), np.array([rhs]), is_int)
+    assert got.tolist() == [integral]
+
+
 def test_classic_half_integral_vertex_cut():
     # min -x-y s.t. 2x+2y <= 3 over binaries: the derived cut is x+y <= 1
     inst = make_instance("half", [-1.0, -1.0], [([2.0, 2.0], Sense.LE, 3.0)],

@@ -149,23 +149,41 @@ def test_checkpoint_resume_equals_uninterrupted(tmp_path):
 
 def test_checkpoint_resume_after_tuner_draws_equals_uninterrupted(tmp_path):
     # RHS perturbations under a tight limit leave arms within the candidate
-    # band after exploration, so the tuner draws from instance 10 on; a
-    # resume after k instances, with a torn line after them, must rebuild
-    # the tuner and its rng by replaying the k records
+    # band after exploration, so the tuner draws from its rng; a resume
+    # after k instances, with a torn line after them, must rebuild the
+    # tuner and its rng by replaying the k records, before and after the
+    # first instance that draws
     manifest = load_series(generate_series_files(
         hard_knapsack(n=20, m=4), {"RHS"}, 16, seed=1, magnitude=0.1,
         out_dir=tmp_path / "s", time_limit=0.06))
-    choice = random.Random.choice
-    drawn = []
+    choice, select = random.Random.choice, harness._SeriesState.select_values
+    drawn, drawing = [], []
 
     def counted(self, seq):
         drawn.append(seq)
         return choice(self, seq)
 
-    for disable in (frozenset(), ALL_OFF):
-        straight = run_series(manifest, RunConfig(seed=1, det_work_per_second=1e4,
-                                                  disable=disable))
-        for k in (1, 5, 9, 14):
+    def noted(self, t):
+        before = len(drawn)
+        values = select(self, t)
+        if len(drawn) > before:
+            drawing.append(t)
+        return values
+
+    for disable in (frozenset(), ALL_OFF):     # the first arm finds `first`
+        drawing.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(random.Random, "choice", counted)
+            mp.setattr(harness._SeriesState, "select_values", noted)
+            straight = run_series(manifest, RunConfig(seed=1, det_work_per_second=1e4,
+                                                      disable=disable))
+        if disable:
+            assert not drawing     # tuning is off
+        else:
+            assert drawing, "the tuner never draws: the test checks no rng replay"
+            first = drawing[0]
+        # a run stopped after k instances has chosen the values of k + 1
+        for k in sorted({1, first - 1, first, first + 1} & set(range(1, len(manifest)))):
             ckpt = tmp_path / f"ckpt{k}{len(disable)}.json"
             cfg = RunConfig(seed=1, det_work_per_second=1e4, disable=disable,
                             checkpoint_path=ckpt)
@@ -173,7 +191,7 @@ def test_checkpoint_resume_after_tuner_draws_equals_uninterrupted(tmp_path):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(random.Random, "choice", counted)
                 assert len(_stop_after(manifest, cfg, k)) == 1 + k
-            assert bool(drawn) == (k == 14 and not disable)
+            assert bool(drawn) == (k >= first and not disable)
             with ckpt.open("a") as fh:
                 fh.write('{"record": {"instance_ind')
             resumed = run_series(manifest, cfg)

@@ -18,8 +18,8 @@ from mipseries.model import (INF, Component, FeasibilityResult, InstanceError,
                              perturb_series, save_instance)
 from mipseries.solver import SolverConfig, SolveStatus, solve
 
-from conftest import (MALFORMED_INSTANCES, MALFORMED_MANIFESTS, MINIMAL, instance_dict,
-                      make_instance, malformed_instance, same_data)
+from conftest import (MALFORMED_INSTANCES, MALFORMED_MANIFESTS, MINIMAL, hard_knapsack,
+                      instance_dict, make_instance, malformed_instance, same_data)
 
 
 def test_minimal_instance_roundtrip(tmp_path):
@@ -409,6 +409,28 @@ def test_row_naming_a_variable_twice_is_rejected():
                     frozenset({0}), (row,))
 
 
+@pytest.mark.parametrize("value", [True, np.False_, "1.5", None, 10 ** 400],
+                         ids=["bool", "numpy_bool", "string", "none", "huge_int"])
+@pytest.mark.parametrize("field", ["rhs", "coefficient"])
+def test_row_data_that_is_not_a_number_is_an_instance_error(field, value):
+    # a bool rhs used to build an instance whose saved file did not load,
+    # and a string raised TypeError from math.isfinite
+    if field == "rhs":
+        row, what = LinearRow("r", ((0, 1.0),), Sense.LE, value), "rhs"
+    else:
+        row, what = LinearRow("r", ((0, value),), Sense.LE, 1.0), "coefficient of 'x'"
+    message = f"one: row 'r': {what} is not a number: {value!r}"
+    with pytest.raises(InstanceError, match=re.escape(message)):
+        MipInstance("one", ("x",), np.zeros(1), np.zeros(1), np.ones(1), frozenset(), (row,))
+
+
+@pytest.mark.parametrize("value", [2, np.int64(2), np.float32(2.0), np.float64(2.0)])
+def test_row_data_of_any_real_number_type_builds(value):
+    inst = MipInstance("one", ("x",), np.array([-1.0]), np.zeros(1), np.full(1, 3.0),
+                       frozenset(), (LinearRow("r", ((0, value),), Sense.LE, value),))
+    assert inst.dense_matrix().tolist() == [[2.0]] and inst.rhs_array().tolist() == [2.0]
+
+
 def test_replace_derives_the_arrays_of_the_new_rows():
     base = _two_integers(Sense.LE, 4.0, [-1.0, -1.0])
     assert base.rhs_array().tolist() == [4.0]
@@ -576,3 +598,30 @@ def test_perturb_output_loads_as_series(tmp_path):
     manifest = load_series(manifest_path)
     assert len(manifest) == 4
     assert manifest.changing_components == frozenset({Component.OBJECTIVE})
+
+
+@pytest.mark.parametrize("magnitude, moved", [(0.01, 1), (0.1, 2), (0.3, 8), (2.0, 25)])
+def test_bounds_perturbation_moves_the_magnitude_share_of_columns(magnitude, moved):
+    # the step of a binary used to be drawn from {0, 1} at any magnitude, so
+    # about half of all binaries were fixed to 0 (13.05 of 25 over 20 draws)
+    base = hard_knapsack(n=25)
+    for inst in perturb_series(base, {"BOUNDS"}, count=21, seed=3, magnitude=magnitude)[1:]:
+        lowered = inst.upper < base.upper
+        assert np.count_nonzero(lowered) == moved
+        assert np.all(inst.upper[lowered] == 0.0) and np.array_equal(inst.lower, base.lower)
+
+
+def test_bounds_perturbation_of_integer_and_continuous_columns():
+    # an integer column moves by 1 to round(magnitude x width) steps, a
+    # continuous one by less than its width; unbounded columns stay
+    base = make_instance("mix", [1.0] * 4, [([1.0, 1.0, 1.0, 1.0], Sense.LE, 40.0)],
+                         [0, 0, 0, 0], [20, 20, 20, INF], ints=(0, 1))
+    steps = set()
+    for inst in perturb_series(base, {"BOUNDS"}, count=41, seed=5, magnitude=0.5)[1:]:
+        lowered = np.flatnonzero(inst.upper < base.upper).tolist()
+        assert len(lowered) == 2 and 3 not in lowered
+        for j in lowered:
+            step = base.upper[j] - inst.upper[j]
+            assert (step in range(1, 11)) if j < 2 else 0 < step < 20
+            steps.add(step if j < 2 else None)
+    assert steps >= {1.0, 10.0}

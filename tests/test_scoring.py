@@ -5,8 +5,10 @@ import math
 
 import pytest
 
+from mipseries import harness
 from mipseries.harness import (ScoreRecord, batch_averages, gap_score,
                                improvement_pct, shifted_geomean, time_score)
+from mipseries.tuner import left_sum
 
 
 def test_time_score_cases():
@@ -59,6 +61,15 @@ def test_shifted_geomean_cases():
     assert shifted_geomean([10.0, 40.0]) == pytest.approx(21.6227766, abs=1e-3)
     with pytest.raises(ValueError):
         shifted_geomean([])
+
+
+def test_means_add_left_to_right_on_every_interpreter():
+    # sum() compensates from Python 3.12 on and gives 1.0 for this vector;
+    # every mean in the reports folds left to right and gives 0.0
+    vector = [1e16, 1.0, -1e16]
+    assert left_sum(vector) == 0.0 and left_sum(iter(vector)) == 0.0
+    assert left_sum([]) == 0.0
+    assert harness._batch_means(vector) == [("1-3", 3, 0.0)]
 
 
 def test_batch_averages_partition():
